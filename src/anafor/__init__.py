@@ -15,7 +15,6 @@ from .textmodel import (
     Sentence,
     Token,
     assemble_document,
-    sentence_distance,
 )
 from .corpus import (
     NameDictionary,
@@ -25,13 +24,11 @@ from .corpus import (
     serialize_document,
 )
 from .morphology import (
-    Case,
     Lexicon,
     NameOccurrence,
     PronounForm,
     classify_pronoun,
     default_lexicon,
-    is_nominative,
     match_name,
     turkish_lower,
     turkish_upper,
@@ -62,7 +59,6 @@ from .resolver import (
     Resolution,
     ResolvedDocument,
     ScoredCandidate,
-    TraceRecord,
     baseline_resolve_document,
     format_trace,
     parse_trace,
@@ -78,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Candidate",
     "CandidateKind",
-    "Case",
     "Comparison",
     "DEFAULT_WEIGHTS",
     "Document",
@@ -102,7 +97,6 @@ __all__ = [
     "SearchScope",
     "Sentence",
     "Token",
-    "TraceRecord",
     "TrainConfig",
     "TrainReport",
     "TrainingInstance",
@@ -119,7 +113,6 @@ __all__ = [
     "feature_vector",
     "format_trace",
     "generate_sets",
-    "is_nominative",
     "load_dictionary",
     "load_weights",
     "match_name",
@@ -132,7 +125,6 @@ __all__ = [
     "save_weights",
     "scan_name_occurrences",
     "score",
-    "sentence_distance",
     "serialize_document",
     "train",
     "turkish_lower",

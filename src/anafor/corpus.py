@@ -87,7 +87,7 @@ class NameDictionary:
 def load_dictionary(path) -> NameDictionary:
     """Load a gazetteer file: one name per line, ``#`` comments allowed."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             raw = handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc})") from None
@@ -271,10 +271,11 @@ class _Scanner:
 
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
-    """Parse an annotated corpus file into a Document."""
+    """Parse an annotated corpus file into a Document; one leading UTF-8
+    byte-order mark is dropped."""
     from .morphology import default_lexicon
 
-    scanner = _Scanner(text, lexicon or default_lexicon())
+    scanner = _Scanner(text.removeprefix("\ufeff"), lexicon or default_lexicon())
     scanner.run()
     spans = sentence_spans(scanner.surfaces)
     sentence_surfaces = [scanner.surfaces[start:end] for start, end in spans]

@@ -11,14 +11,10 @@ ones are excluded from the precision denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable
 
+from .resolver import Resolution, ResolvedDocument
 from .textmodel import Document
-
-
-class ResolutionLike(Protocol):
-    pronoun_id: int
-    antecedent: frozenset[str] | None
 
 
 @dataclass(frozen=True)
@@ -67,17 +63,17 @@ def _pct(fraction: float) -> float:
     return round(fraction * 100, 1)
 
 
-def evaluate(resolved, gold: Document) -> Metrics:
+def evaluate(resolved: ResolvedDocument | Iterable[Resolution], gold: Document) -> Metrics:
     """Score resolutions against the gold document's ``ant`` links.
 
-    ``resolved`` may be a ResolvedDocument or any iterable of objects with
-    ``pronoun_id`` and ``antecedent`` attributes (trace records included).
-    Every gold-linked pronoun must have a resolution with a matching id.
+    ``resolved`` may be a ResolvedDocument or any iterable of resolutions,
+    such as those ``parse_trace`` reads.  Every gold-linked pronoun must
+    have a resolution with a matching id.
     """
-    resolutions: Iterable[ResolutionLike]
-    resolutions = getattr(resolved, "resolutions", resolved)
-    by_id: dict[int, ResolutionLike] = {}
-    for resolution in resolutions:
+    if isinstance(resolved, ResolvedDocument):
+        resolved = resolved.resolutions
+    by_id: dict[int, Resolution] = {}
+    for resolution in resolved:
         if resolution.pronoun_id in by_id:
             raise ValueError(f"duplicate resolution for pronoun {resolution.pronoun_id}")
         by_id[resolution.pronoun_id] = resolution

@@ -10,7 +10,6 @@ file (``data/lexicon.txt``); see :meth:`Lexicon.from_text` for the format.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,11 +37,6 @@ def turkish_upper(text: str) -> str:
     return text.replace("i", "İ").replace("ı", "I").upper()
 
 
-class Case(enum.Enum):
-    NOMINATIVE = "nom"
-    OBLIQUE = "obl"
-
-
 @dataclass(frozen=True)
 class PronounForm:
     lemma: str
@@ -56,7 +50,7 @@ class NameOccurrence:
 
     base: str
     token_index: int
-    case: Case
+    nominative: bool  # neither a case marker nor a copula follows the name
     plural_suffix: bool
     copular_suffix: bool
 
@@ -67,8 +61,9 @@ class Lexicon:
 
     pronoun_forms: Mapping[str, PronounForm]  # keys are turkish_lower surfaces
     case_markers: frozenset[str]
-    plural_prefixes: frozenset[str]
-    copula_suffixes: frozenset[str]
+    # Longest first, so the first form that matches is the longest match.
+    plural_prefixes: tuple[str, ...]
+    copula_suffixes: tuple[str, ...]
 
     @classmethod
     def from_text(cls, text: str) -> "Lexicon":
@@ -122,8 +117,8 @@ class Lexicon:
         return cls(
             pronoun_forms=dict(forms),
             case_markers=frozenset(tables["case"]),
-            plural_prefixes=frozenset(tables["plural"]),
-            copula_suffixes=frozenset(tables["copula"]),
+            plural_prefixes=tuple(sorted(tables["plural"], key=len, reverse=True)),
+            copula_suffixes=tuple(sorted(tables["copula"], key=len, reverse=True)),
         )
 
     @classmethod
@@ -155,8 +150,8 @@ def _split_apostrophe(surface: str) -> tuple[str, str]:
     return surface[:cut], surface[cut + 1:]
 
 
-def _analyze_suffix(suffix: str, lexicon: Lexicon) -> tuple[Case, bool, bool]:
-    """Classify a post-apostrophe suffix into (case, plural, copular).
+def _analyze_suffix(suffix: str, lexicon: Lexicon) -> tuple[bool, bool, bool]:
+    """Classify a post-apostrophe suffix into (nominative, plural, copular).
 
     Longest-match: an optional plural prefix, an optional copula in final
     position, and the remainder must then be empty or exactly one case
@@ -164,15 +159,15 @@ def _analyze_suffix(suffix: str, lexicon: Lexicon) -> tuple[Case, bool, bool]:
     """
     rest = turkish_lower(suffix)
     if not rest:
-        return Case.NOMINATIVE, False, False
+        return True, False, False
     plural = False
-    for prefix in sorted(lexicon.plural_prefixes, key=len, reverse=True):
+    for prefix in lexicon.plural_prefixes:
         if rest.startswith(prefix):
             plural = True
             rest = rest[len(prefix):]
             break
     copular = False
-    for copula in sorted(lexicon.copula_suffixes, key=len, reverse=True):
+    for copula in lexicon.copula_suffixes:
         if rest.endswith(copula):
             copular = True
             rest = rest[:-len(copula)]
@@ -181,8 +176,7 @@ def _analyze_suffix(suffix: str, lexicon: Lexicon) -> tuple[Case, bool, bool]:
     if rest and rest in lexicon.case_markers:
         has_case = True
         rest = ""
-    nominative = not (has_case or copular or rest)
-    return (Case.NOMINATIVE if nominative else Case.OBLIQUE), plural, copular
+    return not (has_case or copular or rest), plural, copular
 
 
 def match_name(
@@ -203,16 +197,12 @@ def match_name(
     base, suffix = _split_apostrophe(token.surface)
     if not base or base not in dictionary:
         return None
-    case, plural, copular = _analyze_suffix(suffix, lexicon)
+    nominative, plural, copular = _analyze_suffix(suffix, lexicon)
     return NameOccurrence(
         base=base,
         token_index=token.index,
-        case=case,
+        nominative=nominative,
         plural_suffix=plural,
         copular_suffix=copular,
     )
 
-
-def is_nominative(occurrence: NameOccurrence) -> bool:
-    """True when the occurrence carries neither a case marker nor a copula."""
-    return occurrence.case is Case.NOMINATIVE

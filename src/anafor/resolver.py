@@ -1,12 +1,16 @@
 """Left-to-right resolution with antecedent replacement, plus the
 most-recent-candidate baseline.
 
-Pronouns are processed in document order.  Whenever one is resolved, its
-token (or zero-marker position) is rewritten to the antecedent's bare base
-names joined with ``ve``, so the replacement is visible to later candidate
+One walk, :func:`walk_document`, visits the pronouns in document order for
+the resolver, the baseline and the trainer alike; each supplies only the
+choice of what to write in.  Whenever a pronoun is resolved, its token (or
+zero-marker position) is rewritten to the antecedent's bare base names
+joined with ``ve``, so the replacement is visible to later candidate
 extraction and repetition counting.  Ambiguous pronouns stay in the text
 untouched.  Sentence boundaries never move; token indices of later
-pronouns are remapped after every replacement.
+pronouns are remapped after every replacement.  The resolver picks the
+highest-scoring survivor; the baseline scores nothing, so the most recent
+survivor wins.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .scoring import (
     PreferenceWeights,
     ResolutionHistory,
     feature_vector,
+    most_recent_max,
     score,
 )
 from .textmodel import Document, Overtness, PronounMention, assemble_document
@@ -99,59 +104,63 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
     return assemble_document(sentence_surfaces, remaining)
 
 
-_Chooser = Callable[
-    [Document, PronounMention, list[Candidate], ResolutionHistory],
-    list[ScoredCandidate],
-]
-
-
-def _pick(scored: Sequence[ScoredCandidate]) -> ScoredCandidate:
-    # Survivors arrive anchored-ascending; >= keeps the most recent maximum,
-    # so score ties fall back to recency.
-    best = scored[0]
-    for entry in scored[1:]:
-        if entry.score >= best.score:
-            best = entry
-    return best
-
-
-def _resolve_one(
+def walk_document(
     doc: Document,
-    pronoun: PronounMention,
     dictionary: NameDictionary,
     scope: SearchScope,
     lexicon: Lexicon | None,
+    choose: Callable[
+        [Document, PronounMention, list[Candidate], ResolutionHistory], Sequence[str] | None
+    ],
+) -> Document:
+    """The left-to-right pass shared by resolve, baseline and training.
+
+    For each pronoun in document order, ``choose`` sees the current text,
+    the mention, its constrained survivors and the zero-pronoun history, and
+    returns the names to write in, or None to leave the pronoun in place.
+    Returns the document with every chosen replacement made.
+    """
+    work = doc
+    history = ResolutionHistory()
+    left_in_place = 0
+    for _ in doc.pronouns:
+        # Replaced mentions leave work.pronouns and the rest keep their
+        # order, so the next unvisited mention follows the ones left in place.
+        mention = work.pronouns[left_in_place]
+        survivors = constrained_candidates(work, mention, dictionary, scope, lexicon)
+        names = choose(work, mention, survivors, history)
+        if names is None:
+            left_in_place += 1
+            continue
+        mention_sentence = work.sentence_index_of(mention.position)
+        work = replace_mention(work, mention, names)
+        if mention.overtness is Overtness.ZERO:
+            history.record(frozenset(names), mention_sentence)
+    return work
+
+
+def _decide(
+    doc: Document,
+    pronoun: PronounMention,
+    survivors: list[Candidate],
     history: ResolutionHistory,
-    chooser: _Chooser,
+    weights: PreferenceWeights | None,
+    scope: SearchScope,
 ) -> tuple[Resolution, Candidate | None]:
-    survivors = constrained_candidates(doc, pronoun, dictionary, scope, lexicon)
+    # weights=None is the baseline: nothing is scored, so every survivor
+    # ties at 0.0 and the most recent one wins.
     if not survivors:
-        return Resolution(pronoun.id, None, None, ()), None
-    scored = chooser(doc, pronoun, survivors, history)
-    best = _pick(scored)
-    resolution = Resolution(
-        pronoun_id=pronoun.id,
-        antecedent=best.candidate.base_names,
-        score=best.score,
-        trace=tuple(scored),
-    )
-    return resolution, best.candidate
-
-
-def _preference_chooser(weights: PreferenceWeights, scope: SearchScope) -> _Chooser:
-    def choose(doc, pronoun, survivors, history):
+        return Resolution(pronoun.id, None, None), None
+    if weights is None:
+        scored = [ScoredCandidate(candidate, None, 0.0) for candidate in survivors]
+    else:
         scored = []
         for candidate in survivors:
             vector = feature_vector(doc, pronoun, candidate, survivors, history, scope)
             scored.append(ScoredCandidate(candidate, vector, score(vector, weights)))
-        return scored
-
-    return choose
-
-
-def _recency_chooser(doc, pronoun, survivors, history):
-    # Baseline: no preference scoring, the anchor order alone decides.
-    return [ScoredCandidate(candidate, None, 0.0) for candidate in survivors]
+    best = scored[most_recent_max([entry.score for entry in scored])]
+    resolution = Resolution(pronoun.id, best.candidate.base_names, best.score, tuple(scored))
+    return resolution, best.candidate
 
 
 def resolve_pronoun(
@@ -169,42 +178,27 @@ def resolve_pronoun(
     scoring survivor wins, ties go to the most recent anchor, and an empty
     survivor set reports the pronoun as ambiguous.
     """
-    resolution, _candidate = _resolve_one(
-        doc,
-        pronoun,
-        dictionary,
-        scope,
-        lexicon,
-        history if history is not None else ResolutionHistory(),
-        _preference_chooser(weights, scope),
-    )
-    return resolution
+    survivors = constrained_candidates(doc, pronoun, dictionary, scope, lexicon)
+    history = history if history is not None else ResolutionHistory()
+    return _decide(doc, pronoun, survivors, history, weights, scope)[0]
 
 
-def _run_document(
+def _resolve_all(
     doc: Document,
     dictionary: NameDictionary,
+    weights: PreferenceWeights | None,
     scope: SearchScope,
     lexicon: Lexicon | None,
-    chooser: _Chooser,
 ) -> ResolvedDocument:
-    work = doc
-    history = ResolutionHistory()
     resolutions = []
-    for pronoun_id in [mention.id for mention in doc.pronouns]:
-        mention = next(m for m in work.pronouns if m.id == pronoun_id)
-        resolution, candidate = _resolve_one(
-            work, mention, dictionary, scope, lexicon, history, chooser
-        )
+
+    def choose(work, mention, survivors, history):
+        resolution, winner = _decide(work, mention, survivors, history, weights, scope)
         resolutions.append(resolution)
-        if candidate is not None:
-            mention_sentence = work.sentence_index_of(mention.position)
-            work = replace_mention(
-                work, mention, [member.base for member in candidate.members]
-            )
-            if mention.overtness is Overtness.ZERO:
-                history.record(candidate.base_names, mention_sentence)
-    return ResolvedDocument(tuple(resolutions), work)
+        return None if winner is None else [member.base for member in winner.members]
+
+    paraphrased = walk_document(doc, dictionary, scope, lexicon, choose)
+    return ResolvedDocument(tuple(resolutions), paraphrased)
 
 
 def resolve_document(
@@ -215,7 +209,7 @@ def resolve_document(
     lexicon: Lexicon | None = None,
 ) -> ResolvedDocument:
     """Resolve every pronoun left to right and paraphrase the document."""
-    return _run_document(doc, dictionary, scope, lexicon, _preference_chooser(weights, scope))
+    return _resolve_all(doc, dictionary, weights, scope, lexicon)
 
 
 def baseline_resolve_document(
@@ -225,23 +219,13 @@ def baseline_resolve_document(
     lexicon: Lexicon | None = None,
 ) -> ResolvedDocument:
     """Same pipeline, but selection always favours the most recent survivor."""
-    return _run_document(doc, dictionary, scope, lexicon, _recency_chooser)
+    return _resolve_all(doc, dictionary, None, scope, lexicon)
 
 
 # ---------------------------------------------------------------------------
 # Trace records: one tab-separated line per pronoun, machine-readable.
 
 AMBIGUOUS_FIELD = "-"
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    pronoun_id: int
-    antecedent: frozenset[str] | None
-
-    @property
-    def resolved(self) -> bool:
-        return self.antecedent is not None
 
 
 def _format_candidate(entry: ScoredCandidate) -> str:
@@ -273,7 +257,9 @@ def format_trace(resolutions: Iterable[Resolution]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_trace(text: str) -> list[TraceRecord]:
+def parse_trace(text: str) -> list[Resolution]:
+    """Read a trace back as resolutions without candidate entries; the
+    score is None where the trace has ``-``."""
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -290,9 +276,13 @@ def parse_trace(text: str) -> list[TraceRecord]:
             names = frozenset(fields[2].split(";"))
             if not names or "" in names:
                 raise ValueError(f"trace line {lineno}: bad antecedent field")
-            records.append(TraceRecord(pronoun_id, names))
         elif outcome == "ambiguous":
-            records.append(TraceRecord(pronoun_id, None))
+            names = None
         else:
             raise ValueError(f"trace line {lineno}: unknown outcome {outcome!r}")
+        try:
+            trace_score = None if fields[3] == AMBIGUOUS_FIELD else float(fields[3])
+        except ValueError:
+            raise ValueError(f"trace line {lineno}: bad score {fields[3]!r}") from None
+        records.append(Resolution(pronoun_id, names, trace_score))
     return records

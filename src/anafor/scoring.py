@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .candidates import Candidate, SearchScope, _window_start
-from .morphology import _split_apostrophe, is_nominative
+from .morphology import _split_apostrophe
 from .textmodel import Document, Overtness, PronounMention, PUNCTUATION_TOKENS
 
 
@@ -64,6 +64,20 @@ DEFAULT_WEIGHTS = PreferenceWeights((2.20, 2.15, 1.85, 1.40, 1.20, 1.20, 1.15, 1
 def score(vector: PreferenceVector, weights: PreferenceWeights) -> float:
     """Aggregate salience: the sum of the weights of the satisfied features."""
     return sum(w for flag, w in zip(vector, weights.values) if flag)
+
+
+def most_recent_max(scores: Iterable[float]) -> int:
+    """Index of the highest of the finite ``scores``, ties going to the
+    highest index.
+
+    Survivors are ordered oldest anchor first, so a tie goes to the most
+    recent candidate.
+    """
+    best, best_score = 0, -math.inf
+    for i, value in enumerate(scores):
+        if value >= best_score:
+            best, best_score = i, value
+    return best
 
 
 def format_weights(weights: PreferenceWeights) -> str:
@@ -161,7 +175,7 @@ def feature_vector(
             doc.tokens[pronoun.position].quoted == doc.tokens[candidate.anchor].quoted
         ),
         recency=candidate.sentence_index == nearest_sentence,
-        nominative=all(is_nominative(member) for member in candidate.members),
+        nominative=all(member.nominative for member in candidate.members),
         first_np=(
             candidate.members[0].token_index
             == _first_phrase_token(doc, candidate.sentence_index)

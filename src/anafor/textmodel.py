@@ -148,11 +148,6 @@ class Document:
                     )
 
 
-def sentence_distance(doc: Document, a: int, b: int) -> int:
-    """Distance in sentences between two token positions."""
-    return abs(doc.sentence_index_of(a) - doc.sentence_index_of(b))
-
-
 def split_tokens(text: str) -> list[str]:
     """Split plain text into token surfaces; punctuation marks stand alone."""
     return _TOKEN_RE.findall(text)

@@ -3,27 +3,32 @@
 Training instances come from gold-annotated documents: each pronoun whose
 gold antecedent survives the constraints yields one instance holding the
 survivors' feature vectors (ordered oldest anchor first, so the tie rule
-"prefer the most recent" is simply "prefer the higher index").  Earlier
-pronouns are replaced by their gold antecedents while instances are built,
-so later feature vectors see the correct context.
+"prefer the most recent" is simply "prefer the higher index").  Instances
+are built on the resolver's document walk, with each pronoun replaced by its
+gold antecedent, so later feature vectors see the correct context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
-from .candidates import SearchScope, constrained_candidates
+from .candidates import SearchScope
 from .corpus import NameDictionary
 from .morphology import Lexicon
-from .resolver import replace_mention
+from .resolver import walk_document
 from .scoring import (
     FEATURE_NAMES,
     PreferenceVector,
     PreferenceWeights,
-    ResolutionHistory,
     feature_vector,
+    most_recent_max,
 )
-from .textmodel import Document, Overtness
+from .textmodel import Document
+
+# Unused here, but perfbench/tracing.py patches them as attributes of this module.
+from .candidates import constrained_candidates  # noqa: F401
+from .resolver import replace_mention  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,44 +77,31 @@ def build_instances(
     """
     instances: list[TrainingInstance] = []
     skipped = 0
+
+    def choose(work, mention, survivors, history):
+        nonlocal skipped
+        gold = mention.gold_antecedent
+        if gold is None:
+            raise ValueError(f"pronoun {mention.id} has no gold antecedent")
+        gold_index = None
+        for i, candidate in enumerate(survivors):
+            if candidate.base_names == gold:
+                gold_index = i  # keep the most recent gold-matching survivor
+        if gold_index is None:
+            skipped += 1
+        else:
+            vectors = tuple(
+                feature_vector(work, mention, candidate, survivors, history, scope)
+                for candidate in survivors
+            )
+            instances.append(TrainingInstance(mention.id, vectors, gold_index))
+        return sorted(gold)
+
     for doc in corpus:
         if not any(m.gold_antecedent for m in doc.pronouns):
             raise ValueError("document carries no gold antecedent links")
-        work = doc
-        history = ResolutionHistory()
-        for pronoun_id in [m.id for m in doc.pronouns]:
-            mention = next(m for m in work.pronouns if m.id == pronoun_id)
-            gold = mention.gold_antecedent
-            if gold is None:
-                raise ValueError(f"pronoun {pronoun_id} has no gold antecedent")
-            survivors = constrained_candidates(work, mention, dictionary, scope, lexicon)
-            gold_index = None
-            for i, candidate in enumerate(survivors):
-                if candidate.base_names == gold:
-                    gold_index = i  # keep the most recent gold-matching survivor
-            if gold_index is None:
-                skipped += 1
-            else:
-                vectors = tuple(
-                    feature_vector(work, mention, candidate, survivors, history, scope)
-                    for candidate in survivors
-                )
-                instances.append(TrainingInstance(pronoun_id, vectors, gold_index))
-            mention_sentence = work.sentence_index_of(mention.position)
-            work = replace_mention(work, mention, sorted(gold))
-            if mention.overtness is Overtness.ZERO:
-                history.record(gold, mention_sentence)
+        walk_document(doc, dictionary, scope, lexicon, choose)
     return instances, skipped
-
-
-def _predict(weights: list[float], vectors: tuple[PreferenceVector, ...]) -> int:
-    best_index = 0
-    best_score = sum(w for flag, w in zip(vectors[0], weights) if flag)
-    for i in range(1, len(vectors)):
-        candidate_score = sum(w for flag, w in zip(vectors[i], weights) if flag)
-        if candidate_score >= best_score:  # ties go to the most recent survivor
-            best_index, best_score = i, candidate_score
-    return best_index
 
 
 def train(
@@ -130,7 +122,9 @@ def train(
     for _epoch in range(config.max_epochs):
         errors = 0
         for instance in instances:
-            predicted = _predict(weights, instance.vectors)
+            predicted = most_recent_max(
+                [sum(compress(weights, vector)) for vector in instance.vectors]
+            )
             if predicted != instance.gold_index:
                 errors += 1
                 gold_vector = instance.vectors[instance.gold_index]

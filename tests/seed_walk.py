@@ -1,0 +1,216 @@
+"""The resolver walk, baseline and trainer as they were before they shared
+``anafor.resolver.walk_document``, kept verbatim as the reference that
+``test_walk_differential.py`` compares the shared walk against.
+
+Only the document walks and the tie rules live here; the primitives they
+call (candidates, features, replacement) are the package's own.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+from anafor.candidates import Candidate, SearchScope, constrained_candidates
+from anafor.corpus import NameDictionary
+from anafor.morphology import Lexicon
+from anafor.resolver import Resolution, ResolvedDocument, ScoredCandidate, replace_mention
+from anafor.scoring import (
+    DEFAULT_WEIGHTS,
+    PreferenceVector,
+    PreferenceWeights,
+    ResolutionHistory,
+    feature_vector,
+    score,
+)
+from anafor.textmodel import Document, Overtness, PronounMention
+from anafor.training import TrainConfig, TrainingInstance, TrainReport
+
+
+_Chooser = Callable[
+    [Document, PronounMention, list[Candidate], ResolutionHistory],
+    list[ScoredCandidate],
+]
+
+
+def _pick(scored: Sequence[ScoredCandidate]) -> ScoredCandidate:
+    # Survivors arrive anchored-ascending; >= keeps the most recent maximum,
+    # so score ties fall back to recency.
+    best = scored[0]
+    for entry in scored[1:]:
+        if entry.score >= best.score:
+            best = entry
+    return best
+
+
+def _resolve_one(
+    doc: Document,
+    pronoun: PronounMention,
+    dictionary: NameDictionary,
+    scope: SearchScope,
+    lexicon: Lexicon | None,
+    history: ResolutionHistory,
+    chooser: _Chooser,
+) -> tuple[Resolution, Candidate | None]:
+    survivors = constrained_candidates(doc, pronoun, dictionary, scope, lexicon)
+    if not survivors:
+        return Resolution(pronoun.id, None, None, ()), None
+    scored = chooser(doc, pronoun, survivors, history)
+    best = _pick(scored)
+    resolution = Resolution(
+        pronoun_id=pronoun.id,
+        antecedent=best.candidate.base_names,
+        score=best.score,
+        trace=tuple(scored),
+    )
+    return resolution, best.candidate
+
+
+def _preference_chooser(weights: PreferenceWeights, scope: SearchScope) -> _Chooser:
+    def choose(doc, pronoun, survivors, history):
+        scored = []
+        for candidate in survivors:
+            vector = feature_vector(doc, pronoun, candidate, survivors, history, scope)
+            scored.append(ScoredCandidate(candidate, vector, score(vector, weights)))
+        return scored
+
+    return choose
+
+
+def _recency_chooser(doc, pronoun, survivors, history):
+    # Baseline: no preference scoring, the anchor order alone decides.
+    return [ScoredCandidate(candidate, None, 0.0) for candidate in survivors]
+
+
+
+def _run_document(
+    doc: Document,
+    dictionary: NameDictionary,
+    scope: SearchScope,
+    lexicon: Lexicon | None,
+    chooser: _Chooser,
+) -> ResolvedDocument:
+    work = doc
+    history = ResolutionHistory()
+    resolutions = []
+    for pronoun_id in [mention.id for mention in doc.pronouns]:
+        mention = next(m for m in work.pronouns if m.id == pronoun_id)
+        resolution, candidate = _resolve_one(
+            work, mention, dictionary, scope, lexicon, history, chooser
+        )
+        resolutions.append(resolution)
+        if candidate is not None:
+            mention_sentence = work.sentence_index_of(mention.position)
+            work = replace_mention(
+                work, mention, [member.base for member in candidate.members]
+            )
+            if mention.overtness is Overtness.ZERO:
+                history.record(candidate.base_names, mention_sentence)
+    return ResolvedDocument(tuple(resolutions), work)
+
+
+def resolve_document(
+    doc: Document,
+    dictionary: NameDictionary,
+    weights: PreferenceWeights = DEFAULT_WEIGHTS,
+    scope: SearchScope = SearchScope(),
+    lexicon: Lexicon | None = None,
+) -> ResolvedDocument:
+    """Resolve every pronoun left to right and paraphrase the document."""
+    return _run_document(doc, dictionary, scope, lexicon, _preference_chooser(weights, scope))
+
+
+def baseline_resolve_document(
+    doc: Document,
+    dictionary: NameDictionary,
+    scope: SearchScope = SearchScope(),
+    lexicon: Lexicon | None = None,
+) -> ResolvedDocument:
+    """Same pipeline, but selection always favours the most recent survivor."""
+    return _run_document(doc, dictionary, scope, lexicon, _recency_chooser)
+
+
+def build_instances(
+    corpus: list[Document],
+    dictionary: NameDictionary,
+    scope: SearchScope = SearchScope(),
+    lexicon: Lexicon | None = None,
+) -> tuple[list[TrainingInstance], int]:
+    """Turn gold-annotated documents into training instances.
+
+    Returns the instances plus the count of pronouns skipped because their
+    gold antecedent did not survive the constraints.  Every pronoun must
+    carry a gold link; a document without them is an error.
+    """
+    instances: list[TrainingInstance] = []
+    skipped = 0
+    for doc in corpus:
+        if not any(m.gold_antecedent for m in doc.pronouns):
+            raise ValueError("document carries no gold antecedent links")
+        work = doc
+        history = ResolutionHistory()
+        for pronoun_id in [m.id for m in doc.pronouns]:
+            mention = next(m for m in work.pronouns if m.id == pronoun_id)
+            gold = mention.gold_antecedent
+            if gold is None:
+                raise ValueError(f"pronoun {pronoun_id} has no gold antecedent")
+            survivors = constrained_candidates(work, mention, dictionary, scope, lexicon)
+            gold_index = None
+            for i, candidate in enumerate(survivors):
+                if candidate.base_names == gold:
+                    gold_index = i  # keep the most recent gold-matching survivor
+            if gold_index is None:
+                skipped += 1
+            else:
+                vectors = tuple(
+                    feature_vector(work, mention, candidate, survivors, history, scope)
+                    for candidate in survivors
+                )
+                instances.append(TrainingInstance(pronoun_id, vectors, gold_index))
+            mention_sentence = work.sentence_index_of(mention.position)
+            work = replace_mention(work, mention, sorted(gold))
+            if mention.overtness is Overtness.ZERO:
+                history.record(gold, mention_sentence)
+    return instances, skipped
+
+
+def _predict(weights: list[float], vectors: tuple[PreferenceVector, ...]) -> int:
+    best_index = 0
+    best_score = sum(w for flag, w in zip(vectors[0], weights) if flag)
+    for i in range(1, len(vectors)):
+        candidate_score = sum(w for flag, w in zip(vectors[i], weights) if flag)
+        if candidate_score >= best_score:  # ties go to the most recent survivor
+            best_index, best_score = i, candidate_score
+    return best_index
+
+
+def train(
+    instances: list[TrainingInstance],
+    config: TrainConfig = TrainConfig(),
+) -> tuple[PreferenceWeights, TrainReport]:
+    """Delta-rule training: on a miss, move the weights toward the gold
+    survivor's features and away from the predicted one.
+
+    Stops at the first zero-error epoch or at ``max_epochs``; deterministic
+    given the instance order.
+    """
+    if not instances:
+        raise ValueError("no training instances")
+    weights = list(config.initial_weights.values)
+    epochs_run = 0
+    errors = 0
+    for _epoch in range(config.max_epochs):
+        errors = 0
+        for instance in instances:
+            predicted = _predict(weights, instance.vectors)
+            if predicted != instance.gold_index:
+                errors += 1
+                gold_vector = instance.vectors[instance.gold_index]
+                predicted_vector = instance.vectors[predicted]
+                weights = [
+                    w + config.learning_rate * (int(g) - int(p))
+                    for w, g, p in zip(weights, gold_vector, predicted_vector)
+                ]
+        epochs_run += 1
+        if errors == 0:
+            break
+    return PreferenceWeights(tuple(weights)), TrainReport(epochs_run, errors)

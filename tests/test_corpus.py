@@ -85,6 +85,12 @@ class TestParseDocument:
         doc = parse_document("")
         assert len(doc.tokens) == 0 and len(doc.pronouns) == 0
 
+    def test_leading_byte_order_mark_is_dropped(self, names9):
+        text = 'Ali geldi. <zero id="1" kind="pers" num="sg"/> Gitti.'
+        marked = resolve_document(parse_document("\ufeff" + text), names9)
+        assert marked == resolve_document(parse_document(text), names9)
+        assert marked.resolutions[0].antecedent == frozenset({"Ali"})
+
 
 class TestSerializeDocument:
     @pytest.mark.parametrize("path", CORPORA, ids=lambda p: p.stem)
@@ -162,6 +168,13 @@ class TestLoadDictionary:
         path.write_bytes("Ayşe\n".encode("utf-16"))
         with pytest.raises(ValueError, match="UTF-8"):
             load_dictionary(path)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text("Ali\nAyşe\n", encoding="utf-8")
+        marked.write_text("Ali\nAyşe\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_dictionary(marked) == load_dictionary(plain)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anafor import (
-    Case,
     NameDictionary,
     Number,
     PronounKind,
     Token,
     classify_pronoun,
     default_lexicon,
-    is_nominative,
     match_name,
     turkish_lower,
     turkish_upper,
@@ -84,42 +82,42 @@ class TestMatchName:
         occurrence = match_name(_token("Ayşe'yi"), DICT)
         assert occurrence is not None
         assert occurrence.base == "Ayşe"
-        assert occurrence.case is Case.OBLIQUE
+        assert occurrence.nominative is False
 
     def test_bare_nominative(self):
         occurrence = match_name(_token("Murat"), DICT)
         assert occurrence is not None
-        assert (occurrence.base, occurrence.case) == ("Murat", Case.NOMINATIVE)
+        assert (occurrence.base, occurrence.nominative) == ("Murat", True)
         assert not occurrence.plural_suffix and not occurrence.copular_suffix
 
     def test_copular_suffix(self):
         occurrence = match_name(_token("Ali'ydi"), DICT)
         assert occurrence is not None
         assert occurrence.copular_suffix is True
-        assert not is_nominative(occurrence)
+        assert not occurrence.nominative
 
     def test_plural_suffix_is_nominative(self):
         occurrence = match_name(_token("Ahmet'ler"), DICT)
         assert occurrence is not None
         assert occurrence.plural_suffix is True
-        assert is_nominative(occurrence)
+        assert occurrence.nominative
 
     def test_plural_plus_case_is_oblique(self):
         occurrence = match_name(_token("Ahmet'lerin"), DICT)
         assert occurrence is not None
         assert occurrence.plural_suffix is True
-        assert occurrence.case is Case.OBLIQUE
+        assert occurrence.nominative is False
 
     def test_case_after_copula_strip(self):
         occurrence = match_name(_token("Ali'deydi"), DICT)
         assert occurrence is not None
         assert occurrence.copular_suffix is True
-        assert occurrence.case is Case.OBLIQUE
+        assert occurrence.nominative is False
 
     def test_unrecognized_suffix_is_oblique(self):
         occurrence = match_name(_token("Ali'xyz"), DICT)
         assert occurrence is not None
-        assert occurrence.case is Case.OBLIQUE
+        assert occurrence.nominative is False
 
     def test_unknown_capitalized_word_is_no_match(self):
         assert match_name(_token("Kapı"), DICT) is None
@@ -132,7 +130,7 @@ class TestMatchName:
     def test_unicode_apostrophe_accepted(self):
         occurrence = match_name(_token("Ali’ye"), DICT)
         assert occurrence is not None
-        assert occurrence.case is Case.OBLIQUE
+        assert occurrence.nominative is False
 
     @given(st.text(alphabet="abcçdefgğhıijklmnoöprsştuüvyz", min_size=1, max_size=12))
     def test_lowercase_tokens_never_match(self, word):
@@ -182,4 +180,4 @@ class TestIsNominative:
     def test_examples(self, surface, expected):
         occurrence = match_name(_token(surface), DICT)
         assert occurrence is not None
-        assert is_nominative(occurrence) is expected
+        assert occurrence.nominative is expected

@@ -197,6 +197,11 @@ class TestTraceIO:
         for record, resolution in zip(records, resolved.resolutions):
             assert record.pronoun_id == resolution.pronoun_id
             assert record.antecedent == resolution.antecedent
+            if resolution.score is None:
+                assert record.score is None
+            else:
+                assert record.score == float(f"{resolution.score:.4f}")
+        assert any(record.score is None for record in records)
 
     def test_ambiguous_line_shape(self):
         doc = parse_document(fixture_text("corpora/c3_personal.txt"))
@@ -209,3 +214,5 @@ class TestTraceIO:
             parse_trace("1\tmaybe\tAli\t-\t-\n")
         with pytest.raises(ValueError, match="5 tab-separated fields"):
             parse_trace("1\tresolved\n")
+        with pytest.raises(ValueError, match="bad score"):
+            parse_trace("1\tresolved\tAli\tx\t-\n")

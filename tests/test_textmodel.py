@@ -10,7 +10,6 @@ from anafor import (
     Token,
     assemble_document,
     parse_document,
-    sentence_distance,
 )
 from anafor.textmodel import sentence_spans, split_tokens
 
@@ -96,12 +95,11 @@ class TestTokenInvariants:
 class TestSentenceDistance:
     def test_same_sentence_is_zero(self):
         doc = parse_document("Ali Murat ile geldi.")
-        assert sentence_distance(doc, 0, 1) == 0
+        assert doc.sentence_index_of(0) == doc.sentence_index_of(1)
 
     def test_distance_by_definition(self):
         doc = parse_document("Bir. İki. Üç. Dört.")
-        assert sentence_distance(doc, 0, 6) == 3
-        assert sentence_distance(doc, 6, 0) == 3
+        assert (doc.sentence_index_of(0), doc.sentence_index_of(6)) == (0, 3)
 
     def test_recency_example_distances(self):
         doc = parse_document(
@@ -111,13 +109,14 @@ class TestSentenceDistance:
         zero = doc.pronouns[0]
         ali = next(t for t in doc.tokens if t.surface == "Ali")
         murat = next(t for t in doc.tokens if t.surface == "Murat")
-        assert sentence_distance(doc, zero.position, ali.index) == 2
-        assert sentence_distance(doc, zero.position, murat.index) == 1
+        zero_sentence = doc.sentence_index_of(zero.position)
+        assert zero_sentence - doc.sentence_index_of(ali.index) == 2
+        assert zero_sentence - doc.sentence_index_of(murat.index) == 1
 
     def test_invalid_index_raises(self):
         doc = parse_document("Ali geldi.")
         with pytest.raises(IndexError):
-            sentence_distance(doc, 0, 99)
+            doc.sentence_index_of(99)
 
 
 class TestDocumentInvariants:

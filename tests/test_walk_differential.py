@@ -1,0 +1,98 @@
+"""The shared document walk against the seed's separate walks (seed_walk.py):
+paraphrases, traces, training instances and trained weights must match
+byte for byte."""
+
+from __future__ import annotations
+
+import dataclasses
+import re
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import seed_walk
+from anafor import (
+    baseline_resolve_document,
+    build_instances,
+    format_trace,
+    parse_document,
+    resolve_document,
+    serialize_document,
+    train,
+)
+from anafor.candidates import SearchScope
+from anafor.scoring import format_weights
+from conftest import FIXTURES, fixture_text
+from test_acceptance import PROP_DICT, PROP_NAMES, annotated_texts
+
+FIXTURE_FILES = sorted(
+    path.relative_to(FIXTURES).as_posix()
+    for path in FIXTURES.glob("*/*.txt")
+)
+
+GOLD_SETS = [frozenset({name}) for name in PROP_NAMES] + [
+    frozenset(pair) for pair in combinations(PROP_NAMES[:3], 2)
+]
+
+
+def _outcome(run):
+    """The result of ``run()``, or the ValueError it raised, as a comparable value."""
+    try:
+        return run()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _resolve_bytes(resolve, doc, names, scope):
+    resolved = resolve(doc, names, scope=scope)
+    return serialize_document(resolved.paraphrased), format_trace(resolved.resolutions)
+
+
+def _training_bytes(build, trainer, doc, names, scope):
+    def run():
+        instances, skipped = build([doc], names, scope)
+        weights = _outcome(lambda: format_weights(trainer(instances)[0]))
+        return instances, skipped, weights
+
+    return _outcome(run)
+
+
+def assert_same_as_seed(doc, names, scope=SearchScope()) -> None:
+    assert _resolve_bytes(resolve_document, doc, names, scope) == _resolve_bytes(
+        seed_walk.resolve_document, doc, names, scope
+    )
+    assert _resolve_bytes(baseline_resolve_document, doc, names, scope) == _resolve_bytes(
+        seed_walk.baseline_resolve_document, doc, names, scope
+    )
+    assert _training_bytes(build_instances, train, doc, names, scope) == _training_bytes(
+        seed_walk.build_instances, seed_walk.train, doc, names, scope
+    )
+
+
+@pytest.mark.parametrize("relative", FIXTURE_FILES)
+@pytest.mark.parametrize("back", [1, 3, 4])
+def test_fixtures_match_the_seed(relative, back, names9):
+    assert_same_as_seed(parse_document(fixture_text(relative)), names9, SearchScope(back))
+
+
+def test_tiled_minicorpus_matches_the_seed(names9):
+    text = fixture_text("minicorpus/minicorpus.txt")
+    tiles = [
+        re.sub(r'id="(\d+)"', lambda m: f'id="{int(m.group(1)) + 1000 * k}"', text)
+        for k in range(3)
+    ]
+    assert_same_as_seed(parse_document("\n".join(tiles)), names9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=annotated_texts(), back=st.integers(0, 3), data=st.data())
+def test_generated_documents_match_the_seed(text, back, data):
+    doc = parse_document(text)
+    gold = data.draw(st.lists(st.sampled_from(GOLD_SETS), min_size=len(doc.pronouns),
+                              max_size=len(doc.pronouns)))
+    doc = dataclasses.replace(doc, pronouns=tuple(
+        dataclasses.replace(mention, gold_antecedent=names)
+        for mention, names in zip(doc.pronouns, gold)
+    ))
+    assert_same_as_seed(doc, PROP_DICT, SearchScope(back))
