@@ -181,7 +181,9 @@ class _Scanner:
         if "ant" not in attrs:
             return None
         names = attrs["ant"].split(";")
-        if any(not name for name in names):
+        if len(names) > 1 and all(names[:-1]) and not names[-1]:
+            raise self.error("trailing ';' separator in ant attribute", offset)
+        if not all(names):
             raise self.error("empty name in ant attribute", offset)
         return frozenset(names)
 

@@ -123,7 +123,7 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return cls.from_text(handle.read())
 
 

@@ -7,15 +7,18 @@ choice of what to write in.  Whenever a pronoun is resolved, its token (or
 zero-marker position) is rewritten to the antecedent's bare base names
 joined with ``ve``, so the replacement is visible to later candidate
 extraction and repetition counting.  Ambiguous pronouns stay in the text
-untouched.  Sentence boundaries never move; token indices of later
-pronouns are remapped after every replacement.  The resolver picks the
-highest-scoring survivor; the baseline scores nothing, so the most recent
-survivor wins.
+untouched.  The walk takes the text in one sentence at a time, and a
+replacement is spliced into the sentence it falls in: sentence boundaries
+never move, and only the tokens, sentences and mentions right of the
+pronoun shift.  The resolver picks the highest-scoring survivor; the
+baseline scores nothing, so the most recent survivor wins.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace as dc_replace
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .candidates import Candidate, SearchScope, constrained_candidates
@@ -30,7 +33,10 @@ from .scoring import (
     most_recent_max,
     score,
 )
-from .textmodel import Document, Overtness, PronounMention, assemble_document
+from .textmodel import QUOTE, Document, Overtness, PronounMention, Sentence, Token
+
+# Unused here, but perfbench/tracing.py patches it as an attribute of this module.
+from .textmodel import assemble_document  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -69,39 +75,78 @@ def _replacement_surfaces(names: Sequence[str]) -> list[str]:
     return surfaces
 
 
+def _shifted(tokens: Sequence[Token], delta: int) -> tuple[Token, ...]:
+    return tuple([
+        Token(t.surface, t.index + delta, t.sentence_index, t.quoted, t.followed_by_comma)
+        for t in tokens
+    ])
+
+
+def _quote_open_before(tokens: Sequence[Token], position: int) -> bool:
+    # Whether a quote is open just left of tokens[position], itself a quote
+    # mark.  The nearest non-quote token to the left carries the open state
+    # as its flag (the unpaired-quote rule clears flags only after the last
+    # quote mark), and every quote mark between it and the position flips it.
+    i = position - 1
+    while i >= 0 and tokens[i].surface == QUOTE:
+        i -= 1
+    return (i >= 0 and tokens[i].quoted) != ((position - 1 - i) % 2 == 1)
+
+
 def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]) -> Document:
     """Rewrite one pronoun as its antecedent names and drop it from the
-    mention list; positions of later mentions shift accordingly."""
+    mention list; positions of later mentions shift accordingly.
+
+    The tokens left of the pronoun are kept; the names and shifted copies of
+    the tokens right of it are spliced in, so the cost grows with the text
+    after the pronoun, not with the document.  The names take their quote
+    and comma flags from the tokens around them.  No name may be a quote
+    mark, since that would re-pair every quote after it.
+    """
     if not names:
         raise ValueError("replacement needs at least one name")
+    if QUOTE in names:
+        raise ValueError("a replacement name cannot be a quote mark")
+    tokens = doc.tokens
     position = mention.position
-    sentence = doc.sentence_index_of(position)
-    sentence_surfaces = [
-        [token.surface for token in doc.sentence_tokens(k)]
-        for k in range(len(doc.sentences))
-    ]
-    local = position - doc.sentences[sentence].first
+    at = tokens[position]
+    overt = mention.overtness is Overtness.OVERT
     inserted = _replacement_surfaces(names)
-    if mention.overtness is Overtness.OVERT:
-        sentence_surfaces[sentence][local:local + 1] = inserted
-        delta = len(inserted) - 1
+    delta = len(inserted) - overt
+    rest = tokens[position + overt:]
+    if overt or at.surface != QUOTE:
+        quoted = at.quoted
     else:
-        sentence_surfaces[sentence][local:local] = inserted
-        delta = len(inserted)
+        quoted = _quote_open_before(tokens, position)
+    following = [surface == "," for surface in inserted[1:]]
+    following.append(bool(rest) and rest[0].surface == ",")
+    head = tokens[:position]
+    comma_first = inserted[0] == ","
+    if head and head[-1].followed_by_comma != comma_first:
+        head = head[:-1] + (dc_replace(head[-1], followed_by_comma=comma_first),)
+    sentence = at.sentence_index
+    new_tokens = head + tuple([
+        Token(surface, position + k, sentence, quoted, comma)
+        for k, (surface, comma) in enumerate(zip(inserted, following))
+    ]) + _shifted(rest, delta)
 
-    order = {m.id: i for i, m in enumerate(doc.pronouns)}
-    resolved_order = order[mention.id]
-    remaining = []
-    for other in doc.pronouns:
-        if other.id == mention.id:
-            continue
-        shifts = other.position > position or (
-            other.position == position and order[other.id] > resolved_order
-        )
-        if shifts and delta:
-            other = dc_replace(other, position=other.position + delta)
-        remaining.append(other)
-    return assemble_document(sentence_surfaces, remaining)
+    first, last = doc.sentences[sentence].token_range
+    sentences = doc.sentences[:sentence] + (Sentence(sentence, (first, last + delta)),)
+    sentences += tuple([
+        Sentence(s.index, (s.first + delta, s.last + delta))
+        for s in doc.sentences[sentence + 1:]
+    ])
+
+    # Mentions are ordered by position, so the ones after the resolved one
+    # are exactly those at or right of the splice point.
+    pronouns = doc.pronouns
+    i = bisect_left(pronouns, position, key=attrgetter("position"))
+    while pronouns[i].id != mention.id:
+        i += 1
+    later = pronouns[i + 1:]
+    if delta:
+        later = tuple([dc_replace(m, position=m.position + delta) for m in later])
+    return Document(new_tokens, sentences, pronouns[:i] + later)
 
 
 def walk_document(
@@ -115,27 +160,47 @@ def walk_document(
 ) -> Document:
     """The left-to-right pass shared by resolve, baseline and training.
 
-    For each pronoun in document order, ``choose`` sees the current text,
-    the mention, its constrained survivors and the zero-pronoun history, and
-    returns the names to write in, or None to leave the pronoun in place.
-    Returns the document with every chosen replacement made.
+    The text is taken in one sentence at a time: before the pronouns of a
+    sentence are visited, the sentence is appended to the working text with
+    its tokens and mentions shifted past the replacements made so far.
+    Candidates never lie right of a pronoun, so for each pronoun in document
+    order ``choose`` sees the text up to the end of the pronoun's sentence,
+    the mention, its constrained survivors and the zero-pronoun history,
+    and returns the names to write in, or None to leave the pronoun in
+    place.  Returns the document with every chosen replacement made.
     """
-    work = doc
+    work = Document((), (), ())
     history = ResolutionHistory()
     left_in_place = 0
-    for _ in doc.pronouns:
-        # Replaced mentions leave work.pronouns and the rest keep their
-        # order, so the next unvisited mention follows the ones left in place.
-        mention = work.pronouns[left_in_place]
-        survivors = constrained_candidates(work, mention, dictionary, scope, lexicon)
-        names = choose(work, mention, survivors, history)
-        if names is None:
-            left_in_place += 1
-            continue
-        mention_sentence = work.sentence_index_of(mention.position)
-        work = replace_mention(work, mention, names)
-        if mention.overtness is Overtness.ZERO:
-            history.record(frozenset(names), mention_sentence)
+    next_mention = 0
+    for sentence in doc.sentences:
+        offset = len(work.tokens) - sentence.first
+        mentions = []
+        while (next_mention < len(doc.pronouns)
+               and doc.pronouns[next_mention].position <= sentence.last):
+            mention = doc.pronouns[next_mention]
+            mentions.append(dc_replace(mention, position=mention.position + offset))
+            next_mention += 1
+        work = Document(
+            work.tokens + _shifted(doc.sentence_tokens(sentence.index), offset),
+            work.sentences + (
+                Sentence(sentence.index, (sentence.first + offset, sentence.last + offset)),
+            ),
+            work.pronouns + tuple(mentions),
+        )
+        for _ in mentions:
+            # Replaced mentions leave work.pronouns and the rest keep their
+            # order, so the next unvisited mention follows the ones left in place.
+            mention = work.pronouns[left_in_place]
+            survivors = constrained_candidates(work, mention, dictionary, scope, lexicon)
+            names = choose(work, mention, survivors, history)
+            if names is None:
+                left_in_place += 1
+                continue
+            work = replace_mention(work, mention, names)
+            if mention.overtness is Overtness.ZERO:
+                history.record(frozenset(names), sentence.index)
+    work.validate()
     return work
 
 

@@ -111,7 +111,7 @@ def parse_weights(text: str) -> PreferenceWeights:
 
 
 def load_weights(path) -> PreferenceWeights:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_weights(handle.read())
 
 

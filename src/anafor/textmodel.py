@@ -1,8 +1,8 @@
 """Core document model: tokens, sentences and pronoun mentions.
 
-A :class:`Document` is immutable once built.  ``assemble_document`` is the
-single constructor used both by the corpus parser and by the resolver when
-it rewrites the token stream after replacing a pronoun with its antecedent.
+A :class:`Document` is immutable once built.  ``assemble_document`` builds
+and validates one from token surfaces, as the corpus parser does; the
+resolver splices replacements into an existing Document instead.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` become tokens of their own, and apostrophes

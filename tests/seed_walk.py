@@ -2,18 +2,21 @@
 ``anafor.resolver.walk_document``, kept verbatim as the reference that
 ``test_walk_differential.py`` compares the shared walk against.
 
-Only the document walks and the tie rules live here; the primitives they
-call (candidates, features, replacement) are the package's own.
+The document walks, the tie rules and antecedent replacement live here;
+the primitives they call (candidates, features) are the package's own.
+``replace_mention`` re-assembles and re-validates the whole document, so
+it is also the reference for the package's spliced replacement.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace as dc_replace
 from typing import Callable, Sequence
 
 from anafor.candidates import Candidate, SearchScope, constrained_candidates
 from anafor.corpus import NameDictionary
 from anafor.morphology import Lexicon
-from anafor.resolver import Resolution, ResolvedDocument, ScoredCandidate, replace_mention
+from anafor.resolver import Resolution, ResolvedDocument, ScoredCandidate
 from anafor.scoring import (
     DEFAULT_WEIGHTS,
     PreferenceVector,
@@ -22,8 +25,52 @@ from anafor.scoring import (
     feature_vector,
     score,
 )
-from anafor.textmodel import Document, Overtness, PronounMention
+from anafor.textmodel import Document, Overtness, PronounMention, assemble_document
 from anafor.training import TrainConfig, TrainingInstance, TrainReport
+
+
+def _replacement_surfaces(names: Sequence[str]) -> list[str]:
+    surfaces: list[str] = []
+    for name in names:
+        if surfaces:
+            surfaces.append("ve")
+        surfaces.append(name)
+    return surfaces
+
+
+def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]) -> Document:
+    """Rewrite one pronoun as its antecedent names and drop it from the
+    mention list; positions of later mentions shift accordingly."""
+    if not names:
+        raise ValueError("replacement needs at least one name")
+    position = mention.position
+    sentence = doc.sentence_index_of(position)
+    sentence_surfaces = [
+        [token.surface for token in doc.sentence_tokens(k)]
+        for k in range(len(doc.sentences))
+    ]
+    local = position - doc.sentences[sentence].first
+    inserted = _replacement_surfaces(names)
+    if mention.overtness is Overtness.OVERT:
+        sentence_surfaces[sentence][local:local + 1] = inserted
+        delta = len(inserted) - 1
+    else:
+        sentence_surfaces[sentence][local:local] = inserted
+        delta = len(inserted)
+
+    order = {m.id: i for i, m in enumerate(doc.pronouns)}
+    resolved_order = order[mention.id]
+    remaining = []
+    for other in doc.pronouns:
+        if other.id == mention.id:
+            continue
+        shifts = other.position > position or (
+            other.position == position and order[other.id] > resolved_order
+        )
+        if shifts and delta:
+            other = dc_replace(other, position=other.position + delta)
+        remaining.append(other)
+    return assemble_document(sentence_surfaces, remaining)
 
 
 _Chooser = Callable[

@@ -206,6 +206,27 @@ class TestLexiconOverride:
         assert status == 0
         assert "Murat Oyunu sevdi." in out
 
+    @pytest.mark.parametrize("option", ["--lexicon", "--weights"])
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, option):
+        from importlib import resources
+
+        from anafor.scoring import DEFAULT_WEIGHTS, format_weights
+
+        if option == "--lexicon":
+            content = resources.files("anafor").joinpath("data/lexicon.txt").read_text("utf-8")
+        else:
+            content = format_weights(DEFAULT_WEIGHTS)
+        fixture = FIXTURES / "minicorpus" / "minicorpus.txt"
+        outputs = []
+        for prefix in ("", "\ufeff"):
+            path = tmp_path / f"file{len(prefix)}.txt"
+            path.write_text(prefix + content, encoding="utf-8")
+            outputs.append(
+                _run(capsys, "resolve", "--dict", str(NAMES), option, str(path), str(fixture))
+            )
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
 
 class TestCompareCommand:
     def test_side_by_side_table(self, capsys):

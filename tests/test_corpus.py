@@ -69,6 +69,10 @@ class TestParseDocument:
             ("Ali < geldi.", "malformed tag"),
             ('Ali geldi. <zero id="1" kind="pers" num="sg"/>', "no following token"),
             ('Ali <pro id="1" ant="">onu</pro> gördü.', "empty name"),
+            ('Ali <pro id="1" ant="Ali;">onu</pro> gördü.', "trailing ';' separator"),
+            ('Ali <pro id="1" ant="Ali;;Veli">onu</pro> gördü.', "empty name"),
+            ('Ali <pro id="1" ant=";Ali">onu</pro> gördü.', "empty name"),
+            ('Ali <pro id="1" ant="Ali;;">onu</pro> gördü.', "empty name"),
         ],
     )
     def test_parse_errors(self, bad, message):

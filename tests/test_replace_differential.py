@@ -1,0 +1,85 @@
+"""The spliced ``replace_mention`` against the seed's whole-document
+re-assembly (seed_walk.py): every token field, the sentences and the
+remaining mentions must be equal."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import seed_walk
+from anafor import parse_document, replace_mention
+from conftest import FIXTURES, fixture_text
+from test_acceptance import annotated_texts
+from test_walk_differential import quoted_texts
+
+FIXTURE_FILES = sorted(
+    path.relative_to(FIXTURES).as_posix()
+    for path in FIXTURES.glob("*/*.txt")
+)
+
+NAME_LISTS = (["Ali"], ["Ayşe", "Murat"])
+
+ZERO = '<zero id="{}" kind="pers" num="sg"/>'
+
+
+def _state(doc):
+    return (
+        [dataclasses.astuple(token) for token in doc.tokens],
+        doc.sentences,
+        doc.pronouns,
+    )
+
+
+def assert_every_replacement_matches(doc, name_lists=NAME_LISTS) -> None:
+    for mention in doc.pronouns:
+        for names in name_lists:
+            expected = seed_walk.replace_mention(doc, mention, names)
+            assert _state(replace_mention(doc, mention, names)) == _state(expected), (
+                mention, names,
+            )
+
+
+@pytest.mark.parametrize("relative", FIXTURE_FILES)
+def test_fixture_replacements_match_the_seed(relative):
+    assert_every_replacement_matches(parse_document(fixture_text(relative)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(f"Ali geldi, Ayşe {ZERO.format(1)}, gitti.", id="zero-before-comma"),
+        pytest.param(f'"Ali geldi {ZERO.format(1)}" dedi Ayşe.', id="zero-before-closing-quote"),
+        pytest.param(f'Ali dedi {ZERO.format(1)} "gel" diye.', id="zero-before-opening-quote"),
+        pytest.param(f"Ali geldi. {ZERO.format(1)} Gitti.", id="zero-at-sentence-start"),
+        pytest.param(f"Ali geldi. {ZERO.format(1)} , gitti.", id="zero-before-sentence-initial-comma"),
+        pytest.param(
+            f'Ali "geldi. {ZERO.format(1)} Gitti. Ayşe <pro id="2">onu</pro> gördü.',
+            id="unpaired-quote-spanning-sentences",
+        ),
+        pytest.param(
+            f'" {ZERO.format(1)} " Ali geldi " {ZERO.format(2)} " dedi. " Gitti.',
+            id="zeros-between-quote-marks",
+        ),
+        pytest.param('Ali geldi. <pro id="1">O</pro>, gitti.', id="overt-before-comma"),
+        pytest.param(
+            f"Ali geldi. {ZERO.format(1)} {ZERO.format(2)} Gitti.", id="two-zeros-at-one-position"
+        ),
+    ],
+)
+def test_edge_case_replacements_match_the_seed(text):
+    assert_every_replacement_matches(parse_document(text), NAME_LISTS + ([","],))
+
+
+def test_quote_mark_name_is_rejected():
+    doc = parse_document(f"Ali geldi. {ZERO.format(1)} Gitti.")
+    with pytest.raises(ValueError, match="quote mark"):
+        replace_mention(doc, doc.pronouns[0], ['"'])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(annotated_texts(), quoted_texts()))
+def test_generated_replacements_match_the_seed(text):
+    assert_every_replacement_matches(parse_document(text))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from anafor import (
@@ -15,6 +17,7 @@ from anafor import (
     resolve_document,
     serialize_document,
 )
+from anafor.textmodel import Token
 from conftest import fixture_text
 
 DICT = NameDictionary.from_names(
@@ -186,6 +189,33 @@ class TestReplacement:
         doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
         resolved = resolve_document(doc, names9)
         assert len(resolved.paraphrased.sentences) == len(doc.sentences)
+
+    def test_tokens_built_per_pronoun_do_not_grow_with_length(self, names9, monkeypatch):
+        # A count, not a timing: a replacement that rebuilds the whole
+        # document builds about k times as many tokens per pronoun at k tiles.
+        text = fixture_text("minicorpus/minicorpus.txt")
+        built = 0
+        original = Token.__post_init__
+
+        def counting(token):
+            nonlocal built
+            built += 1
+            original(token)
+
+        def per_pronoun(k):
+            nonlocal built
+            tiles = [
+                re.sub(r'id="(\d+)"', lambda m: f'id="{int(m.group(1)) + 1000 * t}"', text)
+                for t in range(k)
+            ]
+            doc = parse_document("\n".join(tiles))
+            built = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(Token, "__post_init__", counting)
+                resolve_document(doc, names9)
+            return built / len(doc.pronouns)
+
+        assert per_pronoun(8) <= 1.5 * per_pronoun(1)
 
 
 class TestTraceIO:

@@ -24,7 +24,7 @@ from anafor import (
 from anafor.candidates import SearchScope
 from anafor.scoring import format_weights
 from conftest import FIXTURES, fixture_text
-from test_acceptance import PROP_DICT, PROP_NAMES, annotated_texts
+from test_acceptance import FILLERS, PROP_DICT, PROP_NAMES, annotated_texts
 
 FIXTURE_FILES = sorted(
     path.relative_to(FIXTURES).as_posix()
@@ -85,8 +85,21 @@ def test_tiled_minicorpus_matches_the_seed(names9):
     assert_same_as_seed(parse_document("\n".join(tiles)), names9)
 
 
+@st.composite
+def quoted_texts(draw) -> str:
+    """Generated documents with quote marks before some filler words, so
+    quotes pair within and across sentences or stay unpaired."""
+    text = draw(annotated_texts())
+    return re.sub(
+        r"\b(?:%s)\b" % "|".join(FILLERS),
+        lambda word: ('" ' if draw(st.booleans()) else "") + word.group(0),
+        text,
+    )
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=annotated_texts(), back=st.integers(0, 3), data=st.data())
+@given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.integers(0, 3),
+       data=st.data())
 def test_generated_documents_match_the_seed(text, back, data):
     doc = parse_document(text)
     gold = data.draw(st.lists(st.sampled_from(GOLD_SETS), min_size=len(doc.pronouns),
