@@ -67,66 +67,6 @@ from .resolver import (
     resolve_pronoun,
 )
 from .training import TrainConfig, TrainingInstance, TrainReport, build_instances, train
-from .evaluation import Comparison, Metrics, compare, evaluate
+from .evaluation import Comparison, Metrics, evaluate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Candidate",
-    "CandidateKind",
-    "Comparison",
-    "DEFAULT_WEIGHTS",
-    "Document",
-    "FEATURE_NAMES",
-    "Lexicon",
-    "Metrics",
-    "NameDictionary",
-    "NameOccurrence",
-    "Number",
-    "Overtness",
-    "ParseError",
-    "PreferenceVector",
-    "PreferenceWeights",
-    "PronounForm",
-    "PronounKind",
-    "PronounMention",
-    "Resolution",
-    "ResolutionHistory",
-    "ResolvedDocument",
-    "ScoredCandidate",
-    "SearchScope",
-    "Sentence",
-    "Token",
-    "TrainConfig",
-    "TrainReport",
-    "TrainingInstance",
-    "apply_constraints",
-    "assemble_document",
-    "baseline_resolve_document",
-    "build_instances",
-    "classify_pronoun",
-    "compare",
-    "constrained_candidates",
-    "default_lexicon",
-    "evaluate",
-    "extract_candidates",
-    "feature_vector",
-    "format_trace",
-    "generate_sets",
-    "load_dictionary",
-    "load_weights",
-    "match_name",
-    "parse_document",
-    "parse_trace",
-    "parse_weights",
-    "replace_mention",
-    "resolve_document",
-    "resolve_pronoun",
-    "save_weights",
-    "scan_name_occurrences",
-    "score",
-    "serialize_document",
-    "train",
-    "turkish_lower",
-    "turkish_upper",
-]

@@ -9,10 +9,10 @@ from pathlib import Path
 
 from .candidates import SearchScope
 from .corpus import NameDictionary, ParseError, load_dictionary, parse_document, serialize_document
-from .evaluation import compare, evaluate
+from .evaluation import Comparison, evaluate
 from .morphology import Lexicon
 from .resolver import baseline_resolve_document, format_trace, parse_trace, resolve_document
-from .scoring import DEFAULT_WEIGHTS, format_weights, load_weights
+from .scoring import DEFAULT_WEIGHTS, format_weights, load_weights, save_weights
 from .training import TrainConfig, build_instances, train
 
 DICT_ENV_VAR = "ANAFOR_DICT"
@@ -176,7 +176,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         sys.stdout.write(format_weights(weights))
         sys.stderr.write(report_lines)
     else:
-        Path(args.output).write_text(format_weights(weights), encoding="utf-8")
+        save_weights(weights, args.output)
         sys.stdout.write(report_lines)
     return 0
 
@@ -198,7 +198,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     weights = load_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
     system = evaluate(resolve_document(gold, dictionary, weights, scope, lexicon), gold)
     baseline = evaluate(baseline_resolve_document(gold, dictionary, scope, lexicon), gold)
-    report = compare(system, baseline)
+    report = Comparison(system=system, baseline=baseline)
     sys.stdout.write(report.format_text() if args.format == "text" else report.format_kv())
     return 0
 

@@ -18,8 +18,9 @@ running text.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 import re
 
@@ -104,42 +105,26 @@ def load_dictionary(path) -> NameDictionary:
     return NameDictionary.from_names(names)
 
 
-@dataclass
-class _MentionRecord:
-    id: int
-    kind: PronounKind | None
-    number: Number | None
-    overtness: Overtness
-    surface: str
-    gold: frozenset[str] | None
-    position: int | None = None
-
-
 class _Scanner:
     def __init__(self, text: str, lexicon: Lexicon):
         self.text = text
         self.lexicon = lexicon
         self.surfaces: list[str] = []
-        self.records: list[_MentionRecord] = []
-        self.pending_zeros: list[tuple[_MentionRecord, int]] = []
+        self.records: list[PronounMention] = []
+        # Zeros waiting for their token: index into records, tag offset.
+        self.pending_zeros: list[tuple[int, int]] = []
         self.seen_ids: set[int] = set()
         self._line_starts = [0] + [m.end() for m in re.finditer(r"\n", text)]
 
     def error(self, message: str, offset: int) -> ParseError:
-        line = 0
-        for line, start in enumerate(self._line_starts):
-            if start > offset:
-                line -= 1
-                break
-        else:
-            line = len(self._line_starts) - 1
+        line = bisect_right(self._line_starts, offset) - 1
         return ParseError(message, line + 1, offset - self._line_starts[line] + 1)
 
     def emit_surface(self, surface: str) -> int:
         index = len(self.surfaces)
         self.surfaces.append(surface)
-        for record, _offset in self.pending_zeros:
-            record.position = index
+        for k, _offset in self.pending_zeros:
+            self.records[k] = replace(self.records[k], position=index)
         self.pending_zeros.clear()
         return index
 
@@ -202,7 +187,7 @@ class _Scanner:
             else:
                 raise self.error("malformed tag", lt)
         if self.pending_zeros:
-            _record, offset = self.pending_zeros[0]
+            _k, offset = self.pending_zeros[0]
             raise self.error("zero pronoun tag has no following token", offset)
 
     def _read_pro(self, offset: int) -> int:
@@ -228,14 +213,14 @@ class _Scanner:
             raise self.error(f"not a recognized pronoun form: {surface!r}", offset)
         position = self.emit_surface(surface)
         self.records.append(
-            _MentionRecord(
+            PronounMention(
                 id=mention_id,
                 kind=form.kind,
                 number=form.number,
                 overtness=Overtness.OVERT,
-                surface=surface,
-                gold=gold,
                 position=position,
+                surface=surface,
+                gold_antecedent=gold,
             )
         )
         return close + len(_PRO_CLOSE)
@@ -259,16 +244,18 @@ class _Scanner:
         except ValueError:
             raise self.error(f"unknown num value: {attrs['num']!r}", offset) from None
         gold = self.parse_gold(attrs, offset)
-        record = _MentionRecord(
-            id=mention_id,
-            kind=kind,
-            number=number,
-            overtness=Overtness.ZERO,
-            surface="",
-            gold=gold,
+        # The position is set when the token the zero precedes is emitted.
+        self.pending_zeros.append((len(self.records), offset))
+        self.records.append(
+            PronounMention(
+                id=mention_id,
+                kind=kind,
+                number=number,
+                overtness=Overtness.ZERO,
+                position=-1,
+                gold_antecedent=gold,
+            )
         )
-        self.records.append(record)
-        self.pending_zeros.append((record, offset))
         return match.end()
 
 
@@ -281,21 +268,7 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     scanner.run()
     spans = sentence_spans(scanner.surfaces)
     sentence_surfaces = [scanner.surfaces[start:end] for start, end in spans]
-    mentions = []
-    for record in scanner.records:
-        assert record.position is not None and record.kind and record.number
-        mentions.append(
-            PronounMention(
-                id=record.id,
-                kind=record.kind,
-                number=record.number,
-                overtness=record.overtness,
-                position=record.position,
-                surface=record.surface,
-                gold_antecedent=record.gold,
-            )
-        )
-    return assemble_document(sentence_surfaces, mentions)
+    return assemble_document(sentence_surfaces, scanner.records)
 
 
 def _render_mention_attrs(mention: PronounMention) -> str:

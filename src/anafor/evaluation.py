@@ -136,21 +136,11 @@ class Comparison:
         return "\n".join(lines) + "\n"
 
     def format_kv(self) -> str:
-        lines = []
-        for label, metrics in (("baseline", self.baseline), ("system", self.system)):
-            for key, value in (
-                ("identified", metrics.identified),
-                ("attempted", metrics.attempted),
-                ("correct", metrics.correct),
-            ):
-                lines.append(f"{label}.{key}={value}")
-            lines.append(f"{label}.recall={metrics.recall:.6f}")
-            lines.append(f"{label}.precision={metrics.precision:.6f}")
+        lines = [
+            f"{label}.{line}"
+            for label, metrics in (("baseline", self.baseline), ("system", self.system))
+            for line in metrics.format_kv().splitlines()
+        ]
         lines.append(f"delta.recall_pp={self.recall_delta:+}")
         lines.append(f"delta.precision_pp={self.precision_delta:+}")
         return "\n".join(lines) + "\n"
-
-
-def compare(system: Metrics, baseline: Metrics) -> Comparison:
-    """Pair up two metric sets for side-by-side reporting."""
-    return Comparison(system=system, baseline=baseline)

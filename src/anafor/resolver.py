@@ -76,10 +76,7 @@ def _replacement_surfaces(names: Sequence[str]) -> list[str]:
 
 
 def _shifted(tokens: Sequence[Token], delta: int) -> tuple[Token, ...]:
-    return tuple([
-        Token(t.surface, t.index + delta, t.sentence_index, t.quoted, t.followed_by_comma)
-        for t in tokens
-    ])
+    return tuple([Token(t.surface, t.index + delta, t.sentence_index, t.quoted) for t in tokens])
 
 
 def _quote_open_before(tokens: Sequence[Token], position: int) -> bool:
@@ -99,9 +96,9 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
 
     The tokens left of the pronoun are kept; the names and shifted copies of
     the tokens right of it are spliced in, so the cost grows with the text
-    after the pronoun, not with the document.  The names take their quote
-    and comma flags from the tokens around them.  No name may be a quote
-    mark, since that would re-pair every quote after it.
+    after the pronoun, not with the document.  The names take only their
+    quote flag from the tokens around them.  No name may be a quote mark,
+    since that would re-pair every quote after it.
     """
     if not names:
         raise ValueError("replacement needs at least one name")
@@ -118,23 +115,15 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
         quoted = at.quoted
     else:
         quoted = _quote_open_before(tokens, position)
-    following = [surface == "," for surface in inserted[1:]]
-    following.append(bool(rest) and rest[0].surface == ",")
-    head = tokens[:position]
-    comma_first = inserted[0] == ","
-    if head and head[-1].followed_by_comma != comma_first:
-        head = head[:-1] + (dc_replace(head[-1], followed_by_comma=comma_first),)
     sentence = at.sentence_index
-    new_tokens = head + tuple([
-        Token(surface, position + k, sentence, quoted, comma)
-        for k, (surface, comma) in enumerate(zip(inserted, following))
+    new_tokens = tokens[:position] + tuple([
+        Token(surface, position + k, sentence, quoted) for k, surface in enumerate(inserted)
     ]) + _shifted(rest, delta)
 
-    first, last = doc.sentences[sentence].token_range
-    sentences = doc.sentences[:sentence] + (Sentence(sentence, (first, last + delta)),)
+    own = doc.sentences[sentence]
+    sentences = doc.sentences[:sentence] + (Sentence(sentence, own.first, own.last + delta),)
     sentences += tuple([
-        Sentence(s.index, (s.first + delta, s.last + delta))
-        for s in doc.sentences[sentence + 1:]
+        Sentence(s.index, s.first + delta, s.last + delta) for s in doc.sentences[sentence + 1:]
     ])
 
     # Mentions are ordered by position, so the ones after the resolved one
@@ -184,7 +173,7 @@ def walk_document(
         work = Document(
             work.tokens + _shifted(doc.sentence_tokens(sentence.index), offset),
             work.sentences + (
-                Sentence(sentence.index, (sentence.first + offset, sentence.last + offset)),
+                Sentence(sentence.index, sentence.first + offset, sentence.last + offset),
             ),
             work.pronouns + tuple(mentions),
         )

@@ -131,9 +131,6 @@ class ResolutionHistory:
             for entry, recorded in self._entries
         )
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def _first_phrase_token(doc: Document, sentence_index: int) -> int | None:
     sent = doc.sentences[sentence_index]
@@ -166,7 +163,8 @@ def feature_vector(
     quoted_match is symmetric (both sides quoted, or both unquoted);
     recency marks the survivors of the nearest populated sentence;
     repetition requires every member base to occur at least twice in the
-    search window, replacement tokens included.
+    search window, replacement tokens included; punctuation asks whether
+    the token after the candidate's anchor is a comma.
     """
     pronoun_sentence = doc.sentence_index_of(pronoun.position)
     nearest_sentence = max(c.sentence_index for c in survivors)
@@ -185,7 +183,10 @@ def feature_vector(
             _base_occurrences(doc, pronoun, member.base, scope) >= 2
             for member in candidate.members
         ),
-        punctuation=doc.tokens[candidate.anchor].followed_by_comma,
+        punctuation=(
+            candidate.anchor + 1 < len(doc.tokens)
+            and doc.tokens[candidate.anchor + 1].surface == ","
+        ),
         zero_antecedent_history=(
             pronoun.overtness is Overtness.ZERO
             and history.seen_before(candidate.base_names, pronoun_sentence)

@@ -1,6 +1,9 @@
 """Core document model: tokens, sentences and pronoun mentions.
 
-A :class:`Document` is immutable once built.  ``assemble_document`` builds
+A :class:`Token` holds its surface, its index in the document, the index
+of its sentence and whether it stands between quote marks; anything else
+about it, such as a comma after it, is read off its neighbours.  A
+:class:`Document` is immutable once built.  ``assemble_document`` builds
 and validates one from token surfaces, as the corpus parser does; the
 resolver splices replacements into an existing Document instead.
 
@@ -45,7 +48,6 @@ class Token:
     index: int
     sentence_index: int
     quoted: bool = False
-    followed_by_comma: bool = False
 
     def __post_init__(self) -> None:
         if not self.surface or any(ch.isspace() for ch in self.surface):
@@ -57,18 +59,8 @@ class Token:
 @dataclass(frozen=True)
 class Sentence:
     index: int
-    token_range: tuple[int, int]  # inclusive [first, last]
-
-    @property
-    def first(self) -> int:
-        return self.token_range[0]
-
-    @property
-    def last(self) -> int:
-        return self.token_range[1]
-
-    def contains(self, token_index: int) -> bool:
-        return self.first <= token_index <= self.last
+    first: int  # token indices, inclusive
+    last: int
 
 
 @dataclass(frozen=True)
@@ -121,9 +113,9 @@ class Document:
         for k, sent in enumerate(self.sentences):
             if sent.index != k:
                 raise ValueError(f"sentence {k} carries index {sent.index}")
-            first, last = sent.token_range
+            first, last = sent.first, sent.last
             if first != expected_start or last < first:
-                raise ValueError(f"sentence {k} range {sent.token_range} is not adjacent")
+                raise ValueError(f"sentence {k} range {(first, last)} is not adjacent")
             expected_start = last + 1
             for i in range(first, last + 1):
                 if self.tokens[i].sentence_index != k:
@@ -220,7 +212,7 @@ def assemble_document(
         for surface in sent_surfaces:
             surfaces.append(surface)
             sentence_of.append(k)
-        sentences.append(Sentence(k, (first, len(surfaces) - 1)))
+        sentences.append(Sentence(k, first, len(surfaces) - 1))
 
     quoted = _quoted_flags(surfaces, sentence_of)
     tokens = tuple(
@@ -229,7 +221,6 @@ def assemble_document(
             index=i,
             sentence_index=sentence_of[i],
             quoted=quoted[i],
-            followed_by_comma=(i + 1 < len(surfaces) and surfaces[i + 1] == ","),
         )
         for i, surface in enumerate(surfaces)
     )

@@ -10,6 +10,7 @@ gold antecedent, so later feature vectors see the correct context.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -53,6 +54,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
             raise ValueError("learning rate must be non-negative")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError("need at least one epoch")
 

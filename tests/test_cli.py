@@ -124,6 +124,19 @@ class TestTrainCommand:
         assert status == 1
         assert "no usable training instances" in err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_an_error(self, capsys, tmp_path, rate):
+        weights_path = tmp_path / "weights.txt"
+        status, out, err = _run(
+            capsys,
+            "train", "--dict", str(NAMES), "--learning-rate", rate, "-o", str(weights_path),
+            str(FIXTURES / "minicorpus" / "minicorpus.txt"),
+        )
+        assert status == 1
+        assert out == ""
+        assert err == f"anafor: error: learning rate must be finite, got {rate}\n"
+        assert not weights_path.exists()
+
 
 class TestEvalCommand:
     def test_reported_counts_reproduce_first_experiment(self, capsys, tmp_path):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anafor import (
+    Comparison,
     Metrics,
     NameDictionary,
     baseline_resolve_document,
-    compare,
     evaluate,
     parse_document,
     resolve_document,
@@ -101,14 +101,14 @@ class TestCompare:
     def test_reported_experiment_deltas(self):
         system = Metrics.from_counts(190, 6, 162)
         baseline = Metrics.from_counts(190, 6, 130)  # 68.4% / 70.7%
-        report = compare(system, baseline)
+        report = Comparison(system, baseline)
         assert report.recall_delta == pytest.approx(16.9)
         text = report.format_text()
         assert "85.3%" in text and "68.4%" in text and "+16.9" in text
 
     def test_identical_metrics_zero_delta(self):
         metrics = Metrics.from_counts(10, 1, 7)
-        report = compare(metrics, metrics)
+        report = Comparison(metrics, metrics)
         assert report.recall_delta == 0.0
         assert report.precision_delta == 0.0
 
@@ -121,13 +121,13 @@ class TestCompare:
         )
         system = evaluate(resolve_document(doc, DICT), doc)
         baseline = evaluate(baseline_resolve_document(doc, DICT), doc)
-        report = compare(system, baseline)
+        report = Comparison(system, baseline)
         assert baseline.correct == 1 and system.correct == 0
         assert report.recall_delta < 0
         assert "-100.0" in report.format_text()
 
     def test_kv_format(self):
-        report = compare(Metrics.from_counts(4, 0, 4), Metrics.from_counts(4, 0, 2))
+        report = Comparison(Metrics.from_counts(4, 0, 4), Metrics.from_counts(4, 0, 2))
         kv = report.format_kv()
         assert "system.recall=1.000000" in kv
         assert "baseline.correct=2" in kv

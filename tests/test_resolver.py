@@ -6,6 +6,7 @@ import pytest
 
 from anafor import (
     DEFAULT_WEIGHTS,
+    FEATURE_NAMES,
     NameDictionary,
     PreferenceWeights,
     baseline_resolve_document,
@@ -184,6 +185,35 @@ class TestReplacement:
         resolved = resolve_document(doc, names9)
         assert resolved.resolutions[0].antecedent == frozenset({"Ali", "Zeynep"})
         assert resolved.resolutions[1].antecedent == frozenset({"Ali", "Zeynep"})
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            pytest.param('<zero id="1" kind="pers" num="sg"/>', id="zero-before-comma"),
+            pytest.param('<pro id="1">onu</pro>', id="overt-before-comma"),
+        ],
+    )
+    def test_name_written_before_a_comma_scores_punctuation(self, names9, first):
+        # The comma after a written-in name is read off the spliced text:
+        # the name gets the punctuation preference and 'Ayşe', no longer
+        # directly before the comma, loses it.
+        doc = parse_document(
+            f"Ali geldi. Ayşe {first}, gitti. "
+            '<zero id="2" kind="pers" num="sg"/> Güldü.'
+        )
+        resolved = resolve_document(doc, names9)
+        assert [t.surface for t in resolved.paraphrased.sentence_tokens(1)][:3] == [
+            "Ayşe", "Ali", ",",
+        ]
+        later = resolved.resolutions[1]
+        punctuation = {
+            (entry.candidate.sentence_index, entry.candidate.anchor): entry.vector.punctuation
+            for entry in later.trace
+        }
+        assert punctuation == {(0, 0): False, (1, 3): False, (1, 4): True}
+        last_entry = format_trace([later]).split("\t")[4].split("|")[-1]
+        names, bits = last_entry.split("=")[0].split(":")
+        assert (names, bits[FEATURE_NAMES.index("punctuation")]) == ("Ali", "1")
 
     def test_sentence_count_is_stable(self, names9):
         doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))

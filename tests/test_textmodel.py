@@ -86,10 +86,11 @@ class TestTokenInvariants:
             Token(surface="a b", index=0, sentence_index=0)
 
     def test_followed_by_comma(self):
+        # The punctuation preference reads the comma off the next token.
         doc = parse_document("Yolda Tekin, Ali'ye seslendi.")
         by_surface = {t.surface: t for t in doc.tokens}
-        assert by_surface["Tekin"].followed_by_comma is True
-        assert by_surface["Ali'ye"].followed_by_comma is False
+        assert doc.tokens[by_surface["Tekin"].index + 1].surface == ","
+        assert doc.tokens[by_surface["Ali'ye"].index + 1].surface != ","
 
 
 class TestSentenceDistance:
@@ -125,7 +126,7 @@ class TestDocumentInvariants:
         assert fixture  # keep the walrus readable
         for token in doc.tokens:
             sentence = doc.sentences[token.sentence_index]
-            assert sentence.contains(token.index)
+            assert sentence.first <= token.index <= sentence.last
 
     def test_pronouns_sorted_by_position(self):
         doc = parse_document(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -118,6 +119,11 @@ class TestTrain:
         )
         assert again == weights
         assert again_report.final_errors == 0
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            TrainConfig(learning_rate=rate)
 
     def test_empty_instances_rejected(self):
         with pytest.raises(ValueError):
