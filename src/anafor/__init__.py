@@ -50,6 +50,7 @@ from .scoring import (
     PreferenceWeights,
     ResolutionHistory,
     feature_vector,
+    feature_vectors,
     load_weights,
     parse_weights,
     save_weights,

@@ -114,15 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Corpus text is UTF-8 whatever the locale's encoding, so '-' and stdout
+# go through the byte streams and behave like file paths.
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     return Path(path).read_text(encoding="utf-8")
+
+
+def _write_stdout(text: str) -> None:
+    sys.stdout.flush()
+    sys.stdout.buffer.write(text.encode("utf-8"))
+    sys.stdout.buffer.flush()
 
 
 def _write_output(path: str | None, text: str) -> None:
     if path is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
 
@@ -173,11 +181,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"final_errors={report.final_errors}\n"
     )
     if args.output is None:
-        sys.stdout.write(format_weights(weights))
+        _write_stdout(format_weights(weights))
         sys.stderr.write(report_lines)
     else:
         save_weights(weights, args.output)
-        sys.stdout.write(report_lines)
+        _write_stdout(report_lines)
     return 0
 
 
@@ -186,7 +194,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     gold = parse_document(Path(args.gold).read_text(encoding="utf-8"), lexicon)
     records = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
     metrics = evaluate(records, gold)
-    sys.stdout.write(metrics.format_text() if args.format == "text" else metrics.format_kv())
+    _write_stdout(metrics.format_text() if args.format == "text" else metrics.format_kv())
     return 0
 
 
@@ -199,7 +207,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     system = evaluate(resolve_document(gold, dictionary, weights, scope, lexicon), gold)
     baseline = evaluate(baseline_resolve_document(gold, dictionary, scope, lexicon), gold)
     report = Comparison(system=system, baseline=baseline)
-    sys.stdout.write(report.format_text() if args.format == "text" else report.format_kv())
+    _write_stdout(report.format_text() if args.format == "text" else report.format_kv())
     return 0
 
 

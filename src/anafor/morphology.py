@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from .textmodel import Token
 
 APOSTROPHES = ("'", "’")
+_APOSTROPHE_RE = re.compile("[%s]" % "".join(APOSTROPHES))
 
 _SECTION_RE = re.compile(r"\[(pronoun|suffix)\s+([^\]]+)\]\s*$")
 
@@ -144,9 +145,11 @@ def classify_pronoun(surface: str, lexicon: Lexicon | None = None) -> PronounFor
 
 
 def _split_apostrophe(surface: str) -> tuple[str, str]:
-    cut = min((i for i in (surface.find(a) for a in APOSTROPHES) if i >= 0), default=-1)
-    if cut < 0:
+    """Cut at the first apostrophe of either kind: (base, suffix)."""
+    match = _APOSTROPHE_RE.search(surface)
+    if match is None:
         return surface, ""
+    cut = match.start()
     return surface[:cut], surface[cut + 1:]
 
 

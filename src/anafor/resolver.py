@@ -29,13 +29,14 @@ from .scoring import (
     PreferenceVector,
     PreferenceWeights,
     ResolutionHistory,
-    feature_vector,
+    feature_vectors,
     most_recent_max,
     score,
 )
 from .textmodel import QUOTE, Document, Overtness, PronounMention, Sentence, Token
 
-# Unused here, but perfbench/tracing.py patches it as an attribute of this module.
+# Unused here, but perfbench/tracing.py patches them as attributes of this module.
+from .scoring import feature_vector  # noqa: F401
 from .textmodel import assemble_document  # noqa: F401
 
 
@@ -208,10 +209,11 @@ def _decide(
     if weights is None:
         scored = [ScoredCandidate(candidate, None, 0.0) for candidate in survivors]
     else:
-        scored = []
-        for candidate in survivors:
-            vector = feature_vector(doc, pronoun, candidate, survivors, history, scope)
-            scored.append(ScoredCandidate(candidate, vector, score(vector, weights)))
+        vectors = feature_vectors(doc, pronoun, survivors, history, scope)
+        scored = [
+            ScoredCandidate(candidate, vector, score(vector, weights))
+            for candidate, vector in zip(survivors, vectors)
+        ]
     best = scored[most_recent_max([entry.score for entry in scored])]
     resolution = Resolution(pronoun.id, best.candidate.base_names, best.score, tuple(scored))
     return resolution, best.candidate

@@ -1,5 +1,10 @@
 """The eight binary salience preferences and their weighted aggregate score.
 
+:func:`feature_vectors` computes the flags of all of a pronoun's survivors
+at once: the window facts they share (the name counts of the search window,
+the nearest populated sentence, the first phrase token of each sentence)
+are worked out once per pronoun, not once per candidate.
+
 Feature order is part of the serialization contract (weights files, trace
 bit strings): quoted_match, recency, nominative, first_np,
 predicate_nominal, repetition, punctuation, zero_antecedent_history.
@@ -8,8 +13,9 @@ predicate_nominal, repetition, punctuation, zero_antecedent_history.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, SearchScope, _window_start
 from .morphology import _split_apostrophe
@@ -140,14 +146,54 @@ def _first_phrase_token(doc: Document, sentence_index: int) -> int | None:
     return None
 
 
-def _base_occurrences(
-    doc: Document, pronoun: PronounMention, base: str, scope: SearchScope
-) -> int:
-    count = 0
-    for i in range(_window_start(doc, pronoun, scope), pronoun.position):
-        if _split_apostrophe(doc.tokens[i].surface)[0] == base:
-            count += 1
-    return count
+def feature_vectors(
+    doc: Document,
+    pronoun: PronounMention,
+    survivors: Sequence[Candidate],
+    history: ResolutionHistory,
+    scope: SearchScope = SearchScope(),
+) -> list[PreferenceVector]:
+    """Compute the eight preference flags for each post-constraint
+    candidate, in the order of ``survivors``.
+
+    quoted_match is symmetric (both sides quoted, or both unquoted);
+    recency marks the survivors of the nearest populated sentence;
+    repetition requires every member base to occur at least twice in the
+    search window, replacement tokens included; punctuation asks whether
+    the token after the candidate's anchor is a comma.  The window is read
+    once for all survivors.
+    """
+    if not survivors:
+        return []
+    pronoun_sentence = doc.sentence_index_of(pronoun.position)
+    pronoun_quoted = doc.tokens[pronoun.position].quoted
+    nearest_sentence = max(c.sentence_index for c in survivors)
+    window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]
+    bases = Counter([_split_apostrophe(token.surface)[0] for token in window])
+    first_phrase = {
+        sentence: _first_phrase_token(doc, sentence)
+        for sentence in {c.sentence_index for c in survivors}
+    }
+    zero = pronoun.overtness is Overtness.ZERO
+    vectors = []
+    for candidate in survivors:
+        sentence = candidate.sentence_index
+        vectors.append(PreferenceVector(
+            quoted_match=pronoun_quoted == doc.tokens[candidate.anchor].quoted,
+            recency=sentence == nearest_sentence,
+            nominative=all(member.nominative for member in candidate.members),
+            first_np=candidate.members[0].token_index == first_phrase[sentence],
+            predicate_nominal=any(member.copular_suffix for member in candidate.members),
+            repetition=all(bases[member.base] >= 2 for member in candidate.members),
+            punctuation=(
+                candidate.anchor + 1 < len(doc.tokens)
+                and doc.tokens[candidate.anchor + 1].surface == ","
+            ),
+            zero_antecedent_history=(
+                zero and history.seen_before(candidate.base_names, pronoun_sentence)
+            ),
+        ))
+    return vectors
 
 
 def feature_vector(
@@ -158,37 +204,7 @@ def feature_vector(
     history: ResolutionHistory,
     scope: SearchScope = SearchScope(),
 ) -> PreferenceVector:
-    """Compute the eight preference flags for one post-constraint candidate.
-
-    quoted_match is symmetric (both sides quoted, or both unquoted);
-    recency marks the survivors of the nearest populated sentence;
-    repetition requires every member base to occur at least twice in the
-    search window, replacement tokens included; punctuation asks whether
-    the token after the candidate's anchor is a comma.
-    """
-    pronoun_sentence = doc.sentence_index_of(pronoun.position)
-    nearest_sentence = max(c.sentence_index for c in survivors)
-    return PreferenceVector(
-        quoted_match=(
-            doc.tokens[pronoun.position].quoted == doc.tokens[candidate.anchor].quoted
-        ),
-        recency=candidate.sentence_index == nearest_sentence,
-        nominative=all(member.nominative for member in candidate.members),
-        first_np=(
-            candidate.members[0].token_index
-            == _first_phrase_token(doc, candidate.sentence_index)
-        ),
-        predicate_nominal=any(member.copular_suffix for member in candidate.members),
-        repetition=all(
-            _base_occurrences(doc, pronoun, member.base, scope) >= 2
-            for member in candidate.members
-        ),
-        punctuation=(
-            candidate.anchor + 1 < len(doc.tokens)
-            and doc.tokens[candidate.anchor + 1].surface == ","
-        ),
-        zero_antecedent_history=(
-            pronoun.overtness is Overtness.ZERO
-            and history.seen_before(candidate.base_names, pronoun_sentence)
-        ),
-    )
+    """The :func:`feature_vectors` entry of one candidate, which must be
+    one of ``survivors``."""
+    survivors = list(survivors)
+    return feature_vectors(doc, pronoun, survivors, history, scope)[survivors.index(candidate)]

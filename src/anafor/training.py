@@ -22,7 +22,7 @@ from .scoring import (
     FEATURE_NAMES,
     PreferenceVector,
     PreferenceWeights,
-    feature_vector,
+    feature_vectors,
     most_recent_max,
 )
 from .textmodel import Document
@@ -30,6 +30,7 @@ from .textmodel import Document
 # Unused here, but perfbench/tracing.py patches them as attributes of this module.
 from .candidates import constrained_candidates  # noqa: F401
 from .resolver import replace_mention  # noqa: F401
+from .scoring import feature_vector  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,7 @@ def build_instances(
         if gold_index is None:
             skipped += 1
         else:
-            vectors = tuple(
-                feature_vector(work, mention, candidate, survivors, history, scope)
-                for candidate in survivors
-            )
+            vectors = tuple(feature_vectors(work, mention, survivors, history, scope))
             instances.append(TrainingInstance(mention.id, vectors, gold_index))
         return sorted(gold)
 

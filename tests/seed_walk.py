@@ -2,31 +2,107 @@
 ``anafor.resolver.walk_document``, kept verbatim as the reference that
 ``test_walk_differential.py`` compares the shared walk against.
 
-The document walks, the tie rules and antecedent replacement live here;
-the primitives they call (candidates, features) are the package's own.
-``replace_mention`` re-assembles and re-validates the whole document, so
-it is also the reference for the package's spliced replacement.
+The document walks, the tie rules, antecedent replacement and the
+per-candidate preference flags live here; the candidates are the package's
+own.  ``replace_mention`` re-assembles and re-validates the whole document,
+so it is also the reference for the package's spliced replacement, and
+``feature_vector`` (which re-reads the search window for every member of
+every survivor) is the reference for ``anafor.scoring.feature_vectors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from anafor.candidates import Candidate, SearchScope, constrained_candidates
+from anafor.candidates import Candidate, SearchScope, _window_start, constrained_candidates
 from anafor.corpus import NameDictionary
-from anafor.morphology import Lexicon
+from anafor.morphology import APOSTROPHES, Lexicon
 from anafor.resolver import Resolution, ResolvedDocument, ScoredCandidate
 from anafor.scoring import (
     DEFAULT_WEIGHTS,
     PreferenceVector,
     PreferenceWeights,
     ResolutionHistory,
-    feature_vector,
     score,
 )
-from anafor.textmodel import Document, Overtness, PronounMention, assemble_document
+from anafor.textmodel import (
+    PUNCTUATION_TOKENS,
+    Document,
+    Overtness,
+    PronounMention,
+    assemble_document,
+)
 from anafor.training import TrainConfig, TrainingInstance, TrainReport
+
+
+def _split_apostrophe(surface: str) -> tuple[str, str]:
+    cut = min((i for i in (surface.find(a) for a in APOSTROPHES) if i >= 0), default=-1)
+    if cut < 0:
+        return surface, ""
+    return surface[:cut], surface[cut + 1:]
+
+
+def _first_phrase_token(doc: Document, sentence_index: int) -> int | None:
+    sent = doc.sentences[sentence_index]
+    for i in range(sent.first, sent.last + 1):
+        if doc.tokens[i].surface not in PUNCTUATION_TOKENS:
+            return i
+    return None
+
+
+def _base_occurrences(
+    doc: Document, pronoun: PronounMention, base: str, scope: SearchScope
+) -> int:
+    count = 0
+    for i in range(_window_start(doc, pronoun, scope), pronoun.position):
+        if _split_apostrophe(doc.tokens[i].surface)[0] == base:
+            count += 1
+    return count
+
+
+def feature_vector(
+    doc: Document,
+    pronoun: PronounMention,
+    candidate: Candidate,
+    survivors: Iterable[Candidate],
+    history: ResolutionHistory,
+    scope: SearchScope = SearchScope(),
+) -> PreferenceVector:
+    """Compute the eight preference flags for one post-constraint candidate.
+
+    quoted_match is symmetric (both sides quoted, or both unquoted);
+    recency marks the survivors of the nearest populated sentence;
+    repetition requires every member base to occur at least twice in the
+    search window, replacement tokens included; punctuation asks whether
+    the token after the candidate's anchor is a comma.
+    """
+    pronoun_sentence = doc.sentence_index_of(pronoun.position)
+    nearest_sentence = max(c.sentence_index for c in survivors)
+    return PreferenceVector(
+        quoted_match=(
+            doc.tokens[pronoun.position].quoted == doc.tokens[candidate.anchor].quoted
+        ),
+        recency=candidate.sentence_index == nearest_sentence,
+        nominative=all(member.nominative for member in candidate.members),
+        first_np=(
+            candidate.members[0].token_index
+            == _first_phrase_token(doc, candidate.sentence_index)
+        ),
+        predicate_nominal=any(member.copular_suffix for member in candidate.members),
+        repetition=all(
+            _base_occurrences(doc, pronoun, member.base, scope) >= 2
+            for member in candidate.members
+        ),
+        punctuation=(
+            candidate.anchor + 1 < len(doc.tokens)
+            and doc.tokens[candidate.anchor + 1].surface == ","
+        ),
+        zero_antecedent_history=(
+            pronoun.overtness is Overtness.ZERO
+            and history.seen_before(candidate.base_names, pronoun_sentence)
+        ),
+    )
 
 
 def _replacement_surfaces(names: Sequence[str]) -> list[str]:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import anafor
 from anafor import load_weights
 from anafor.cli import main
 from conftest import FIXTURES, fixture_text
@@ -239,6 +243,34 @@ class TestLexiconOverride:
             )
         assert outputs[0][0] == 0
         assert outputs[1] == outputs[0]
+
+
+class TestNonUtf8Stdio:
+    @pytest.mark.parametrize("from_stdin", [True, False])
+    def test_stdin_and_stdout_are_utf8(self, tmp_path, from_stdin):
+        # Under a latin-1 locale, '-' used to be decoded as latin-1 (the
+        # pronoun was left ambiguous) and a paraphrase naming Ayşe could
+        # not be written to stdout at all.
+        text = 'Ayşe geldi. <zero id="1" kind="pers" num="sg"/> Güldü.\n'
+        names = tmp_path / "names.txt"
+        names.write_text("Ayşe\n", encoding="utf-8")
+        corpus = tmp_path / "story.txt"
+        corpus.write_text(text, encoding="utf-8")
+        env = dict(
+            os.environ,
+            PYTHONIOENCODING="latin-1",
+            PYTHONPATH=str(Path(anafor.__file__).parent.parent),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "anafor.cli", "resolve", "--dict", str(names),
+             "-" if from_stdin else str(corpus)],
+            input=text.encode("utf-8"),
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == "Ayşe geldi.\nAyşe Güldü.\n".encode("utf-8")
 
 
 class TestCompareCommand:

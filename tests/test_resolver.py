@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+import anafor.morphology
+import anafor.scoring
 from anafor import (
     DEFAULT_WEIGHTS,
     FEATURE_NAMES,
@@ -246,6 +248,34 @@ class TestReplacement:
             return built / len(doc.pronouns)
 
         assert per_pronoun(8) <= 1.5 * per_pronoun(1)
+
+    def test_window_reads_do_not_grow_with_survivors(self, monkeypatch):
+        # A count, not a timing: scoring that re-reads the window for each
+        # survivor splits every window token once per survivor.
+        original = anafor.morphology._split_apostrophe
+        calls = 0
+
+        def counting(surface):
+            nonlocal calls
+            calls += 1
+            return original(surface)
+
+        def splits(first_sentence):
+            nonlocal calls
+            doc = parse_document(
+                f'{first_sentence} geldi. <zero id="1" kind="pers" num="sg"/> Güldü.'
+            )
+            calls = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(anafor.morphology, "_split_apostrophe", counting)
+                patch.setattr(anafor.scoring, "_split_apostrophe", counting)
+                (resolution,) = resolve_document(doc, DICT).resolutions
+            return len(resolution.trace), calls
+
+        eight_survivors, eight_calls = splits("Ali Ayşe Ahmet Fatma Zerrin Murat Zeynep Tekin")
+        one_survivor, one_calls = splits("Ali sonra sonra sonra sonra sonra sonra sonra")
+        assert (eight_survivors, one_survivor) == (8, 1)
+        assert eight_calls <= one_calls
 
 
 class TestTraceIO:

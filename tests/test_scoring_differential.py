@@ -1,0 +1,79 @@
+"""``scoring.feature_vectors`` against the per-candidate ``feature_vector``
+of the seed (seed_walk.py), and the regex apostrophe split against the
+seed's ``min``-of-``find`` split."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import seed_walk
+from anafor import constrained_candidates, parse_document
+from anafor.candidates import SearchScope
+from anafor.morphology import _split_apostrophe
+from anafor.resolver import walk_document
+from anafor.scoring import ResolutionHistory, feature_vectors
+from conftest import fixture_text
+from test_acceptance import PROP_DICT, annotated_texts
+from test_walk_differential import FIXTURE_FILES, quoted_texts
+
+SCOPES = [0, 1, 3]
+
+
+def assert_same_vectors(doc, pronoun, survivors, history, scope) -> None:
+    assert feature_vectors(doc, pronoun, survivors, history, scope) == [
+        seed_walk.feature_vector(doc, pronoun, candidate, survivors, history, scope)
+        for candidate in survivors
+    ]
+
+
+def _history(survivors, sentence) -> ResolutionHistory:
+    # Survivor name sets recorded before, at and after the pronoun's
+    # sentence in turn: only the first kind counts as seen before.
+    history = ResolutionHistory()
+    history.record(frozenset({"Nobody"}), 0)
+    for i, candidate in enumerate(survivors):
+        history.record(candidate.base_names, sentence - 1 + i % 3)
+    return history
+
+
+def check_document(doc, names, scope) -> None:
+    """Every pronoun of the parsed text with a non-empty history, then every
+    pronoun met on a resolve walk, whose windows hold the names written in
+    and whose history is the walk's own."""
+    for pronoun in doc.pronouns:
+        survivors = constrained_candidates(doc, pronoun, names, scope)
+        history = _history(survivors, doc.sentence_index_of(pronoun.position))
+        assert_same_vectors(doc, pronoun, survivors, history, scope)
+
+    def choose(work, mention, survivors, history):
+        assert_same_vectors(work, mention, survivors, history, scope)
+        return [member.base for member in survivors[-1].members] if survivors else None
+
+    walk_document(doc, names, scope, None, choose)
+
+
+@pytest.mark.parametrize("relative", FIXTURE_FILES)
+@pytest.mark.parametrize("back", SCOPES)
+def test_fixtures_match_the_seed(relative, back, names9):
+    check_document(parse_document(fixture_text(relative)), names9, SearchScope(back))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.sampled_from(SCOPES))
+def test_generated_documents_match_the_seed(text, back):
+    check_document(parse_document(text), PROP_DICT, SearchScope(back))
+
+
+@settings(max_examples=1000)
+@given(surface=st.text(alphabet="'’İışaA", max_size=8))
+@example(surface="")
+@example(surface="'’")
+@example(surface="’'")
+@example(surface="'Ayşe")
+@example(surface="Ayşe'")
+@example(surface="Ayşe’")
+@example(surface="İsmail’in'di")
+@example(surface="Işık'ın’ı")
+def test_apostrophe_split_matches_the_seed(surface):
+    assert _split_apostrophe(surface) == seed_walk._split_apostrophe(surface)
