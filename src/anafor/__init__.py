@@ -48,7 +48,6 @@ from .scoring import (
     FEATURE_NAMES,
     PreferenceVector,
     PreferenceWeights,
-    ResolutionHistory,
     feature_vector,
     feature_vectors,
     load_weights,
@@ -65,7 +64,6 @@ from .resolver import (
     parse_trace,
     replace_mention,
     resolve_document,
-    resolve_pronoun,
 )
 from .training import TrainConfig, TrainingInstance, TrainReport, build_instances, train
 from .evaluation import Comparison, Metrics, evaluate

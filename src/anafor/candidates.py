@@ -32,8 +32,6 @@ class CandidateKind(enum.Enum):
 class Candidate:
     members: tuple[NameOccurrence, ...]
     kind: CandidateKind
-    number: Number
-    anchor: int  # token index of the last member, the recency anchor
     sentence_index: int
 
     def __post_init__(self) -> None:
@@ -43,6 +41,17 @@ class Candidate:
             raise ValueError("simple candidate must have exactly one member")
         if self.kind is not CandidateKind.SIMPLE and len(self.members) < 2:
             raise ValueError("compound/set candidate needs at least two members")
+
+    @property
+    def anchor(self) -> int:
+        """Token index of the last member, the recency anchor."""
+        return self.members[-1].token_index
+
+    @property
+    def number(self) -> Number:
+        if self.kind is CandidateKind.SIMPLE and not self.members[0].plural_suffix:
+            return Number.SINGULAR
+        return Number.PLURAL
 
     @property
     def base_names(self) -> frozenset[str]:
@@ -78,16 +87,6 @@ def scan_name_occurrences(
         if match is not None:
             occurrences.append(match)
     return occurrences
-
-
-def _simple_candidate(doc: Document, occurrence: NameOccurrence) -> Candidate:
-    return Candidate(
-        members=(occurrence,),
-        kind=CandidateKind.SIMPLE,
-        number=Number.PLURAL if occurrence.plural_suffix else Number.SINGULAR,
-        anchor=occurrence.token_index,
-        sentence_index=doc.sentence_index_of(occurrence.token_index),
-    )
 
 
 def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
@@ -126,14 +125,15 @@ def extract_candidates(
 ) -> list[Candidate]:
     """Simple and compound candidates for one pronoun, oldest anchor first."""
     occurrences = scan_name_occurrences(doc, pronoun, dictionary, scope, lexicon)
-    candidates = [_simple_candidate(doc, occ) for occ in occurrences]
+    candidates = [
+        Candidate((occ,), CandidateKind.SIMPLE, doc.sentence_index_of(occ.token_index))
+        for occ in occurrences
+    ]
     for run in _compound_runs(doc, occurrences):
         candidates.append(
             Candidate(
                 members=tuple(run),
                 kind=CandidateKind.COMPOUND,
-                number=Number.PLURAL,
-                anchor=run[-1].token_index,
                 sentence_index=doc.sentence_index_of(run[-1].token_index),
             )
         )
@@ -166,8 +166,6 @@ def generate_sets(
             Candidate(
                 members=tuple(members),
                 kind=CandidateKind.GENERATED_SET,
-                number=Number.PLURAL,
-                anchor=members[-1].token_index,
                 sentence_index=sentence,
             )
         )

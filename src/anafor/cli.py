@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser = subparsers.add_parser(
         "eval", help="score a resolution trace against a gold corpus"
     )
-    eval_parser.add_argument("--gold", required=True, metavar="PATH")
+    eval_parser.add_argument(
+        "--gold", required=True, metavar="PATH", help="gold corpus file ('-' for stdin)"
+    )
     eval_parser.add_argument("--trace", required=True, metavar="PATH")
     eval_parser.add_argument(
         "--format", choices=("text", "kv"), default="text", help="report format"
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser = subparsers.add_parser(
         "compare", parents=[shared], help="run system and baseline on one gold corpus"
     )
-    compare_parser.add_argument("gold", help="gold-annotated corpus file")
+    compare_parser.add_argument("gold", help="gold-annotated corpus file ('-' for stdin)")
     compare_parser.add_argument(
         "--weights", metavar="PATH", help="weights file (default: built-in weights)"
     )
@@ -191,7 +193,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
-    gold = parse_document(Path(args.gold).read_text(encoding="utf-8"), lexicon)
+    gold = parse_document(_read_input(args.gold), lexicon)
     records = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
     metrics = evaluate(records, gold)
     _write_stdout(metrics.format_text() if args.format == "text" else metrics.format_kv())
@@ -202,7 +204,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     dictionary = _load_dictionary(args)
     lexicon = _load_lexicon(args)
     scope = SearchScope(args.scope)
-    gold = parse_document(Path(args.gold).read_text(encoding="utf-8"), lexicon)
+    gold = parse_document(_read_input(args.gold), lexicon)
     weights = load_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
     system = evaluate(resolve_document(gold, dictionary, weights, scope, lexicon), gold)
     baseline = evaluate(baseline_resolve_document(gold, dictionary, scope, lexicon), gold)

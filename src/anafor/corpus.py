@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 import re
 
-from .morphology import Lexicon, classify_pronoun, turkish_lower, turkish_upper
+from .morphology import Lexicon, classify_pronoun, default_lexicon, turkish_lower, turkish_upper
 from .textmodel import (
     Document,
     Number,
@@ -111,8 +111,8 @@ class _Scanner:
         self.lexicon = lexicon
         self.surfaces: list[str] = []
         self.records: list[PronounMention] = []
-        # Zeros waiting for their token: index into records, tag offset.
-        self.pending_zeros: list[tuple[int, int]] = []
+        # Tag offset of the first zero still waiting for its token.
+        self.pending_zero: int | None = None
         self.seen_ids: set[int] = set()
         self._line_starts = [0] + [m.end() for m in re.finditer(r"\n", text)]
 
@@ -121,16 +121,9 @@ class _Scanner:
         return ParseError(message, line + 1, offset - self._line_starts[line] + 1)
 
     def emit_surface(self, surface: str) -> int:
-        index = len(self.surfaces)
+        self.pending_zero = None
         self.surfaces.append(surface)
-        for k, _offset in self.pending_zeros:
-            self.records[k] = replace(self.records[k], position=index)
-        self.pending_zeros.clear()
-        return index
-
-    def emit_chunk(self, chunk: str) -> None:
-        for surface in split_tokens(chunk):
-            self.emit_surface(surface)
+        return len(self.surfaces) - 1
 
     def parse_attrs(self, raw: str, offset: int, allowed: frozenset[str]) -> dict[str, str]:
         attrs: dict[str, str] = {}
@@ -170,6 +163,10 @@ class _Scanner:
             raise self.error("trailing ';' separator in ant attribute", offset)
         if not all(names):
             raise self.error("empty name in ant attribute", offset)
+        try:
+            NameDictionary.from_names(names)
+        except ValueError as exc:
+            raise self.error(f"bad name in ant attribute: {exc}", offset) from None
         return frozenset(names)
 
     def run(self) -> None:
@@ -177,7 +174,8 @@ class _Scanner:
         i = 0
         while True:
             lt = text.find("<", i)
-            self.emit_chunk(text[i:] if lt < 0 else text[i:lt])
+            for surface in split_tokens(text[i:] if lt < 0 else text[i:lt]):
+                self.emit_surface(surface)
             if lt < 0:
                 break
             if text.startswith("<pro", lt) and _PRO_OPEN_RE.match(text, lt):
@@ -186,9 +184,8 @@ class _Scanner:
                 i = self._read_zero(lt)
             else:
                 raise self.error("malformed tag", lt)
-        if self.pending_zeros:
-            _k, offset = self.pending_zeros[0]
-            raise self.error("zero pronoun tag has no following token", offset)
+        if self.pending_zero is not None:
+            raise self.error("zero pronoun tag has no following token", self.pending_zero)
 
     def _read_pro(self, offset: int) -> int:
         match = _PRO_OPEN_RE.match(self.text, offset)
@@ -217,7 +214,6 @@ class _Scanner:
                 id=mention_id,
                 kind=form.kind,
                 number=form.number,
-                overtness=Overtness.OVERT,
                 position=position,
                 surface=surface,
                 gold_antecedent=gold,
@@ -244,15 +240,15 @@ class _Scanner:
         except ValueError:
             raise self.error(f"unknown num value: {attrs['num']!r}", offset) from None
         gold = self.parse_gold(attrs, offset)
-        # The position is set when the token the zero precedes is emitted.
-        self.pending_zeros.append((len(self.records), offset))
+        if self.pending_zero is None:
+            self.pending_zero = offset
+        # The zero precedes the next token, which takes this index.
         self.records.append(
             PronounMention(
                 id=mention_id,
                 kind=kind,
                 number=number,
-                overtness=Overtness.ZERO,
-                position=-1,
+                position=len(self.surfaces),
                 gold_antecedent=gold,
             )
         )
@@ -262,8 +258,6 @@ class _Scanner:
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
     byte-order mark is dropped."""
-    from .morphology import default_lexicon
-
     scanner = _Scanner(text.removeprefix("\ufeff"), lexicon or default_lexicon())
     scanner.run()
     spans = sentence_spans(scanner.surfaces)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace as dc_replace
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .candidates import Candidate, SearchScope, constrained_candidates
 from .corpus import NameDictionary
@@ -28,7 +28,6 @@ from .scoring import (
     DEFAULT_WEIGHTS,
     PreferenceVector,
     PreferenceWeights,
-    ResolutionHistory,
     feature_vectors,
     most_recent_max,
     score,
@@ -122,9 +121,9 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
     ]) + _shifted(rest, delta)
 
     own = doc.sentences[sentence]
-    sentences = doc.sentences[:sentence] + (Sentence(sentence, own.first, own.last + delta),)
+    sentences = doc.sentences[:sentence] + (Sentence(own.first, own.last + delta),)
     sentences += tuple([
-        Sentence(s.index, s.first + delta, s.last + delta) for s in doc.sentences[sentence + 1:]
+        Sentence(s.first + delta, s.last + delta) for s in doc.sentences[sentence + 1:]
     ])
 
     # Mentions are ordered by position, so the ones after the resolved one
@@ -145,7 +144,8 @@ def walk_document(
     scope: SearchScope,
     lexicon: Lexicon | None,
     choose: Callable[
-        [Document, PronounMention, list[Candidate], ResolutionHistory], Sequence[str] | None
+        [Document, PronounMention, list[Candidate], AbstractSet[frozenset[str]]],
+        Sequence[str] | None,
     ],
 ) -> Document:
     """The left-to-right pass shared by resolve, baseline and training.
@@ -157,13 +157,16 @@ def walk_document(
     order ``choose`` sees the text up to the end of the pronoun's sentence,
     the mention, its constrained survivors and the zero-pronoun history,
     and returns the names to write in, or None to leave the pronoun in
-    place.  Returns the document with every chosen replacement made.
+    place.  The history is the set of name sets written in for zero
+    pronouns of earlier sentences; a sentence's own zeros join it only
+    once the whole sentence is walked.  Returns the document with every
+    chosen replacement made.
     """
     work = Document((), (), ())
-    history = ResolutionHistory()
+    history: set[frozenset[str]] = set()
     left_in_place = 0
     next_mention = 0
-    for sentence in doc.sentences:
+    for k, sentence in enumerate(doc.sentences):
         offset = len(work.tokens) - sentence.first
         mentions = []
         while (next_mention < len(doc.pronouns)
@@ -172,12 +175,11 @@ def walk_document(
             mentions.append(dc_replace(mention, position=mention.position + offset))
             next_mention += 1
         work = Document(
-            work.tokens + _shifted(doc.sentence_tokens(sentence.index), offset),
-            work.sentences + (
-                Sentence(sentence.index, sentence.first + offset, sentence.last + offset),
-            ),
+            work.tokens + _shifted(doc.sentence_tokens(k), offset),
+            work.sentences + (Sentence(sentence.first + offset, sentence.last + offset),),
             work.pronouns + tuple(mentions),
         )
+        zeros = []
         for _ in mentions:
             # Replaced mentions leave work.pronouns and the rest keep their
             # order, so the next unvisited mention follows the ones left in place.
@@ -189,7 +191,8 @@ def walk_document(
                 continue
             work = replace_mention(work, mention, names)
             if mention.overtness is Overtness.ZERO:
-                history.record(frozenset(names), sentence.index)
+                zeros.append(frozenset(names))
+        history.update(zeros)
     work.validate()
     return work
 
@@ -198,7 +201,7 @@ def _decide(
     doc: Document,
     pronoun: PronounMention,
     survivors: list[Candidate],
-    history: ResolutionHistory,
+    history: AbstractSet[frozenset[str]],
     weights: PreferenceWeights | None,
     scope: SearchScope,
 ) -> tuple[Resolution, Candidate | None]:
@@ -217,26 +220,6 @@ def _decide(
     best = scored[most_recent_max([entry.score for entry in scored])]
     resolution = Resolution(pronoun.id, best.candidate.base_names, best.score, tuple(scored))
     return resolution, best.candidate
-
-
-def resolve_pronoun(
-    doc: Document,
-    pronoun: PronounMention,
-    dictionary: NameDictionary,
-    weights: PreferenceWeights = DEFAULT_WEIGHTS,
-    history: ResolutionHistory | None = None,
-    scope: SearchScope = SearchScope(),
-    lexicon: Lexicon | None = None,
-) -> Resolution:
-    """Resolve a single pronoun against the current document state.
-
-    Expects earlier pronouns to have been replaced already; the highest
-    scoring survivor wins, ties go to the most recent anchor, and an empty
-    survivor set reports the pronoun as ambiguous.
-    """
-    survivors = constrained_candidates(doc, pronoun, dictionary, scope, lexicon)
-    history = history if history is not None else ResolutionHistory()
-    return _decide(doc, pronoun, survivors, history, weights, scope)[0]
 
 
 def _resolve_all(

@@ -3,7 +3,9 @@
 :func:`feature_vectors` computes the flags of all of a pronoun's survivors
 at once: the window facts they share (the name counts of the search window,
 the nearest populated sentence, the first phrase token of each sentence)
-are worked out once per pronoun, not once per candidate.
+are worked out once per pronoun, not once per candidate.  The zero-pronoun
+history is the caller's: a set of the name sets already written in for
+zero pronouns of earlier sentences, which the document walk keeps.
 
 Feature order is part of the serialization contract (weights files, trace
 bit strings): quoted_match, recency, nominative, first_np,
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, SearchScope, _window_start
 from .morphology import _split_apostrophe
@@ -121,23 +123,6 @@ def load_weights(path) -> PreferenceWeights:
         return parse_weights(handle.read())
 
 
-@dataclass
-class ResolutionHistory:
-    """Base-name sets chosen for zero pronouns earlier in the document,
-    together with the sentence index of each such zero pronoun."""
-
-    _entries: list[tuple[frozenset[str], int]] = field(default_factory=list)
-
-    def record(self, names: frozenset[str], sentence_index: int) -> None:
-        self._entries.append((frozenset(names), sentence_index))
-
-    def seen_before(self, names: frozenset[str], sentence_index: int) -> bool:
-        return any(
-            entry == names and recorded < sentence_index
-            for entry, recorded in self._entries
-        )
-
-
 def _first_phrase_token(doc: Document, sentence_index: int) -> int | None:
     sent = doc.sentences[sentence_index]
     for i in range(sent.first, sent.last + 1):
@@ -150,7 +135,7 @@ def feature_vectors(
     doc: Document,
     pronoun: PronounMention,
     survivors: Sequence[Candidate],
-    history: ResolutionHistory,
+    history: AbstractSet[frozenset[str]],
     scope: SearchScope = SearchScope(),
 ) -> list[PreferenceVector]:
     """Compute the eight preference flags for each post-constraint
@@ -160,12 +145,12 @@ def feature_vectors(
     recency marks the survivors of the nearest populated sentence;
     repetition requires every member base to occur at least twice in the
     search window, replacement tokens included; punctuation asks whether
-    the token after the candidate's anchor is a comma.  The window is read
-    once for all survivors.
+    the token after the candidate's anchor is a comma;
+    zero_antecedent_history asks whether a zero pronoun's candidate names
+    are in ``history``.  The window is read once for all survivors.
     """
     if not survivors:
         return []
-    pronoun_sentence = doc.sentence_index_of(pronoun.position)
     pronoun_quoted = doc.tokens[pronoun.position].quoted
     nearest_sentence = max(c.sentence_index for c in survivors)
     window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]
@@ -189,9 +174,7 @@ def feature_vectors(
                 candidate.anchor + 1 < len(doc.tokens)
                 and doc.tokens[candidate.anchor + 1].surface == ","
             ),
-            zero_antecedent_history=(
-                zero and history.seen_before(candidate.base_names, pronoun_sentence)
-            ),
+            zero_antecedent_history=zero and candidate.base_names in history,
         ))
     return vectors
 
@@ -201,7 +184,7 @@ def feature_vector(
     pronoun: PronounMention,
     candidate: Candidate,
     survivors: Iterable[Candidate],
-    history: ResolutionHistory,
+    history: AbstractSet[frozenset[str]],
     scope: SearchScope = SearchScope(),
 ) -> PreferenceVector:
     """The :func:`feature_vectors` entry of one candidate, which must be

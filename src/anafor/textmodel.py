@@ -58,7 +58,6 @@ class Token:
 
 @dataclass(frozen=True)
 class Sentence:
-    index: int
     first: int  # token indices, inclusive
     last: int
 
@@ -67,26 +66,27 @@ class Sentence:
 class PronounMention:
     """One overt or zero pronoun occurrence.
 
+    ``surface`` is the pronoun token's text for an overt mention and empty for
+    a zero mention: an empty surface is what makes a mention zero.
     ``position`` is the index of the pronoun token itself for overt
     mentions; for zero mentions it is the index of the token the zero
-    marker precedes.  ``surface`` is empty for zero mentions.
+    marker precedes.
     """
 
     id: int
     kind: PronounKind
     number: Number
-    overtness: Overtness
     position: int
     surface: str = ""
     gold_antecedent: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
-        if self.overtness is Overtness.ZERO and self.surface:
-            raise ValueError("zero pronoun must have an empty surface")
-        if self.overtness is Overtness.OVERT and not self.surface:
-            raise ValueError("overt pronoun must carry its surface form")
         if self.gold_antecedent is not None and not self.gold_antecedent:
             raise ValueError("gold antecedent, when present, must be non-empty")
+
+    @property
+    def overtness(self) -> Overtness:
+        return Overtness.OVERT if self.surface else Overtness.ZERO
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,6 @@ class Document:
                 raise ValueError(f"token {i} carries index {token.index}")
         expected_start = 0
         for k, sent in enumerate(self.sentences):
-            if sent.index != k:
-                raise ValueError(f"sentence {k} carries index {sent.index}")
             first, last = sent.first, sent.last
             if first != expected_start or last < first:
                 raise ValueError(f"sentence {k} range {(first, last)} is not adjacent")
@@ -212,7 +210,7 @@ def assemble_document(
         for surface in sent_surfaces:
             surfaces.append(surface)
             sentence_of.append(k)
-        sentences.append(Sentence(k, first, len(surfaces) - 1))
+        sentences.append(Sentence(first, len(surfaces) - 1))
 
     quoted = _quoted_flags(surfaces, sentence_of)
     tokens = tuple(

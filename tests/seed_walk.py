@@ -8,11 +8,13 @@ own.  ``replace_mention`` re-assembles and re-validates the whole document,
 so it is also the reference for the package's spliced replacement, and
 ``feature_vector`` (which re-reads the search window for every member of
 every survivor) is the reference for ``anafor.scoring.feature_vectors``.
+``ResolutionHistory`` is the seed's zero-pronoun history, which the walk
+now keeps as a plain set of name sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Iterable, Sequence
 
 from anafor.candidates import Candidate, SearchScope, _window_start, constrained_candidates
@@ -23,7 +25,6 @@ from anafor.scoring import (
     DEFAULT_WEIGHTS,
     PreferenceVector,
     PreferenceWeights,
-    ResolutionHistory,
     score,
 )
 from anafor.textmodel import (
@@ -34,6 +35,23 @@ from anafor.textmodel import (
     assemble_document,
 )
 from anafor.training import TrainConfig, TrainingInstance, TrainReport
+
+
+@dataclass
+class ResolutionHistory:
+    """Base-name sets chosen for zero pronouns earlier in the document,
+    together with the sentence index of each such zero pronoun."""
+
+    _entries: list[tuple[frozenset[str], int]] = field(default_factory=list)
+
+    def record(self, names: frozenset[str], sentence_index: int) -> None:
+        self._entries.append((frozenset(names), sentence_index))
+
+    def seen_before(self, names: frozenset[str], sentence_index: int) -> bool:
+        return any(
+            entry == names and recorded < sentence_index
+            for entry, recorded in self._entries
+        )
 
 
 def _split_apostrophe(surface: str) -> tuple[str, str]:

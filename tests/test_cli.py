@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -19,6 +20,10 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def _stdin(monkeypatch, text: str) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
 
 
 class TestResolveCommand:
@@ -180,6 +185,16 @@ class TestEvalCommand:
         assert status == 0
         assert "identified=1" in out and "recall=1.000000" in out
 
+    def test_gold_from_stdin(self, capsys, tmp_path, monkeypatch):
+        _stdin(monkeypatch, 'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.')
+        trace = tmp_path / "trace.tsv"
+        trace.write_text("1\tresolved\tAli\t1.0000\t-\n", encoding="utf-8")
+        status, out, err = _run(
+            capsys, "eval", "--gold", "-", "--trace", str(trace), "--format", "kv"
+        )
+        assert (status, err) == (0, "")
+        assert "identified=1" in out and "recall=1.000000" in out
+
 
 class TestLexiconOverride:
     def test_custom_lexicon_changes_classification(self, capsys, tmp_path):
@@ -291,3 +306,35 @@ class TestCompareCommand:
         assert status == 0
         assert "system.recall=1.000000" in out
         assert "baseline.recall=0.000000" in out
+
+    def test_gold_from_stdin(self, capsys, monkeypatch):
+        _stdin(monkeypatch, fixture_text("corpora/p7_punctuation.txt"))
+        status, out, err = _run(
+            capsys, "compare", "--dict", str(NAMES), "-", "--format", "kv"
+        )
+        assert (status, err) == (0, "")
+        assert "system.recall=1.000000" in out
+        assert "baseline.recall=0.000000" in out
+
+    @pytest.mark.parametrize(
+        "command,ant,message",
+        [
+            ("compare", " Ayşe", "dictionary entry contains whitespace: ' Ayşe'"),
+            ("train", "Ali Veli", "dictionary entry contains whitespace: 'Ali Veli'"),
+        ],
+    )
+    def test_gold_name_outside_the_name_rule_is_a_located_error(
+        self, capsys, tmp_path, command, ant, message
+    ):
+        # Such a name can never match a candidate: compare used to report
+        # 0.0% recall and train an unlocated token error.
+        names = tmp_path / "names.txt"
+        names.write_text("Ali\nAyşe\n", encoding="utf-8")
+        corpus = tmp_path / "gold.txt"
+        corpus.write_text(
+            f'Ayşe geldi. <zero id="1" kind="pers" num="sg" ant="{ant}"/> Gitti.',
+            encoding="utf-8",
+        )
+        status, out, err = _run(capsys, command, "--dict", str(names), str(corpus))
+        assert (status, out) == (1, "")
+        assert err == f"anafor: error: line 1, column 13: bad name in ant attribute: {message}\n"

@@ -78,6 +78,9 @@ class TestParseDocument:
             ('Ali <pro id="1" ant="Ali;;Veli">onu</pro> gördü.', "empty name"),
             ('Ali <pro id="1" ant=";Ali">onu</pro> gördü.', "empty name"),
             ('Ali <pro id="1" ant="Ali;;">onu</pro> gördü.', "empty name"),
+            ('Ali <pro id="1" ant=" Ayşe">onu</pro> gördü.', "bad name .* whitespace"),
+            ('Ali <pro id="1" ant="Ali\'yi">onu</pro> gördü.', "bad name .* reserved"),
+            ('Ali <pro id="1" ant="ali">onu</pro> gördü.', "bad name .* uppercase"),
         ],
     )
     def test_parse_errors(self, bad, message):

@@ -76,6 +76,20 @@ class TestResolveDocument:
             chosen_flags.append(winner.vector.zero_antecedent_history)
         assert chosen_flags == [False, True, True]
 
+    def test_history_skips_zeros_of_the_same_sentence(self):
+        # Zero 1's Ali joins the history only once its sentence is walked:
+        # zero 2 shares that sentence and gets no credit, zero 3 does.
+        doc = parse_document(
+            'Ali geldi. <zero id="1" kind="pers" num="sg"/> Güldü, '
+            '<zero id="2" kind="pers" num="sg"/> oturdu. '
+            '<zero id="3" kind="pers" num="sg"/> Gitti.'
+        )
+        dictionary = NameDictionary.from_names(["Ali", "Ayşe"])
+        lines = format_trace(resolve_document(doc, dictionary).resolutions).splitlines()
+        entries = {line.split("\t")[0]: line.split("\t")[4].split("|") for line in lines}
+        assert [entry.split("=")[0] for entry in entries["2"]] == ["Ali:11110100"]
+        assert entries["3"] and all(entry.split("=")[0].endswith("1") for entry in entries["3"])
+
     def test_empty_dictionary_makes_everything_ambiguous(self):
         doc = parse_document(fixture_text("corpora/p2_recency.txt"))
         resolved = resolve_document(doc, NameDictionary(frozenset()))
@@ -118,19 +132,9 @@ class TestResolveDocument:
 
 
 class TestResolvePronoun:
-    def test_single_pronoun_matches_document_run(self):
-        doc = parse_document(fixture_text("corpora/p7_punctuation.txt"))
-        from anafor import resolve_pronoun
-
-        single = resolve_pronoun(doc, doc.pronouns[0], DICT)
-        (full,) = resolve_document(doc, DICT).resolutions
-        assert single == full
-
     def test_empty_survivors_is_ambiguous(self):
         doc = parse_document('<pro id="1">O</pro> geldi.')
-        from anafor import resolve_pronoun
-
-        resolution = resolve_pronoun(doc, doc.pronouns[0], DICT)
+        (resolution,) = resolve_document(doc, DICT).resolutions
         assert not resolution.resolved
         assert resolution.trace == ()
 

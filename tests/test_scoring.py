@@ -8,7 +8,6 @@ from anafor import (
     NameDictionary,
     PreferenceVector,
     PreferenceWeights,
-    ResolutionHistory,
     constrained_candidates,
     feature_vector,
     parse_document,
@@ -25,11 +24,10 @@ DICT = NameDictionary.from_names(
 )
 
 
-def _vectors(text, dictionary=DICT, pronoun_index=0, history=None):
+def _vectors(text, dictionary=DICT, pronoun_index=0, history=frozenset()):
     doc = parse_document(text)
     pronoun = doc.pronouns[pronoun_index]
     survivors = constrained_candidates(doc, pronoun, dictionary)
-    history = history if history is not None else ResolutionHistory()
     return doc, pronoun, {
         ";".join(m.base for m in c.members): feature_vector(
             doc, pronoun, c, survivors, history
@@ -100,24 +98,17 @@ class TestFeatureVector:
         assert vectors["Zeynep"].repetition is False
 
     def test_zero_antecedent_history_needs_zero_pronoun(self):
-        history = ResolutionHistory()
-        history.record(frozenset({"Ali"}), 0)
+        history = {frozenset({"Ali"})}
         _, _, vectors = _vectors(
             'Ali geldi. Murat <pro id="1">onu</pro> gördü.', history=history
         )
         assert vectors["Ali"].zero_antecedent_history is False  # overt pronoun
 
     def test_zero_antecedent_history_needs_earlier_sentence(self):
-        same_sentence = ResolutionHistory()
-        same_sentence.record(frozenset({"Ali"}), 1)
-        _, _, vectors = _vectors(
-            'Ali geldi. <zero id="1" kind="pers" num="sg"/> Gitti.',
-            history=same_sentence,
-        )
-        assert vectors["Ali"].zero_antecedent_history is False
-
-        earlier = ResolutionHistory()
-        earlier.record(frozenset({"Ali"}), 0)
+        # The history holds earlier sentences' names only; the walk keeps a
+        # sentence's own zeros out of it (test_resolver's
+        # test_history_skips_zeros_of_the_same_sentence).
+        earlier = {frozenset({"Ali"})}
         _, _, vectors = _vectors(
             'Ali geldi. <zero id="1" kind="pers" num="sg"/> Gitti.', history=earlier
         )

@@ -12,7 +12,7 @@ from anafor import constrained_candidates, parse_document
 from anafor.candidates import SearchScope
 from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
-from anafor.scoring import ResolutionHistory, feature_vectors
+from anafor.scoring import feature_vectors
 from conftest import fixture_text
 from test_acceptance import PROP_DICT, annotated_texts
 from test_walk_differential import FIXTURE_FILES, quoted_texts
@@ -20,20 +20,25 @@ from test_walk_differential import FIXTURE_FILES, quoted_texts
 SCOPES = [0, 1, 3]
 
 
-def assert_same_vectors(doc, pronoun, survivors, history, scope) -> None:
+def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope) -> None:
     assert feature_vectors(doc, pronoun, survivors, history, scope) == [
-        seed_walk.feature_vector(doc, pronoun, candidate, survivors, history, scope)
+        seed_walk.feature_vector(doc, pronoun, candidate, survivors, seed_history, scope)
         for candidate in survivors
     ]
 
 
-def _history(survivors, sentence) -> ResolutionHistory:
+def _records(survivors, sentence) -> list[tuple[frozenset[str], int]]:
     # Survivor name sets recorded before, at and after the pronoun's
     # sentence in turn: only the first kind counts as seen before.
-    history = ResolutionHistory()
-    history.record(frozenset({"Nobody"}), 0)
-    for i, candidate in enumerate(survivors):
-        history.record(candidate.base_names, sentence - 1 + i % 3)
+    return [(frozenset({"Nobody"}), 0)] + [
+        (candidate.base_names, sentence - 1 + i % 3) for i, candidate in enumerate(survivors)
+    ]
+
+
+def _seed_history(records) -> seed_walk.ResolutionHistory:
+    history = seed_walk.ResolutionHistory()
+    for bases, sentence in records:
+        history.record(bases, sentence)
     return history
 
 
@@ -43,11 +48,16 @@ def check_document(doc, names, scope) -> None:
     and whose history is the walk's own."""
     for pronoun in doc.pronouns:
         survivors = constrained_candidates(doc, pronoun, names, scope)
-        history = _history(survivors, doc.sentence_index_of(pronoun.position))
-        assert_same_vectors(doc, pronoun, survivors, history, scope)
+        sentence = doc.sentence_index_of(pronoun.position)
+        records = _records(survivors, sentence)
+        history = {bases for bases, recorded in records if recorded < sentence}
+        assert_same_vectors(doc, pronoun, survivors, history, _seed_history(records), scope)
 
     def choose(work, mention, survivors, history):
-        assert_same_vectors(work, mention, survivors, history, scope)
+        # The walk's set holds earlier sentences' names only, so the seed
+        # gets them as recorded before the first sentence.
+        seed_history = _seed_history((bases, -1) for bases in history)
+        assert_same_vectors(work, mention, survivors, history, seed_history, scope)
         return [member.base for member in survivors[-1].members] if survivors else None
 
     walk_document(doc, names, scope, None, choose)

@@ -4,7 +4,6 @@ import pytest
 
 from anafor import (
     Number,
-    Overtness,
     PronounKind,
     PronounMention,
     Token,
@@ -146,16 +145,14 @@ class TestDocumentInvariants:
 
     def test_assemble_rejects_duplicate_ids(self):
         mentions = [
-            PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, Overtness.OVERT, 0, "onu"),
-            PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, Overtness.ZERO, 1),
+            PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 0, "onu"),
+            PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 1),
         ]
         with pytest.raises(ValueError):
             assemble_document([["onu", "gördü", "."]], mentions)
 
     def test_assemble_rejects_out_of_range_position(self):
-        mention = PronounMention(
-            1, PronounKind.PERSONAL, Number.SINGULAR, Overtness.ZERO, 9
-        )
+        mention = PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 9)
         with pytest.raises(ValueError):
             assemble_document([["Ali", "geldi", "."]], [mention])
 
