@@ -13,6 +13,7 @@ from .evaluation import Comparison, evaluate
 from .morphology import Lexicon
 from .resolver import baseline_resolve_document, format_trace, parse_trace, resolve_document
 from .scoring import DEFAULT_WEIGHTS, format_weights, load_weights, save_weights
+from .textmodel import Document
 from .training import TrainConfig, build_instances, train
 
 DICT_ENV_VAR = "ANAFOR_DICT"
@@ -61,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     resolve_parser.add_argument(
         "--weights", metavar="PATH", help="weights file (default: built-in weights)"
     )
-    resolve_parser.add_argument("--trace", metavar="PATH", help="write a resolution trace")
+    resolve_parser.add_argument(
+        "--trace", metavar="PATH", help="write a resolution trace ('-' for stdout)"
+    )
     resolve_parser.add_argument(
         "-o", "--output", metavar="PATH", help="paraphrase file (default: stdout)"
     )
@@ -70,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline", parents=[shared], help="resolve favouring the most recent candidate"
     )
     baseline_parser.add_argument("input", help="annotated corpus file ('-' for stdin)")
-    baseline_parser.add_argument("--trace", metavar="PATH", help="write a resolution trace")
+    baseline_parser.add_argument(
+        "--trace", metavar="PATH", help="write a resolution trace ('-' for stdout)"
+    )
     baseline_parser.add_argument(
         "-o", "--output", metavar="PATH", help="paraphrase file (default: stdout)"
     )
@@ -95,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument(
         "--gold", required=True, metavar="PATH", help="gold corpus file ('-' for stdin)"
     )
-    eval_parser.add_argument("--trace", required=True, metavar="PATH")
+    eval_parser.add_argument(
+        "--trace", required=True, metavar="PATH", help="resolution trace ('-' for stdin)"
+    )
     eval_parser.add_argument(
         "--format", choices=("text", "kv"), default="text", help="report format"
     )
@@ -150,7 +157,18 @@ def _load_lexicon(args: argparse.Namespace) -> Lexicon | None:
     return None
 
 
+def _check_gold_names(doc: Document, dictionary: NameDictionary) -> None:
+    for mention in doc.pronouns:
+        for name in sorted(mention.gold_antecedent or ()):
+            if name not in dictionary:
+                raise ValueError(
+                    f"pronoun {mention.id}: gold name {name!r} is not in the name dictionary"
+                )
+
+
 def _cmd_resolve(args: argparse.Namespace, baseline: bool) -> int:
+    if args.trace == "-" and args.output is None:
+        raise ValueError("--trace - needs -o PATH: the paraphrase already goes to stdout")
     dictionary = _load_dictionary(args)
     lexicon = _load_lexicon(args)
     scope = SearchScope(args.scope)
@@ -162,7 +180,8 @@ def _cmd_resolve(args: argparse.Namespace, baseline: bool) -> int:
         resolved = resolve_document(doc, dictionary, weights, scope, lexicon)
     _write_output(args.output, serialize_document(resolved.paraphrased))
     if args.trace:
-        Path(args.trace).write_text(format_trace(resolved.resolutions), encoding="utf-8")
+        trace = format_trace(resolved.resolutions)
+        _write_output(None if args.trace == "-" else args.trace, trace)
     return 0
 
 
@@ -171,6 +190,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     scope = SearchScope(args.scope)
     corpus = [parse_document(_read_input(path), lexicon) for path in args.inputs]
+    for doc in corpus:
+        _check_gold_names(doc, dictionary)
     instances, skipped = build_instances(corpus, dictionary, scope, lexicon)
     if not instances:
         raise ValueError(f"no usable training instances ({skipped} skipped)")
@@ -192,9 +213,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.gold == "-" and args.trace == "-":
+        raise ValueError("--gold and --trace cannot both read stdin")
     lexicon = _load_lexicon(args)
     gold = parse_document(_read_input(args.gold), lexicon)
-    records = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
+    records = parse_trace(_read_input(args.trace))
     metrics = evaluate(records, gold)
     _write_stdout(metrics.format_text() if args.format == "text" else metrics.format_kv())
     return 0
@@ -205,6 +228,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     scope = SearchScope(args.scope)
     gold = parse_document(_read_input(args.gold), lexicon)
+    _check_gold_names(gold, dictionary)
     weights = load_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
     system = evaluate(resolve_document(gold, dictionary, weights, scope, lexicon), gold)
     baseline = evaluate(baseline_resolve_document(gold, dictionary, scope, lexicon), gold)

@@ -7,11 +7,10 @@ choice of what to write in.  Whenever a pronoun is resolved, its token (or
 zero-marker position) is rewritten to the antecedent's bare base names
 joined with ``ve``, so the replacement is visible to later candidate
 extraction and repetition counting.  Ambiguous pronouns stay in the text
-untouched.  The walk takes the text in one sentence at a time, and a
-replacement is spliced into the sentence it falls in: sentence boundaries
-never move, and only the tokens, sentences and mentions right of the
-pronoun shift.  The resolver picks the highest-scoring survivor; the
-baseline scores nothing, so the most recent survivor wins.
+untouched.  The walk grows one working text a sentence at a time and
+splices each replacement into it in place, so sentence boundaries never
+move.  The resolver picks the highest-scoring survivor; the baseline
+scores nothing, so the most recent survivor wins.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ def _replacement_surfaces(names: Sequence[str]) -> list[str]:
     return surfaces
 
 
-def _shifted(tokens: Sequence[Token], delta: int) -> tuple[Token, ...]:
-    return tuple([Token(t.surface, t.index + delta, t.sentence_index, t.quoted) for t in tokens])
+def _shifted(tokens: Sequence[Token], delta: int) -> list[Token]:
+    return [Token(t.surface, t.index + delta, t.sentence_index, t.quoted) for t in tokens]
 
 
 def _quote_open_before(tokens: Sequence[Token], position: int) -> bool:
@@ -94,48 +93,48 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
     """Rewrite one pronoun as its antecedent names and drop it from the
     mention list; positions of later mentions shift accordingly.
 
-    The tokens left of the pronoun are kept; the names and shifted copies of
-    the tokens right of it are spliced in, so the cost grows with the text
-    after the pronoun, not with the document.  The names take only their
-    quote flag from the tokens around them.  No name may be a quote mark,
-    since that would re-pair every quote after it.
+    The names and shifted copies of the tokens right of the pronoun are
+    spliced in, so the cost grows with the text after the pronoun.  The
+    walk's working text, held in lists, is edited in place and returned;
+    any other Document is left as it is and a new one is returned.  The
+    names take only their quote flag from the tokens around them.  No name
+    may be a quote mark, since that would re-pair every quote after it.
     """
     if not names:
         raise ValueError("replacement needs at least one name")
     if QUOTE in names:
         raise ValueError("a replacement name cannot be a quote mark")
-    tokens = doc.tokens
+    in_place = isinstance(doc.tokens, list)
+    work = doc if in_place else Document(list(doc.tokens), list(doc.sentences), list(doc.pronouns))
+    tokens, sentences, pronouns = work.tokens, work.sentences, work.pronouns
     position = mention.position
     at = tokens[position]
     overt = mention.overtness is Overtness.OVERT
     inserted = _replacement_surfaces(names)
     delta = len(inserted) - overt
-    rest = tokens[position + overt:]
     if overt or at.surface != QUOTE:
         quoted = at.quoted
     else:
         quoted = _quote_open_before(tokens, position)
     sentence = at.sentence_index
-    new_tokens = tokens[:position] + tuple([
+    tokens[position:] = [
         Token(surface, position + k, sentence, quoted) for k, surface in enumerate(inserted)
-    ]) + _shifted(rest, delta)
+    ] + _shifted(tokens[position + overt:], delta)
 
-    own = doc.sentences[sentence]
-    sentences = doc.sentences[:sentence] + (Sentence(own.first, own.last + delta),)
-    sentences += tuple([
-        Sentence(s.first + delta, s.last + delta) for s in doc.sentences[sentence + 1:]
-    ])
+    own = sentences[sentence]
+    sentences[sentence:] = [Sentence(own.first, own.last + delta)] + [
+        Sentence(s.first + delta, s.last + delta) for s in sentences[sentence + 1:]
+    ]
 
     # Mentions are ordered by position, so the ones after the resolved one
     # are exactly those at or right of the splice point.
-    pronouns = doc.pronouns
     i = bisect_left(pronouns, position, key=attrgetter("position"))
     while pronouns[i].id != mention.id:
         i += 1
-    later = pronouns[i + 1:]
-    if delta:
-        later = tuple([dc_replace(m, position=m.position + delta) for m in later])
-    return Document(new_tokens, sentences, pronouns[:i] + later)
+    pronouns[i:] = [dc_replace(m, position=m.position + delta) for m in pronouns[i + 1:]]
+    if in_place:
+        return doc
+    return Document(tuple(tokens), tuple(sentences), tuple(pronouns))
 
 
 def walk_document(
@@ -150,39 +149,37 @@ def walk_document(
 ) -> Document:
     """The left-to-right pass shared by resolve, baseline and training.
 
-    The text is taken in one sentence at a time: before the pronouns of a
-    sentence are visited, the sentence is appended to the working text with
-    its tokens and mentions shifted past the replacements made so far.
-    Candidates never lie right of a pronoun, so for each pronoun in document
-    order ``choose`` sees the text up to the end of the pronoun's sentence,
-    the mention, its constrained survivors and the zero-pronoun history,
-    and returns the names to write in, or None to leave the pronoun in
-    place.  The history is the set of name sets written in for zero
-    pronouns of earlier sentences; a sentence's own zeros join it only
-    once the whole sentence is walked.  Returns the document with every
-    chosen replacement made.
+    The working text is the only Document over lists.  Before the pronouns
+    of a sentence are visited, the sentence's tokens, Sentence and mentions
+    are appended to it, shifted past the replacements made so far.  Each
+    replacement is spliced into it in place and, as the lists end at the
+    current sentence, costs only the rest of that sentence.  Candidates
+    never lie right of a pronoun, so for each pronoun in document order
+    ``choose`` sees the text up to the end of the pronoun's sentence, the
+    mention, its constrained survivors and the zero-pronoun history, and
+    returns the names to write in, or None to leave the pronoun in place;
+    it must not keep the working text.  The history is the set of name
+    sets written in for zero pronouns of earlier sentences; a sentence's
+    own zeros join it only once the whole sentence is walked.  Returns the
+    document with every chosen replacement made.
     """
-    work = Document((), (), ())
+    work = Document([], [], [])
     history: set[frozenset[str]] = set()
     left_in_place = 0
     next_mention = 0
     for k, sentence in enumerate(doc.sentences):
         offset = len(work.tokens) - sentence.first
-        mentions = []
         while (next_mention < len(doc.pronouns)
                and doc.pronouns[next_mention].position <= sentence.last):
             mention = doc.pronouns[next_mention]
-            mentions.append(dc_replace(mention, position=mention.position + offset))
+            work.pronouns.append(dc_replace(mention, position=mention.position + offset))
             next_mention += 1
-        work = Document(
-            work.tokens + _shifted(doc.sentence_tokens(k), offset),
-            work.sentences + (Sentence(sentence.first + offset, sentence.last + offset),),
-            work.pronouns + tuple(mentions),
-        )
+        work.tokens.extend(_shifted(doc.sentence_tokens(k), offset))
+        work.sentences.append(Sentence(sentence.first + offset, sentence.last + offset))
         zeros = []
-        for _ in mentions:
-            # Replaced mentions leave work.pronouns and the rest keep their
-            # order, so the next unvisited mention follows the ones left in place.
+        # Replaced mentions leave work.pronouns and the rest keep their order,
+        # so the unvisited mentions are the ones after those left in place.
+        for _ in range(len(work.pronouns) - left_in_place):
             mention = work.pronouns[left_in_place]
             survivors = constrained_candidates(work, mention, dictionary, scope, lexicon)
             names = choose(work, mention, survivors, history)
@@ -193,8 +190,9 @@ def walk_document(
             if mention.overtness is Overtness.ZERO:
                 zeros.append(frozenset(names))
         history.update(zeros)
-    work.validate()
-    return work
+    paraphrased = Document(tuple(work.tokens), tuple(work.sentences), tuple(work.pronouns))
+    paraphrased.validate()
+    return paraphrased
 
 
 def _decide(

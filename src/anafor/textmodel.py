@@ -2,10 +2,11 @@
 
 A :class:`Token` holds its surface, its index in the document, the index
 of its sentence and whether it stands between quote marks; anything else
-about it, such as a comma after it, is read off its neighbours.  A
-:class:`Document` is immutable once built.  ``assemble_document`` builds
-and validates one from token surfaces, as the corpus parser does; the
-resolver splices replacements into an existing Document instead.
+about it, such as a comma after it, is read off its neighbours.
+``assemble_document`` builds and validates a :class:`Document` from token
+surfaces, as the corpus parser does.  A Document holds tuples and is
+immutable, save the resolver walk's working text: it holds lists, grown
+and spliced in place, and only the walk may keep it.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` become tokens of their own, and apostrophes
@@ -50,7 +51,7 @@ class Token:
     quoted: bool = False
 
     def __post_init__(self) -> None:
-        if not self.surface or any(ch.isspace() for ch in self.surface):
+        if self.surface.split() != [self.surface]:
             raise ValueError(
                 f"token surface must be non-empty and whitespace-free: {self.surface!r}"
             )

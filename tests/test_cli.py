@@ -105,6 +105,41 @@ class TestBaselineCommand:
         assert "Ali Çok yorgundu." in out
 
 
+@pytest.mark.parametrize("command", ["resolve", "baseline"])
+class TestTraceToStdout:
+    def test_trace_goes_to_stdout_when_the_paraphrase_goes_to_a_file(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # '-' used to name a file in the working directory.
+        monkeypatch.chdir(tmp_path)
+        fixture = FIXTURES / "corpora" / "p7_punctuation.txt"
+        trace_path = tmp_path / "trace.tsv"
+        assert _run(
+            capsys, command, "--dict", str(NAMES), str(fixture), "--trace", str(trace_path),
+            "-o", "a.txt",
+        )[0] == 0
+        status, out, err = _run(
+            capsys, command, "--dict", str(NAMES), str(fixture), "--trace", "-", "-o", "b.txt",
+        )
+        assert (status, out, err) == (0, trace_path.read_text(encoding="utf-8"), "")
+        assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
+        assert not (tmp_path / "-").exists()
+
+    def test_trace_and_paraphrase_both_to_stdout_is_an_error(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        fixture = FIXTURES / "corpora" / "p7_punctuation.txt"
+        status, out, err = _run(
+            capsys, command, "--dict", str(NAMES), str(fixture), "--trace", "-"
+        )
+        assert (status, out) == (1, "")
+        assert err == (
+            "anafor: error: --trace - needs -o PATH: the paraphrase already goes to stdout\n"
+        )
+        assert not (tmp_path / "-").exists()
+
+
 class TestTrainCommand:
     def test_writes_loadable_weights_and_report(self, capsys, tmp_path):
         corpus = tmp_path / "train.txt"
@@ -194,6 +229,24 @@ class TestEvalCommand:
         )
         assert (status, err) == (0, "")
         assert "identified=1" in out and "recall=1.000000" in out
+
+    def test_trace_from_stdin(self, capsys, tmp_path, monkeypatch):
+        gold = tmp_path / "gold.txt"
+        gold.write_text(
+            'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.', encoding="utf-8"
+        )
+        _stdin(monkeypatch, "1\tresolved\tAli\t1.0000\t-\n")
+        status, out, err = _run(
+            capsys, "eval", "--gold", str(gold), "--trace", "-", "--format", "kv"
+        )
+        assert (status, err) == (0, "")
+        assert "identified=1" in out and "recall=1.000000" in out
+
+    def test_gold_and_trace_both_from_stdin_is_an_error(self, capsys, monkeypatch):
+        _stdin(monkeypatch, 'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.')
+        status, out, err = _run(capsys, "eval", "--gold", "-", "--trace", "-")
+        assert (status, out) == (1, "")
+        assert err == "anafor: error: --gold and --trace cannot both read stdin\n"
 
 
 class TestLexiconOverride:
@@ -338,3 +391,22 @@ class TestCompareCommand:
         status, out, err = _run(capsys, command, "--dict", str(names), str(corpus))
         assert (status, out) == (1, "")
         assert err == f"anafor: error: line 1, column 13: bad name in ant attribute: {message}\n"
+
+    @pytest.mark.parametrize("command", ["compare", "train"])
+    def test_gold_name_missing_from_the_dictionary_is_an_error(
+        self, capsys, tmp_path, command
+    ):
+        # Such a name passes the name rule but can never match a candidate:
+        # compare used to report 0.0% recall and train to skip the pronoun.
+        names = tmp_path / "names.txt"
+        names.write_text("Ali\nAyşe\n", encoding="utf-8")
+        corpus = tmp_path / "gold.txt"
+        corpus.write_text(
+            'Ayşe geldi. <zero id="1" kind="pers" num="sg" ant="Veli"/> Gitti.',
+            encoding="utf-8",
+        )
+        status, out, err = _run(capsys, command, "--dict", str(names), str(corpus))
+        assert (status, out) == (1, "")
+        assert err == (
+            "anafor: error: pronoun 1: gold name 'Veli' is not in the name dictionary\n"
+        )

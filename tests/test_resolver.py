@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import re
 
 import pytest
 
 import anafor.morphology
+import anafor.resolver
 import anafor.scoring
 from anafor import (
     DEFAULT_WEIGHTS,
@@ -20,12 +22,42 @@ from anafor import (
     resolve_document,
     serialize_document,
 )
-from anafor.textmodel import Token
-from conftest import fixture_text
+from anafor.textmodel import Document, Token
+from conftest import FIXTURES, fixture_text
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep", "Tekin"]
 )
+
+FIXTURE_FILES = sorted(
+    path.relative_to(FIXTURES).as_posix() for path in FIXTURES.glob("*/*.txt")
+)
+
+ZERO = '<zero id="{}" kind="pers" num="sg"/>'
+
+
+def _tiled_minicorpus(k: int):
+    text = fixture_text("minicorpus/minicorpus.txt")
+    return parse_document("\n".join(
+        re.sub(r'id="(\d+)"', lambda m: f'id="{int(m.group(1)) + 1000 * t}"', text)
+        for t in range(k)
+    ))
+
+
+def _tokens_built(monkeypatch, doc, dictionary):
+    # Tokens constructed while resolving doc, and how many pronouns it resolved.
+    built = 0
+    original = Token.__post_init__
+
+    def counting(token):
+        nonlocal built
+        built += 1
+        original(token)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Token, "__post_init__", counting)
+        resolved = resolve_document(doc, dictionary)
+    return built, sum(resolution.resolved for resolution in resolved.resolutions)
 
 
 class TestResolveDocument:
@@ -252,6 +284,67 @@ class TestReplacement:
             return built / len(doc.pronouns)
 
         assert per_pronoun(8) <= 1.5 * per_pronoun(1)
+
+    def test_document_elements_built_per_pronoun_do_not_grow_with_length(
+        self, names9, monkeypatch
+    ):
+        # A count, not a timing: a walk that copies its text into a new
+        # Document for each sentence or replacement builds about k times as
+        # many tokens, sentences and mentions per pronoun at k tiles.
+        built = 0
+
+        class Counting(Document):
+            def __init__(self, tokens, sentences, pronouns):
+                nonlocal built
+                built += len(tokens) + len(sentences) + len(pronouns)
+                super().__init__(tokens, sentences, pronouns)
+
+        def per_pronoun(k):
+            nonlocal built
+            doc = _tiled_minicorpus(k)
+            built = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(anafor.resolver, "Document", Counting)
+                resolve_document(doc, names9)
+            return built / len(doc.pronouns)
+
+        assert per_pronoun(32) <= 1.5 * per_pronoun(1)
+
+    @pytest.mark.parametrize("relative", FIXTURE_FILES)
+    def test_replacement_leaves_a_parsed_document_unchanged(self, relative):
+        doc = parse_document(fixture_text(relative))
+        before = copy.deepcopy(doc)
+        for mention in doc.pronouns:
+            replaced = replace_mention(doc, mention, ["Ali"])
+            assert doc == before
+            assert replaced is not doc
+            assert all(
+                type(field) is tuple
+                for field in (replaced.tokens, replaced.sentences, replaced.pronouns)
+            )
+
+    def test_tokens_built_per_zero_do_not_grow_with_sentences(self, monkeypatch):
+        # Each sentence's zero but the first resolves to an Ali of an
+        # earlier sentence.
+        def per_pronoun(n):
+            doc = parse_document(" ".join(f"Ali {ZERO.format(i)} güldü." for i in range(n)))
+            built, resolved = _tokens_built(monkeypatch, doc, DICT)
+            assert resolved == n - 1
+            return built / n
+
+        assert per_pronoun(2000) <= 1.5 * per_pronoun(20)
+
+    def test_zeros_of_one_sentence_build_at_most_length_times_zeros_tokens(self, monkeypatch):
+        # Within one sentence a splice still shifts the rest of it, so this
+        # is the one case where the work per pronoun grows with the input.
+        zeros = 200
+        doc = parse_document(
+            "Ali geldi. " + " ".join(f"{ZERO.format(i)} güldü" for i in range(zeros)) + "."
+        )
+        sentence = doc.sentences[1]
+        built, resolved = _tokens_built(monkeypatch, doc, DICT)
+        assert resolved == zeros
+        assert built <= (sentence.last - sentence.first + 1) * zeros
 
     def test_window_reads_do_not_grow_with_survivors(self, monkeypatch):
         # A count, not a timing: scoring that re-reads the window for each

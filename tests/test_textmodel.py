@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anafor import (
     Number,
@@ -83,6 +84,27 @@ class TestTokenInvariants:
     def test_rejects_whitespace(self):
         with pytest.raises(ValueError):
             Token(surface="a b", index=0, sentence_index=0)
+
+    # Whitespace by both of CPython's definitions, and look-alikes that are
+    # whitespace by neither (zero-width space, byte order mark).
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(
+        alphabet=["a", " ", "\t", "\x1c", "\x85", "\xa0", "\u2028", "\u3000", "\u200b",
+                  "\ufeff"],
+        max_size=5,
+    ))
+    @example("")
+    @example(" ")
+    @example("a b")
+    def test_split_check_is_the_isspace_check(self, surface):
+        bad = not surface or any(ch.isspace() for ch in surface)
+        assert (surface.split() != [surface]) == bad
+        try:
+            Token(surface=surface, index=0, sentence_index=0)
+        except ValueError:
+            assert bad
+        else:
+            assert not bad
 
     def test_followed_by_comma(self):
         # The punctuation preference reads the comma off the next token.
