@@ -36,6 +36,7 @@ from .textmodel import (
     sentence_spans,
     split_tokens,
     assemble_document,
+    decode_utf8,
 )
 
 _PRO_OPEN_RE = re.compile(r"<pro\b([^<>]*)>")
@@ -53,6 +54,20 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _checked_name(name: str) -> str:
+    """``name`` if it may be a gazetteer entry, else a ValueError saying why."""
+    if not name:
+        raise ValueError("dictionary entry must be non-empty")
+    if any(ch.isspace() for ch in name):
+        raise ValueError(f"dictionary entry contains whitespace: {name!r}")
+    if any(ch in name for ch in ("'", "’", '"', "<")):
+        raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
+    head = name[0]
+    if turkish_upper(head) != head or turkish_lower(head) == head:
+        raise ValueError(f"dictionary entry must start uppercase: {name!r}")
+    return name
+
+
 @dataclass(frozen=True)
 class NameDictionary:
     """Gazetteer of proper person names (base forms, Turkish casing)."""
@@ -61,19 +76,7 @@ class NameDictionary:
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "NameDictionary":
-        checked = set()
-        for name in names:
-            if not name:
-                raise ValueError("dictionary entry must be non-empty")
-            if any(ch.isspace() for ch in name):
-                raise ValueError(f"dictionary entry contains whitespace: {name!r}")
-            if any(ch in name for ch in ("'", "’", '"', "<")):
-                raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
-            head = name[0]
-            if turkish_upper(head) != head or turkish_lower(head) == head:
-                raise ValueError(f"dictionary entry must start uppercase: {name!r}")
-            checked.add(name)
-        return cls(entries=frozenset(checked))
+        return cls(entries=frozenset(map(_checked_name, names)))
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries
@@ -87,22 +90,18 @@ class NameDictionary:
 
 def load_dictionary(path) -> NameDictionary:
     """Load a gazetteer file: one name per line, ``#`` comments allowed."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            raw = handle.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8 ({exc})") from None
+    with open(path, "rb") as handle:
+        raw = decode_utf8(handle.read(), path, bom=True)
     names = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         entry = line.split("#", 1)[0].strip()
         if not entry:
             continue
         try:
-            NameDictionary.from_names([entry])
+            names.append(_checked_name(entry))
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
-        names.append(entry)
-    return NameDictionary.from_names(names)
+    return NameDictionary(entries=frozenset(names))
 
 
 class _Scanner:

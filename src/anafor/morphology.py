@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
-from .textmodel import Number, PronounKind
+from .textmodel import Number, PronounKind, decode_utf8
 
 if TYPE_CHECKING:
     from .corpus import NameDictionary
@@ -124,8 +124,8 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        with open(path, encoding="utf-8-sig") as handle:
-            return cls.from_text(handle.read())
+        with open(path, "rb") as handle:
+            return cls.from_text(decode_utf8(handle.read(), path, bom=True))
 
 
 @lru_cache(maxsize=1)

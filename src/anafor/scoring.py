@@ -21,7 +21,7 @@ from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, SearchScope, _window_start
 from .morphology import _split_apostrophe
-from .textmodel import Document, Overtness, PronounMention, PUNCTUATION_TOKENS
+from .textmodel import Document, Overtness, PronounMention, PUNCTUATION_TOKENS, decode_utf8
 
 
 class PreferenceVector(NamedTuple):
@@ -119,8 +119,8 @@ def parse_weights(text: str) -> PreferenceWeights:
 
 
 def load_weights(path) -> PreferenceWeights:
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_weights(handle.read())
+    with open(path, "rb") as handle:
+        return parse_weights(decode_utf8(handle.read(), path, bom=True))
 
 
 def _first_phrase_token(doc: Document, sentence_index: int) -> int | None:

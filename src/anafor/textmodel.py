@@ -9,9 +9,10 @@ immutable, save the resolver walk's working text: it holds lists, grown
 and spliced in place, and only the walk may keep it.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
-punctuation marks ``, . ! ? … "`` become tokens of their own, and apostrophes
-stay inside the token (``Ali'yi`` is one token) because the apostrophe is the
-cue for proper-name case suffixes.
+punctuation marks ``, . ! ? … "`` (``PUNCTUATION_TOKENS``) become tokens of
+their own, and apostrophes stay inside the token (``Ali'yi`` is one token)
+because the apostrophe is the cue for proper-name case suffixes.
+``decode_utf8`` turns the bytes of every input file, or of stdin, into text.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ PUNCTUATION_TOKENS = frozenset({",", ".", "!", "?", "…", '"'})
 SENTENCE_TERMINATORS = frozenset({".", "!", "?", "…"})
 QUOTE = '"'
 
-_TOKEN_RE = re.compile(r'[,.!?…"]|[^,.!?…"\s]+')
+_MARKS = "".join(map(re.escape, sorted(PUNCTUATION_TOKENS)))  # one character each
+_TOKEN_RE = re.compile(f"[{_MARKS}]|[^{_MARKS}\\s]+")
 
 
 class PronounKind(enum.Enum):
@@ -137,6 +139,20 @@ class Document:
                     raise ValueError(
                         f"pronoun {mention.id} surface does not match its token"
                     )
+
+
+def decode_utf8(data: bytes, name, bom: bool = False) -> str:
+    """Decode the bytes read from ``name`` (``-`` for stdin) as UTF-8.
+
+    Line ends are translated as a file opened in text mode translates
+    them, and ``bom`` drops a leading byte order mark.  Undecodable bytes
+    raise a ValueError that names the source.
+    """
+    try:
+        text = data.decode("utf-8-sig" if bom else "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name}: not valid UTF-8 ({exc})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def split_tokens(text: str) -> list[str]:

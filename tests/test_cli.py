@@ -10,7 +10,8 @@ import pytest
 
 import anafor
 from anafor import load_weights
-from anafor.cli import main
+from anafor.candidates import SearchScope
+from anafor.cli import build_parser, main
 from conftest import FIXTURES, fixture_text
 
 NAMES = FIXTURES / "names9.txt"
@@ -140,6 +141,114 @@ class TestTraceToStdout:
         assert not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize("command", ["resolve", "baseline"])
+class TestOutputDashIsStdout:
+    # '-o -' used to write the paraphrase to a file named '-'.
+    def test_paraphrase_goes_to_stdout(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        fixture = str(FIXTURES / "corpora" / "p7_punctuation.txt")
+        default = _run(capsys, command, "--dict", str(NAMES), fixture)
+        dash = _run(capsys, command, "--dict", str(NAMES), fixture, "-o", "-")
+        assert dash == default
+        assert dash[0] == 0 and "Çok yorgundu." in dash[1]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_and_paraphrase_both_to_stdout_is_an_error(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        fixture = str(FIXTURES / "corpora" / "p7_punctuation.txt")
+        status, out, err = _run(
+            capsys, command, "--dict", str(NAMES), fixture, "--trace", "-", "-o", "-"
+        )
+        assert (status, out) == (1, "")
+        assert err == (
+            "anafor: error: --trace - needs -o PATH: the paraphrase already goes to stdout\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+NOT_UTF8 = (
+    "not valid UTF-8 ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+)
+
+
+class TestUndecodableInput:
+    # Each of these used to fail with the bare codec message, naming no file.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolve", "--dict", str(NAMES), "BAD"],
+            ["train", "--dict", str(NAMES), "BAD"],
+            ["resolve", "--dict", str(NAMES), "--weights", "BAD", "MINI"],
+            ["resolve", "--dict", str(NAMES), "--lexicon", "BAD", "MINI"],
+            ["eval", "--gold", "MINI", "--trace", "BAD"],
+        ],
+        ids=["corpus", "train-corpus", "weights", "lexicon", "trace"],
+    )
+    def test_the_error_names_the_file(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        mini = str(FIXTURES / "minicorpus" / "minicorpus.txt")
+        argv = [str(bad) if a == "BAD" else mini if a == "MINI" else a for a in argv]
+        assert _run(capsys, *argv) == (1, "", f"anafor: error: {bad}: {NOT_UTF8}\n")
+
+    def test_stdin_is_named_dash(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe")))
+        assert _run(capsys, "resolve", "--dict", str(NAMES), "-") == (
+            1, "", f"anafor: error: -: {NOT_UTF8}\n"
+        )
+
+
+def test_stdin_and_a_file_read_line_ends_alike(capsys, tmp_path, monkeypatch):
+    # A file is read with its line ends translated; stdin used not to be,
+    # so an error after a lone CR was reported on line 1.
+    text = 'Ali geldi.\rZerrin <pro id="1">kitap</pro> aldı.\r'
+    path = tmp_path / "cr.txt"
+    path.write_bytes(text.encode("utf-8"))
+    from_file = _run(capsys, "resolve", "--dict", str(NAMES), str(path))
+    _stdin(monkeypatch, text)
+    assert _run(capsys, "resolve", "--dict", str(NAMES), "-") == from_file
+    assert from_file[0] == 1 and from_file[2].startswith("anafor: error: line 2, column 8:")
+
+
+@pytest.mark.parametrize(
+    "argv,options",
+    [
+        (
+            ["resolve", "in.txt"],
+            {"dict": None, "scope": SearchScope(3), "lexicon": None, "weights": None,
+             "input": "in.txt", "trace": None, "output": "-"},
+        ),
+        (
+            ["baseline", "in.txt"],
+            {"dict": None, "scope": SearchScope(3), "lexicon": None, "input": "in.txt",
+             "trace": None, "output": "-"},
+        ),
+        (
+            ["train", "a.txt", "b.txt"],
+            {"dict": None, "scope": SearchScope(3), "lexicon": None,
+             "inputs": ["a.txt", "b.txt"], "learning_rate": 0.05, "epochs": 100,
+             "output": "-"},
+        ),
+        (
+            ["eval", "--gold", "g.txt", "--trace", "t.tsv"],
+            {"gold": "g.txt", "trace": "t.tsv", "format": "text", "lexicon": None},
+        ),
+        (
+            ["compare", "g.txt"],
+            {"dict": None, "scope": SearchScope(3), "lexicon": None, "weights": None,
+             "format": "text", "gold": "g.txt"},
+        ),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_each_command_has_exactly_these_options_and_defaults(argv, options):
+    parsed = vars(build_parser().parse_args(argv))
+    assert callable(parsed.pop("run"))
+    assert parsed == {"command": argv[0], **options}
+
+
 class TestTrainCommand:
     def test_writes_loadable_weights_and_report(self, capsys, tmp_path):
         corpus = tmp_path / "train.txt"
@@ -167,6 +276,21 @@ class TestTrainCommand:
         status, _out, err = _run(capsys, "train", "--dict", str(NAMES), str(corpus))
         assert status == 1
         assert "no usable training instances" in err
+
+    def test_output_dash_sends_weights_to_stdout_and_the_report_to_stderr(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 'train -o -' used to write the weights to a file named '-'.
+        monkeypatch.chdir(tmp_path)
+        corpus = str(FIXTURES / "minicorpus" / "minicorpus.txt")
+        status, report, err = _run(capsys, "train", "--dict", str(NAMES), corpus, "-o", "w.txt")
+        assert (status, err) == (0, "")
+        weights = (tmp_path / "w.txt").read_text(encoding="utf-8")
+        (tmp_path / "w.txt").unlink()
+        dash = _run(capsys, "train", "--dict", str(NAMES), corpus, "-o", "-")
+        assert dash == (0, weights, report)
+        assert report.startswith("instances=")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_is_an_error(self, capsys, tmp_path, rate):

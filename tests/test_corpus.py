@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import anafor.corpus
 from anafor import (
     NameDictionary,
     Number,
@@ -241,3 +242,27 @@ class TestLoadDictionary:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_dictionary(tmp_path / "absent.txt")
+
+    def test_bad_entry_is_located(self, tmp_path):
+        path = tmp_path / "names.txt"
+        path.write_text("Ali\n# note\nali\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_dictionary(path)
+        assert str(caught.value) == f"{path}, line 3: dictionary entry must start uppercase: 'ali'"
+
+    def test_each_entry_is_checked_once(self, tmp_path, monkeypatch):
+        # Loading used to check every line on its own and then all of them
+        # again, building a throwaway dictionary per line.
+        names = [f"Ad{i}" for i in range(50)]
+        path = tmp_path / "names.txt"
+        path.write_text("\n".join(names + names[:10]) + "\n", encoding="utf-8")
+        checked = []
+        original = anafor.corpus.turkish_upper
+
+        def counting(text):
+            checked.append(text)
+            return original(text)
+
+        monkeypatch.setattr(anafor.corpus, "turkish_upper", counting)
+        assert set(load_dictionary(path)) == set(names)
+        assert len(checked) == 60

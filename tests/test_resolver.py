@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import anafor.candidates
 import anafor.morphology
 import anafor.resolver
 import anafor.scoring
@@ -58,6 +59,29 @@ def _tokens_built(monkeypatch, doc, dictionary):
         patch.setattr(Token, "__post_init__", counting)
         resolved = resolve_document(doc, dictionary)
     return built, sum(resolution.resolved for resolution in resolved.resolutions)
+
+
+def _walk_counts(monkeypatch, doc, dictionary):
+    # match_name calls and Tokens constructed while resolving doc, and the
+    # resolved document.
+    calls = built = 0
+    match_name, post_init = anafor.candidates.match_name, Token.__post_init__
+
+    def counting_match(*args):
+        nonlocal calls
+        calls += 1
+        return match_name(*args)
+
+    def counting_token(token):
+        nonlocal built
+        built += 1
+        post_init(token)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(anafor.candidates, "match_name", counting_match)
+        patch.setattr(Token, "__post_init__", counting_token)
+        resolved = resolve_document(doc, dictionary)
+    return calls, built, resolved
 
 
 class TestResolveDocument:
@@ -345,6 +369,37 @@ class TestReplacement:
         built, resolved = _tokens_built(monkeypatch, doc, DICT)
         assert resolved == zeros
         assert built <= (sentence.last - sentence.first + 1) * zeros
+
+    def test_one_long_sentence_is_matched_once_per_window_token(self, monkeypatch):
+        # A zero at the end of a 20000-token sentence that names Ayşe on
+        # every tenth token: its window is the whole sentence, and each
+        # window token is matched against the gazetteer once.
+        words = " ".join("Ayşe" if i % 10 == 0 else "sonra" for i in range(20000))
+        doc = parse_document(f"Ali geldi. {words} {ZERO.format(1)} güldü.")
+        (pronoun,) = doc.pronouns
+        calls, built, resolved = _walk_counts(monkeypatch, doc, DICT)
+        assert [r.antecedent for r in resolved.resolutions] == [frozenset({"Ali"})]
+        assert calls <= pronoun.position
+        assert built <= 2 * len(doc.tokens)
+
+    def test_ve_linked_names_before_plural_zeros_are_matched_once_per_window(
+        self, monkeypatch
+    ):
+        # Each plural zero takes the compound of all 300 names, so every
+        # later zero's window holds the names written in before it.
+        names = sorted(DICT)
+        chain = " ve ".join(names[i % len(names)] for i in range(300))
+        zeros = " ".join(f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(5))
+        doc = parse_document(f"{chain} geldi. {zeros}.")
+        calls, built, resolved = _walk_counts(monkeypatch, doc, DICT)
+        assert [r.antecedent for r in resolved.resolutions] == [frozenset(names)] * 5
+        paraphrase = [token.surface for token in resolved.paraphrased.tokens]
+        # A zero's window ends where the names written for it begin, before
+        # its verb.
+        verbs = [i for i, surface in enumerate(paraphrase) if surface == "güldü"]
+        assert calls <= sum(verbs)
+        second = doc.sentences[1]
+        assert built <= len(paraphrase) + 5 * (second.last - second.first + 1)
 
     def test_window_reads_do_not_grow_with_survivors(self, monkeypatch):
         # A count, not a timing: scoring that re-reads the window for each

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import io
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,7 +14,7 @@ from anafor import (
     assemble_document,
     parse_document,
 )
-from anafor.textmodel import sentence_spans, split_tokens
+from anafor.textmodel import decode_utf8, sentence_spans, split_tokens
 
 
 class TestSplitTokens:
@@ -33,6 +36,35 @@ class TestSplitTokens:
 
     def test_apostrophe_stays_inside_token(self):
         assert split_tokens("Zeynep'le") == ["Zeynep'le"]
+
+    # The pattern is built from PUNCTUATION_TOKENS; it must split exactly
+    # as the pattern that spelled the marks out did.
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet=list(',.!?…"\'’-]^\\ \t\n\xa0aŞ“”«»'), max_size=12))
+    @example(',.!?…"')
+    def test_split_matches_the_spelled_out_pattern(self, text):
+        assert split_tokens(text) == re.findall(r'[,.!?…"]|[^,.!?…"\s]+', text)
+
+
+class TestDecodeUtf8:
+    # The files behind --dict, --weights and --lexicon were read through
+    # open() in text mode; decode_utf8 must give the same text.
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=["a", "ş", "\r", "\n", "\ufeff"], max_size=8), st.booleans())
+    @example("\r\r\n", False)
+    @example("\ufeffa", True)
+    def test_same_text_as_open_in_text_mode(self, text, bom):
+        data = text.encode("utf-8")
+        encoding = "utf-8-sig" if bom else "utf-8"
+        assert decode_utf8(data, "x", bom) == io.TextIOWrapper(io.BytesIO(data), encoding).read()
+
+    def test_undecodable_bytes_name_the_source(self):
+        with pytest.raises(ValueError) as caught:
+            decode_utf8(b"Ali\n\xff", "names.txt", bom=True)
+        assert str(caught.value) == (
+            "names.txt: not valid UTF-8 ('utf-8' codec can't decode byte 0xff in position 4: "
+            "invalid start byte)"
+        )
 
 
 class TestSentenceSpans:
