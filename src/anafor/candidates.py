@@ -91,29 +91,22 @@ def scan_name_occurrences(
 
 def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
     # Maximal runs of names chained by single 've'/'ile' tokens:
-    # A ve B ile C collapses into one compound of all three.
-    by_index = {occ.token_index: occ for occ in occurrences}
-    consumed: set[int] = set()
+    # A ve B ile C collapses into one compound of all three.  A run's
+    # members are two tokens apart, so one run per index parity is open;
+    # a linker token that is itself a name then opens a run of its own.
+    runs: list[list[NameOccurrence]] = [[], []]
     for occ in occurrences:
-        if occ.token_index in consumed:
+        i = occ.token_index
+        run = runs[i % 2]
+        if run and run[-1].token_index == i - 2 and (
+            turkish_lower(doc.tokens[i - 1].surface) in LINKER_SURFACES
+        ):
+            run.append(occ)
             continue
-        run = [occ]
-        cursor = occ.token_index
-        while True:
-            linker = cursor + 1
-            follower = by_index.get(cursor + 2)
-            if (
-                follower is not None
-                and linker < len(doc.tokens)
-                and turkish_lower(doc.tokens[linker].surface) in LINKER_SURFACES
-            ):
-                run.append(follower)
-                cursor = follower.token_index
-            else:
-                break
         if len(run) >= 2:
-            consumed.update(member.token_index for member in run)
             yield run
+        runs[i % 2] = [occ]
+    yield from (run for run in runs if len(run) >= 2)
 
 
 def extract_candidates(

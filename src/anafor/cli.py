@@ -20,7 +20,10 @@ DICT_ENV_VAR = "ANAFOR_DICT"
 
 
 def _search_scope(value: str) -> SearchScope:
-    number = int(value)
+    try:
+        number = int(value)
+    except ValueError:  # worded as argparse words a bad int
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
     try:
         return SearchScope(number)
     except ValueError:  # SearchScope refuses a negative scope

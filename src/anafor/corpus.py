@@ -9,8 +9,10 @@ Corpus files are plain UTF-8 narrative text with inline pronoun tags:
 names (``ant="Ahmet;Fatma"`` for a plural link).  Overt tags carry no kind
 or number attributes: both are derived from the surface form, and a surface
 that is not a recognized pronoun form is a parse error.  A zero tag anchors
-to the next token in the stream.  Proper names are never annotated; they
-are found through the gazetteer.
+to the next token in the stream, or past it when that token is the closing
+quote that ends a sentence (in ``Ali "Gel. <zero …/> " Gitti.`` the zero
+anchors to ``Gitti``).  Proper names are never annotated; they are found
+through the gazetteer.
 
 The literal ``<`` character is reserved for tags and may not appear in the
 running text.
@@ -18,9 +20,8 @@ running text.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 import re
 
@@ -33,6 +34,7 @@ from .textmodel import (
     PronounMention,
     PUNCTUATION_TOKENS,
     QUOTE,
+    SENTENCE_TERMINATORS,
     sentence_spans,
     split_tokens,
     assemble_document,
@@ -104,164 +106,138 @@ def load_dictionary(path) -> NameDictionary:
     return NameDictionary(entries=frozenset(names))
 
 
-class _Scanner:
-    def __init__(self, text: str, lexicon: Lexicon):
-        self.text = text
-        self.lexicon = lexicon
-        self.surfaces: list[str] = []
-        self.records: list[PronounMention] = []
-        # Tag offset of the first zero still waiting for its token.
-        self.pending_zero: int | None = None
-        self.seen_ids: set[int] = set()
-        self._line_starts = [0] + [m.end() for m in re.finditer(r"\n", text)]
+def _attributes(raw: str, allowed: frozenset[str]) -> dict[str, str]:
+    attrs: dict[str, str] = {}
+    pos = 0
+    while pos < len(raw):
+        match = _ATTR_RE.match(raw, pos)
+        if not match:
+            if raw[pos:].strip():
+                raise ValueError(f"malformed attribute list: {raw.strip()!r}")
+            break
+        key, value = match.groups()
+        if key not in allowed:
+            raise ValueError(f"unknown attribute {key!r}")
+        if key in attrs:
+            raise ValueError(f"duplicate attribute {key!r}")
+        attrs[key] = value
+        pos = match.end()
+    return attrs
 
-    def error(self, message: str, offset: int) -> ParseError:
-        line = bisect_right(self._line_starts, offset) - 1
-        return ParseError(message, line + 1, offset - self._line_starts[line] + 1)
 
-    def emit_surface(self, surface: str) -> int:
-        self.pending_zero = None
-        self.surfaces.append(surface)
-        return len(self.surfaces) - 1
+def _mention_id(attrs: dict[str, str], seen_ids: set[int]) -> int:
+    if "id" not in attrs:
+        raise ValueError("missing id attribute")
+    try:
+        mention_id = int(attrs["id"])
+    except ValueError:
+        raise ValueError(f"id is not an integer: {attrs['id']!r}") from None
+    if mention_id in seen_ids:
+        raise ValueError(f"duplicate pronoun id {mention_id}")
+    seen_ids.add(mention_id)
+    return mention_id
 
-    def parse_attrs(self, raw: str, offset: int, allowed: frozenset[str]) -> dict[str, str]:
-        attrs: dict[str, str] = {}
-        pos = 0
-        while pos < len(raw):
-            match = _ATTR_RE.match(raw, pos)
-            if not match:
-                if raw[pos:].strip():
-                    raise self.error(f"malformed attribute list: {raw.strip()!r}", offset)
-                break
-            key, value = match.group(1), match.group(2)
-            if key not in allowed:
-                raise self.error(f"unknown attribute {key!r}", offset)
-            if key in attrs:
-                raise self.error(f"duplicate attribute {key!r}", offset)
-            attrs[key] = value
-            pos = match.end()
-        return attrs
 
-    def parse_id(self, attrs: dict[str, str], offset: int) -> int:
-        if "id" not in attrs:
-            raise self.error("missing id attribute", offset)
-        try:
-            mention_id = int(attrs["id"])
-        except ValueError:
-            raise self.error(f"id is not an integer: {attrs['id']!r}", offset) from None
-        if mention_id in self.seen_ids:
-            raise self.error(f"duplicate pronoun id {mention_id}", offset)
-        self.seen_ids.add(mention_id)
-        return mention_id
+def _gold(attrs: dict[str, str]) -> frozenset[str] | None:
+    if "ant" not in attrs:
+        return None
+    names = attrs["ant"].split(";")
+    if len(names) > 1 and all(names[:-1]) and not names[-1]:
+        raise ValueError("trailing ';' separator in ant attribute")
+    if not all(names):
+        raise ValueError("empty name in ant attribute")
+    try:
+        NameDictionary.from_names(names)
+    except ValueError as exc:
+        raise ValueError(f"bad name in ant attribute: {exc}") from None
+    return frozenset(names)
 
-    def parse_gold(self, attrs: dict[str, str], offset: int) -> frozenset[str] | None:
-        if "ant" not in attrs:
-            return None
-        names = attrs["ant"].split(";")
-        if len(names) > 1 and all(names[:-1]) and not names[-1]:
-            raise self.error("trailing ';' separator in ant attribute", offset)
-        if not all(names):
-            raise self.error("empty name in ant attribute", offset)
-        try:
-            NameDictionary.from_names(names)
-        except ValueError as exc:
-            raise self.error(f"bad name in ant attribute: {exc}", offset) from None
-        return frozenset(names)
 
-    def run(self) -> None:
-        text = self.text
-        i = 0
-        while True:
-            lt = text.find("<", i)
-            for surface in split_tokens(text[i:] if lt < 0 else text[i:lt]):
-                self.emit_surface(surface)
-            if lt < 0:
-                break
-            if text.startswith("<pro", lt) and _PRO_OPEN_RE.match(text, lt):
-                i = self._read_pro(lt)
-            elif text.startswith("<zero", lt) and _ZERO_RE.match(text, lt):
-                i = self._read_zero(lt)
-            else:
-                raise self.error("malformed tag", lt)
-        if self.pending_zero is not None:
-            raise self.error("zero pronoun tag has no following token", self.pending_zero)
-
-    def _read_pro(self, offset: int) -> int:
-        match = _PRO_OPEN_RE.match(self.text, offset)
-        assert match is not None
-        attrs = self.parse_attrs(match.group(1), offset, frozenset({"id", "ant"}))
-        mention_id = self.parse_id(attrs, offset)
-        gold = self.parse_gold(attrs, offset)
-        close = self.text.find(_PRO_CLOSE, match.end())
+def _read_tag(
+    text: str, offset: int, position: int, seen_ids: set[int], lexicon: Lexicon
+) -> tuple[PronounMention, int]:
+    """The pronoun tag at ``offset``, as a mention at token ``position``,
+    and the offset after it; a ValueError says what is wrong with the tag."""
+    if match := _PRO_OPEN_RE.match(text, offset):
+        attrs = _attributes(match.group(1), frozenset({"id", "ant"}))
+        mention_id = _mention_id(attrs, seen_ids)
+        gold = _gold(attrs)
+        close = text.find(_PRO_CLOSE, match.end())
         if close < 0:
-            raise self.error("unterminated <pro> tag", offset)
-        raw_surface = self.text[match.end():close]
+            raise ValueError("unterminated <pro> tag")
+        raw_surface = text[match.end():close]
         if "<" in raw_surface:
-            raise self.error("nested tag inside <pro>", offset)
+            raise ValueError("nested tag inside <pro>")
         tokens = split_tokens(raw_surface)
         if len(tokens) != 1:
-            raise self.error(
-                f"pronoun tag must contain exactly one token, got {raw_surface!r}", offset
-            )
-        surface = tokens[0]
-        form = classify_pronoun(surface, self.lexicon)
+            raise ValueError(f"pronoun tag must contain exactly one token, got {raw_surface!r}")
+        form = classify_pronoun(tokens[0], lexicon)
         if form is None:
-            raise self.error(f"not a recognized pronoun form: {surface!r}", offset)
-        position = self.emit_surface(surface)
-        self.records.append(
-            PronounMention(
-                id=mention_id,
-                kind=form.kind,
-                number=form.number,
-                position=position,
-                surface=surface,
-                gold_antecedent=gold,
-            )
-        )
-        return close + len(_PRO_CLOSE)
-
-    def _read_zero(self, offset: int) -> int:
-        match = _ZERO_RE.match(self.text, offset)
-        assert match is not None
-        attrs = self.parse_attrs(
-            match.group(1), offset, frozenset({"id", "kind", "num", "ant"})
-        )
-        mention_id = self.parse_id(attrs, offset)
+            raise ValueError(f"not a recognized pronoun form: {tokens[0]!r}")
+        mention = PronounMention(mention_id, form.kind, form.number, position, tokens[0], gold)
+        return mention, close + len(_PRO_CLOSE)
+    if match := _ZERO_RE.match(text, offset):
+        attrs = _attributes(match.group(1), frozenset({"id", "kind", "num", "ant"}))
+        mention_id = _mention_id(attrs, seen_ids)
         for required in ("kind", "num"):
             if required not in attrs:
-                raise self.error(f"missing {required} attribute", offset)
+                raise ValueError(f"missing {required} attribute")
         try:
             kind = PronounKind(attrs["kind"])
         except ValueError:
-            raise self.error(f"unknown kind value: {attrs['kind']!r}", offset) from None
+            raise ValueError(f"unknown kind value: {attrs['kind']!r}") from None
         try:
             number = Number(attrs["num"])
         except ValueError:
-            raise self.error(f"unknown num value: {attrs['num']!r}", offset) from None
-        gold = self.parse_gold(attrs, offset)
-        if self.pending_zero is None:
-            self.pending_zero = offset
-        # The zero precedes the next token, which takes this index.
-        self.records.append(
-            PronounMention(
-                id=mention_id,
-                kind=kind,
-                number=number,
-                position=len(self.surfaces),
-                gold_antecedent=gold,
-            )
-        )
-        return match.end()
+            raise ValueError(f"unknown num value: {attrs['num']!r}") from None
+        mention = PronounMention(mention_id, kind, number, position, gold_antecedent=_gold(attrs))
+        return mention, match.end()
+    raise ValueError("malformed tag")
 
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
     byte-order mark is dropped."""
-    scanner = _Scanner(text.removeprefix("\ufeff"), lexicon or default_lexicon())
-    scanner.run()
-    spans = sentence_spans(scanner.surfaces)
-    sentence_surfaces = [scanner.surfaces[start:end] for start, end in spans]
-    return assemble_document(sentence_surfaces, scanner.records)
+    text = text.removeprefix("\ufeff")
+    lexicon = lexicon or default_lexicon()
+    surfaces: list[str] = []
+    mentions: list[PronounMention] = []
+    seen_ids: set[int] = set()
+    zero_at: dict[int, int] = {}  # token position -> offset of its first zero tag
+    i = 0
+    try:
+        while (offset := text.find("<", i)) >= 0:
+            surfaces += split_tokens(text[i:offset])
+            mention, i = _read_tag(text, offset, len(surfaces), seen_ids, lexicon)
+            if mention.surface:
+                surfaces.append(mention.surface)
+            else:
+                zero_at.setdefault(mention.position, offset)
+            mentions.append(mention)
+        surfaces += split_tokens(text[i:])
+        spans = sentence_spans(surfaces)
+        # A zero before the closing quote that ends a sentence anchors to
+        # the first token of the next sentence.
+        n = len(surfaces)
+        starts = {start for start, _ in spans}
+        moved = {
+            p for p in zero_at
+            if p < n and p not in starts and surfaces[p] == QUOTE
+            and surfaces[p - 1] in SENTENCE_TERMINATORS
+        }
+        if moved:
+            mentions = [
+                replace(m, position=m.position + 1) if not m.surface and m.position in moved else m
+                for m in mentions
+            ]
+        if n in zero_at or n - 1 in moved:
+            offset = zero_at[n - 1 if n - 1 in moved else n]
+            raise ValueError("zero pronoun tag has no following token")
+    except ValueError as exc:
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        raise ParseError(str(exc), line, column) from None
+    return assemble_document([surfaces[start:end] for start, end in spans], mentions)
 
 
 def _render_mention_attrs(mention: PronounMention) -> str:

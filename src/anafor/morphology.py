@@ -194,11 +194,11 @@ def match_name(
     included.  Surfaces in the pronoun lexicon never match, even when a
     same-spelled dictionary entry exists.
     """
-    lexicon = lexicon or default_lexicon()
-    if turkish_lower(token.surface) in lexicon.pronoun_forms:
-        return None
     base, suffix = _split_apostrophe(token.surface)
     if not base or base not in dictionary:
+        return None
+    lexicon = lexicon or default_lexicon()
+    if turkish_lower(token.surface) in lexicon.pronoun_forms:
         return None
     nominative, plural, copular = _analyze_suffix(suffix, lexicon)
     return NameOccurrence(

@@ -62,6 +62,17 @@ class TestExtractCandidates:
             ("Ali", "Ayşe", "Murat"), CandidateKind.COMPOUND, Number.PLURAL,
         )
 
+    def test_a_linker_that_is_also_a_name_still_links(self):
+        dictionary = NameDictionary.from_names(["Ali", "Ayşe", "Murat", "İle"])
+        doc, pronoun = _doc_and_pronoun(
+            'Ali İle Ayşe ve Murat geldi. <pro id="1">Onlar</pro> gitti.'
+        )
+        compounds = [
+            _shape(c)[0] for c in extract_candidates(doc, pronoun, dictionary)
+            if c.kind is CandidateKind.COMPOUND
+        ]
+        assert compounds == [("Ali", "Ayşe", "Murat")]
+
     def test_nothing_left_of_pronoun(self):
         doc, pronoun = _doc_and_pronoun('<pro id="1">O</pro> geldi.')
         assert extract_candidates(doc, pronoun, DICT) == []

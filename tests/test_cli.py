@@ -249,6 +249,21 @@ def test_each_command_has_exactly_these_options_and_defaults(argv, options):
     assert parsed == {"command": argv[0], **options}
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["resolve", "--scope", "abc", "in.txt"], "argument --scope: invalid int value: 'abc'"),
+        (["resolve", "--scope", "-1", "in.txt"], "argument --scope: must be non-negative"),
+        (["train", "--epochs", "x", "in.txt"], "argument --epochs: invalid int value: 'x'"),
+    ],
+)
+def test_a_bad_number_option_is_reported_by_option_and_type(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"anafor {argv[0]}: error: {message}"
+
+
 class TestTrainCommand:
     def test_writes_loadable_weights_and_report(self, capsys, tmp_path):
         corpus = tmp_path / "train.txt"
