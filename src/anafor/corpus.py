@@ -9,10 +9,11 @@ Corpus files are plain UTF-8 narrative text with inline pronoun tags:
 names (``ant="Ahmet;Fatma"`` for a plural link).  Overt tags carry no kind
 or number attributes: both are derived from the surface form, and a surface
 that is not a recognized pronoun form is a parse error.  A zero tag anchors
-to the next token in the stream, or past it when that token is the closing
-quote that ends a sentence (in ``Ali "Gel. <zero …/> " Gitti.`` the zero
-anchors to ``Gitti``).  Proper names are never annotated; they are found
-through the gazetteer.
+to the next token in the stream, or to the first token of the next sentence
+when it stands inside the run of terminators and closing quote that ends a
+sentence (in ``Ali "Gel. <zero …/> " Gitti.`` and ``Gel. <zero …/> . Gitti.``
+the zero anchors to ``Gitti``).  Proper names are never annotated; they are
+found through the gazetteer.
 
 The literal ``<`` character is reserved for tags and may not appear in the
 running text.
@@ -20,6 +21,7 @@ running text.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
@@ -216,22 +218,24 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
             mentions.append(mention)
         surfaces += split_tokens(text[i:])
         spans = sentence_spans(surfaces)
-        # A zero before the closing quote that ends a sentence anchors to
-        # the first token of the next sentence.
+        # A zero inside the run of terminators, and closing quote, that
+        # ends a sentence anchors to the first token of the next sentence.
         n = len(surfaces)
-        starts = {start for start, _ in spans}
-        moved = {
-            p for p in zero_at
-            if p < n and p not in starts and surfaces[p] == QUOTE
-            and surfaces[p - 1] in SENTENCE_TERMINATORS
-        }
-        if moved:
+        ends = [end for _, end in spans]
+        anchor = {}
+        for p in zero_at:
+            if 0 < p < n and surfaces[p - 1] in SENTENCE_TERMINATORS:
+                start, end = spans[bisect_right(ends, p)]
+                if start < p:
+                    anchor[p] = end
+        if anchor:
             mentions = [
-                replace(m, position=m.position + 1) if not m.surface and m.position in moved else m
+                replace(m, position=anchor[m.position])
+                if not m.surface and m.position in anchor else m
                 for m in mentions
             ]
-        if n in zero_at or n - 1 in moved:
-            offset = zero_at[n - 1 if n - 1 in moved else n]
+        if dangling := [p for p in zero_at if anchor.get(p, p) == n]:
+            offset = zero_at[min(dangling)]
             raise ValueError("zero pronoun tag has no following token")
     except ValueError as exc:
         line = text.count("\n", 0, offset) + 1

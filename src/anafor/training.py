@@ -11,6 +11,7 @@ gold antecedent, so later feature vectors see the correct context.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import compress
 
@@ -57,6 +58,8 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
+        if isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, int):
+            raise ValueError(f"max epochs must be an integer, got {self.max_epochs!r}")
         if self.max_epochs < 1:
             raise ValueError("need at least one epoch")
 
@@ -114,27 +117,50 @@ def train(
 
     Stops at the first zero-error epoch or at ``max_epochs``; deterministic
     given the instance order.
+
+    Two shortcuts leave every weight bit and the report as they would be
+    without them.  Copies of a vector tie and the tie goes to the last copy,
+    so each distinct vector is scored once, at its last index; an instance
+    whose one distinct vector is the gold one can never miss and is left
+    out.  An epoch is a pure function of the weights it starts from, so once
+    an epoch starts from the exact bits an earlier one started from, the
+    epochs between them repeat, and as many whole periods as fit before
+    ``max_epochs`` are skipped.
     """
     if not instances:
         raise ValueError("no training instances")
+    # Per instance: its distinct vectors in the order of their last index,
+    # those indices, and the gold index and vector.
+    distinct = []
+    for instance in instances:
+        indices = sorted({vector: i for i, vector in enumerate(instance.vectors)}.values())
+        if indices != [instance.gold_index]:
+            vectors = [instance.vectors[i] for i in indices]
+            gold = instance.gold_index
+            distinct.append((vectors, indices, gold, instance.vectors[gold]))
     weights = list(config.initial_weights.values)
-    epochs_run = 0
+    pack = struct.Struct(f"{len(weights)}d").pack
+    started: dict[bytes, int] = {}  # bits of an epoch's starting weights -> epoch
+    epoch = 0
     errors = 0
-    for _epoch in range(config.max_epochs):
+    while epoch < config.max_epochs:
+        state = pack(*weights)
+        if state in started:
+            period = epoch - started[state]
+            epoch += (config.max_epochs - epoch) // period * period
+            started.clear()  # less than a period is left: run it out
+            continue
+        started[state] = epoch
         errors = 0
-        for instance in instances:
-            predicted = most_recent_max(
-                [sum(compress(weights, vector)) for vector in instance.vectors]
-            )
-            if predicted != instance.gold_index:
+        for vectors, indices, gold_index, gold_vector in distinct:
+            predicted = most_recent_max([sum(compress(weights, vector)) for vector in vectors])
+            if indices[predicted] != gold_index:
                 errors += 1
-                gold_vector = instance.vectors[instance.gold_index]
-                predicted_vector = instance.vectors[predicted]
                 weights = [
                     w + config.learning_rate * (int(g) - int(p))
-                    for w, g, p in zip(weights, gold_vector, predicted_vector)
+                    for w, g, p in zip(weights, gold_vector, vectors[predicted])
                 ]
-        epochs_run += 1
+        epoch += 1
         if errors == 0:
             break
-    return PreferenceWeights(tuple(weights)), TrainReport(epochs_run, errors)
+    return PreferenceWeights(tuple(weights)), TrainReport(epoch, errors)

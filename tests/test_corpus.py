@@ -188,6 +188,32 @@ class TestParseDocument:
             parse_document(text)
         assert str(info.value) == f"line {line}, column {column}: zero pronoun tag has no following token"
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ('Ali geldi . eve gitti . <zero id="1" kind="pers" num="sg"/> . Veli gitti .', 7),
+            ('Ali geldi ! <zero id="1" kind="pers" num="sg"/> ? ! Veli gitti .', 5),
+            ('Ali " geldi . <zero id="1" kind="pers" num="sg"/> . " Veli gitti .', 6),
+        ],
+    )
+    def test_zero_inside_a_run_of_terminators_anchors_to_the_next_sentence(self, text, position):
+        doc = parse_document(text)
+        assert [m.position for m in doc.pronouns] == [position]
+        assert doc.tokens[position].surface == "Veli"
+        assert position in {sent.first for sent in doc.sentences}
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ('Ali geldi . <zero id="1" kind="pers" num="sg"/> .', 1, 13),
+            ('Ali " geldi !\n<zero id="1" kind="pers" num="sg"/> ? ! "', 2, 1),
+        ],
+    )
+    def test_zero_inside_a_run_of_terminators_that_ends_the_document(self, text, line, column):
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == f"line {line}, column {column}: zero pronoun tag has no following token"
+
     def test_empty_document(self):
         doc = parse_document("")
         assert len(doc.tokens) == 0 and len(doc.pronouns) == 0
@@ -230,6 +256,28 @@ class TestSerializeDocument:
         )
         paraphrased = resolve_document(doc, PROP_DICT).paraphrased
         assert parse_document(serialize_document(paraphrased)) == paraphrased
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'Ali geldi . eve gitti . <zero id="1" kind="pers" num="sg"/> . Veli gitti .',
+            'Ali geldi ! <zero id="1" kind="pers" num="sg"/> ? ! Veli gitti .',
+            'Ali " eve . <zero id="1" kind="pers" num="sg"/> . " eve . Ali .',
+        ],
+    )
+    def test_round_trip_of_a_zero_inside_a_run_of_terminators(self, text):
+        # The zero anchors to the next sentence's first token, so its name is
+        # written in after the whole run and the sentences stay as they were.
+        doc = parse_document(text)
+        assert parse_document(serialize_document(doc)) == doc
+        for resolved in (
+            resolve_document(doc, PROP_DICT),
+            baseline_resolve_document(doc, PROP_DICT),
+        ):
+            paraphrased = resolved.paraphrased
+            assert resolved.resolutions[0].antecedent is not None
+            assert parse_document(serialize_document(paraphrased)) == paraphrased
+            assert len(paraphrased.sentences) == len(doc.sentences)
 
     def test_zero_tag_count_preserved(self):
         doc = parse_document(fixture_text("corpora/p2_recency.txt"))

@@ -2,8 +2,10 @@
 
 The paraphrases and traces of ``resolve`` and ``baseline`` at scopes 1 and
 3 on every fixture corpus, the mini corpus and 100 generated documents, and
-``compare --format kv`` and the ``train`` weights on the mini corpus, must
-match the digests recorded in ``fixtures/golden/digests.tsv``.  A change
+``compare --format kv`` and the ``train`` weights on the mini corpus, and
+the weights and report of ``train`` on the mini corpus plus the 100
+generated documents, which never reach a zero-error epoch, must match the
+digests recorded in ``fixtures/golden/digests.tsv``.  A change
 that alters any of these bytes on purpose re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,14 +29,17 @@ from typing import Iterator
 from anafor import (
     NameDictionary,
     baseline_resolve_document,
+    build_instances,
     load_dictionary,
     parse_document,
     resolve_document,
     serialize_document,
+    train,
 )
 from anafor.candidates import SearchScope
 from anafor.cli import main
 from anafor.resolver import format_trace
+from anafor.scoring import format_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -47,14 +52,17 @@ def _sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
 
 
+def _generated() -> list[str]:
+    return (GOLDEN / "generated.docs").read_text(encoding="utf-8").split("\n\n")
+
+
 def _inputs() -> Iterator[tuple[str, str, NameDictionary]]:
     """(name, annotated text, gazetteer) of every resolved input."""
     names9 = load_dictionary(NAMES)
     for path in sorted((FIXTURES / "corpora").glob("*.txt")) + [MINICORPUS]:
         yield path.relative_to(FIXTURES).as_posix(), path.read_text(encoding="utf-8"), names9
     generated_names = load_dictionary(GOLDEN / "generated.names")
-    generated = (GOLDEN / "generated.docs").read_text(encoding="utf-8").split("\n\n")
-    for i, text in enumerate(generated, start=1):
+    for i, text in enumerate(_generated(), start=1):
         yield f"golden/generated.docs#{i:03d}", text, generated_names
 
 
@@ -85,6 +93,17 @@ def computed_digests() -> Iterator[tuple[str, str]]:
     mini = str(MINICORPUS)
     yield "compare kv", _sha256(_cli_stdout("compare", "--dict", str(NAMES), "--format", "kv", mini))
     yield "train weights", _sha256(_cli_stdout("train", "--dict", str(NAMES), "-o", "-", mini))
+    # Weights file and report as ``anafor train`` writes them, on data where
+    # every epoch up to the cap makes errors.
+    gold = [parse_document(MINICORPUS.read_text(encoding="utf-8"))]
+    gold += [parse_document(text) for text in _generated()]
+    instances, skipped = build_instances(gold, load_dictionary(GOLDEN / "generated.names"))
+    weights, report = train(instances)
+    yield "train minicorpus+generated weights+report", _sha256(
+        format_weights(weights)
+        + f"instances={len(instances)}\nskipped={skipped}\n"
+        f"epochs={report.epochs}\nfinal_errors={report.final_errors}\n"
+    )
 
 
 def _recorded_digests() -> dict[str, str]:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import anafor.training
 from anafor import (
     NameDictionary,
     PreferenceVector,
@@ -12,9 +13,11 @@ from anafor import (
     TrainConfig,
     TrainingInstance,
     build_instances,
+    load_dictionary,
     parse_document,
     train,
 )
+from conftest import FIXTURES, fixture_text
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep"]
@@ -128,6 +131,34 @@ class TestTrain:
     def test_empty_instances_rejected(self):
         with pytest.raises(ValueError):
             train([])
+
+    @pytest.mark.parametrize("epochs", [2.5, 3.0, True, "3"])
+    def test_non_integer_max_epochs_rejected(self, epochs):
+        with pytest.raises(ValueError, match="max epochs must be an integer"):
+            TrainConfig(max_epochs=epochs)
+
+    def test_work_is_bounded_on_cycling_gold(self, monkeypatch):
+        # The mini corpus plus 12 generated documents never reach a
+        # zero-error epoch, so all 100 epochs count; the weights repeat
+        # within a few dozen epochs, and the rest need no scoring.
+        golden = FIXTURES / "golden"
+        texts = [fixture_text("minicorpus/minicorpus.txt")]
+        texts += (golden / "generated.docs").read_text(encoding="utf-8").split("\n\n")[:12]
+        instances, _skipped = build_instances(
+            [parse_document(text) for text in texts], load_dictionary(golden / "generated.names")
+        )
+        calls = 0
+        real = anafor.training.most_recent_max
+
+        def counting(scores):
+            nonlocal calls
+            calls += 1
+            return real(scores)
+
+        monkeypatch.setattr(anafor.training, "most_recent_max", counting)
+        _weights, report = train(instances)
+        assert report.epochs == 100 and report.final_errors > 0
+        assert calls <= 0.25 * len(instances) * report.epochs
 
 
 def _separable_instances(rng: random.Random, count: int) -> list[TrainingInstance]:
