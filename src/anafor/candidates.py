@@ -8,15 +8,21 @@ candidate while the members stay available as simple candidates too.  Set
 generation builds one plural candidate per sentence out of its distinct
 names, and is meant to be invoked only when a plural pronoun finds no
 plural candidate.
+
+The window's names are read off a :class:`NameIndex`: the one that the
+document walk's working text carries, or else one made for the pronoun.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .corpus import NameDictionary
-from .morphology import Lexicon, NameOccurrence, match_name, turkish_lower
+from .morphology import Lexicon, NameOccurrence, _split_apostrophe, match_name, turkish_lower
 from .textmodel import Document, Number, PronounKind, PronounMention
 
 LINKER_SURFACES = frozenset({"ve", "ile"})
@@ -89,6 +95,59 @@ def scan_name_occurrences(
     return occurrences
 
 
+class NameIndex:
+    """The names, one simple candidate per name, and the pre-apostrophe
+    base counts of a pronoun's window.  A document walk never changes a
+    token left of the pronoun it visits, nor starts a window left of the
+    previous one, so :meth:`advance` matches each of its tokens once."""
+
+    def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
+        self.dictionary, self.lexicon = dictionary, lexicon
+        self.occurrences: list[NameOccurrence] = []
+        self.simple: list[Candidate] = []
+        self.bases: Counter[str] = Counter()
+        self._bases: list[str] = []  # those counted, in token order
+        self._start = self._end = 0  # the window start; tokens before _end are matched or skipped
+
+    def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
+        start = _window_start(doc, pronoun, scope)
+        if start > self._start:
+            drop = bisect_left(self.occurrences, start, key=attrgetter("token_index"))
+            gone = min(start, self._end) - self._start
+            self.bases.subtract(self._bases[:gone])
+            del self.occurrences[:drop], self.simple[:drop], self._bases[:gone]
+            self._start, self._end = start, max(start, self._end)
+        tokens = doc.tokens[self._end:pronoun.position]
+        for token in tokens:
+            occ = match_name(token, self.dictionary, self.lexicon)
+            if occ is not None:
+                self.occurrences.append(occ)
+                self.simple.append(Candidate((occ,), CandidateKind.SIMPLE, token.sentence_index))
+        bases = [_split_apostrophe(token.surface)[0] for token in tokens]
+        self.bases.update(bases)
+        self._bases += bases
+        self._end = pronoun.position
+        return self
+
+
+@dataclass(frozen=True)
+class WalkText(Document):
+    """The working text of a document walk, with the index of its names."""
+    names: NameIndex
+
+
+def _window_index(
+    doc: Document,
+    pronoun: PronounMention,
+    dictionary: NameDictionary,
+    scope: SearchScope,
+    lexicon: Lexicon | None,
+) -> NameIndex:
+    if isinstance(doc, WalkText):
+        return doc.names  # the walk has advanced it to the pronoun
+    return NameIndex(dictionary, lexicon).advance(doc, pronoun, scope)
+
+
 def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
     # Maximal runs of names chained by single 've'/'ile' tokens:
     # A ve B ile C collapses into one compound of all three.  A run's
@@ -117,19 +176,11 @@ def extract_candidates(
     lexicon: Lexicon | None = None,
 ) -> list[Candidate]:
     """Simple and compound candidates for one pronoun, oldest anchor first."""
-    occurrences = scan_name_occurrences(doc, pronoun, dictionary, scope, lexicon)
-    candidates = [
-        Candidate((occ,), CandidateKind.SIMPLE, doc.sentence_index_of(occ.token_index))
-        for occ in occurrences
+    index = _window_index(doc, pronoun, dictionary, scope, lexicon)
+    candidates = index.simple + [
+        Candidate(tuple(run), CandidateKind.COMPOUND, doc.sentence_index_of(run[-1].token_index))
+        for run in _compound_runs(doc, index.occurrences)
     ]
-    for run in _compound_runs(doc, occurrences):
-        candidates.append(
-            Candidate(
-                members=tuple(run),
-                kind=CandidateKind.COMPOUND,
-                sentence_index=doc.sentence_index_of(run[-1].token_index),
-            )
-        )
     candidates.sort(key=lambda c: (c.anchor, len(c.members)))
     return candidates
 
@@ -146,23 +197,16 @@ def generate_sets(
     Each distinct base contributes its first occurrence in the sentence;
     all of them join into a single set (no subset enumeration).
     """
+    # The window's names come in token order, so sentences and first occurrences do.
     per_sentence: dict[int, dict[str, NameOccurrence]] = {}
-    for occ in scan_name_occurrences(doc, pronoun, dictionary, scope, lexicon):
-        sentence = doc.sentence_index_of(occ.token_index)
-        per_sentence.setdefault(sentence, {}).setdefault(occ.base, occ)
-    sets = []
-    for sentence in sorted(per_sentence):
-        members = sorted(per_sentence[sentence].values(), key=lambda o: o.token_index)
-        if len(members) < 2:
-            continue
-        sets.append(
-            Candidate(
-                members=tuple(members),
-                kind=CandidateKind.GENERATED_SET,
-                sentence_index=sentence,
-            )
-        )
-    return sets
+    for candidate in _window_index(doc, pronoun, dictionary, scope, lexicon).simple:
+        (occ,) = candidate.members
+        per_sentence.setdefault(candidate.sentence_index, {}).setdefault(occ.base, occ)
+    return [
+        Candidate(tuple(members.values()), CandidateKind.GENERATED_SET, sentence)
+        for sentence, members in per_sentence.items()
+        if len(members) >= 2
+    ]
 
 
 def apply_constraints(

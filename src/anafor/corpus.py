@@ -47,6 +47,8 @@ _PRO_OPEN_RE = re.compile(r"<pro\b([^<>]*)>")
 _ZERO_RE = re.compile(r"<zero\b([^<>]*?)/>")
 _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
+# Invisible format characters that would glue onto a token unseen.
+_INVISIBLE_RE = re.compile("[\u00ad\u200b\u2060\ufeff]")
 
 
 class ParseError(ValueError):
@@ -199,7 +201,8 @@ def _read_tag(
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
-    byte-order mark is dropped."""
+    byte-order mark is dropped, and any other U+FEFF, U+200B, U+2060 or
+    U+00AD is a ParseError."""
     text = text.removeprefix("\ufeff")
     lexicon = lexicon or default_lexicon()
     surfaces: list[str] = []
@@ -208,6 +211,9 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     zero_at: dict[int, int] = {}  # token position -> offset of its first zero tag
     i = 0
     try:
+        if invisible := _INVISIBLE_RE.search(text):
+            offset = invisible.start()
+            raise ValueError(f"invisible format character U+{ord(invisible[0]):04X}")
         while (offset := text.find("<", i)) >= 0:
             surfaces += split_tokens(text[i:offset])
             mention, i = _read_tag(text, offset, len(surfaces), seen_ids, lexicon)

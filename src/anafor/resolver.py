@@ -7,20 +7,18 @@ choice of what to write in.  Whenever a pronoun is resolved, its token (or
 zero-marker position) is rewritten to the antecedent's bare base names
 joined with ``ve``, so the replacement is visible to later candidate
 extraction and repetition counting.  Ambiguous pronouns stay in the text
-untouched.  The walk grows one working text a sentence at a time and
-splices each replacement into it in place, so sentence boundaries never
-move.  The resolver picks the highest-scoring survivor; the baseline
-scores nothing, so the most recent survivor wins.
+untouched.  The walk streams the text in up to each pronoun and splices
+each replacement into it in place, so the cost per pronoun is flat across
+sentences and inside them.  The resolver picks the highest-scoring
+survivor; the baseline scores nothing, so the most recent survivor wins.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace as dc_replace
-from operator import attrgetter
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
-from .candidates import Candidate, SearchScope, constrained_candidates
+from .candidates import Candidate, NameIndex, SearchScope, WalkText, constrained_candidates
 from .corpus import NameDictionary
 from .morphology import Lexicon
 from .scoring import (
@@ -65,17 +63,11 @@ class ResolvedDocument:
     paraphrased: Document
 
 
-def _replacement_surfaces(names: Sequence[str]) -> list[str]:
-    surfaces: list[str] = []
-    for name in names:
-        if surfaces:
-            surfaces.append("ve")
-        surfaces.append(name)
-    return surfaces
-
-
-def _shifted(tokens: Sequence[Token], delta: int) -> list[Token]:
-    return [Token(t.surface, t.index + delta, t.sentence_index, t.quoted) for t in tokens]
+def _renumbered(tokens: Sequence[Token], first: int) -> list[Token]:
+    # Consecutive tokens numbered from ``first``, reused if they already are.
+    if not tokens or tokens[0].index == first:
+        return list(tokens)
+    return [Token(t.surface, first + k, t.sentence_index, t.quoted) for k, t in enumerate(tokens)]
 
 
 def _quote_open_before(tokens: Sequence[Token], position: int) -> bool:
@@ -110,7 +102,7 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
     position = mention.position
     at = tokens[position]
     overt = mention.overtness is Overtness.OVERT
-    inserted = _replacement_surfaces(names)
+    inserted = [surface for name in names for surface in ("ve", name)][1:]
     delta = len(inserted) - overt
     if overt or at.surface != QUOTE:
         quoted = at.quoted
@@ -119,7 +111,7 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
     sentence = at.sentence_index
     tokens[position:] = [
         Token(surface, position + k, sentence, quoted) for k, surface in enumerate(inserted)
-    ] + _shifted(tokens[position + overt:], delta)
+    ] + _renumbered(tokens[position + overt:], position + len(inserted))
 
     own = sentences[sentence]
     sentences[sentence:] = [Sentence(own.first, own.last + delta)] + [
@@ -127,10 +119,8 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
     ]
 
     # Mentions are ordered by position, so the ones after the resolved one
-    # are exactly those at or right of the splice point.
-    i = bisect_left(pronouns, position, key=attrgetter("position"))
-    while pronouns[i].id != mention.id:
-        i += 1
+    # are exactly those at or right of the splice point (in the walk, none).
+    i = next(k for k in reversed(range(len(pronouns))) if pronouns[k].id == mention.id)
     pronouns[i:] = [dc_replace(m, position=m.position + delta) for m in pronouns[i + 1:]]
     if in_place:
         return doc
@@ -143,54 +133,58 @@ def walk_document(
     scope: SearchScope,
     lexicon: Lexicon | None,
     choose: Callable[
-        [Document, PronounMention, list[Candidate], AbstractSet[frozenset[str]]],
+        [Document, PronounMention, list[Candidate], AbstractSet[frozenset[str]],
+         Mapping[str, int]],
         Sequence[str] | None,
     ],
 ) -> Document:
     """The left-to-right pass shared by resolve, baseline and training.
 
-    The working text is the only Document over lists.  Before the pronouns
-    of a sentence are visited, the sentence's tokens, Sentence and mentions
-    are appended to it, shifted past the replacements made so far.  Each
-    replacement is spliced into it in place and, as the lists end at the
-    current sentence, costs only the rest of that sentence.  Candidates
-    never lie right of a pronoun, so for each pronoun in document order
-    ``choose`` sees the text up to the end of the pronoun's sentence, the
-    mention, its constrained survivors and the zero-pronoun history, and
-    returns the names to write in, or None to leave the pronoun in place;
-    it must not keep the working text.  The history is the set of name
-    sets written in for zero pronouns of earlier sentences; a sentence's
-    own zeros join it only once the whole sentence is walked.  Returns the
-    document with every chosen replacement made.
+    The working text is the only Document over lists.  Candidates never
+    lie right of a pronoun, so it is streamed in from ``doc`` only up to
+    and including the token of the pronoun about to be visited: a splice
+    has a tail of at most one token, every token left of the pronoun keeps
+    its position, and its :class:`NameIndex` matches each token once.  For
+    each pronoun in document order ``choose`` sees that text, the mention,
+    its constrained survivors, the zero-pronoun history and the window's
+    pre-apostrophe base counts, and returns the names to write in, or None
+    to leave the pronoun in place.  It must keep neither text nor counts,
+    nor read the index of the pronoun's own token, which is set once the
+    walk has placed it.  The history is the set of name sets written in for
+    zero pronouns of earlier sentences; a sentence's own zeros join it only
+    once the whole sentence is walked.  Returns the document with every
+    chosen replacement made.
     """
-    work = Document([], [], [])
+    work = WalkText([], [], [], NameIndex(dictionary, lexicon))
+    tokens = work.tokens
     history: set[frozenset[str]] = set()
-    left_in_place = 0
-    next_mention = 0
-    for k, sentence in enumerate(doc.sentences):
-        offset = len(work.tokens) - sentence.first
-        while (next_mention < len(doc.pronouns)
-               and doc.pronouns[next_mention].position <= sentence.last):
-            mention = doc.pronouns[next_mention]
-            work.pronouns.append(dc_replace(mention, position=mention.position + offset))
-            next_mention += 1
-        work.tokens.extend(_shifted(doc.sentence_tokens(k), offset))
-        work.sentences.append(Sentence(sentence.first + offset, sentence.last + offset))
+    streamed = 0  # doc.tokens[:streamed] are in the working text
+    mentions = iter(doc.pronouns)
+    mention = next(mentions, None)
+    for sentence in doc.sentences:
+        work.sentences.append(Sentence(len(tokens), sentence.last + len(tokens) - streamed))
         zeros = []
-        # Replaced mentions leave work.pronouns and the rest keep their order,
-        # so the unvisited mentions are the ones after those left in place.
-        for _ in range(len(work.pronouns) - left_in_place):
-            mention = work.pronouns[left_in_place]
-            survivors = constrained_candidates(work, mention, dictionary, scope, lexicon)
-            names = choose(work, mention, survivors, history)
+        while mention is not None and mention.position <= sentence.last:
+            if mention.position >= streamed:
+                tokens += _renumbered(doc.tokens[streamed:mention.position], len(tokens))
+                tokens.append(doc.tokens[mention.position])
+                streamed = mention.position + 1
+            visited = dc_replace(mention, position=len(tokens) - 1)
+            work.pronouns.append(visited)
+            work.names.advance(work, visited, scope)
+            survivors = constrained_candidates(work, visited, dictionary, scope, lexicon)
+            names = choose(work, visited, survivors, history, work.names.bases)
             if names is None:
-                left_in_place += 1
-                continue
-            work = replace_mention(work, mention, names)
-            if mention.overtness is Overtness.ZERO:
-                zeros.append(frozenset(names))
+                tokens[-1:] = _renumbered(tokens[-1:], visited.position)
+            else:
+                replace_mention(work, visited, names)  # in place
+                if visited.overtness is Overtness.ZERO:
+                    zeros.append(frozenset(names))
+            mention = next(mentions, None)
+        tokens += _renumbered(doc.tokens[streamed:sentence.last + 1], len(tokens))
+        streamed = sentence.last + 1
         history.update(zeros)
-    paraphrased = Document(tuple(work.tokens), tuple(work.sentences), tuple(work.pronouns))
+    paraphrased = Document(tuple(tokens), tuple(work.sentences), tuple(work.pronouns))
     paraphrased.validate()
     return paraphrased
 
@@ -200,8 +194,8 @@ def _decide(
     pronoun: PronounMention,
     survivors: list[Candidate],
     history: AbstractSet[frozenset[str]],
+    bases: Mapping[str, int],
     weights: PreferenceWeights | None,
-    scope: SearchScope,
 ) -> tuple[Resolution, Candidate | None]:
     # weights=None is the baseline: nothing is scored, so every survivor
     # ties at 0.0 and the most recent one wins.
@@ -210,7 +204,7 @@ def _decide(
     if weights is None:
         scored = [ScoredCandidate(candidate, None, 0.0) for candidate in survivors]
     else:
-        vectors = feature_vectors(doc, pronoun, survivors, history, scope)
+        vectors = feature_vectors(doc, pronoun, survivors, history, bases=bases)
         scored = [
             ScoredCandidate(candidate, vector, score(vector, weights))
             for candidate, vector in zip(survivors, vectors)
@@ -229,8 +223,8 @@ def _resolve_all(
 ) -> ResolvedDocument:
     resolutions = []
 
-    def choose(work, mention, survivors, history):
-        resolution, winner = _decide(work, mention, survivors, history, weights, scope)
+    def choose(work, mention, survivors, history, bases):
+        resolution, winner = _decide(work, mention, survivors, history, bases, weights)
         resolutions.append(resolution)
         return None if winner is None else [member.base for member in winner.members]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .candidates import Candidate, SearchScope, _window_start
 from .morphology import _split_apostrophe
@@ -137,6 +137,7 @@ def feature_vectors(
     survivors: Sequence[Candidate],
     history: AbstractSet[frozenset[str]],
     scope: SearchScope = SearchScope(),
+    bases: Mapping[str, int] | None = None,
 ) -> list[PreferenceVector]:
     """Compute the eight preference flags for each post-constraint
     candidate, in the order of ``survivors``.
@@ -147,14 +148,16 @@ def feature_vectors(
     search window, replacement tokens included; punctuation asks whether
     the token after the candidate's anchor is a comma;
     zero_antecedent_history asks whether a zero pronoun's candidate names
-    are in ``history``.  The window is read once for all survivors.
+    are in ``history``.  The window's pre-apostrophe base counts are
+    ``bases``, which the document walk keeps, or else read off the window.
     """
     if not survivors:
         return []
     pronoun_quoted = doc.tokens[pronoun.position].quoted
     nearest_sentence = max(c.sentence_index for c in survivors)
-    window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]
-    bases = Counter([_split_apostrophe(token.surface)[0] for token in window])
+    if bases is None:
+        window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]
+        bases = Counter([_split_apostrophe(token.surface)[0] for token in window])
     first_phrase = {
         sentence: _first_phrase_token(doc, sentence)
         for sentence in {c.sentence_index for c in survivors}

@@ -85,7 +85,7 @@ def build_instances(
     instances: list[TrainingInstance] = []
     skipped = 0
 
-    def choose(work, mention, survivors, history):
+    def choose(work, mention, survivors, history, bases):
         nonlocal skipped
         gold = mention.gold_antecedent
         if gold is None:
@@ -97,7 +97,7 @@ def build_instances(
         if gold_index is None:
             skipped += 1
         else:
-            vectors = tuple(feature_vectors(work, mention, survivors, history, scope))
+            vectors = tuple(feature_vectors(work, mention, survivors, history, bases=bases))
             instances.append(TrainingInstance(mention.id, vectors, gold_index))
         return sorted(gold)
 
@@ -125,7 +125,7 @@ def train(
     out.  An epoch is a pure function of the weights it starts from, so once
     an epoch starts from the exact bits an earlier one started from, the
     epochs between them repeat, and as many whole periods as fit before
-    ``max_epochs`` are skipped.
+    ``max_epochs`` are skipped.  A weight that overflows is a ValueError.
     """
     if not instances:
         raise ValueError("no training instances")
@@ -161,6 +161,9 @@ def train(
                     for w, g, p in zip(weights, gold_vector, vectors[predicted])
                 ]
         epoch += 1
+        if not all(map(math.isfinite, weights)):  # a weight never comes back
+            rate = config.learning_rate
+            raise ValueError(f"learning rate {rate} made a weight non-finite in epoch {epoch}")
         if errors == 0:
             break
     return PreferenceWeights(tuple(weights)), TrainReport(epoch, errors)

@@ -320,6 +320,17 @@ class TestTrainCommand:
         assert err == f"anafor: error: learning rate must be finite, got {rate}\n"
         assert not weights_path.exists()
 
+    def test_overflowing_learning_rate_names_rate_and_epoch(self, capsys, tmp_path):
+        weights_path = tmp_path / "weights.txt"
+        status, out, err = _run(
+            capsys,
+            "train", "--dict", str(NAMES), "--learning-rate", "1e308",
+            "-o", str(weights_path), str(FIXTURES / "minicorpus" / "minicorpus.txt"),
+        )
+        assert (status, out) == (1, "")
+        assert err == "anafor: error: learning rate 1e+308 made a weight non-finite in epoch 1\n"
+        assert not weights_path.exists()
+
 
 class TestEvalCommand:
     def test_reported_counts_reproduce_first_experiment(self, capsys, tmp_path):

@@ -224,6 +224,24 @@ class TestParseDocument:
         assert marked == resolve_document(parse_document(text), names9)
         assert marked.resolutions[0].antecedent == frozenset({"Ali"})
 
+    @pytest.mark.parametrize(
+        "text,line,column,code",
+        [
+            ("\n\ufeffAli geldi.", 2, 1, "FEFF"),
+            ("Ali\u200b geldi.", 1, 4, "200B"),
+            ("Ali geldi.\nAyşe\u2060 gitti.", 2, 5, "2060"),
+            ('Ali <pro id="1">o\u00adnu</pro> gördü.', 1, 18, "00AD"),
+        ],
+        ids=["bom-inside", "zero-width-space", "word-joiner", "soft-hyphen"],
+    )
+    def test_invisible_format_character_is_located(self, text, line, column, code):
+        # Each would otherwise glue onto a token unseen (Ali\u200b is no name).
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == (
+            f"line {line}, column {column}: invisible format character U+{code}"
+        )
+
 
 class TestSerializeDocument:
     @pytest.mark.parametrize("path", CORPORA, ids=lambda p: p.stem)

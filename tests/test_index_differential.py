@@ -1,0 +1,63 @@
+"""The document walk's name index against a scan of each window: at every
+step of a walk, the window's name occurrences, their simple candidates and
+the counts of its pre-apostrophe bases must equal ``scan_name_occurrences``
+and a fresh ``Counter`` of the window."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from anafor import parse_document
+from anafor.candidates import Candidate, CandidateKind, SearchScope, scan_name_occurrences
+from anafor.morphology import _split_apostrophe
+from anafor.resolver import walk_document
+from conftest import fixture_text
+from test_acceptance import PROP_DICT, annotated_texts
+from test_walk_differential import FIXTURE_FILES, quoted_texts
+
+SCOPES = [0, 1, 3]
+
+
+def check_document(doc, names, scope) -> None:
+    """Walk ``doc``, leaving every third pronoun in place and writing in
+    the most recent survivor for the others, and check the index at each
+    pronoun."""
+    visited = []
+
+    def choose(work, mention, survivors, history, bases):
+        # The text ends at the pronoun's token; every token left of it is
+        # numbered for good.
+        assert len(work.tokens) == mention.position + 1
+        assert all(token.index == i for i, token in enumerate(work.tokens[:-1]))
+        occurrences = scan_name_occurrences(work, mention, names, scope)
+        assert work.names.occurrences == occurrences
+        assert work.names.simple == [
+            Candidate((occ,), CandidateKind.SIMPLE, work.sentence_index_of(occ.token_index))
+            for occ in occurrences
+        ]
+        sentence = work.sentence_index_of(mention.position)
+        start = work.sentences[max(0, sentence - scope.max_back_sentences)].first
+        window = work.tokens[start:mention.position]
+        assert bases == Counter(_split_apostrophe(token.surface)[0] for token in window)
+        visited.append(mention.id)
+        if mention.id % 3 == 0 or not survivors:
+            return None
+        return [member.base for member in survivors[-1].members]
+
+    walk_document(doc, names, scope, None, choose)
+    assert visited == [mention.id for mention in doc.pronouns]
+
+
+@pytest.mark.parametrize("relative", FIXTURE_FILES)
+@pytest.mark.parametrize("back", SCOPES)
+def test_fixtures_match_the_scan(relative, back, names9):
+    check_document(parse_document(fixture_text(relative)), names9, SearchScope(back))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.sampled_from(SCOPES))
+def test_generated_documents_match_the_scan(text, back):
+    check_document(parse_document(text), PROP_DICT, SearchScope(back))

@@ -37,6 +37,18 @@ FIXTURE_FILES = sorted(
 ZERO = '<zero id="{}" kind="pers" num="sg"/>'
 
 
+def _probe(tokens: int):
+    # One sentence of filler words: Ali at its start, a reflexive zero
+    # before every 50th token and a full stop at its end.
+    fillers = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
+    words = ["Ali"] + [
+        (f'<zero id="{i}" kind="refl" num="sg"/> ' if i % 50 == 0 else "")
+        + fillers[i % len(fillers)]
+        for i in range(1, tokens - 1)
+    ]
+    return parse_document(" ".join(words) + " .")
+
+
 def _tiled_minicorpus(k: int):
     text = fixture_text("minicorpus/minicorpus.txt")
     return parse_document("\n".join(
@@ -359,8 +371,8 @@ class TestReplacement:
         assert per_pronoun(2000) <= 1.5 * per_pronoun(20)
 
     def test_zeros_of_one_sentence_build_at_most_length_times_zeros_tokens(self, monkeypatch):
-        # Within one sentence a splice still shifts the rest of it, so this
-        # is the one case where the work per pronoun grows with the input.
+        # A loose bound: a splice that shifted the rest of the sentence
+        # would build up to its length in tokens per zero.
         zeros = 200
         doc = parse_document(
             "Ali geldi. " + " ".join(f"{ZERO.format(i)} güldü" for i in range(zeros)) + "."
@@ -400,6 +412,29 @@ class TestReplacement:
         assert calls <= sum(verbs)
         second = doc.sentences[1]
         assert built <= len(paraphrase) + 5 * (second.last - second.first + 1)
+
+    @staticmethod
+    def _probe_counts(monkeypatch, tokens):
+        # match_name calls, Tokens built, names written in and the probe.
+        doc = _probe(tokens)
+        calls, built, resolved = _walk_counts(monkeypatch, doc, DICT)
+        assert len(doc.tokens) == tokens and len(doc.pronouns) == tokens // 50 - 1
+        written = sum(len(r.antecedent) for r in resolved.resolutions if r.resolved)
+        assert written == len(doc.pronouns)
+        return calls, built, written, doc
+
+    # Counts, not timings: a walk that re-reads the sentence left of each
+    # pronoun, or shifts the rest of the sentence on each splice, does so
+    # about tokens / 100 times per token of the probe.
+    @pytest.mark.parametrize("tokens", [2000, 8000])
+    def test_long_sentence_matches_each_token_once(self, monkeypatch, tokens):
+        calls, _, written, doc = self._probe_counts(monkeypatch, tokens)
+        assert 0 < calls <= len(doc.tokens) + written
+
+    @pytest.mark.parametrize("tokens", [2000, 8000])
+    def test_long_sentence_builds_each_token_once(self, monkeypatch, tokens):
+        _, built, written, doc = self._probe_counts(monkeypatch, tokens)
+        assert built <= len(doc.tokens) + written + len(doc.sentences)
 
     def test_window_reads_do_not_grow_with_survivors(self, monkeypatch):
         # A count, not a timing: scoring that re-reads the window for each

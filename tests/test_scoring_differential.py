@@ -20,8 +20,9 @@ from test_walk_differential import FIXTURE_FILES, quoted_texts
 SCOPES = [0, 1, 3]
 
 
-def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope) -> None:
-    assert feature_vectors(doc, pronoun, survivors, history, scope) == [
+def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope,
+                        bases=None) -> None:
+    assert feature_vectors(doc, pronoun, survivors, history, scope, bases) == [
         seed_walk.feature_vector(doc, pronoun, candidate, survivors, seed_history, scope)
         for candidate in survivors
     ]
@@ -45,7 +46,7 @@ def _seed_history(records) -> seed_walk.ResolutionHistory:
 def check_document(doc, names, scope) -> None:
     """Every pronoun of the parsed text with a non-empty history, then every
     pronoun met on a resolve walk, whose windows hold the names written in
-    and whose history is the walk's own."""
+    and whose history and window counts are the walk's own."""
     for pronoun in doc.pronouns:
         survivors = constrained_candidates(doc, pronoun, names, scope)
         sentence = doc.sentence_index_of(pronoun.position)
@@ -53,11 +54,11 @@ def check_document(doc, names, scope) -> None:
         history = {bases for bases, recorded in records if recorded < sentence}
         assert_same_vectors(doc, pronoun, survivors, history, _seed_history(records), scope)
 
-    def choose(work, mention, survivors, history):
+    def choose(work, mention, survivors, history, bases):
         # The walk's set holds earlier sentences' names only, so the seed
         # gets them as recorded before the first sentence.
-        seed_history = _seed_history((bases, -1) for bases in history)
-        assert_same_vectors(work, mention, survivors, history, seed_history, scope)
+        seed_history = _seed_history((written, -1) for written in history)
+        assert_same_vectors(work, mention, survivors, history, seed_history, scope, bases)
         return [member.base for member in survivors[-1].members] if survivors else None
 
     walk_document(doc, names, scope, None, choose)

@@ -132,6 +132,23 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([])
 
+    def test_overflowing_weight_names_rate_and_epoch(self):
+        # The first instance misses whenever w0 + w1 <= 0 and raises both,
+        # the second misses whenever w1 >= 0 and lowers w1: w0 overflows in
+        # the third epoch, a finite rate of half the size converges.
+        instances = [
+            TrainingInstance(1, (_vector(0, 1), _vector()), 0),
+            TrainingInstance(2, (_vector(), _vector(1)), 0),
+        ]
+        with pytest.raises(ValueError) as raised:
+            train(instances, TrainConfig(learning_rate=1e308))
+        assert str(raised.value) == (
+            "learning rate 1e+308 made a weight non-finite in epoch 3"
+        )
+        weights, report = train(instances, TrainConfig(learning_rate=5e307))
+        assert weights.values[:2] == (1e308, -5e307)
+        assert (report.epochs, report.final_errors) == (4, 0)
+
     @pytest.mark.parametrize("epochs", [2.5, 3.0, True, "3"])
     def test_non_integer_max_epochs_rejected(self, epochs):
         with pytest.raises(ValueError, match="max epochs must be an integer"):
