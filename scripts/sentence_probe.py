@@ -6,19 +6,25 @@ The document is one sentence of filler words with ``Ali`` at its start and
 a reflexive zero pronoun before every 50th token, so every pronoun's window
 is the sentence left of it.  For each length the script prints one JSON
 line: the best-of-``--repeat`` milliseconds per pronoun of
-``resolve_document``, and from one more run the ``match_name`` calls and
-``Token``s built per pronoun, whose sum is the tokens touched per pronoun.
+``resolve_document``, and from one more run the gazetteer lookups (the
+walk's name index splits each window token once to look up its base) and
+the ``Token``s built per pronoun, whose sum is the tokens touched per
+pronoun.  The counters are those of the tests (``tests/counting.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
+from pathlib import Path
 
 import anafor.candidates
 from anafor import NameDictionary, parse_document, resolve_document
-from anafor.textmodel import Token
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from counting import calls, tokens_built  # noqa: E402
 
 FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
 ZERO = '<zero id="{}" kind="refl" num="sg"/> '
@@ -36,26 +42,10 @@ def probe_text(tokens: int) -> str:
 
 
 def counted(doc) -> tuple[int, int]:
-    """``match_name`` calls and ``Token``s built by one resolve of ``doc``."""
-    calls = built = 0
-    match_name, post_init = anafor.candidates.match_name, Token.__post_init__
-
-    def counting_match(*args):
-        nonlocal calls
-        calls += 1
-        return match_name(*args)
-
-    def counting_token(token):
-        nonlocal built
-        built += 1
-        post_init(token)
-
-    anafor.candidates.match_name, Token.__post_init__ = counting_match, counting_token
-    try:
+    """Gazetteer lookups and ``Token``s built by one resolve of ``doc``."""
+    with calls(anafor.candidates, "_split_apostrophe") as lookups, tokens_built() as built:
         resolve_document(doc, DICTIONARY)
-    finally:
-        anafor.candidates.match_name, Token.__post_init__ = match_name, post_init
-    return calls, built
+    return lookups.n, built.n
 
 
 def main() -> None:
@@ -71,14 +61,14 @@ def main() -> None:
             start = time.perf_counter()
             resolve_document(doc, DICTIONARY)
             times.append(time.perf_counter() - start)
-        calls, built = counted(doc)
+        lookups, built = counted(doc)
         print(json.dumps({
             "tokens": len(doc.tokens),
             "pronouns": pronouns,
             "ms_per_pronoun": round(1000 * min(times) / pronouns, 3),
-            "match_name_per_pronoun": round(calls / pronouns, 2),
+            "lookups_per_pronoun": round(lookups / pronouns, 2),
             "tokens_built_per_pronoun": round(built / pronouns, 2),
-            "tokens_touched_per_pronoun": round((calls + built) / pronouns, 2),
+            "tokens_touched_per_pronoun": round((lookups + built) / pronouns, 2),
         }))
 
 

@@ -20,9 +20,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .corpus import NameDictionary
-from .morphology import Lexicon, NameOccurrence, _split_apostrophe, match_name, turkish_lower
+from .morphology import (
+    Lexicon, NameOccurrence, _split_apostrophe, match_name, name_occurrence, turkish_lower,
+)
 from .textmodel import Document, Number, PronounKind, PronounMention
 
 LINKER_SURFACES = frozenset({"ve", "ile"})
@@ -34,19 +37,25 @@ class CandidateKind(enum.Enum):
     GENERATED_SET = "set"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class _CandidateFields(NamedTuple):
     members: tuple[NameOccurrence, ...]
     kind: CandidateKind
     sentence_index: int
 
-    def __post_init__(self) -> None:
-        if not self.members:
+
+class Candidate(_CandidateFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, members: tuple[NameOccurrence, ...], kind: CandidateKind, sentence_index: int
+    ):
+        if not members:
             raise ValueError("candidate needs at least one member")
-        if self.kind is CandidateKind.SIMPLE and len(self.members) != 1:
+        if kind is CandidateKind.SIMPLE and len(members) != 1:
             raise ValueError("simple candidate must have exactly one member")
-        if self.kind is not CandidateKind.SIMPLE and len(self.members) < 2:
+        if kind is not CandidateKind.SIMPLE and len(members) < 2:
             raise ValueError("compound/set candidate needs at least two members")
+        return tuple.__new__(cls, (members, kind, sentence_index))
 
     @property
     def anchor(self) -> int:
@@ -99,7 +108,10 @@ class NameIndex:
     """The names, one simple candidate per name, and the pre-apostrophe
     base counts of a pronoun's window.  A document walk never changes a
     token left of the pronoun it visits, nor starts a window left of the
-    previous one, so :meth:`advance` matches each of its tokens once."""
+    previous one, so :meth:`advance` splits each of its tokens once and
+    analyses the suffix of the gazetteer names only.  The counts keep the
+    bases gone from the window at zero until they outnumber twice the
+    window's tokens, then drop them."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.lexicon = dictionary, lexicon
@@ -117,15 +129,22 @@ class NameIndex:
             self.bases.subtract(self._bases[:gone])
             del self.occurrences[:drop], self.simple[:drop], self._bases[:gone]
             self._start, self._end = start, max(start, self._end)
-        tokens = doc.tokens[self._end:pronoun.position]
-        for token in tokens:
-            occ = match_name(token, self.dictionary, self.lexicon)
-            if occ is not None:
-                self.occurrences.append(occ)
-                self.simple.append(Candidate((occ,), CandidateKind.SIMPLE, token.sentence_index))
-        bases = [_split_apostrophe(token.surface)[0] for token in tokens]
+        dictionary, lexicon = self.dictionary, self.lexicon
+        bases = []
+        for token in doc.tokens[self._end:pronoun.position]:
+            base, suffix = _split_apostrophe(token.surface)
+            bases.append(base)
+            if base and base in dictionary:
+                occ = name_occurrence(token, base, suffix, lexicon)
+                if occ is not None:
+                    self.occurrences.append(occ)
+                    self.simple.append(
+                        Candidate((occ,), CandidateKind.SIMPLE, token.sentence_index)
+                    )
         self.bases.update(bases)
         self._bases += bases
+        if len(self.bases) > 2 * len(self._bases):
+            self.bases = +self.bases  # drop the zero counts of bases gone from the window
         self._end = pronoun.position
         return self
 

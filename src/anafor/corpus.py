@@ -151,7 +151,8 @@ def _gold(attrs: dict[str, str]) -> frozenset[str] | None:
     if not all(names):
         raise ValueError("empty name in ant attribute")
     try:
-        NameDictionary.from_names(names)
+        for name in names:
+            _checked_name(name)
     except ValueError as exc:
         raise ValueError(f"bad name in ant attribute: {exc}") from None
     return frozenset(names)

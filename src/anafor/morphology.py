@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .textmodel import Number, PronounKind, decode_utf8
 
@@ -45,8 +45,7 @@ class PronounForm:
     number: Number
 
 
-@dataclass(frozen=True)
-class NameOccurrence:
+class NameOccurrence(NamedTuple):
     """A gazetteer name matched at one token position."""
 
     base: str
@@ -197,15 +196,19 @@ def match_name(
     base, suffix = _split_apostrophe(token.surface)
     if not base or base not in dictionary:
         return None
+    return name_occurrence(token, base, suffix, lexicon)
+
+
+def name_occurrence(
+    token: "Token",
+    base: str,
+    suffix: str,
+    lexicon: Lexicon | None = None,
+) -> NameOccurrence | None:
+    """:func:`match_name` for a token already split at its apostrophe
+    into ``base``, a gazetteer entry, and ``suffix``."""
     lexicon = lexicon or default_lexicon()
     if turkish_lower(token.surface) in lexicon.pronoun_forms:
         return None
     nominative, plural, copular = _analyze_suffix(suffix, lexicon)
-    return NameOccurrence(
-        base=base,
-        token_index=token.index,
-        nominative=nominative,
-        plural_suffix=plural,
-        copular_suffix=copular,
-    )
-
+    return NameOccurrence(base, token.index, nominative, plural, copular)

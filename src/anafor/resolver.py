@@ -16,7 +16,7 @@ survivor; the baseline scores nothing, so the most recent survivor wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .candidates import Candidate, NameIndex, SearchScope, WalkText, constrained_candidates
 from .corpus import NameDictionary
@@ -36,8 +36,7 @@ from .scoring import feature_vector  # noqa: F401
 from .textmodel import assemble_document  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     candidate: Candidate
     vector: PreferenceVector | None  # None in baseline traces
     score: float
@@ -64,10 +63,12 @@ class ResolvedDocument:
 
 
 def _renumbered(tokens: Sequence[Token], first: int) -> list[Token]:
-    # Consecutive tokens numbered from ``first``, reused if they already are.
+    # Consecutive tokens numbered from ``first``, reused if they already
+    # are; copies of checked tokens need no check.
     if not tokens or tokens[0].index == first:
         return list(tokens)
-    return [Token(t.surface, first + k, t.sentence_index, t.quoted) for k, t in enumerate(tokens)]
+    make = Token._make
+    return [make((t.surface, first + k, t.sentence_index, t.quoted)) for k, t in enumerate(tokens)]
 
 
 def _quote_open_before(tokens: Sequence[Token], position: int) -> bool:
@@ -169,7 +170,10 @@ def walk_document(
                 tokens += _renumbered(doc.tokens[streamed:mention.position], len(tokens))
                 tokens.append(doc.tokens[mention.position])
                 streamed = mention.position + 1
-            visited = dc_replace(mention, position=len(tokens) - 1)
+            visited = PronounMention(
+                mention.id, mention.kind, mention.number, len(tokens) - 1,
+                mention.surface, mention.gold_antecedent,
+            )
             work.pronouns.append(visited)
             work.names.advance(work, visited, scope)
             survivors = constrained_candidates(work, visited, dictionary, scope, lexicon)

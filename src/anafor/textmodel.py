@@ -8,6 +8,15 @@ surfaces, as the corpus parser does.  A Document holds tuples and is
 immutable, save the resolver walk's working text: it holds lists, grown
 and spliced in place, and only the walk may keep it.
 
+Tokens and sentences are ``NamedTuple`` records, as are the names,
+candidates and scored candidates built from them: the walk builds them by
+the thousand, and a tuple costs a third of a frozen dataclass.  ``Token``
+checks its surface; ``Token._make`` copies a checked token without the
+check.  A record equals a bare tuple of the same fields, so a Document
+must hold these types.  ``Document``, ``PronounMention`` and the
+resolver's ``Resolution`` stay frozen dataclasses: they are few, and
+callers copy them with ``dataclasses.replace``.
+
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` (``PUNCTUATION_TOKENS``) become tokens of
 their own, and apostrophes stay inside the token (``Ali'yi`` is one token)
@@ -20,7 +29,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 PUNCTUATION_TOKENS = frozenset({",", ".", "!", "?", "…", '"'})
 SENTENCE_TERMINATORS = frozenset({".", "!", "?", "…"})
@@ -45,22 +54,27 @@ class Overtness(enum.Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class Token:
+class _TokenFields(NamedTuple):
     surface: str
     index: int
     sentence_index: int
     quoted: bool = False
 
-    def __post_init__(self) -> None:
-        if self.surface.split() != [self.surface]:
+
+class Token(_TokenFields):
+    """A token; the constructor checks its surface, ``Token._make`` does not."""
+
+    __slots__ = ()
+
+    def __new__(cls, surface: str, index: int, sentence_index: int, quoted: bool = False):
+        if surface.split() != [surface]:
             raise ValueError(
-                f"token surface must be non-empty and whitespace-free: {self.surface!r}"
+                f"token surface must be non-empty and whitespace-free: {surface!r}"
             )
+        return tuple.__new__(cls, (surface, index, sentence_index, quoted))
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     first: int  # token indices, inclusive
     last: int
 

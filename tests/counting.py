@@ -1,0 +1,53 @@
+"""Counters of the work one call does, for the tests and for
+``scripts/sentence_probe.py``: the ``Token``s it builds and the calls it
+makes of one function.  Neither needs pytest."""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
+
+from anafor.textmodel import Token
+
+
+class Count:
+    n = 0
+
+
+@contextmanager
+def calls(owner, name: str) -> Iterator[Count]:
+    """Count the calls of ``owner.name`` (a module's function) in the block."""
+    count, original = Count(), getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        count.n += 1
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counting)
+    try:
+        yield count
+    finally:
+        setattr(owner, name, original)
+
+
+@contextmanager
+def tokens_built() -> Iterator[Count]:
+    """Count the ``Token``s built in the block, by the checking constructor
+    and by ``Token._make``, which copies a token without the check."""
+    count = Count()
+    new, make = vars(Token)["__new__"], Token._make.__func__
+
+    def counting_new(cls, *args, **kwargs):
+        count.n += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    def counting_make(cls, iterable):
+        count.n += 1
+        return make(cls, iterable)
+
+    Token.__new__, Token._make = staticmethod(counting_new), classmethod(counting_make)
+    try:
+        yield count
+    finally:
+        Token.__new__ = new
+        del Token._make  # inherited again from the fields tuple

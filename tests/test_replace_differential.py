@@ -4,8 +4,6 @@ remaining mentions must be equal."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +25,7 @@ ZERO = '<zero id="{}" kind="pers" num="sg"/>'
 
 def _state(doc):
     return (
-        [dataclasses.astuple(token) for token in doc.tokens],
+        [tuple(token) for token in doc.tokens],
         doc.sentences,
         doc.pronouns,
     )

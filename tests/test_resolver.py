@@ -23,8 +23,11 @@ from anafor import (
     resolve_document,
     serialize_document,
 )
-from anafor.textmodel import Document, Token
+from anafor.candidates import SearchScope
+from anafor.resolver import walk_document
+from anafor.textmodel import Document, Sentence, Token
 from conftest import FIXTURES, fixture_text
+from counting import calls, tokens_built
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep", "Tekin"]
@@ -57,43 +60,20 @@ def _tiled_minicorpus(k: int):
     ))
 
 
-def _tokens_built(monkeypatch, doc, dictionary):
-    # Tokens constructed while resolving doc, and how many pronouns it resolved.
-    built = 0
-    original = Token.__post_init__
-
-    def counting(token):
-        nonlocal built
-        built += 1
-        original(token)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Token, "__post_init__", counting)
+def _tokens_built(doc, dictionary):
+    # Tokens built while resolving doc, and how many pronouns it resolved.
+    with tokens_built() as built:
         resolved = resolve_document(doc, dictionary)
-    return built, sum(resolution.resolved for resolution in resolved.resolutions)
+    return built.n, sum(resolution.resolved for resolution in resolved.resolutions)
 
 
-def _walk_counts(monkeypatch, doc, dictionary):
-    # match_name calls and Tokens constructed while resolving doc, and the
+def _walk_counts(doc, dictionary):
+    # Gazetteer lookups (the name index splits each window token once, and
+    # looks up its base) and Tokens built while resolving doc, and the
     # resolved document.
-    calls = built = 0
-    match_name, post_init = anafor.candidates.match_name, Token.__post_init__
-
-    def counting_match(*args):
-        nonlocal calls
-        calls += 1
-        return match_name(*args)
-
-    def counting_token(token):
-        nonlocal built
-        built += 1
-        post_init(token)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(anafor.candidates, "match_name", counting_match)
-        patch.setattr(Token, "__post_init__", counting_token)
+    with calls(anafor.candidates, "_split_apostrophe") as lookups, tokens_built() as built:
         resolved = resolve_document(doc, dictionary)
-    return calls, built, resolved
+    return lookups.n, built.n, resolved
 
 
 class TestResolveDocument:
@@ -294,30 +274,20 @@ class TestReplacement:
         resolved = resolve_document(doc, names9)
         assert len(resolved.paraphrased.sentences) == len(doc.sentences)
 
-    def test_tokens_built_per_pronoun_do_not_grow_with_length(self, names9, monkeypatch):
+    def test_tokens_built_per_pronoun_do_not_grow_with_length(self, names9):
         # A count, not a timing: a replacement that rebuilds the whole
         # document builds about k times as many tokens per pronoun at k tiles.
         text = fixture_text("minicorpus/minicorpus.txt")
-        built = 0
-        original = Token.__post_init__
-
-        def counting(token):
-            nonlocal built
-            built += 1
-            original(token)
 
         def per_pronoun(k):
-            nonlocal built
             tiles = [
                 re.sub(r'id="(\d+)"', lambda m: f'id="{int(m.group(1)) + 1000 * t}"', text)
                 for t in range(k)
             ]
             doc = parse_document("\n".join(tiles))
-            built = 0
-            with monkeypatch.context() as patch:
-                patch.setattr(Token, "__post_init__", counting)
+            with tokens_built() as built:
                 resolve_document(doc, names9)
-            return built / len(doc.pronouns)
+            return built.n / len(doc.pronouns)
 
         assert per_pronoun(8) <= 1.5 * per_pronoun(1)
 
@@ -347,6 +317,21 @@ class TestReplacement:
         assert per_pronoun(32) <= 1.5 * per_pronoun(1)
 
     @pytest.mark.parametrize("relative", FIXTURE_FILES)
+    def test_documents_hold_token_and_sentence_records(self, relative, names9):
+        # A bare tuple equals the record of the same fields, so the
+        # differentials would not see one: check the types themselves.
+        doc = parse_document(fixture_text(relative))
+        documents = [
+            doc,
+            resolve_document(doc, names9).paraphrased,
+            baseline_resolve_document(doc, names9).paraphrased,
+            *(replace_mention(doc, mention, ["Ali", "Ayşe"]) for mention in doc.pronouns),
+        ]
+        for document in documents:
+            assert all(type(token) is Token for token in document.tokens)
+            assert all(type(sentence) is Sentence for sentence in document.sentences)
+
+    @pytest.mark.parametrize("relative", FIXTURE_FILES)
     def test_replacement_leaves_a_parsed_document_unchanged(self, relative):
         doc = parse_document(fixture_text(relative))
         before = copy.deepcopy(doc)
@@ -359,18 +344,46 @@ class TestReplacement:
                 for field in (replaced.tokens, replaced.sentences, replaced.pronouns)
             )
 
-    def test_tokens_built_per_zero_do_not_grow_with_sentences(self, monkeypatch):
+    def test_token_count_is_the_renumbered_tokens_plus_the_names_written_in(self):
+        # The first zero lengthens the text by one name, so every token from
+        # its position on is renumbered (by Token._make) once, and each name
+        # written in is built by the checking constructor.
+        doc = parse_document(f"Ali geldi. {ZERO.format(1)} güldü. Ayşe geldi. {ZERO.format(2)} sustu.")
+        with tokens_built() as built:
+            resolved = resolve_document(doc, DICT)
+        written = sum(len(r.antecedent) for r in resolved.resolutions)
+        renumbered = len(doc.tokens) - doc.pronouns[0].position
+        assert (renumbered, written) == (7, 2)
+        assert built.n == renumbered + written
+
+    def test_window_base_counts_hold_at_most_twice_the_window_keys(self, names9):
+        # Counts of the bases gone from the window are pruned once they
+        # outnumber twice the window's tokens, so the keys do not grow with
+        # the document's vocabulary.
+        doc = _tiled_minicorpus(20)
+        sizes = []
+
+        def choose(work, mention, survivors, history, bases):
+            start = anafor.candidates._window_start(work, mention, SearchScope())
+            sizes.append((len(bases), mention.position - start))
+            return None
+
+        walk_document(doc, names9, SearchScope(), None, choose)
+        assert len(sizes) == len(doc.pronouns)
+        assert all(keys <= 2 * window for keys, window in sizes)
+
+    def test_tokens_built_per_zero_do_not_grow_with_sentences(self):
         # Each sentence's zero but the first resolves to an Ali of an
         # earlier sentence.
         def per_pronoun(n):
             doc = parse_document(" ".join(f"Ali {ZERO.format(i)} güldü." for i in range(n)))
-            built, resolved = _tokens_built(monkeypatch, doc, DICT)
+            built, resolved = _tokens_built(doc, DICT)
             assert resolved == n - 1
             return built / n
 
         assert per_pronoun(2000) <= 1.5 * per_pronoun(20)
 
-    def test_zeros_of_one_sentence_build_at_most_length_times_zeros_tokens(self, monkeypatch):
+    def test_zeros_of_one_sentence_build_at_most_length_times_zeros_tokens(self):
         # A loose bound: a splice that shifted the rest of the sentence
         # would build up to its length in tokens per zero.
         zeros = 200
@@ -378,86 +391,77 @@ class TestReplacement:
             "Ali geldi. " + " ".join(f"{ZERO.format(i)} güldü" for i in range(zeros)) + "."
         )
         sentence = doc.sentences[1]
-        built, resolved = _tokens_built(monkeypatch, doc, DICT)
+        built, resolved = _tokens_built(doc, DICT)
         assert resolved == zeros
         assert built <= (sentence.last - sentence.first + 1) * zeros
 
-    def test_one_long_sentence_is_matched_once_per_window_token(self, monkeypatch):
+    def test_one_long_sentence_is_matched_once_per_window_token(self):
         # A zero at the end of a 20000-token sentence that names Ayşe on
         # every tenth token: its window is the whole sentence, and each
         # window token is matched against the gazetteer once.
         words = " ".join("Ayşe" if i % 10 == 0 else "sonra" for i in range(20000))
         doc = parse_document(f"Ali geldi. {words} {ZERO.format(1)} güldü.")
         (pronoun,) = doc.pronouns
-        calls, built, resolved = _walk_counts(monkeypatch, doc, DICT)
+        lookups, built, resolved = _walk_counts(doc, DICT)
         assert [r.antecedent for r in resolved.resolutions] == [frozenset({"Ali"})]
-        assert calls <= pronoun.position
+        assert lookups <= pronoun.position
         assert built <= 2 * len(doc.tokens)
 
-    def test_ve_linked_names_before_plural_zeros_are_matched_once_per_window(
-        self, monkeypatch
-    ):
+    def test_ve_linked_names_before_plural_zeros_are_matched_once_per_window(self):
         # Each plural zero takes the compound of all 300 names, so every
         # later zero's window holds the names written in before it.
         names = sorted(DICT)
         chain = " ve ".join(names[i % len(names)] for i in range(300))
         zeros = " ".join(f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(5))
         doc = parse_document(f"{chain} geldi. {zeros}.")
-        calls, built, resolved = _walk_counts(monkeypatch, doc, DICT)
+        lookups, built, resolved = _walk_counts(doc, DICT)
         assert [r.antecedent for r in resolved.resolutions] == [frozenset(names)] * 5
         paraphrase = [token.surface for token in resolved.paraphrased.tokens]
         # A zero's window ends where the names written for it begin, before
         # its verb.
         verbs = [i for i, surface in enumerate(paraphrase) if surface == "güldü"]
-        assert calls <= sum(verbs)
+        assert lookups <= sum(verbs)
         second = doc.sentences[1]
         assert built <= len(paraphrase) + 5 * (second.last - second.first + 1)
 
     @staticmethod
-    def _probe_counts(monkeypatch, tokens):
-        # match_name calls, Tokens built, names written in and the probe.
+    def _probe_counts(tokens):
+        # Gazetteer lookups, Tokens built, names written in and the probe.
         doc = _probe(tokens)
-        calls, built, resolved = _walk_counts(monkeypatch, doc, DICT)
+        lookups, built, resolved = _walk_counts(doc, DICT)
         assert len(doc.tokens) == tokens and len(doc.pronouns) == tokens // 50 - 1
         written = sum(len(r.antecedent) for r in resolved.resolutions if r.resolved)
         assert written == len(doc.pronouns)
-        return calls, built, written, doc
+        return lookups, built, written, doc
 
     # Counts, not timings: a walk that re-reads the sentence left of each
     # pronoun, or shifts the rest of the sentence on each splice, does so
     # about tokens / 100 times per token of the probe.
     @pytest.mark.parametrize("tokens", [2000, 8000])
-    def test_long_sentence_matches_each_token_once(self, monkeypatch, tokens):
-        calls, _, written, doc = self._probe_counts(monkeypatch, tokens)
-        assert 0 < calls <= len(doc.tokens) + written
+    def test_long_sentence_matches_each_token_once(self, tokens):
+        lookups, _, written, doc = self._probe_counts(tokens)
+        assert 0 < lookups <= len(doc.tokens) + written
 
     @pytest.mark.parametrize("tokens", [2000, 8000])
-    def test_long_sentence_builds_each_token_once(self, monkeypatch, tokens):
-        _, built, written, doc = self._probe_counts(monkeypatch, tokens)
+    def test_long_sentence_builds_each_token_once(self, tokens):
+        _, built, written, doc = self._probe_counts(tokens)
         assert built <= len(doc.tokens) + written + len(doc.sentences)
 
-    def test_window_reads_do_not_grow_with_survivors(self, monkeypatch):
+    def test_window_reads_do_not_grow_with_survivors(self):
         # A count, not a timing: scoring that re-reads the window for each
-        # survivor splits every window token once per survivor.
-        original = anafor.morphology._split_apostrophe
-        calls = 0
-
-        def counting(surface):
-            nonlocal calls
-            calls += 1
-            return original(surface)
-
+        # survivor splits every window token once per survivor.  Every
+        # module that splits surfaces is counted.
         def splits(first_sentence):
-            nonlocal calls
             doc = parse_document(
                 f'{first_sentence} geldi. <zero id="1" kind="pers" num="sg"/> Güldü.'
             )
-            calls = 0
-            with monkeypatch.context() as patch:
-                patch.setattr(anafor.morphology, "_split_apostrophe", counting)
-                patch.setattr(anafor.scoring, "_split_apostrophe", counting)
+            with (
+                calls(anafor.morphology, "_split_apostrophe") as in_morphology,
+                calls(anafor.candidates, "_split_apostrophe") as in_candidates,
+                calls(anafor.scoring, "_split_apostrophe") as in_scoring,
+            ):
                 (resolution,) = resolve_document(doc, DICT).resolutions
-            return len(resolution.trace), calls
+            return len(resolution.trace), in_morphology.n + in_candidates.n + in_scoring.n
 
         eight_survivors, eight_calls = splits("Ali Ayşe Ahmet Fatma Zerrin Murat Zeynep Tekin")
         one_survivor, one_calls = splits("Ali sonra sonra sonra sonra sonra sonra sonra")
