@@ -62,7 +62,6 @@ from .resolver import (
     baseline_resolve_document,
     format_trace,
     parse_trace,
-    replace_mention,
     resolve_document,
 )
 from .training import TrainConfig, TrainingInstance, TrainReport, build_instances, train

@@ -9,8 +9,8 @@ generation builds one plural candidate per sentence out of its distinct
 names, and is meant to be invoked only when a plural pronoun finds no
 plural candidate.
 
-The window's names are read off a :class:`NameIndex`: the one that the
-document walk's working text carries, or else one made for the pronoun.
+The window's names and base counts come from the :class:`NameIndex` that
+the document walk's working text carries, or else from the window itself.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ class Candidate(_CandidateFields):
         if kind is not CandidateKind.SIMPLE and len(members) < 2:
             raise ValueError("compound/set candidate needs at least two members")
         return tuple.__new__(cls, (members, kind, sentence_index))
+
+    def _replace(self, **changes) -> Candidate:
+        return Candidate(*super()._replace(**changes))
 
     @property
     def anchor(self) -> int:
@@ -105,17 +108,16 @@ def scan_name_occurrences(
 
 
 class NameIndex:
-    """The names, one simple candidate per name, and the pre-apostrophe
-    base counts of a pronoun's window.  A document walk never changes a
-    token left of the pronoun it visits, nor starts a window left of the
-    previous one, so :meth:`advance` splits each of its tokens once and
-    analyses the suffix of the gazetteer names only.  The counts keep the
-    bases gone from the window at zero until they outnumber twice the
-    window's tokens, then drop them."""
+    """The names of a pronoun's window, as one simple candidate per name
+    in token order, and the window's pre-apostrophe base counts.  A
+    document walk never changes a token left of the pronoun it visits, nor
+    starts a window left of the previous one, so :meth:`advance` splits
+    each of its tokens once and analyses the suffix of the gazetteer names
+    only.  The counts keep the bases gone from the window at zero until
+    they outnumber twice the window's tokens, then drop them."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.lexicon = dictionary, lexicon
-        self.occurrences: list[NameOccurrence] = []
         self.simple: list[Candidate] = []
         self.bases: Counter[str] = Counter()
         self._bases: list[str] = []  # those counted, in token order
@@ -124,10 +126,10 @@ class NameIndex:
     def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
         start = _window_start(doc, pronoun, scope)
         if start > self._start:
-            drop = bisect_left(self.occurrences, start, key=attrgetter("token_index"))
+            drop = bisect_left(self.simple, start, key=attrgetter("anchor"))
             gone = min(start, self._end) - self._start
             self.bases.subtract(self._bases[:gone])
-            del self.occurrences[:drop], self.simple[:drop], self._bases[:gone]
+            del self.simple[:drop], self._bases[:gone]
             self._start, self._end = start, max(start, self._end)
         dictionary, lexicon = self.dictionary, self.lexicon
         bases = []
@@ -137,7 +139,6 @@ class NameIndex:
             if base and base in dictionary:
                 occ = name_occurrence(token, base, suffix, lexicon)
                 if occ is not None:
-                    self.occurrences.append(occ)
                     self.simple.append(
                         Candidate((occ,), CandidateKind.SIMPLE, token.sentence_index)
                     )
@@ -165,6 +166,14 @@ def _window_index(
     if isinstance(doc, WalkText):
         return doc.names  # the walk has advanced it to the pronoun
     return NameIndex(dictionary, lexicon).advance(doc, pronoun, scope)
+
+
+def window_bases(doc: Document, pronoun: PronounMention, scope: SearchScope) -> Counter[str]:
+    """The pre-apostrophe base counts of the pronoun's window."""
+    if isinstance(doc, WalkText):
+        return doc.names.bases  # the walk has advanced them to the pronoun
+    window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]
+    return Counter([_split_apostrophe(token.surface)[0] for token in window])
 
 
 def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
@@ -198,7 +207,7 @@ def extract_candidates(
     index = _window_index(doc, pronoun, dictionary, scope, lexicon)
     candidates = index.simple + [
         Candidate(tuple(run), CandidateKind.COMPOUND, doc.sentence_index_of(run[-1].token_index))
-        for run in _compound_runs(doc, index.occurrences)
+        for run in _compound_runs(doc, [c.members[0] for c in index.simple])
     ]
     candidates.sort(key=lambda c: (c.anchor, len(c.members)))
     return candidates

@@ -7,16 +7,17 @@ choice of what to write in.  Whenever a pronoun is resolved, its token (or
 zero-marker position) is rewritten to the antecedent's bare base names
 joined with ``ve``, so the replacement is visible to later candidate
 extraction and repetition counting.  Ambiguous pronouns stay in the text
-untouched.  The walk streams the text in up to each pronoun and splices
-each replacement into it in place, so the cost per pronoun is flat across
-sentences and inside them.  The resolver picks the highest-scoring
-survivor; the baseline scores nothing, so the most recent survivor wins.
+untouched.  The walk streams the text in up to each pronoun, and
+:func:`replace_mention` splices each replacement into that text alone, in
+place, so the cost per pronoun is flat across sentences and inside them.
+The resolver picks the highest-scoring survivor; the baseline scores
+nothing, so the most recent survivor wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
-from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, NameIndex, SearchScope, WalkText, constrained_candidates
 from .corpus import NameDictionary
@@ -82,50 +83,34 @@ def _quote_open_before(tokens: Sequence[Token], position: int) -> bool:
     return (i >= 0 and tokens[i].quoted) != ((position - 1 - i) % 2 == 1)
 
 
-def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]) -> Document:
-    """Rewrite one pronoun as its antecedent names and drop it from the
-    mention list; positions of later mentions shift accordingly.
+def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str]) -> None:
+    """Write the walk's pronoun as its antecedent names, in place.
 
-    The names and shifted copies of the tokens right of the pronoun are
-    spliced in, so the cost grows with the text after the pronoun.  The
-    walk's working text, held in lists, is edited in place and returned;
-    any other Document is left as it is and a new one is returned.  The
-    names take only their quote flag from the tokens around them.  No name
-    may be a quote mark, since that would re-pair every quote after it.
+    The pronoun is the last mention visited: its token is the working
+    text's last token and its sentence the last sentence, so only those
+    change.  An overt pronoun's token gives way to the names; a zero's
+    names go in before its token.  The names take only their quote flag
+    from the tokens around them.  No name may be a quote mark, since that
+    would re-pair every quote after it.
     """
     if not names:
         raise ValueError("replacement needs at least one name")
     if QUOTE in names:
         raise ValueError("a replacement name cannot be a quote mark")
-    in_place = isinstance(doc.tokens, list)
-    work = doc if in_place else Document(list(doc.tokens), list(doc.sentences), list(doc.pronouns))
-    tokens, sentences, pronouns = work.tokens, work.sentences, work.pronouns
+    tokens = work.tokens
     position = mention.position
     at = tokens[position]
     overt = mention.overtness is Overtness.OVERT
     inserted = [surface for name in names for surface in ("ve", name)][1:]
-    delta = len(inserted) - overt
     if overt or at.surface != QUOTE:
         quoted = at.quoted
     else:
         quoted = _quote_open_before(tokens, position)
-    sentence = at.sentence_index
     tokens[position:] = [
-        Token(surface, position + k, sentence, quoted) for k, surface in enumerate(inserted)
+        Token(word, position + k, at.sentence_index, quoted) for k, word in enumerate(inserted)
     ] + _renumbered(tokens[position + overt:], position + len(inserted))
-
-    own = sentences[sentence]
-    sentences[sentence:] = [Sentence(own.first, own.last + delta)] + [
-        Sentence(s.first + delta, s.last + delta) for s in sentences[sentence + 1:]
-    ]
-
-    # Mentions are ordered by position, so the ones after the resolved one
-    # are exactly those at or right of the splice point (in the walk, none).
-    i = next(k for k in reversed(range(len(pronouns))) if pronouns[k].id == mention.id)
-    pronouns[i:] = [dc_replace(m, position=m.position + delta) for m in pronouns[i + 1:]]
-    if in_place:
-        return doc
-    return Document(tuple(tokens), tuple(sentences), tuple(pronouns))
+    own = work.sentences[-1]
+    work.sentences[-1] = Sentence(own.first, own.last + len(inserted) - overt)
 
 
 def walk_document(
@@ -134,8 +119,7 @@ def walk_document(
     scope: SearchScope,
     lexicon: Lexicon | None,
     choose: Callable[
-        [Document, PronounMention, list[Candidate], AbstractSet[frozenset[str]],
-         Mapping[str, int]],
+        [WalkText, PronounMention, list[Candidate], AbstractSet[frozenset[str]]],
         Sequence[str] | None,
     ],
 ) -> Document:
@@ -145,16 +129,17 @@ def walk_document(
     lie right of a pronoun, so it is streamed in from ``doc`` only up to
     and including the token of the pronoun about to be visited: a splice
     has a tail of at most one token, every token left of the pronoun keeps
-    its position, and its :class:`NameIndex` matches each token once.  For
-    each pronoun in document order ``choose`` sees that text, the mention,
-    its constrained survivors, the zero-pronoun history and the window's
-    pre-apostrophe base counts, and returns the names to write in, or None
-    to leave the pronoun in place.  It must keep neither text nor counts,
+    its position, and its :class:`NameIndex` matches each token once and
+    keeps the window's pre-apostrophe base counts.  For each pronoun in
+    document order ``choose`` sees that text, the mention, its constrained
+    survivors and the zero-pronoun history, and returns the names to write
+    in, or None to leave the pronoun in place.  It must not keep the text,
     nor read the index of the pronoun's own token, which is set once the
-    walk has placed it.  The history is the set of name sets written in for
-    zero pronouns of earlier sentences; a sentence's own zeros join it only
-    once the whole sentence is walked.  Returns the document with every
-    chosen replacement made.
+    walk has placed it.  The text's mention list gets only the pronouns
+    left in place; nothing reads it before the walk ends.  The history is
+    the set of name sets written in for zero pronouns of earlier
+    sentences; a sentence's own zeros join it only once the whole sentence
+    is walked.  Returns the document with every chosen replacement made.
     """
     work = WalkText([], [], [], NameIndex(dictionary, lexicon))
     tokens = work.tokens
@@ -174,14 +159,14 @@ def walk_document(
                 mention.id, mention.kind, mention.number, len(tokens) - 1,
                 mention.surface, mention.gold_antecedent,
             )
-            work.pronouns.append(visited)
             work.names.advance(work, visited, scope)
             survivors = constrained_candidates(work, visited, dictionary, scope, lexicon)
-            names = choose(work, visited, survivors, history, work.names.bases)
+            names = choose(work, visited, survivors, history)
             if names is None:
                 tokens[-1:] = _renumbered(tokens[-1:], visited.position)
+                work.pronouns.append(visited)
             else:
-                replace_mention(work, visited, names)  # in place
+                replace_mention(work, visited, names)
                 if visited.overtness is Overtness.ZERO:
                     zeros.append(frozenset(names))
             mention = next(mentions, None)
@@ -198,7 +183,6 @@ def _decide(
     pronoun: PronounMention,
     survivors: list[Candidate],
     history: AbstractSet[frozenset[str]],
-    bases: Mapping[str, int],
     weights: PreferenceWeights | None,
 ) -> tuple[Resolution, Candidate | None]:
     # weights=None is the baseline: nothing is scored, so every survivor
@@ -208,7 +192,7 @@ def _decide(
     if weights is None:
         scored = [ScoredCandidate(candidate, None, 0.0) for candidate in survivors]
     else:
-        vectors = feature_vectors(doc, pronoun, survivors, history, bases=bases)
+        vectors = feature_vectors(doc, pronoun, survivors, history)
         scored = [
             ScoredCandidate(candidate, vector, score(vector, weights))
             for candidate, vector in zip(survivors, vectors)
@@ -227,8 +211,8 @@ def _resolve_all(
 ) -> ResolvedDocument:
     resolutions = []
 
-    def choose(work, mention, survivors, history, bases):
-        resolution, winner = _decide(work, mention, survivors, history, bases, weights)
+    def choose(work, mention, survivors, history):
+        resolution, winner = _decide(work, mention, survivors, history, weights)
         resolutions.append(resolution)
         return None if winner is None else [member.base for member in winner.members]
 
@@ -294,9 +278,10 @@ def format_trace(resolutions: Iterable[Resolution]) -> str:
 
 def parse_trace(text: str) -> list[Resolution]:
     """Read a trace back as resolutions without candidate entries; the
-    score is None where the trace has ``-``."""
+    score is None where the trace has ``-``.  One leading byte-order mark
+    is dropped."""
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if not raw.strip():
             continue
         fields = raw.split("\t")

@@ -15,12 +15,10 @@ predicate_nominal, repetition, punctuation, zero_antecedent_history.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
-from .candidates import Candidate, SearchScope, _window_start
-from .morphology import _split_apostrophe
+from .candidates import Candidate, SearchScope, window_bases
 from .textmodel import Document, Overtness, PronounMention, PUNCTUATION_TOKENS, decode_utf8
 
 
@@ -115,6 +113,8 @@ def parse_weights(text: str) -> PreferenceWeights:
             mapping[name] = float(value.strip())
         except ValueError:
             raise ValueError(f"weights line {lineno}: bad value {value.strip()!r}") from None
+        if not math.isfinite(mapping[name]):
+            raise ValueError(f"weights line {lineno}: {name} must be finite")
     return PreferenceWeights.from_mapping(mapping)
 
 
@@ -137,7 +137,6 @@ def feature_vectors(
     survivors: Sequence[Candidate],
     history: AbstractSet[frozenset[str]],
     scope: SearchScope = SearchScope(),
-    bases: Mapping[str, int] | None = None,
 ) -> list[PreferenceVector]:
     """Compute the eight preference flags for each post-constraint
     candidate, in the order of ``survivors``.
@@ -148,16 +147,14 @@ def feature_vectors(
     search window, replacement tokens included; punctuation asks whether
     the token after the candidate's anchor is a comma;
     zero_antecedent_history asks whether a zero pronoun's candidate names
-    are in ``history``.  The window's pre-apostrophe base counts are
-    ``bases``, which the document walk keeps, or else read off the window.
+    are in ``history``.  The window's pre-apostrophe base counts are the
+    ones the document walk keeps, or else read off the window.
     """
     if not survivors:
         return []
     pronoun_quoted = doc.tokens[pronoun.position].quoted
     nearest_sentence = max(c.sentence_index for c in survivors)
-    if bases is None:
-        window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]
-        bases = Counter([_split_apostrophe(token.surface)[0] for token in window])
+    bases = window_bases(doc, pronoun, scope)
     first_phrase = {
         sentence: _first_phrase_token(doc, sentence)
         for sentence in {c.sentence_index for c in survivors}

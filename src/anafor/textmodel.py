@@ -11,11 +11,12 @@ and spliced in place, and only the walk may keep it.
 Tokens and sentences are ``NamedTuple`` records, as are the names,
 candidates and scored candidates built from them: the walk builds them by
 the thousand, and a tuple costs a third of a frozen dataclass.  ``Token``
-checks its surface; ``Token._make`` copies a checked token without the
-check.  A record equals a bare tuple of the same fields, so a Document
-must hold these types.  ``Document``, ``PronounMention`` and the
-resolver's ``Resolution`` stay frozen dataclasses: they are few, and
-callers copy them with ``dataclasses.replace``.
+and its ``_replace`` check the surface; ``Token._make`` copies a checked
+token without the check.  A record equals a bare tuple of the same
+fields, so a Document must hold these types.  ``Document``,
+``PronounMention`` and the resolver's ``Resolution`` stay frozen
+dataclasses: they are few, and callers copy them with
+``dataclasses.replace``.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` (``PUNCTUATION_TOKENS``) become tokens of
@@ -62,7 +63,8 @@ class _TokenFields(NamedTuple):
 
 
 class Token(_TokenFields):
-    """A token; the constructor checks its surface, ``Token._make`` does not."""
+    """A token; the constructor and ``_replace`` check its surface,
+    ``Token._make`` does not."""
 
     __slots__ = ()
 
@@ -72,6 +74,9 @@ class Token(_TokenFields):
                 f"token surface must be non-empty and whitespace-free: {surface!r}"
             )
         return tuple.__new__(cls, (surface, index, sentence_index, quoted))
+
+    def _replace(self, **changes) -> Token:
+        return Token(*super()._replace(**changes))
 
 
 class Sentence(NamedTuple):

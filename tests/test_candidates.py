@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from anafor import (
+    Candidate,
     CandidateKind,
     NameDictionary,
+    NameOccurrence,
     Number,
     SearchScope,
     apply_constraints,
@@ -29,6 +31,30 @@ def _shape(candidate):
         candidate.kind,
         candidate.number,
     )
+
+
+class TestCandidateInvariants:
+    ALI = NameOccurrence("Ali", 0, True, False, False)
+    AYSE = NameOccurrence("Ayşe", 2, True, False, False)
+
+    @pytest.mark.parametrize(
+        "members,kind,message",
+        [
+            ((), CandidateKind.COMPOUND, "at least one member"),
+            ((ALI, AYSE), CandidateKind.SIMPLE, "exactly one member"),
+            ((ALI,), CandidateKind.GENERATED_SET, "at least two members"),
+        ],
+    )
+    def test_constructor_rejects_a_bad_member_list(self, members, kind, message):
+        with pytest.raises(ValueError, match=message):
+            Candidate(members, kind, 0)
+
+    def test_replace_checks_the_member_list(self):
+        simple = Candidate((self.ALI,), CandidateKind.SIMPLE, 0)
+        assert type(simple._replace(sentence_index=1)) is Candidate
+        assert simple._replace(sentence_index=1) == ((self.ALI,), CandidateKind.SIMPLE, 1)
+        with pytest.raises(ValueError, match="at least one member"):
+            simple._replace(members=())
 
 
 class TestExtractCandidates:

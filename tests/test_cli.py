@@ -392,6 +392,25 @@ class TestEvalCommand:
         assert (status, err) == (0, "")
         assert "identified=1" in out and "recall=1.000000" in out
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_trace_with_a_byte_order_mark(self, capsys, tmp_path, monkeypatch, source):
+        gold = tmp_path / "gold.txt"
+        gold.write_text(
+            'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.', encoding="utf-8"
+        )
+        text = "\ufeff1\tresolved\tAli\t1.0000\t-\n"
+        trace = tmp_path / "trace.tsv"
+        trace.write_bytes(text.encode("utf-8"))
+        assert trace.read_bytes().startswith(b"\xef\xbb\xbf")
+        if source == "stdin":
+            _stdin(monkeypatch, text)
+        status, out, err = _run(
+            capsys, "eval", "--gold", str(gold),
+            "--trace", str(trace) if source == "file" else "-", "--format", "kv",
+        )
+        assert (status, err) == (0, "")
+        assert "identified=1" in out and "recall=1.000000" in out
+
     def test_gold_and_trace_both_from_stdin_is_an_error(self, capsys, monkeypatch):
         _stdin(monkeypatch, 'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.')
         status, out, err = _run(capsys, "eval", "--gold", "-", "--trace", "-")

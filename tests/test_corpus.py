@@ -358,6 +358,10 @@ class TestLoadDictionary:
         with pytest.raises(ValueError, match="uppercase"):
             load_dictionary(path)
 
+    def test_empty_entry_rejected(self):
+        with pytest.raises(ValueError, match="dictionary entry must be non-empty"):
+            NameDictionary.from_names(["Ali", ""])
+
     def test_turkish_dotted_capital_accepted(self):
         dictionary = NameDictionary.from_names(["İsmail", "Irmak"])
         assert "İsmail" in dictionary

@@ -10,6 +10,7 @@ from anafor import (
     baseline_resolve_document,
     evaluate,
     parse_document,
+    parse_trace,
     resolve_document,
 )
 
@@ -88,6 +89,12 @@ class TestEvaluate:
         doc = parse_document('Fatma geldi. Ali <pro id="9" ant="Fatma">onu</pro> gördü.')
         with pytest.raises(ValueError, match="no resolution"):
             evaluate([], doc)
+
+    def test_duplicate_resolution_id_rejected(self):
+        doc = parse_document('Fatma geldi. Ali <pro id="9" ant="Fatma">onu</pro> gördü.')
+        records = parse_trace("9\tresolved\tFatma\t1.0000\t-\n9\tambiguous\t-\t-\t-\n")
+        with pytest.raises(ValueError, match="duplicate resolution for pronoun 9"):
+            evaluate(records, doc)
 
     def test_idempotent(self):
         doc = parse_document(

@@ -27,13 +27,13 @@ def check_document(doc, names, scope) -> None:
     pronoun."""
     visited = []
 
-    def choose(work, mention, survivors, history, bases):
+    def choose(work, mention, survivors, history):
         # The text ends at the pronoun's token; every token left of it is
         # numbered for good.
         assert len(work.tokens) == mention.position + 1
         assert all(token.index == i for i, token in enumerate(work.tokens[:-1]))
         occurrences = scan_name_occurrences(work, mention, names, scope)
-        assert work.names.occurrences == occurrences
+        assert [c.members[0] for c in work.names.simple] == occurrences
         assert work.names.simple == [
             Candidate((occ,), CandidateKind.SIMPLE, work.sentence_index_of(occ.token_index))
             for occ in occurrences
@@ -41,7 +41,7 @@ def check_document(doc, names, scope) -> None:
         sentence = work.sentence_index_of(mention.position)
         start = work.sentences[max(0, sentence - scope.max_back_sentences)].first
         window = work.tokens[start:mention.position]
-        assert bases == Counter(_split_apostrophe(token.surface)[0] for token in window)
+        assert work.names.bases == Counter(_split_apostrophe(token.surface)[0] for token in window)
         visited.append(mention.id)
         if mention.id % 3 == 0 or not survivors:
             return None

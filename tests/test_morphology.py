@@ -163,6 +163,20 @@ class TestLexiconFile:
         with pytest.raises(ValueError, match="duplicate"):
             Lexicon.from_text(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[pronoun o third sg]\no\n", "lexicon line 1: 'third' is not a valid PronounKind"),
+            ("[pronoun o pers sg]\no\n[suffix dative]\n", "lexicon line 3: bad suffix section"),
+            ("[suffix case]\nyi\n", "lexicon defines no pronoun forms"),
+        ],
+    )
+    def test_bad_section_rejected(self, text, message):
+        from anafor import Lexicon
+
+        with pytest.raises(ValueError, match=message):
+            Lexicon.from_text(text)
+
 
 class TestIsNominative:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""The spliced ``replace_mention`` against the seed's whole-document
-re-assembly (seed_walk.py): every token field, the sentences and the
-remaining mentions must be equal."""
+"""The walk's spliced ``replace_mention`` against the seed's
+whole-document re-assembly (seed_walk.py): a walk that writes names in for
+one mention alone must leave every token field, the sentences and the
+remaining mentions as the seed's one replacement does."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seed_walk
-from anafor import parse_document, replace_mention
-from conftest import FIXTURES, fixture_text
+from anafor import parse_document
+from conftest import FIXTURES, fixture_text, replace_one
 from test_acceptance import annotated_texts
 from test_walk_differential import quoted_texts
 
@@ -35,7 +36,7 @@ def assert_every_replacement_matches(doc, name_lists=NAME_LISTS) -> None:
     for mention in doc.pronouns:
         for names in name_lists:
             expected = seed_walk.replace_mention(doc, mention, names)
-            assert _state(replace_mention(doc, mention, names)) == _state(expected), (
+            assert _state(replace_one(doc, mention, names)) == _state(expected), (
                 mention, names,
             )
 
@@ -74,7 +75,7 @@ def test_edge_case_replacements_match_the_seed(text):
 def test_quote_mark_name_is_rejected():
     doc = parse_document(f"Ali geldi. {ZERO.format(1)} Gitti.")
     with pytest.raises(ValueError, match="quote mark"):
-        replace_mention(doc, doc.pronouns[0], ['"'])
+        replace_one(doc, doc.pronouns[0], ['"'])
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,14 +19,13 @@ from anafor import (
     match_name,
     parse_document,
     parse_trace,
-    replace_mention,
     resolve_document,
     serialize_document,
 )
 from anafor.candidates import SearchScope
 from anafor.resolver import walk_document
-from anafor.textmodel import Document, Sentence, Token
-from conftest import FIXTURES, fixture_text
+from anafor.textmodel import PUNCTUATION_TOKENS, Document, Sentence, Token
+from conftest import FIXTURES, fixture_text, replace_one
 from counting import calls, tokens_built
 
 DICT = NameDictionary.from_names(
@@ -210,7 +209,7 @@ class TestBaseline:
 class TestReplacement:
     def test_overt_replacement_swaps_token(self):
         doc = parse_document('Ayşe geldi. Ali <pro id="1">onu</pro> gördü.')
-        replaced = replace_mention(doc, doc.pronouns[0], ["Ayşe"])
+        replaced = replace_one(doc, doc.pronouns[0], ["Ayşe"])
         assert [t.surface for t in replaced.sentence_tokens(1)] == [
             "Ali", "Ayşe", "gördü", ".",
         ]
@@ -222,13 +221,18 @@ class TestReplacement:
             '<pro id="2">Ona</pro> el salladılar.'
         )
         zero = doc.pronouns[0]
-        replaced = replace_mention(doc, zero, ["Ahmet", "Fatma"])
+        replaced = replace_one(doc, zero, ["Ahmet", "Fatma"])
         (remaining,) = replaced.pronouns
         assert remaining.id == 2
         assert replaced.tokens[remaining.position].surface == "Ona"
         assert [t.surface for t in replaced.sentence_tokens(1)][:3] == [
             "Ahmet", "ve", "Fatma",
         ]
+
+    def test_empty_replacement_rejected(self):
+        doc = parse_document(f"Ali geldi. {ZERO.format(1)} Gitti.")
+        with pytest.raises(ValueError, match="at least one name"):
+            replace_one(doc, doc.pronouns[0], [])
 
     def test_set_replacement_extracts_as_compound_later(self, names9):
         doc = parse_document(
@@ -325,7 +329,7 @@ class TestReplacement:
             doc,
             resolve_document(doc, names9).paraphrased,
             baseline_resolve_document(doc, names9).paraphrased,
-            *(replace_mention(doc, mention, ["Ali", "Ayşe"]) for mention in doc.pronouns),
+            *(replace_one(doc, mention, ["Ali", "Ayşe"]) for mention in doc.pronouns),
         ]
         for document in documents:
             assert all(type(token) is Token for token in document.tokens)
@@ -336,7 +340,7 @@ class TestReplacement:
         doc = parse_document(fixture_text(relative))
         before = copy.deepcopy(doc)
         for mention in doc.pronouns:
-            replaced = replace_mention(doc, mention, ["Ali"])
+            replaced = replace_one(doc, mention, ["Ali"])
             assert doc == before
             assert replaced is not doc
             assert all(
@@ -363,9 +367,9 @@ class TestReplacement:
         doc = _tiled_minicorpus(20)
         sizes = []
 
-        def choose(work, mention, survivors, history, bases):
+        def choose(work, mention, survivors, history):
             start = anafor.candidates._window_start(work, mention, SearchScope())
-            sizes.append((len(bases), mention.position - start))
+            sizes.append((len(work.names.bases), mention.position - start))
             return None
 
         walk_document(doc, names9, SearchScope(), None, choose)
@@ -458,15 +462,44 @@ class TestReplacement:
             with (
                 calls(anafor.morphology, "_split_apostrophe") as in_morphology,
                 calls(anafor.candidates, "_split_apostrophe") as in_candidates,
-                calls(anafor.scoring, "_split_apostrophe") as in_scoring,
             ):
                 (resolution,) = resolve_document(doc, DICT).resolutions
-            return len(resolution.trace), in_morphology.n + in_candidates.n + in_scoring.n
+            return len(resolution.trace), in_morphology.n + in_candidates.n
 
         eight_survivors, eight_calls = splits("Ali Ayşe Ahmet Fatma Zerrin Murat Zeynep Tekin")
         one_survivor, one_calls = splits("Ali sonra sonra sonra sonra sonra sonra sonra")
         assert (eight_survivors, one_survivor) == (8, 1)
         assert eight_calls <= one_calls
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="scoring._first_phrase_token rescans a sentence's leading punctuation "
+        "for every pronoun whose survivor lies in that sentence",
+    )
+    def test_leading_punctuation_is_read_once_per_sentence(self, monkeypatch):
+        # A count, not a timing: one sentence of commas, then Ali, then 200
+        # reflexive zeros that each take the Ali nearest them.  Finding the
+        # sentence's first phrase token once per pronoun reads every comma
+        # again for each zero.
+        def per_pronoun(commas):
+            lookups = 0
+
+            class Counting(frozenset):
+                def __contains__(self, item):
+                    nonlocal lookups
+                    lookups += 1
+                    return super().__contains__(item)
+
+            zeros = " ".join(f'<zero id="{i}" kind="refl" num="sg"/> güldü' for i in range(200))
+            doc = parse_document(", " * commas + f"Ali {zeros} .")
+            with monkeypatch.context() as patch:
+                patch.setattr(anafor.scoring, "PUNCTUATION_TOKENS", Counting(PUNCTUATION_TOKENS))
+                resolved = resolve_document(doc, DICT)
+            assert all(resolution.resolved for resolution in resolved.resolutions)
+            return lookups / len(doc.pronouns)
+
+        assert per_pronoun(2000) <= 1.5 * per_pronoun(200)
 
 
 class TestTraceIO:
@@ -497,3 +530,13 @@ class TestTraceIO:
             parse_trace("1\tresolved\n")
         with pytest.raises(ValueError, match="bad score"):
             parse_trace("1\tresolved\tAli\tx\t-\n")
+        with pytest.raises(ValueError, match="trace line 2: bad pronoun id 'x'"):
+            parse_trace("1\tambiguous\t-\t-\t-\nx\tambiguous\t-\t-\t-\n")
+        with pytest.raises(ValueError, match="bad antecedent field"):
+            parse_trace("1\tresolved\tAli;\t1.0000\t-\n")
+
+    def test_one_leading_byte_order_mark_is_dropped(self):
+        line = "1\tresolved\tAli\t1.0000\t-\n"
+        assert parse_trace("\ufeff" + line) == parse_trace(line)
+        with pytest.raises(ValueError, match="bad pronoun id"):
+            parse_trace("\ufeff\ufeff" + line)

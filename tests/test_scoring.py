@@ -159,9 +159,32 @@ class TestWeightsIO:
         lines = format_weights(DEFAULT_WEIGHTS).splitlines()
         assert parse_weights("\n".join(reversed(lines))) == DEFAULT_WEIGHTS
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("quoted_match 2.2", "expected 'name = value'"),
+            ("= 2.2", "expected 'name = value'"),
+            ("recency = 1.0", "duplicate name 'recency'"),
+            ("quoted_match = heavy", "bad value 'heavy'"),
+            ("quoted_match = nan", "quoted_match must be finite"),
+            ("quoted_match = inf", "quoted_match must be finite"),
+            ("quoted_match = -inf", "quoted_match must be finite"),
+        ],
+    )
+    def test_bad_line_is_located(self, line, message):
+        # The bad line follows the recency line, the second of the file.
+        lines = format_weights(DEFAULT_WEIGHTS).splitlines()
+        text = "\n".join([lines[1], line] + lines[2:])
+        with pytest.raises(ValueError, match=f"^weights line 2: {message}"):
+            parse_weights(text)
+
     def test_arity_enforced(self):
         with pytest.raises(ValueError):
             PreferenceWeights((1.0, 2.0))
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            PreferenceWeights((float("nan"),) + DEFAULT_WEIGHTS.values[1:])
 
     def test_feature_names_match_vector_fields(self):
         assert FEATURE_NAMES == PreferenceVector._fields

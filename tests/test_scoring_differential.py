@@ -20,9 +20,8 @@ from test_walk_differential import FIXTURE_FILES, quoted_texts
 SCOPES = [0, 1, 3]
 
 
-def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope,
-                        bases=None) -> None:
-    assert feature_vectors(doc, pronoun, survivors, history, scope, bases) == [
+def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope) -> None:
+    assert feature_vectors(doc, pronoun, survivors, history, scope) == [
         seed_walk.feature_vector(doc, pronoun, candidate, survivors, seed_history, scope)
         for candidate in survivors
     ]
@@ -54,11 +53,11 @@ def check_document(doc, names, scope) -> None:
         history = {bases for bases, recorded in records if recorded < sentence}
         assert_same_vectors(doc, pronoun, survivors, history, _seed_history(records), scope)
 
-    def choose(work, mention, survivors, history, bases):
+    def choose(work, mention, survivors, history):
         # The walk's set holds earlier sentences' names only, so the seed
         # gets them as recorded before the first sentence.
         seed_history = _seed_history((written, -1) for written in history)
-        assert_same_vectors(work, mention, survivors, history, seed_history, scope, bases)
+        assert_same_vectors(work, mention, survivors, history, seed_history, scope)
         return [member.base for member in survivors[-1].members] if survivors else None
 
     walk_document(doc, names, scope, None, choose)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from anafor import (
+    Document,
     Number,
     PronounKind,
     PronounMention,
+    Sentence,
     Token,
     assemble_document,
     parse_document,
@@ -138,6 +140,13 @@ class TestTokenInvariants:
         else:
             assert not bad
 
+    def test_replace_checks_the_surface(self):
+        token = Token("a", 0, 0)
+        assert type(token._replace(index=3)) is Token
+        assert token._replace(index=3) == ("a", 3, 0, False)
+        with pytest.raises(ValueError, match="whitespace-free"):
+            token._replace(surface="a b")
+
     def test_followed_by_comma(self):
         # The punctuation preference reads the comma off the next token.
         doc = parse_document("Yolda Tekin, Ali'ye seslendi.")
@@ -209,6 +218,56 @@ class TestDocumentInvariants:
         mention = PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 9)
         with pytest.raises(ValueError):
             assemble_document([["Ali", "geldi", "."]], [mention])
+
+    def test_assemble_rejects_an_empty_sentence(self):
+        with pytest.raises(ValueError, match="sentence 1 has no tokens"):
+            assemble_document([["Ali", "geldi", "."], []])
+
+    def test_empty_gold_antecedent_rejected(self):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 0, "onu", frozenset())
+
+    # Each document breaks one invariant that every parsed document keeps.
+    @pytest.mark.parametrize(
+        "tokens,sentences,pronouns,message",
+        [
+            pytest.param(
+                [("Ali", 1, 0)], [(0, 0)], [], "token 0 carries index 1", id="token-index"
+            ),
+            pytest.param(
+                [("Ali", 0, 0), ("geldi", 1, 0)], [(0, 0), (0, 1)], [],
+                r"sentence 1 range \(0, 1\) is not adjacent", id="sentence-overlap",
+            ),
+            pytest.param(
+                [("Ali", 0, 0), ("geldi", 1, 1)], [(0, 1)], [],
+                "token 1 not tagged with sentence 0", id="sentence-tag",
+            ),
+            pytest.param(
+                [("Ali", 0, 0), ("geldi", 1, 0)], [(0, 0)], [],
+                "sentences do not cover the token stream", id="uncovered-token",
+            ),
+            pytest.param(
+                [("Ali", 0, 0), ("onu", 1, 0), ("gördü", 2, 0)], [(0, 2)],
+                [(1, 2, ""), (2, 1, "")],
+                "pronouns are not ordered by position", id="mention-order",
+            ),
+            pytest.param(
+                [("Ali", 0, 0), ("onu", 1, 0)], [(0, 1)], [(1, 1, "ona")],
+                "pronoun 1 surface does not match its token", id="overt-surface",
+            ),
+        ],
+    )
+    def test_validate_rejects_a_broken_invariant(self, tokens, sentences, pronouns, message):
+        doc = Document(
+            tuple(Token(*fields) for fields in tokens),
+            tuple(Sentence(*fields) for fields in sentences),
+            tuple(
+                PronounMention(i, PronounKind.PERSONAL, Number.SINGULAR, position, surface)
+                for i, position, surface in pronouns
+            ),
+        )
+        with pytest.raises(ValueError, match=message):
+            doc.validate()
 
     def test_empty_document(self):
         doc = parse_document("")

@@ -128,6 +128,29 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning rate must be finite"):
             TrainConfig(learning_rate=rate)
 
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            ({"learning_rate": -0.05}, "learning rate must be non-negative"),
+            ({"max_epochs": 0}, "need at least one epoch"),
+        ],
+    )
+    def test_bad_config_rejected(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**options)
+
+    @pytest.mark.parametrize(
+        "vectors,gold_index,message",
+        [
+            ((), 0, "instance needs at least one survivor"),
+            ((_vector(),), 1, "gold index out of range"),
+            ((_vector(),), -1, "gold index out of range"),
+        ],
+    )
+    def test_bad_instance_rejected(self, vectors, gold_index, message):
+        with pytest.raises(ValueError, match=message):
+            TrainingInstance(1, vectors, gold_index)
+
     def test_empty_instances_rejected(self):
         with pytest.raises(ValueError):
             train([])
