@@ -9,8 +9,9 @@ generation builds one plural candidate per sentence out of its distinct
 names, and is meant to be invoked only when a plural pronoun finds no
 plural candidate.
 
-The window's names and base counts come from the :class:`NameIndex` that
-the document walk's working text carries, or else from the window itself.
+A :class:`NameIndex` is the one reader of a pronoun's window, for
+extraction and scoring alike: the walk's text carries one, or else
+:func:`window_index` reads the window into a new one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .corpus import NameDictionary
 from .morphology import (
     Lexicon, NameOccurrence, _split_apostrophe, match_name, name_occurrence, turkish_lower,
 )
-from .textmodel import Document, Number, PronounKind, PronounMention
+from .textmodel import PUNCTUATION_TOKENS, Document, Number, PronounKind, PronounMention
 
 LINKER_SURFACES = frozenset({"ve", "ile"})
 
@@ -108,18 +109,21 @@ def scan_name_occurrences(
 
 
 class NameIndex:
-    """The names of a pronoun's window, as one simple candidate per name
-    in token order, and the window's pre-apostrophe base counts.  A
-    document walk never changes a token left of the pronoun it visits, nor
-    starts a window left of the previous one, so :meth:`advance` splits
-    each of its tokens once and analyses the suffix of the gazetteer names
-    only.  The counts keep the bases gone from the window at zero until
-    they outnumber twice the window's tokens, then drop them."""
+    """A pronoun's window: its names, as one simple candidate per name in
+    token order, its pre-apostrophe base counts, and each sentence's first
+    non-punctuation token read so far.  A document walk never changes a
+    token left of the pronoun it visits, nor starts a window left of the
+    previous one, so :meth:`advance` reads each token once, analyses the
+    suffix of the gazetteer names only, and tests it against the
+    punctuation marks only until its sentence has a first phrase token.
+    The counts keep the bases gone from the window at zero until they
+    outnumber twice the window's tokens, then drop them."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.lexicon = dictionary, lexicon
         self.simple: list[Candidate] = []
         self.bases: Counter[str] = Counter()
+        self.first_phrase: dict[int, int] = {}  # sentence -> token; grows as the text does
         self._bases: list[str] = []  # those counted, in token order
         self._start = self._end = 0  # the window start; tokens before _end are matched or skipped
 
@@ -131,17 +135,18 @@ class NameIndex:
             self.bases.subtract(self._bases[:gone])
             del self.simple[:drop], self._bases[:gone]
             self._start, self._end = start, max(start, self._end)
-        dictionary, lexicon = self.dictionary, self.lexicon
+        dictionary, lexicon, first_phrase = self.dictionary, self.lexicon, self.first_phrase
         bases = []
         for token in doc.tokens[self._end:pronoun.position]:
-            base, suffix = _split_apostrophe(token.surface)
+            surface, sentence = token.surface, token.sentence_index
+            if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
+                first_phrase[sentence] = token.index
+            base, suffix = _split_apostrophe(surface)
             bases.append(base)
             if base and base in dictionary:
                 occ = name_occurrence(token, base, suffix, lexicon)
                 if occ is not None:
-                    self.simple.append(
-                        Candidate((occ,), CandidateKind.SIMPLE, token.sentence_index)
-                    )
+                    self.simple.append(Candidate((occ,), CandidateKind.SIMPLE, sentence))
         self.bases.update(bases)
         self._bases += bases
         if len(self.bases) > 2 * len(self._bases):
@@ -156,24 +161,18 @@ class WalkText(Document):
     names: NameIndex
 
 
-def _window_index(
+def window_index(
     doc: Document,
     pronoun: PronounMention,
-    dictionary: NameDictionary,
     scope: SearchScope,
-    lexicon: Lexicon | None,
+    dictionary: NameDictionary = NameDictionary(frozenset()),
+    lexicon: Lexicon | None = None,
 ) -> NameIndex:
+    """The walk's own index, advanced to the pronoun at the walk's scope,
+    or else a new one of the window at ``scope`` with ``dictionary``'s names."""
     if isinstance(doc, WalkText):
-        return doc.names  # the walk has advanced it to the pronoun
+        return doc.names
     return NameIndex(dictionary, lexicon).advance(doc, pronoun, scope)
-
-
-def window_bases(doc: Document, pronoun: PronounMention, scope: SearchScope) -> Counter[str]:
-    """The pre-apostrophe base counts of the pronoun's window."""
-    if isinstance(doc, WalkText):
-        return doc.names.bases  # the walk has advanced them to the pronoun
-    window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]
-    return Counter([_split_apostrophe(token.surface)[0] for token in window])
 
 
 def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
@@ -204,7 +203,7 @@ def extract_candidates(
     lexicon: Lexicon | None = None,
 ) -> list[Candidate]:
     """Simple and compound candidates for one pronoun, oldest anchor first."""
-    index = _window_index(doc, pronoun, dictionary, scope, lexicon)
+    index = window_index(doc, pronoun, scope, dictionary, lexicon)
     candidates = index.simple + [
         Candidate(tuple(run), CandidateKind.COMPOUND, doc.sentence_index_of(run[-1].token_index))
         for run in _compound_runs(doc, [c.members[0] for c in index.simple])
@@ -227,7 +226,7 @@ def generate_sets(
     """
     # The window's names come in token order, so sentences and first occurrences do.
     per_sentence: dict[int, dict[str, NameOccurrence]] = {}
-    for candidate in _window_index(doc, pronoun, dictionary, scope, lexicon).simple:
+    for candidate in window_index(doc, pronoun, scope, dictionary, lexicon).simple:
         (occ,) = candidate.members
         per_sentence.setdefault(candidate.sentence_index, {}).setdefault(occ.base, occ)
     return [

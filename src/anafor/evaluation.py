@@ -68,14 +68,18 @@ def evaluate(resolved: ResolvedDocument | Iterable[Resolution], gold: Document) 
 
     ``resolved`` may be a ResolvedDocument or any iterable of resolutions,
     such as those ``parse_trace`` reads.  Every gold-linked pronoun must
-    have a resolution with a matching id.
+    have a resolution with a matching id, and every resolution a pronoun
+    of the gold document.
     """
     if isinstance(resolved, ResolvedDocument):
         resolved = resolved.resolutions
+    known = {mention.id for mention in gold.pronouns}
     by_id: dict[int, Resolution] = {}
     for resolution in resolved:
         if resolution.pronoun_id in by_id:
             raise ValueError(f"duplicate resolution for pronoun {resolution.pronoun_id}")
+        if resolution.pronoun_id not in known:
+            raise ValueError(f"pronoun {resolution.pronoun_id} is not in the gold document")
         by_id[resolution.pronoun_id] = resolution
     identified = 0
     ambiguous = 0

@@ -5,11 +5,12 @@ One walk, :func:`walk_document`, visits the pronouns in document order for
 the resolver, the baseline and the trainer alike; each supplies only the
 choice of what to write in.  Whenever a pronoun is resolved, its token (or
 zero-marker position) is rewritten to the antecedent's bare base names
-joined with ``ve``, so the replacement is visible to later candidate
-extraction and repetition counting.  Ambiguous pronouns stay in the text
-untouched.  The walk streams the text in up to each pronoun, and
-:func:`replace_mention` splices each replacement into that text alone, in
-place, so the cost per pronoun is flat across sentences and inside them.
+joined with ``ve`` and quoted as the pronoun is (``mention_quoted``), so
+the replacement is visible to later candidate extraction and scoring.
+Ambiguous pronouns stay in the text untouched.  The walk streams the text
+in up to each pronoun, :func:`replace_mention` splices each replacement
+into that text alone, in place, and the text's name index reads each token
+once, so the cost per pronoun is flat across sentences and inside them.
 The resolver picks the highest-scoring survivor; the baseline scores
 nothing, so the most recent survivor wins.
 """
@@ -30,7 +31,7 @@ from .scoring import (
     most_recent_max,
     score,
 )
-from .textmodel import QUOTE, Document, Overtness, PronounMention, Sentence, Token
+from .textmodel import QUOTE, Document, Overtness, PronounMention, Sentence, Token, mention_quoted
 
 # Unused here, but perfbench/tracing.py patches them as attributes of this module.
 from .scoring import feature_vector  # noqa: F401
@@ -72,26 +73,15 @@ def _renumbered(tokens: Sequence[Token], first: int) -> list[Token]:
     return [make((t.surface, first + k, t.sentence_index, t.quoted)) for k, t in enumerate(tokens)]
 
 
-def _quote_open_before(tokens: Sequence[Token], position: int) -> bool:
-    # Whether a quote is open just left of tokens[position], itself a quote
-    # mark.  The nearest non-quote token to the left carries the open state
-    # as its flag (the unpaired-quote rule clears flags only after the last
-    # quote mark), and every quote mark between it and the position flips it.
-    i = position - 1
-    while i >= 0 and tokens[i].surface == QUOTE:
-        i -= 1
-    return (i >= 0 and tokens[i].quoted) != ((position - 1 - i) % 2 == 1)
-
-
 def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str]) -> None:
     """Write the walk's pronoun as its antecedent names, in place.
 
     The pronoun is the last mention visited: its token is the working
     text's last token and its sentence the last sentence, so only those
     change.  An overt pronoun's token gives way to the names; a zero's
-    names go in before its token.  The names take only their quote flag
-    from the tokens around them.  No name may be a quote mark, since that
-    would re-pair every quote after it.
+    names go in before its token.  The names take only their quote flag,
+    the mention's own (:func:`~anafor.textmodel.mention_quoted`).  No name
+    may be a quote mark, since that would re-pair every quote after it.
     """
     if not names:
         raise ValueError("replacement needs at least one name")
@@ -102,10 +92,7 @@ def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str
     at = tokens[position]
     overt = mention.overtness is Overtness.OVERT
     inserted = [surface for name in names for surface in ("ve", name)][1:]
-    if overt or at.surface != QUOTE:
-        quoted = at.quoted
-    else:
-        quoted = _quote_open_before(tokens, position)
+    quoted = mention_quoted(tokens, mention)
     tokens[position:] = [
         Token(word, position + k, at.sentence_index, quoted) for k, word in enumerate(inserted)
     ] + _renumbered(tokens[position + overt:], position + len(inserted))
@@ -125,19 +112,19 @@ def walk_document(
 ) -> Document:
     """The left-to-right pass shared by resolve, baseline and training.
 
-    The working text is the only Document over lists.  Candidates never
-    lie right of a pronoun, so it is streamed in from ``doc`` only up to
-    and including the token of the pronoun about to be visited: a splice
-    has a tail of at most one token, every token left of the pronoun keeps
-    its position, and its :class:`NameIndex` matches each token once and
-    keeps the window's pre-apostrophe base counts.  For each pronoun in
-    document order ``choose`` sees that text, the mention, its constrained
-    survivors and the zero-pronoun history, and returns the names to write
-    in, or None to leave the pronoun in place.  It must not keep the text,
-    nor read the index of the pronoun's own token, which is set once the
-    walk has placed it.  The text's mention list gets only the pronouns
-    left in place; nothing reads it before the walk ends.  The history is
-    the set of name sets written in for zero pronouns of earlier
+    The working text is the only Document over lists.  Candidates never lie
+    right of a pronoun, so it is streamed in from ``doc`` only up to and
+    including the token of the pronoun about to be visited: a splice has a
+    tail of at most one token, every token left of the pronoun keeps its
+    position, and its :class:`NameIndex` matches each token once and keeps
+    the window's base counts and first phrase tokens at ``scope``.  For each
+    pronoun in document order ``choose`` sees that text, the mention, its
+    constrained survivors and the zero-pronoun history, and returns the
+    names to write in, or None to leave the pronoun in place.  It must not
+    keep the text, nor read the index of the pronoun's own token, which is
+    set once the walk has placed it.  The text's mention list gets only the
+    pronouns left in place; nothing reads it before the walk ends.  The
+    history is the set of name sets written in for zero pronouns of earlier
     sentences; a sentence's own zeros join it only once the whole sentence
     is walked.  Returns the document with every chosen replacement made.
     """

@@ -1,11 +1,11 @@
 """The eight binary salience preferences and their weighted aggregate score.
 
 :func:`feature_vectors` computes the flags of all of a pronoun's survivors
-at once: the window facts they share (the name counts of the search window,
-the nearest populated sentence, the first phrase token of each sentence)
-are worked out once per pronoun, not once per candidate.  The zero-pronoun
-history is the caller's: a set of the name sets already written in for
-zero pronouns of earlier sentences, which the document walk keeps.
+at once, reading the window's base counts and first phrase tokens off its
+name index (:func:`~anafor.candidates.window_index`), never the window
+itself.  The zero-pronoun history is the caller's: a set of the name sets
+already written in for zero pronouns of earlier sentences, which the
+document walk keeps.
 
 Feature order is part of the serialization contract (weights files, trace
 bit strings): quoted_match, recency, nominative, first_np,
@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
-from .candidates import Candidate, SearchScope, window_bases
-from .textmodel import Document, Overtness, PronounMention, PUNCTUATION_TOKENS, decode_utf8
+from .candidates import Candidate, SearchScope, window_index
+from .textmodel import Document, Overtness, PronounMention, decode_utf8, mention_quoted
 
 
 class PreferenceVector(NamedTuple):
@@ -123,14 +123,6 @@ def load_weights(path) -> PreferenceWeights:
         return parse_weights(decode_utf8(handle.read(), path, bom=True))
 
 
-def _first_phrase_token(doc: Document, sentence_index: int) -> int | None:
-    sent = doc.sentences[sentence_index]
-    for i in range(sent.first, sent.last + 1):
-        if doc.tokens[i].surface not in PUNCTUATION_TOKENS:
-            return i
-    return None
-
-
 def feature_vectors(
     doc: Document,
     pronoun: PronounMention,
@@ -141,24 +133,25 @@ def feature_vectors(
     """Compute the eight preference flags for each post-constraint
     candidate, in the order of ``survivors``.
 
-    quoted_match is symmetric (both sides quoted, or both unquoted);
-    recency marks the survivors of the nearest populated sentence;
-    repetition requires every member base to occur at least twice in the
-    search window, replacement tokens included; punctuation asks whether
-    the token after the candidate's anchor is a comma;
-    zero_antecedent_history asks whether a zero pronoun's candidate names
-    are in ``history``.  The window's pre-apostrophe base counts are the
-    ones the document walk keeps, or else read off the window.
+    quoted_match is symmetric (both sides quoted, or both unquoted; the
+    pronoun's side is :func:`~anafor.textmodel.mention_quoted`); recency
+    marks the survivors of the nearest populated sentence; first_np asks
+    whether the candidate starts at its sentence's first non-punctuation
+    token; repetition requires every member base to occur
+    at least twice in the search window, replacement tokens included;
+    punctuation asks whether the token after the candidate's anchor is a
+    comma; zero_antecedent_history asks whether a zero pronoun's candidate
+    names are in ``history``.  On the walk's working text the window is
+    the walk's index, which carries the walk's scope, not ``scope``; on
+    any other document a survivor outside the window at ``scope`` gets
+    first_np False and base counts of 0.
     """
     if not survivors:
         return []
-    pronoun_quoted = doc.tokens[pronoun.position].quoted
+    pronoun_quoted = mention_quoted(doc.tokens, pronoun)
     nearest_sentence = max(c.sentence_index for c in survivors)
-    bases = window_bases(doc, pronoun, scope)
-    first_phrase = {
-        sentence: _first_phrase_token(doc, sentence)
-        for sentence in {c.sentence_index for c in survivors}
-    }
+    window = window_index(doc, pronoun, scope)
+    bases, first_phrase = window.bases, window.first_phrase
     zero = pronoun.overtness is Overtness.ZERO
     vectors = []
     for candidate in survivors:
@@ -167,7 +160,7 @@ def feature_vectors(
             quoted_match=pronoun_quoted == doc.tokens[candidate.anchor].quoted,
             recency=sentence == nearest_sentence,
             nominative=all(member.nominative for member in candidate.members),
-            first_np=candidate.members[0].token_index == first_phrase[sentence],
+            first_np=candidate.members[0].token_index == first_phrase.get(sentence),
             predicate_nominal=any(member.copular_suffix for member in candidate.members),
             repetition=all(bases[member.base] >= 2 for member in candidate.members),
             punctuation=(

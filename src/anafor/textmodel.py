@@ -160,6 +160,20 @@ class Document:
                     )
 
 
+def mention_quoted(tokens: Sequence[Token], mention: PronounMention) -> bool:
+    """Whether ``mention`` stands between quote marks: its token's flag,
+    save for a zero before a quote mark, whose flag is always False.  Such
+    a zero is quoted when a quote is open left of the mark: the flag of the
+    nearest non-quote token to the left, flipped by each quote mark between."""
+    position = mention.position
+    if mention.overtness is Overtness.OVERT or tokens[position].surface != QUOTE:
+        return tokens[position].quoted
+    i = position - 1
+    while i >= 0 and tokens[i].surface == QUOTE:
+        i -= 1
+    return (i >= 0 and tokens[i].quoted) != ((position - 1 - i) % 2 == 1)
+
+
 def decode_utf8(data: bytes, name, bom: bool = False) -> str:
     """Decode the bytes read from ``name`` (``-`` for stdin) as UTF-8.
 

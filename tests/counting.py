@@ -1,13 +1,15 @@
 """Counters of the work one call does, for the tests and for
-``scripts/sentence_probe.py``: the ``Token``s it builds and the calls it
-makes of one function.  Neither needs pytest."""
+``scripts/sentence_probe.py``: the ``Token``s it builds, the calls it
+makes of one function and its tests against the punctuation marks.  None
+needs pytest."""
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Iterator
 
-from anafor.textmodel import Token
+from anafor.textmodel import PUNCTUATION_TOKENS, Token
 
 
 class Count:
@@ -51,3 +53,30 @@ def tokens_built() -> Iterator[Count]:
     finally:
         Token.__new__ = new
         del Token._make  # inherited again from the fields tuple
+
+
+@contextmanager
+def punctuation_lookups() -> Iterator[Count]:
+    """Count the tests against ``PUNCTUATION_TOKENS`` in the block, in every
+    module of the package; those that do not read the marks get the name
+    unused for the block."""
+    count = Count()
+
+    class Counting(frozenset):
+        def __contains__(self, item):
+            count.n += 1
+            return super().__contains__(item)
+
+    modules = [module for name, module in sys.modules.items() if name.startswith("anafor.")]
+    had = [module for module in modules if "PUNCTUATION_TOKENS" in vars(module)]
+    counting = Counting(PUNCTUATION_TOKENS)
+    for module in modules:
+        module.PUNCTUATION_TOKENS = counting
+    try:
+        yield count
+    finally:
+        for module in modules:
+            if module in had:
+                module.PUNCTUATION_TOKENS = PUNCTUATION_TOKENS
+            else:
+                del module.PUNCTUATION_TOKENS

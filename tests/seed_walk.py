@@ -9,7 +9,9 @@ so it is also the reference for the package's spliced replacement, and
 ``feature_vector`` (which re-reads the search window for every member of
 every survivor) is the reference for ``anafor.scoring.feature_vectors``.
 ``ResolutionHistory`` is the seed's zero-pronoun history, which the walk
-now keeps as a plain set of name sets.
+now keeps as a plain set of name sets.  One line differs from the seed: a
+pronoun's quote flag is ``mention_quoted``'s, which fixes the seed's
+reading of a zero before a closing quote mark as unquoted.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from anafor.textmodel import (
     Overtness,
     PronounMention,
     assemble_document,
+    mention_quoted,
 )
 from anafor.training import TrainConfig, TrainingInstance, TrainReport
 
@@ -99,7 +102,7 @@ def feature_vector(
     nearest_sentence = max(c.sentence_index for c in survivors)
     return PreferenceVector(
         quoted_match=(
-            doc.tokens[pronoun.position].quoted == doc.tokens[candidate.anchor].quoted
+            mention_quoted(doc.tokens, pronoun) == doc.tokens[candidate.anchor].quoted
         ),
         recency=candidate.sentence_index == nearest_sentence,
         nominative=all(member.nominative for member in candidate.members),

@@ -411,6 +411,18 @@ class TestEvalCommand:
         assert (status, err) == (0, "")
         assert "identified=1" in out and "recall=1.000000" in out
 
+    def test_trace_line_for_a_pronoun_not_in_gold_is_an_error(self, capsys, tmp_path):
+        gold = tmp_path / "gold.txt"
+        gold.write_text(
+            'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.', encoding="utf-8"
+        )
+        trace = tmp_path / "trace.tsv"
+        trace.write_text("1\tresolved\tAli\t1.0000\t-\n7\tresolved\tAli\t1.0000\t-\n",
+                         encoding="utf-8")
+        status, out, err = _run(capsys, "eval", "--gold", str(gold), "--trace", str(trace))
+        assert (status, out) == (1, "")
+        assert err == "anafor: error: pronoun 7 is not in the gold document\n"
+
     def test_gold_and_trace_both_from_stdin_is_an_error(self, capsys, monkeypatch):
         _stdin(monkeypatch, 'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.')
         status, out, err = _run(capsys, "eval", "--gold", "-", "--trace", "-")

@@ -96,6 +96,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="duplicate resolution for pronoun 9"):
             evaluate(records, doc)
 
+    def test_resolution_for_a_pronoun_not_in_gold_rejected(self):
+        doc = parse_document('Fatma geldi. Ali <pro id="1" ant="Fatma">onu</pro> gördü.')
+        records = parse_trace("1\tresolved\tFatma\t1.0000\t-\n7\tambiguous\t-\t-\t-\n")
+        with pytest.raises(ValueError, match="pronoun 7 is not in the gold document"):
+            evaluate(records, doc)
+
     def test_idempotent(self):
         doc = parse_document(
             'Fatma geldi. Ali <pro id="1" ant="Fatma">onu</pro> gördü.'

@@ -10,6 +10,7 @@ from anafor import (
     PreferenceWeights,
     constrained_candidates,
     feature_vector,
+    feature_vectors,
     parse_document,
     parse_weights,
     resolve_document,
@@ -17,6 +18,7 @@ from anafor import (
     load_weights,
     score,
 )
+from anafor.candidates import SearchScope
 from anafor.scoring import format_weights
 
 DICT = NameDictionary.from_names(
@@ -81,6 +83,22 @@ class TestFeatureVector:
             '"Ayşe geldi" dedi Murat. <zero id="1" kind="pers" num="sg"/> Sustu.'
         )
         assert vectors["Ayşe"].first_np is True
+
+    def test_survivors_outside_the_window_have_no_window_flags(self):
+        # Survivors of a wider scope than the one scored with: the window
+        # at scope 0 is the pronoun's own sentence, which holds none of them.
+        doc = parse_document(
+            'Ali Ali geldi. Murat geldi. <zero id="1" kind="pers" num="sg"/> Sustu.'
+        )
+        (pronoun,) = doc.pronouns
+        survivors = constrained_candidates(doc, pronoun, DICT)
+        assert [c.members[0].base for c in survivors] == ["Ali", "Ali", "Murat"]
+        wide = feature_vectors(doc, pronoun, survivors, frozenset())
+        narrow = feature_vectors(doc, pronoun, survivors, frozenset(), SearchScope(0))
+        assert [(v.first_np, v.repetition) for v in wide] == [
+            (True, True), (False, True), (True, False)
+        ]
+        assert [(v.first_np, v.repetition) for v in narrow] == [(False, False)] * 3
 
     def test_predicate_nominal(self):
         _, _, vectors = _vectors(

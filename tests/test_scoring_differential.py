@@ -15,7 +15,7 @@ from anafor.resolver import walk_document
 from anafor.scoring import feature_vectors
 from conftest import fixture_text
 from test_acceptance import PROP_DICT, annotated_texts
-from test_walk_differential import FIXTURE_FILES, quoted_texts
+from test_walk_differential import FIXTURE_FILES, TEXTS, quoted_texts
 
 SCOPES = [0, 1, 3]
 
@@ -67,6 +67,12 @@ def check_document(doc, names, scope) -> None:
 @pytest.mark.parametrize("back", SCOPES)
 def test_fixtures_match_the_seed(relative, back, names9):
     check_document(parse_document(fixture_text(relative)), names9, SearchScope(back))
+
+
+@pytest.mark.parametrize("text", TEXTS)
+@pytest.mark.parametrize("back", SCOPES)
+def test_texts_match_the_seed(text, back, names9):
+    check_document(parse_document(text), names9, SearchScope(back))
 
 
 @settings(max_examples=300, deadline=None)

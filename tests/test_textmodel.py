@@ -16,7 +16,7 @@ from anafor import (
     assemble_document,
     parse_document,
 )
-from anafor.textmodel import decode_utf8, sentence_spans, split_tokens
+from anafor.textmodel import decode_utf8, mention_quoted, sentence_spans, split_tokens
 
 
 class TestSplitTokens:
@@ -108,6 +108,25 @@ class TestQuotedFlags:
         assert by_surface["dedi"].quoted is True
         assert by_surface["Murat"].quoted is False
         assert by_surface["gitti"].quoted is False
+
+
+class TestMentionQuoted:
+    # A zero before a quote mark is quoted when a quote is open just left of
+    # the mark; any other mention takes its token's flag.
+    @pytest.mark.parametrize("text,quoted", [
+        ('" Eve <zero id="1" kind="pers" num="sg"/> " dedi .', True),
+        ('Ali <zero id="1" kind="pers" num="sg"/> " eve " gitti .', False),
+        ('Ali " <zero id="1" kind="pers" num="sg"/> " gitti .', True),
+        ('" eve " <zero id="1" kind="pers" num="sg"/> " gitti " .', False),
+        ('" eve " " <zero id="1" kind="pers" num="sg"/> " gitti .', True),
+        ('" eve <zero id="1" kind="pers" num="sg"/> gitti " .', True),
+        ('" Ali <pro id="1">o</pro> " gitti .', True),
+        ('<zero id="1" kind="pers" num="sg"/> " gitti .', False),
+    ])
+    def test_zero_before_a_quote_mark(self, text, quoted):
+        doc = parse_document(text)
+        (mention,) = doc.pronouns
+        assert mention_quoted(doc.tokens, mention) is quoted
 
 
 class TestTokenInvariants:

@@ -76,6 +76,24 @@ def test_fixtures_match_the_seed(relative, back, names9):
     assert_same_as_seed(parse_document(fixture_text(relative)), names9, SearchScope(back))
 
 
+# Inputs that the generators need not draw: zeros before a closing quote
+# mark, which are quoted though the mark's own flag is not, and sentences
+# led by punctuation, whose first phrase token comes later.
+TEXTS = [
+    '" Ali geldi . " Ayşe gitti . " Eve <zero id="1" kind="pers" num="sg"/> " dedi .',
+    'Ali " eve <zero id="1" kind="refl" num="sg"/> " gitti . Ayşe " <zero id="2" '
+    'kind="pers" num="sg"/> " güldü .',
+    ', , Ali geldi . , " Ayşe <zero id="1" kind="refl" num="sg"/> gitti " . , ! '
+    '<zero id="2" kind="pers" num="sg"/> güldü , Fatma <zero id="3" kind="pers" num="pl"/> .',
+]
+
+
+@pytest.mark.parametrize("text", TEXTS)
+@pytest.mark.parametrize("back", [1, 3, 4])
+def test_texts_match_the_seed(text, back, names9):
+    assert_same_as_seed(parse_document(text), names9, SearchScope(back))
+
+
 def test_tiled_minicorpus_matches_the_seed(names9):
     text = fixture_text("minicorpus/minicorpus.txt")
     tiles = [
