@@ -135,7 +135,7 @@ class NameIndex:
             self.bases.subtract(self._bases[:gone])
             del self.simple[:drop], self._bases[:gone]
             self._start, self._end = start, max(start, self._end)
-        dictionary, lexicon, first_phrase = self.dictionary, self.lexicon, self.first_phrase
+        entries, lexicon, first_phrase = self.dictionary.entries, self.lexicon, self.first_phrase
         bases = []
         for token in doc.tokens[self._end:pronoun.position]:
             surface, sentence = token.surface, token.sentence_index
@@ -143,10 +143,10 @@ class NameIndex:
                 first_phrase[sentence] = token.index
             base, suffix = _split_apostrophe(surface)
             bases.append(base)
-            if base and base in dictionary:
+            if base and base in entries:
                 occ = name_occurrence(token, base, suffix, lexicon)
-                if occ is not None:
-                    self.simple.append(Candidate((occ,), CandidateKind.SIMPLE, sentence))
+                if occ is not None:  # a one-member SIMPLE candidate needs no check
+                    self.simple.append(Candidate._make(((occ,), CandidateKind.SIMPLE, sentence)))
         self.bases.update(bases)
         self._bases += bases
         if len(self.bases) > 2 * len(self._bases):

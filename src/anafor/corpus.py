@@ -49,6 +49,9 @@ _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
 # Invisible format characters that would glue onto a token unseen.
 _INVISIBLE_RE = re.compile("[\u00ad\u200b\u2060\ufeff]")
+_RESERVED_RE = re.compile("['’\"<]")  # never in a gazetteer name
+_PRO_KEYS = frozenset({"id", "ant"})
+_ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
 
 
 class ParseError(ValueError):
@@ -64,9 +67,9 @@ def _checked_name(name: str) -> str:
     """``name`` if it may be a gazetteer entry, else a ValueError saying why."""
     if not name:
         raise ValueError("dictionary entry must be non-empty")
-    if any(ch.isspace() for ch in name):
+    if name.split() != [name]:
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
-    if any(ch in name for ch in ("'", "’", '"', "<")):
+    if _RESERVED_RE.search(name):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:
@@ -164,7 +167,7 @@ def _read_tag(
     """The pronoun tag at ``offset``, as a mention at token ``position``,
     and the offset after it; a ValueError says what is wrong with the tag."""
     if match := _PRO_OPEN_RE.match(text, offset):
-        attrs = _attributes(match.group(1), frozenset({"id", "ant"}))
+        attrs = _attributes(match.group(1), _PRO_KEYS)
         mention_id = _mention_id(attrs, seen_ids)
         gold = _gold(attrs)
         close = text.find(_PRO_CLOSE, match.end())
@@ -182,7 +185,7 @@ def _read_tag(
         mention = PronounMention(mention_id, form.kind, form.number, position, tokens[0], gold)
         return mention, close + len(_PRO_CLOSE)
     if match := _ZERO_RE.match(text, offset):
-        attrs = _attributes(match.group(1), frozenset({"id", "kind", "num", "ant"}))
+        attrs = _attributes(match.group(1), _ZERO_KEYS)
         mention_id = _mention_id(attrs, seen_ids)
         for required in ("kind", "num"):
             if required not in attrs:

@@ -113,8 +113,9 @@ def walk_document(
     """The left-to-right pass shared by resolve, baseline and training.
 
     The working text is the only Document over lists.  Candidates never lie
-    right of a pronoun, so it is streamed in from ``doc`` only up to and
-    including the token of the pronoun about to be visited: a splice has a
+    right of a pronoun, so tokens are streamed in from ``doc`` only at each
+    pronoun, through its token, and after the last sentence; a sentence is
+    placed by the shift of the replacements before it.  So a splice has a
     tail of at most one token, every token left of the pronoun keeps its
     position, and its :class:`NameIndex` matches each token once and keeps
     the window's base counts and first phrase tokens at ``scope``.  For each
@@ -135,7 +136,8 @@ def walk_document(
     mentions = iter(doc.pronouns)
     mention = next(mentions, None)
     for sentence in doc.sentences:
-        work.sentences.append(Sentence(len(tokens), sentence.last + len(tokens) - streamed))
+        shift = len(tokens) - streamed  # the tokens the replacements so far added
+        work.sentences.append(Sentence(sentence.first + shift, sentence.last + shift))
         zeros = []
         while mention is not None and mention.position <= sentence.last:
             if mention.position >= streamed:
@@ -157,9 +159,8 @@ def walk_document(
                 if visited.overtness is Overtness.ZERO:
                     zeros.append(frozenset(names))
             mention = next(mentions, None)
-        tokens += _renumbered(doc.tokens[streamed:sentence.last + 1], len(tokens))
-        streamed = sentence.last + 1
         history.update(zeros)
+    tokens += _renumbered(doc.tokens[streamed:], len(tokens))
     paraphrased = Document(tuple(tokens), tuple(work.sentences), tuple(work.pronouns))
     paraphrased.validate()
     return paraphrased

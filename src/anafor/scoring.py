@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, SearchScope, window_index
@@ -69,7 +70,7 @@ DEFAULT_WEIGHTS = PreferenceWeights((2.20, 2.15, 1.85, 1.40, 1.20, 1.20, 1.15, 1
 
 def score(vector: PreferenceVector, weights: PreferenceWeights) -> float:
     """Aggregate salience: the sum of the weights of the satisfied features."""
-    return sum(w for flag, w in zip(vector, weights.values) if flag)
+    return sum(compress(weights.values, vector))
 
 
 def most_recent_max(scores: Iterable[float]) -> int:

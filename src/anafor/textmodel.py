@@ -4,9 +4,10 @@ A :class:`Token` holds its surface, its index in the document, the index
 of its sentence and whether it stands between quote marks; anything else
 about it, such as a comma after it, is read off its neighbours.
 ``assemble_document`` builds and validates a :class:`Document` from token
-surfaces, as the corpus parser does.  A Document holds tuples and is
-immutable, save the resolver walk's working text: it holds lists, grown
-and spliced in place, and only the walk may keep it.
+surfaces, as the corpus parser does: one split of their join checks them
+all, and ``Token._make`` builds the tokens.  A Document holds tuples and
+is immutable, save the resolver walk's working text: it holds lists,
+grown and spliced in place, and only the walk may keep it.
 
 Tokens and sentences are ``NamedTuple`` records, as are the names,
 candidates and scored candidates built from them: the walk builds them by
@@ -256,22 +257,16 @@ def assemble_document(
     for k, sent_surfaces in enumerate(sentence_surfaces):
         if not sent_surfaces:
             raise ValueError(f"sentence {k} has no tokens")
-        first = len(surfaces)
-        for surface in sent_surfaces:
-            surfaces.append(surface)
-            sentence_of.append(k)
-        sentences.append(Sentence(first, len(surfaces) - 1))
-
+        sentences.append(Sentence(len(surfaces), len(surfaces) + len(sent_surfaces) - 1))
+        surfaces += sent_surfaces
+        sentence_of += [k] * len(sent_surfaces)
+    # Equal exactly when every surface passes Token's check; else the
+    # first bad one raises Token's error.
+    if " ".join(surfaces).split() != surfaces:
+        for i, surface in enumerate(surfaces):
+            Token(surface, i, sentence_of[i])
     quoted = _quoted_flags(surfaces, sentence_of)
-    tokens = tuple(
-        Token(
-            surface=surface,
-            index=i,
-            sentence_index=sentence_of[i],
-            quoted=quoted[i],
-        )
-        for i, surface in enumerate(surfaces)
-    )
+    tokens = tuple(map(Token._make, zip(surfaces, range(len(surfaces)), sentence_of, quoted)))
     ordered = tuple(sorted(pronouns, key=lambda m: m.position))
     doc = Document(tokens=tokens, sentences=tuple(sentences), pronouns=ordered)
     doc.validate()

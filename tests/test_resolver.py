@@ -400,6 +400,17 @@ class TestReplacement:
 
         assert per_pronoun(2000) <= 1.5 * per_pronoun(20)
 
+    def test_renumbering_calls_grow_with_pronouns_not_sentences(self):
+        # Tokens are streamed in at each pronoun and once after the last
+        # sentence: a walk that copied each sentence in as it reached it
+        # would renumber about once per sentence, here about 1000 times.
+        doc = parse_document("Ali geldi. " * 1000 + f"{ZERO.format(1)} güldü.")
+        with calls(anafor.resolver, "_renumbered") as renumbered:
+            resolved = resolve_document(doc, DICT)
+        assert [r.antecedent for r in resolved.resolutions] == [frozenset({"Ali"})]
+        assert len(doc.sentences) == 1001
+        assert renumbered.n <= 2 * len(doc.pronouns) + 1
+
     def test_zeros_of_one_sentence_build_at_most_length_times_zeros_tokens(self):
         # A loose bound: a splice that shifted the rest of the sentence
         # would build up to its length in tokens per zero.
