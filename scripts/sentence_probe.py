@@ -1,6 +1,8 @@
-"""Cost per pronoun inside one long sentence.
+"""Cost per pronoun inside one long sentence, and the memory a parsed
+document holds per token.
 
     PYTHONPATH=src python3 scripts/sentence_probe.py [--tokens 2000 8000] [--repeat 3]
+        [--documents 800]
 
 Two shapes of one sentence, each of ``--tokens`` tokens.  ``filler`` is
 filler words with ``Ali`` at its start and a reflexive zero pronoun before
@@ -10,25 +12,38 @@ verb, so the sentence's first phrase token comes after every comma.  For
 each shape and length the script prints one JSON line: the
 best-of-``--repeat`` milliseconds per pronoun of ``resolve_document``, and
 from one more run, per pronoun, the gazetteer lookups (the walk's name
-index splits each window token once to look up its base), the ``Token``s
-built, their sum (the tokens touched) and the tests against the
-punctuation marks.  The counters are those of the tests
+index splits each window token once to look up its base), the ``Token``
+records built (none: the walk reads and splices token columns), the tokens
+copied (the surfaces the walk slices out of the input's columns and its
+own), the lookups plus the copies (the tokens touched) and the tests
+against the punctuation marks.  The counters are those of the tests
 (``tests/counting.py``).
+
+A last line, ``long``, parses the long-document probe: the first
+``--documents`` documents of the benchmark's generator from
+``random.Random(1)``, joined with their pronoun ids made unique, and gives
+the bytes the parsed Document holds per token (``tracemalloc``).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import random
+import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import anafor.candidates
-from anafor import NameDictionary, parse_document, resolve_document
+from anafor import NameDictionary, default_lexicon, parse_document, resolve_document
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from counting import calls, punctuation_lookups, tokens_built  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]
+from counting import calls, punctuation_lookups, surfaces_copied, tokens_built  # noqa: E402
+from perfbench import corpora  # noqa: E402
 
 FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
 ZERO = '<zero id="{}" kind="refl" num="sg"/> '
@@ -52,22 +67,51 @@ def commas_text(tokens: int) -> str:
     return ", " * (tokens - 202) + f"Ali {zeros} ."
 
 
-def counted(doc) -> tuple[int, int, int]:
-    """Gazetteer lookups, ``Token``s built and punctuation tests by one
-    resolve of ``doc``."""
+def counted(doc) -> tuple[int, int, int, int]:
+    """Gazetteer lookups, ``Token``s built, tokens copied and punctuation
+    tests by one resolve of ``doc``."""
     with (
         calls(anafor.candidates, "_split_apostrophe") as lookups,
         tokens_built() as built,
+        surfaces_copied(doc) as (copied, counting),
         punctuation_lookups() as punctuation,
     ):
-        resolve_document(doc, DICTIONARY)
-    return lookups.n, built.n, punctuation.n
+        resolve_document(counting, DICTIONARY)
+    return lookups.n, built.n, copied.n, punctuation.n
+
+
+def long_document(documents: int) -> str:
+    """The first ``documents`` generated documents, pronoun ids made unique."""
+    minicorpus, _ = corpora.read_minicorpus(ROOT)
+    _, names = corpora.build_gazetteer(ROOT, minicorpus)
+    rng = random.Random(1)
+    texts = []
+    for k in range(documents):
+        text = corpora.generate_document(rng, names)
+        texts.append(re.sub(r'id="(\d+)"', lambda m: f'id="{100 * k + int(m[1])}"', text))
+    return "".join(texts)
+
+
+def bytes_held(text: str) -> tuple[int, int, int]:
+    """Tokens, pronouns and the bytes the Document parsed from ``text`` holds."""
+    default_lexicon()  # loaded once, not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        doc = parse_document(text)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return len(doc.surfaces), len(doc.pronouns), held
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tokens", type=int, nargs="+", default=[2000, 8000])
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--documents", type=int, default=800)
     args = parser.parse_args()
     for length in args.tokens:
         for shape, text in (("filler", filler_text), ("commas", commas_text)):
@@ -78,7 +122,7 @@ def main() -> None:
                 start = time.perf_counter()
                 resolve_document(doc, DICTIONARY)
                 times.append(time.perf_counter() - start)
-            lookups, built, punctuation = counted(doc)
+            lookups, built, copied, punctuation = counted(doc)
             print(json.dumps({
                 "shape": shape,
                 "tokens": len(doc.tokens),
@@ -86,9 +130,17 @@ def main() -> None:
                 "ms_per_pronoun": round(1000 * min(times) / pronouns, 3),
                 "lookups_per_pronoun": round(lookups / pronouns, 2),
                 "tokens_built_per_pronoun": round(built / pronouns, 2),
-                "tokens_touched_per_pronoun": round((lookups + built) / pronouns, 2),
+                "tokens_copied_per_pronoun": round(copied / pronouns, 2),
+                "tokens_touched_per_pronoun": round((lookups + copied) / pronouns, 2),
                 "punctuation_tests_per_pronoun": round(punctuation / pronouns, 2),
             }))
+    tokens, pronouns, held = bytes_held(long_document(args.documents))
+    print(json.dumps({
+        "shape": "long",
+        "tokens": tokens,
+        "pronouns": pronouns,
+        "bytes_per_token": round(held / tokens, 1),
+    }))
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ from .scoring import (
     feature_vectors,
     load_weights,
     parse_weights,
-    save_weights,
     score,
 )
 from .resolver import (

@@ -11,7 +11,8 @@ plural candidate.
 
 A :class:`NameIndex` is the one reader of a pronoun's window, for
 extraction and scoring alike: the walk's text carries one, or else
-:func:`window_index` reads the window into a new one.
+:func:`window_index` reads the window into a new one.  Both read the
+token columns, where a token's index is its offset.
 """
 
 from __future__ import annotations
@@ -136,15 +137,16 @@ class NameIndex:
             del self.simple[:drop], self._bases[:gone]
             self._start, self._end = start, max(start, self._end)
         entries, lexicon, first_phrase = self.dictionary.entries, self.lexicon, self.first_phrase
+        surfaces, sentence_of = doc.surfaces, doc.sentence_of
         bases = []
-        for token in doc.tokens[self._end:pronoun.position]:
-            surface, sentence = token.surface, token.sentence_index
+        for i in range(self._end, pronoun.position):
+            surface, sentence = surfaces[i], sentence_of[i]
             if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
-                first_phrase[sentence] = token.index
+                first_phrase[sentence] = i
             base, suffix = _split_apostrophe(surface)
             bases.append(base)
             if base and base in entries:
-                occ = name_occurrence(token, base, suffix, lexicon)
+                occ = name_occurrence(surface, i, base, suffix, lexicon)
                 if occ is not None:  # a one-member SIMPLE candidate needs no check
                     self.simple.append(Candidate._make(((occ,), CandidateKind.SIMPLE, sentence)))
         self.bases.update(bases)
@@ -159,6 +161,7 @@ class NameIndex:
 class WalkText(Document):
     """The working text of a document walk, with the index of its names."""
     names: NameIndex
+    tokens = property(Document.tokens.func)  # built on each read: the text grows
 
 
 def window_index(
@@ -185,7 +188,7 @@ def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
         i = occ.token_index
         run = runs[i % 2]
         if run and run[-1].token_index == i - 2 and (
-            turkish_lower(doc.tokens[i - 1].surface) in LINKER_SURFACES
+            turkish_lower(doc.surfaces[i - 1]) in LINKER_SURFACES
         ):
             run.append(occ)
             continue

@@ -47,8 +47,10 @@ _PRO_OPEN_RE = re.compile(r"<pro\b([^<>]*)>")
 _ZERO_RE = re.compile(r"<zero\b([^<>]*?)/>")
 _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
-# Invisible format characters that would glue onto a token unseen.
-_INVISIBLE_RE = re.compile("[\u00ad\u200b\u2060\ufeff]")
+# Invisible format characters glue onto a token unseen; typographic quote
+# marks glue onto a token too, and never pair as '"' does.
+_INVISIBLE = "\u00ad\u200b\u2060\ufeff"
+_REJECTED_RE = re.compile(f"[{_INVISIBLE}\u00ab\u00bb\u201c\u201d]")
 _RESERVED_RE = re.compile("['’\"<]")  # never in a gazetteer name
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
@@ -206,7 +208,8 @@ def _read_tag(
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
     byte-order mark is dropped, and any other U+FEFF, U+200B, U+2060 or
-    U+00AD is a ParseError."""
+    U+00AD, and each typographic quote mark U+201C, U+201D, U+00AB or
+    U+00BB, is a ParseError."""
     text = text.removeprefix("\ufeff")
     lexicon = lexicon or default_lexicon()
     surfaces: list[str] = []
@@ -215,9 +218,11 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     zero_at: dict[int, int] = {}  # token position -> offset of its first zero tag
     i = 0
     try:
-        if invisible := _INVISIBLE_RE.search(text):
-            offset = invisible.start()
-            raise ValueError(f"invisible format character U+{ord(invisible[0]):04X}")
+        if rejected := _REJECTED_RE.search(text):
+            offset = rejected.start()
+            char = rejected[0]
+            what = "invisible format character" if char in _INVISIBLE else "typographic quote mark"
+            raise ValueError(f"{what} U+{ord(char):04X}")
         while (offset := text.find("<", i)) >= 0:
             surfaces += split_tokens(text[i:offset])
             mention, i = _read_tag(text, offset, len(surfaces), seen_ids, lexicon)
@@ -284,7 +289,7 @@ def serialize_document(doc: Document) -> str:
         parts: list[str] = []
         previous_opening_quote = False
         for i in range(sent.first, sent.last + 1):
-            surface = doc.tokens[i].surface
+            surface = doc.surfaces[i]
             rendered = surface
             if i in overt_at:
                 mention = overt_at[i]

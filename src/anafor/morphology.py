@@ -196,19 +196,20 @@ def match_name(
     base, suffix = _split_apostrophe(token.surface)
     if not base or base not in dictionary:
         return None
-    return name_occurrence(token, base, suffix, lexicon)
+    return name_occurrence(token.surface, token.index, base, suffix, lexicon)
 
 
 def name_occurrence(
-    token: "Token",
+    surface: str,
+    token_index: int,
     base: str,
     suffix: str,
     lexicon: Lexicon | None = None,
 ) -> NameOccurrence | None:
-    """:func:`match_name` for a token already split at its apostrophe
-    into ``base``, a gazetteer entry, and ``suffix``."""
+    """:func:`match_name` for ``surface``, token ``token_index``, split at its
+    apostrophe into ``base``, a gazetteer entry, and ``suffix``."""
     lexicon = lexicon or default_lexicon()
-    if turkish_lower(token.surface) in lexicon.pronoun_forms:
+    if turkish_lower(surface) in lexicon.pronoun_forms:
         return None
     nominative, plural, copular = _analyze_suffix(suffix, lexicon)
-    return NameOccurrence(base, token.index, nominative, plural, copular)
+    return NameOccurrence(base, token_index, nominative, plural, copular)

@@ -7,10 +7,11 @@ choice of what to write in.  Whenever a pronoun is resolved, its token (or
 zero-marker position) is rewritten to the antecedent's bare base names
 joined with ``ve`` and quoted as the pronoun is (``mention_quoted``), so
 the replacement is visible to later candidate extraction and scoring.
-Ambiguous pronouns stay in the text untouched.  The walk streams the text
-in up to each pronoun, :func:`replace_mention` splices each replacement
-into that text alone, in place, and the text's name index reads each token
-once, so the cost per pronoun is flat across sentences and inside them.
+Ambiguous pronouns stay in the text untouched.  The walk streams the
+text's token columns in up to each pronoun, :func:`replace_mention`
+splices each replacement into those columns alone, in place, and the
+text's name index reads each token once: no token is copied or read twice,
+so the cost per pronoun is flat across sentences and inside them.
 The resolver picks the highest-scoring survivor; the baseline scores
 nothing, so the most recent survivor wins.
 """
@@ -31,7 +32,9 @@ from .scoring import (
     most_recent_max,
     score,
 )
-from .textmodel import QUOTE, Document, Overtness, PronounMention, Sentence, Token, mention_quoted
+from .textmodel import (
+    QUOTE, Document, Overtness, PronounMention, Sentence, check_surfaces, mention_quoted,
+)
 
 # Unused here, but perfbench/tracing.py patches them as attributes of this module.
 from .scoring import feature_vector  # noqa: F401
@@ -64,15 +67,6 @@ class ResolvedDocument:
     paraphrased: Document
 
 
-def _renumbered(tokens: Sequence[Token], first: int) -> list[Token]:
-    # Consecutive tokens numbered from ``first``, reused if they already
-    # are; copies of checked tokens need no check.
-    if not tokens or tokens[0].index == first:
-        return list(tokens)
-    make = Token._make
-    return [make((t.surface, first + k, t.sentence_index, t.quoted)) for k, t in enumerate(tokens)]
-
-
 def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str]) -> None:
     """Write the walk's pronoun as its antecedent names, in place.
 
@@ -87,15 +81,14 @@ def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str
         raise ValueError("replacement needs at least one name")
     if QUOTE in names:
         raise ValueError("a replacement name cannot be a quote mark")
-    tokens = work.tokens
+    check_surfaces(list(names))
     position = mention.position
-    at = tokens[position]
     overt = mention.overtness is Overtness.OVERT
+    at = slice(position, position + overt)
     inserted = [surface for name in names for surface in ("ve", name)][1:]
-    quoted = mention_quoted(tokens, mention)
-    tokens[position:] = [
-        Token(word, position + k, at.sentence_index, quoted) for k, word in enumerate(inserted)
-    ] + _renumbered(tokens[position + overt:], position + len(inserted))
+    work.quoted[at] = [mention_quoted(work, mention)] * len(inserted)
+    work.sentence_of[at] = [work.sentence_of[position]] * len(inserted)
+    work.surfaces[at] = inserted
     own = work.sentences[-1]
     work.sentences[-1] = Sentence(own.first, own.last + len(inserted) - overt)
 
@@ -113,46 +106,45 @@ def walk_document(
     """The left-to-right pass shared by resolve, baseline and training.
 
     The working text is the only Document over lists.  Candidates never lie
-    right of a pronoun, so tokens are streamed in from ``doc`` only at each
-    pronoun, through its token, and after the last sentence; a sentence is
-    placed by the shift of the replacements before it.  So a splice has a
-    tail of at most one token, every token left of the pronoun keeps its
-    position, and its :class:`NameIndex` matches each token once and keeps
-    the window's base counts and first phrase tokens at ``scope``.  For each
-    pronoun in document order ``choose`` sees that text, the mention, its
-    constrained survivors and the zero-pronoun history, and returns the
-    names to write in, or None to leave the pronoun in place.  It must not
-    keep the text, nor read the index of the pronoun's own token, which is
-    set once the walk has placed it.  The text's mention list gets only the
-    pronouns left in place; nothing reads it before the walk ends.  The
-    history is the set of name sets written in for zero pronouns of earlier
-    sentences; a sentence's own zeros join it only once the whole sentence
-    is walked.  Returns the document with every chosen replacement made.
+    right of a pronoun, so its columns are streamed in from ``doc`` only at
+    each pronoun, through its token, and after the last sentence; a
+    sentence is placed by the shift of the replacements before it.  So a
+    splice has a tail of at most one token, no token left of the pronoun
+    moves, and its :class:`NameIndex` matches each token once and keeps the
+    window's base counts and first phrase tokens at ``scope``.  For each
+    pronoun in document order ``choose`` sees that text, which it must not
+    keep, the mention, its constrained survivors and the zero-pronoun
+    history, and returns the names to write in, or None to leave the
+    pronoun.  The text's mention list gets only the pronouns left in place;
+    nothing reads it before the walk ends.  The history is the set of name
+    sets written in for zero pronouns of earlier sentences; a sentence's
+    own zeros join it once the whole sentence is walked.  Returns the
+    document with every chosen replacement made.
     """
-    work = WalkText([], [], [], NameIndex(dictionary, lexicon))
-    tokens = work.tokens
+    work = WalkText([], [], [], [], [], NameIndex(dictionary, lexicon))
+    columns = [(work.surfaces, doc.surfaces), (work.sentence_of, doc.sentence_of),
+               (work.quoted, doc.quoted)]
     history: set[frozenset[str]] = set()
-    streamed = 0  # doc.tokens[:streamed] are in the working text
+    streamed = 0  # doc's first streamed tokens are in the working text
     mentions = iter(doc.pronouns)
     mention = next(mentions, None)
     for sentence in doc.sentences:
-        shift = len(tokens) - streamed  # the tokens the replacements so far added
+        shift = len(work.surfaces) - streamed  # the tokens the replacements so far added
         work.sentences.append(Sentence(sentence.first + shift, sentence.last + shift))
         zeros = []
         while mention is not None and mention.position <= sentence.last:
             if mention.position >= streamed:
-                tokens += _renumbered(doc.tokens[streamed:mention.position], len(tokens))
-                tokens.append(doc.tokens[mention.position])
+                for column, source in columns:
+                    column += source[streamed:mention.position + 1]
                 streamed = mention.position + 1
             visited = PronounMention(
-                mention.id, mention.kind, mention.number, len(tokens) - 1,
+                mention.id, mention.kind, mention.number, len(work.surfaces) - 1,
                 mention.surface, mention.gold_antecedent,
             )
             work.names.advance(work, visited, scope)
             survivors = constrained_candidates(work, visited, dictionary, scope, lexicon)
             names = choose(work, visited, survivors, history)
             if names is None:
-                tokens[-1:] = _renumbered(tokens[-1:], visited.position)
                 work.pronouns.append(visited)
             else:
                 replace_mention(work, visited, names)
@@ -160,8 +152,10 @@ def walk_document(
                     zeros.append(frozenset(names))
             mention = next(mentions, None)
         history.update(zeros)
-    tokens += _renumbered(doc.tokens[streamed:], len(tokens))
-    paraphrased = Document(tuple(tokens), tuple(work.sentences), tuple(work.pronouns))
+    for column, source in columns:
+        column += source[streamed:]
+    paraphrased = Document(*(tuple(column) for column, _ in columns),
+                           tuple(work.sentences), tuple(work.pronouns))
     paraphrased.validate()
     return paraphrased
 

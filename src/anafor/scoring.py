@@ -92,11 +92,6 @@ def format_weights(weights: PreferenceWeights) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_weights(weights: PreferenceWeights, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_weights(weights))
-
-
 def parse_weights(text: str) -> PreferenceWeights:
     """Parse a weights file: eight ``name = value`` lines, any order."""
     mapping: dict[str, float] = {}
@@ -149,7 +144,7 @@ def feature_vectors(
     """
     if not survivors:
         return []
-    pronoun_quoted = mention_quoted(doc.tokens, pronoun)
+    pronoun_quoted = mention_quoted(doc, pronoun)
     nearest_sentence = max(c.sentence_index for c in survivors)
     window = window_index(doc, pronoun, scope)
     bases, first_phrase = window.bases, window.first_phrase
@@ -158,15 +153,15 @@ def feature_vectors(
     for candidate in survivors:
         sentence = candidate.sentence_index
         vectors.append(PreferenceVector(
-            quoted_match=pronoun_quoted == doc.tokens[candidate.anchor].quoted,
+            quoted_match=pronoun_quoted == doc.quoted[candidate.anchor],
             recency=sentence == nearest_sentence,
             nominative=all(member.nominative for member in candidate.members),
             first_np=candidate.members[0].token_index == first_phrase.get(sentence),
             predicate_nominal=any(member.copular_suffix for member in candidate.members),
             repetition=all(bases[member.base] >= 2 for member in candidate.members),
             punctuation=(
-                candidate.anchor + 1 < len(doc.tokens)
-                and doc.tokens[candidate.anchor + 1].surface == ","
+                candidate.anchor + 1 < len(doc.surfaces)
+                and doc.surfaces[candidate.anchor + 1] == ","
             ),
             zero_antecedent_history=zero and candidate.base_names in history,
         ))

@@ -1,23 +1,23 @@
 """Core document model: tokens, sentences and pronoun mentions.
 
-A :class:`Token` holds its surface, its index in the document, the index
-of its sentence and whether it stands between quote marks; anything else
-about it, such as a comma after it, is read off its neighbours.
-``assemble_document`` builds and validates a :class:`Document` from token
-surfaces, as the corpus parser does: one split of their join checks them
-all, and ``Token._make`` builds the tokens.  A Document holds tuples and
-is immutable, save the resolver walk's working text: it holds lists,
-grown and spliced in place, and only the walk may keep it.
+A :class:`Document` holds its tokens as parallel columns: the surfaces,
+the sentence of each token and whether it stands between quote marks.  A
+token's index is its offset; anything else about it, such as a comma
+after it, is read off its neighbours.  ``assemble_document`` builds and
+validates a Document from token surfaces, as the corpus parser does: one
+split of their join checks them all.  A Document holds tuples and is
+immutable, save the resolver walk's working text: it holds lists, grown
+and spliced in place, and only the walk may keep it.
 
-Tokens and sentences are ``NamedTuple`` records, as are the names,
-candidates and scored candidates built from them: the walk builds them by
-the thousand, and a tuple costs a third of a frozen dataclass.  ``Token``
-and its ``_replace`` check the surface; ``Token._make`` copies a checked
-token without the check.  A record equals a bare tuple of the same
-fields, so a Document must hold these types.  ``Document``,
-``PronounMention`` and the resolver's ``Resolution`` stay frozen
-dataclasses: they are few, and callers copy them with
-``dataclasses.replace``.
+``doc.tokens`` builds the :class:`Token` records on first read, for
+callers that want them; the package reads only the columns.  Tokens and
+sentences are ``NamedTuple`` records, as are the names, candidates and
+scored candidates: a tuple costs a third of a frozen dataclass.  ``Token``
+and its ``_replace`` check the surface; ``Token._make`` does not.  A
+record equals a bare tuple of the same fields, so a Document must hold
+these types.  ``Document``, ``PronounMention`` and the resolver's
+``Resolution`` stay frozen dataclasses: they are few, and callers copy
+them with ``dataclasses.replace``.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` (``PUNCTUATION_TOKENS``) become tokens of
@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 PUNCTUATION_TOKENS = frozenset({",", ".", "!", "?", "…", '"'})
@@ -63,6 +64,14 @@ class _TokenFields(NamedTuple):
     quoted: bool = False
 
 
+def check_surfaces(surfaces: list[str]) -> None:
+    """Raise a ValueError naming the first surface that is empty or holds
+    whitespace; the split of the join gives the surfaces back exactly when none is."""
+    if " ".join(surfaces).split() != surfaces:
+        bad = next(surface for surface in surfaces if surface.split() != [surface])
+        raise ValueError(f"token surface must be non-empty and whitespace-free: {bad!r}")
+
+
 class Token(_TokenFields):
     """A token; the constructor and ``_replace`` check its surface,
     ``Token._make`` does not."""
@@ -70,10 +79,7 @@ class Token(_TokenFields):
     __slots__ = ()
 
     def __new__(cls, surface: str, index: int, sentence_index: int, quoted: bool = False):
-        if surface.split() != [surface]:
-            raise ValueError(
-                f"token surface must be non-empty and whitespace-free: {surface!r}"
-            )
+        check_surfaces([surface])
         return tuple.__new__(cls, (surface, index, sentence_index, quoted))
 
     def _replace(self, **changes) -> Token:
@@ -114,34 +120,39 @@ class PronounMention:
 
 @dataclass(frozen=True)
 class Document:
-    tokens: tuple[Token, ...]
+    """Token ``i`` is ``surfaces[i]``, in sentence ``sentence_of[i]``, quoted if ``quoted[i]``."""
+
+    surfaces: tuple[str, ...]
+    sentence_of: tuple[int, ...]
+    quoted: tuple[bool, ...]
     sentences: tuple[Sentence, ...]
     pronouns: tuple[PronounMention, ...]
 
-    def sentence_index_of(self, token_index: int) -> int:
-        if not 0 <= token_index < len(self.tokens):
-            raise IndexError(f"token index out of range: {token_index}")
-        return self.tokens[token_index].sentence_index
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        """The columns as :class:`Token` records, built on first read."""
+        columns = self.surfaces, range(len(self.surfaces)), self.sentence_of, self.quoted
+        return tuple(map(Token._make, zip(*columns)))
 
-    def sentence_tokens(self, sentence_index: int) -> tuple[Token, ...]:
-        sent = self.sentences[sentence_index]
-        return self.tokens[sent.first:sent.last + 1]
+    def sentence_index_of(self, token_index: int) -> int:
+        if not 0 <= token_index < len(self.sentence_of):
+            raise IndexError(f"token index out of range: {token_index}")
+        return self.sentence_of[token_index]
 
     def validate(self) -> None:
         """Check the structural invariants; raise ValueError on violation."""
-        for i, token in enumerate(self.tokens):
-            if token.index != i:
-                raise ValueError(f"token {i} carries index {token.index}")
+        n = len(self.surfaces)
+        if len(self.sentence_of) != n or len(self.quoted) != n:
+            raise ValueError("token columns differ in length")
         expected_start = 0
-        for k, sent in enumerate(self.sentences):
-            first, last = sent.first, sent.last
+        for k, (first, last) in enumerate(self.sentences):
             if first != expected_start or last < first:
                 raise ValueError(f"sentence {k} range {(first, last)} is not adjacent")
             expected_start = last + 1
             for i in range(first, last + 1):
-                if self.tokens[i].sentence_index != k:
+                if self.sentence_of[i] != k:
                     raise ValueError(f"token {i} not tagged with sentence {k}")
-        if expected_start != len(self.tokens):
+        if expected_start != n:
             raise ValueError("sentences do not cover the token stream")
         seen_ids = set()
         last_position = -1
@@ -149,30 +160,27 @@ class Document:
             if mention.id in seen_ids:
                 raise ValueError(f"duplicate pronoun id {mention.id}")
             seen_ids.add(mention.id)
-            if not 0 <= mention.position < len(self.tokens):
+            if not 0 <= mention.position < n:
                 raise ValueError(f"pronoun {mention.id} position out of range")
             if mention.position < last_position:
                 raise ValueError("pronouns are not ordered by position")
             last_position = mention.position
-            if mention.overtness is Overtness.OVERT:
-                if self.tokens[mention.position].surface != mention.surface:
-                    raise ValueError(
-                        f"pronoun {mention.id} surface does not match its token"
-                    )
+            if mention.surface and self.surfaces[mention.position] != mention.surface:
+                raise ValueError(f"pronoun {mention.id} surface does not match its token")
 
 
-def mention_quoted(tokens: Sequence[Token], mention: PronounMention) -> bool:
+def mention_quoted(doc: Document, mention: PronounMention) -> bool:
     """Whether ``mention`` stands between quote marks: its token's flag,
     save for a zero before a quote mark, whose flag is always False.  Such
     a zero is quoted when a quote is open left of the mark: the flag of the
     nearest non-quote token to the left, flipped by each quote mark between."""
-    position = mention.position
-    if mention.overtness is Overtness.OVERT or tokens[position].surface != QUOTE:
-        return tokens[position].quoted
+    surfaces, quoted, position = doc.surfaces, doc.quoted, mention.position
+    if mention.overtness is Overtness.OVERT or surfaces[position] != QUOTE:
+        return quoted[position]
     i = position - 1
-    while i >= 0 and tokens[i].surface == QUOTE:
+    while i >= 0 and surfaces[i] == QUOTE:
         i -= 1
-    return (i >= 0 and tokens[i].quoted) != ((position - 1 - i) % 2 == 1)
+    return (i >= 0 and quoted[i]) != ((position - 1 - i) % 2 == 1)
 
 
 def decode_utf8(data: bytes, name, bom: bool = False) -> str:
@@ -260,14 +268,9 @@ def assemble_document(
         sentences.append(Sentence(len(surfaces), len(surfaces) + len(sent_surfaces) - 1))
         surfaces += sent_surfaces
         sentence_of += [k] * len(sent_surfaces)
-    # Equal exactly when every surface passes Token's check; else the
-    # first bad one raises Token's error.
-    if " ".join(surfaces).split() != surfaces:
-        for i, surface in enumerate(surfaces):
-            Token(surface, i, sentence_of[i])
+    check_surfaces(surfaces)
     quoted = _quoted_flags(surfaces, sentence_of)
-    tokens = tuple(map(Token._make, zip(surfaces, range(len(surfaces)), sentence_of, quoted)))
     ordered = tuple(sorted(pronouns, key=lambda m: m.position))
-    doc = Document(tokens=tokens, sentences=tuple(sentences), pronouns=ordered)
+    doc = Document(tuple(surfaces), tuple(sentence_of), tuple(quoted), tuple(sentences), ordered)
     doc.validate()
     return doc

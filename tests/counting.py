@@ -1,19 +1,22 @@
 """Counters of the work one call does, for the tests and for
-``scripts/sentence_probe.py``: the ``Token``s it builds, the calls it
-makes of one function and its tests against the punctuation marks.  None
-needs pytest."""
+``scripts/sentence_probe.py``: the ``Token``s it builds, the surfaces the
+document walk copies, the calls it makes of one function and its tests
+against the punctuation marks.  None needs pytest."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from contextlib import contextmanager
 from typing import Iterator
 
-from anafor.textmodel import PUNCTUATION_TOKENS, Token
+import anafor.resolver
+from anafor.textmodel import PUNCTUATION_TOKENS, Document, Token
 
 
 class Count:
     n = 0
+    slices = 0
 
 
 @contextmanager
@@ -53,6 +56,38 @@ def tokens_built() -> Iterator[Count]:
     finally:
         Token.__new__ = new
         del Token._make  # inherited again from the fields tuple
+
+
+@contextmanager
+def surfaces_copied(doc: Document) -> Iterator[tuple[Count, Document]]:
+    """Count the surfaces sliced out of a surface column in the block: out
+    of the copy of ``doc`` it yields, which the block should walk, and out
+    of the working text of each walk.  Each slice adds its length to ``n``
+    and one to ``slices``.  The walk slices its three token columns
+    together, so ``n`` is the tokens it copies."""
+    count = Count()
+
+    def counted(column: type) -> type:
+        class Counting(column):
+            def __getitem__(self, key):
+                item = super().__getitem__(key)
+                if isinstance(key, slice):
+                    count.n += len(item)
+                    count.slices += 1
+                return item
+        return Counting
+
+    source, working, walk_text = counted(tuple), counted(list), anafor.resolver.WalkText
+
+    class CountingWalkText(walk_text):
+        def __init__(self, surfaces, *columns):
+            super().__init__(working(surfaces), *columns)
+
+    anafor.resolver.WalkText = CountingWalkText
+    try:
+        yield count, dataclasses.replace(doc, surfaces=source(doc.surfaces))
+    finally:
+        anafor.resolver.WalkText = walk_text
 
 
 @contextmanager

@@ -102,7 +102,7 @@ def feature_vector(
     nearest_sentence = max(c.sentence_index for c in survivors)
     return PreferenceVector(
         quoted_match=(
-            mention_quoted(doc.tokens, pronoun) == doc.tokens[candidate.anchor].quoted
+            mention_quoted(doc, pronoun) == doc.tokens[candidate.anchor].quoted
         ),
         recency=candidate.sentence_index == nearest_sentence,
         nominative=all(member.nominative for member in candidate.members),
@@ -143,8 +143,8 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
     position = mention.position
     sentence = doc.sentence_index_of(position)
     sentence_surfaces = [
-        [token.surface for token in doc.sentence_tokens(k)]
-        for k in range(len(doc.sentences))
+        [token.surface for token in doc.tokens[first:last + 1]]
+        for first, last in doc.sentences
     ]
     local = position - doc.sentences[sentence].first
     inserted = _replacement_surfaces(names)

@@ -1,6 +1,8 @@
 """The bulk ``assemble_document`` and ``corpus._checked_name`` against
 verbatim copies of the per-token forms they replaced: the same input gives
 an equal Document of the same record types, or the same ValueError message.
+A Document's ``tokens``, built from its columns in bulk, must equal one
+checked ``Token`` per offset.
 """
 
 from __future__ import annotations
@@ -8,7 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from anafor import parse_document
+from anafor import baseline_resolve_document, parse_document, resolve_document
 from anafor.corpus import _checked_name
 from anafor.morphology import turkish_lower, turkish_upper
 from anafor.textmodel import (
@@ -22,6 +24,8 @@ from anafor.textmodel import (
     assemble_document,
 )
 from conftest import FIXTURES, fixture_text
+from test_acceptance import PROP_DICT, annotated_texts
+from test_walk_differential import quoted_texts
 
 FIXTURE_FILES = sorted(
     path.relative_to(FIXTURES).as_posix() for path in FIXTURES.glob("*/*.txt")
@@ -34,7 +38,8 @@ ALPHABET = ["a", "ş", "A", '"', ".", " ", "\t", "\n", "\x1c", "\xa0", "\u2003",
 
 
 def seed_assemble_document(sentence_surfaces, pronouns=()):
-    # The per-token build, as it was before tokens were built in bulk.
+    # The per-token build, as it was before tokens were built in bulk; the
+    # Document holds the columns of its tokens.
     surfaces: list[str] = []
     sentence_of: list[int] = []
     sentences: list[Sentence] = []
@@ -58,7 +63,13 @@ def seed_assemble_document(sentence_surfaces, pronouns=()):
         for i, surface in enumerate(surfaces)
     )
     ordered = tuple(sorted(pronouns, key=lambda m: m.position))
-    doc = Document(tokens=tokens, sentences=tuple(sentences), pronouns=ordered)
+    doc = Document(
+        tuple(token.surface for token in tokens),
+        tuple(token.sentence_index for token in tokens),
+        tuple(token.quoted for token in tokens),
+        tuple(sentences),
+        ordered,
+    )
     doc.validate()
     return doc
 
@@ -98,7 +109,7 @@ def assert_same_document(sentence_surfaces, pronouns=()) -> None:
 def test_fixture_documents_match_the_per_token_build(relative):
     doc = parse_document(fixture_text(relative))
     sentence_surfaces = [
-        [token.surface for token in doc.sentence_tokens(k)] for k in range(len(doc.sentences))
+        [token.surface for token in doc.tokens[first:last + 1]] for first, last in doc.sentences
     ]
     assert_same_document(sentence_surfaces, doc.pronouns)
     assert assemble_document(sentence_surfaces, doc.pronouns) == doc
@@ -130,6 +141,28 @@ zeros = st.builds(
 @example([["a", "b"]], [PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 2)])
 def test_generated_surfaces_match_the_per_token_build(sentence_surfaces, pronouns):
     assert_same_document(sentence_surfaces, pronouns)
+
+
+def per_token_tokens(doc: Document) -> tuple[Token, ...]:
+    # One checked Token per offset of the columns.
+    return tuple(
+        Token(surface, i, doc.sentence_of[i], doc.quoted[i])
+        for i, surface in enumerate(doc.surfaces)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(annotated_texts(), quoted_texts()))
+def test_tokens_match_the_per_token_build(text):
+    # For parsed documents and both walks' paraphrases.
+    doc = parse_document(text)
+    for document in (
+        doc,
+        resolve_document(doc, PROP_DICT).paraphrased,
+        baseline_resolve_document(doc, PROP_DICT).paraphrased,
+    ):
+        assert document.tokens == per_token_tokens(document)
+        assert all(type(token) is Token for token in document.tokens)
 
 
 NAMES = [

@@ -97,6 +97,15 @@ class TestResolveCommand:
         assert status == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("mark", ["\u201c", "\u201d", "\u00ab", "\u00bb"])
+    def test_typographic_quote_mark_is_a_located_error(self, capsys, tmp_path, mark):
+        bad = tmp_path / "bad.txt"
+        text = f'Ali geldi.\nAyşe {mark}eve{mark} <zero id="1" kind="pers" num="sg"/> gitti.'
+        bad.write_text(text, encoding="utf-8")
+        status, out, err = _run(capsys, "resolve", "--dict", str(NAMES), str(bad))
+        assert (status, out) == (1, "")
+        assert err == f"anafor: error: line 2, column 6: typographic quote mark U+{ord(mark):04X}\n"
+
 
 class TestBaselineCommand:
     def test_baseline_differs_from_system(self, capsys):

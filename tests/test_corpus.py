@@ -242,6 +242,23 @@ class TestParseDocument:
             f"line {line}, column {column}: invisible format character U+{code}"
         )
 
+    @pytest.mark.parametrize(
+        "text,line,column,code",
+        [
+            ('“Ali geldi.” <zero id="1" kind="pers" num="sg"/> Gitti.', 1, 1, "201C"),
+            ('"Ali geldi.”\nGitti.', 1, 12, "201D"),
+            ("«Ali» geldi.", 1, 1, "00AB"),
+            ("Ali geldi.\nAyşe» gitti.", 2, 5, "00BB"),
+        ],
+        ids=["left-double", "right-double", "left-guillemet", "right-guillemet"],
+    )
+    def test_typographic_quote_mark_is_located(self, text, line, column, code):
+        # Each would otherwise glue onto a token and never pair as '"' does:
+        # “Ali left its zero ambiguous, and «Ali» was one token.
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == f"line {line}, column {column}: typographic quote mark U+{code}"
+
 
 class TestSerializeDocument:
     @pytest.mark.parametrize("path", CORPORA, ids=lambda p: p.stem)

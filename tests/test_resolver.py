@@ -26,7 +26,7 @@ from anafor.candidates import SearchScope
 from anafor.resolver import walk_document
 from anafor.textmodel import Document, Sentence, Token
 from conftest import FIXTURES, fixture_text, replace_one
-from counting import calls, punctuation_lookups, tokens_built
+from counting import calls, punctuation_lookups, surfaces_copied, tokens_built
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep", "Tekin"]
@@ -59,20 +59,23 @@ def _tiled_minicorpus(k: int):
     ))
 
 
-def _tokens_built(doc, dictionary):
-    # Tokens built while resolving doc, and how many pronouns it resolved.
-    with tokens_built() as built:
-        resolved = resolve_document(doc, dictionary)
-    return built.n, sum(resolution.resolved for resolution in resolved.resolutions)
+def _tokens_copied(doc, dictionary):
+    # Tokens copied while resolving doc, and how many pronouns it resolved.
+    with surfaces_copied(doc) as (copied, counted):
+        resolved = resolve_document(counted, dictionary)
+    return copied.n, sum(resolution.resolved for resolution in resolved.resolutions)
 
 
 def _walk_counts(doc, dictionary):
     # Gazetteer lookups (the name index splits each window token once, and
-    # looks up its base) and Tokens built while resolving doc, and the
+    # looks up its base) and tokens copied while resolving doc, and the
     # resolved document.
-    with calls(anafor.candidates, "_split_apostrophe") as lookups, tokens_built() as built:
-        resolved = resolve_document(doc, dictionary)
-    return lookups.n, built.n, resolved
+    with (
+        calls(anafor.candidates, "_split_apostrophe") as lookups,
+        surfaces_copied(doc) as (copied, counted),
+    ):
+        resolved = resolve_document(counted, dictionary)
+    return lookups.n, copied.n, resolved
 
 
 class TestResolveDocument:
@@ -223,7 +226,8 @@ class TestReplacement:
     def test_overt_replacement_swaps_token(self):
         doc = parse_document('Ayşe geldi. Ali <pro id="1">onu</pro> gördü.')
         replaced = replace_one(doc, doc.pronouns[0], ["Ayşe"])
-        assert [t.surface for t in replaced.sentence_tokens(1)] == [
+        first, last = replaced.sentences[1]
+        assert [t.surface for t in replaced.tokens[first:last + 1]] == [
             "Ali", "Ayşe", "gördü", ".",
         ]
         assert replaced.pronouns == ()
@@ -238,14 +242,21 @@ class TestReplacement:
         (remaining,) = replaced.pronouns
         assert remaining.id == 2
         assert replaced.tokens[remaining.position].surface == "Ona"
-        assert [t.surface for t in replaced.sentence_tokens(1)][:3] == [
+        first, last = replaced.sentences[1]
+        assert [t.surface for t in replaced.tokens[first:last + 1]][:3] == [
             "Ahmet", "ve", "Fatma",
         ]
 
     def test_empty_replacement_rejected(self):
         doc = parse_document(f"Ali geldi. {ZERO.format(1)} Gitti.")
-        with pytest.raises(ValueError, match="at least one name"):
-            replace_one(doc, doc.pronouns[0], [])
+        bad_surface = "token surface must be non-empty and whitespace-free: "
+        for names, message in [
+            ([], "replacement needs at least one name"),
+            ([""], bad_surface + "''"),
+            (["Ali Veli"], bad_surface + "'Ali Veli'"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                replace_one(doc, doc.pronouns[0], names)
 
     def test_set_replacement_extracts_as_compound_later(self, names9):
         doc = parse_document(
@@ -273,7 +284,8 @@ class TestReplacement:
             '<zero id="2" kind="pers" num="sg"/> Güldü.'
         )
         resolved = resolve_document(doc, names9)
-        assert [t.surface for t in resolved.paraphrased.sentence_tokens(1)][:3] == [
+        first, last = resolved.paraphrased.sentences[1]
+        assert [t.surface for t in resolved.paraphrased.tokens[first:last + 1]][:3] == [
             "Ayşe", "Ali", ",",
         ]
         later = resolved.resolutions[1]
@@ -292,8 +304,8 @@ class TestReplacement:
         assert len(resolved.paraphrased.sentences) == len(doc.sentences)
 
     def test_tokens_built_per_pronoun_do_not_grow_with_length(self, names9):
-        # A count, not a timing: a replacement that rebuilds the whole
-        # document builds about k times as many tokens per pronoun at k tiles.
+        # A count, not a timing: a replacement that copies the whole
+        # document copies about k times as many tokens per pronoun at k tiles.
         text = fixture_text("minicorpus/minicorpus.txt")
 
         def per_pronoun(k):
@@ -302,9 +314,9 @@ class TestReplacement:
                 for t in range(k)
             ]
             doc = parse_document("\n".join(tiles))
-            with tokens_built() as built:
-                resolve_document(doc, names9)
-            return built.n / len(doc.pronouns)
+            with surfaces_copied(doc) as (copied, counted):
+                resolve_document(counted, names9)
+            return copied.n / len(doc.pronouns)
 
         assert per_pronoun(8) <= 1.5 * per_pronoun(1)
 
@@ -317,10 +329,10 @@ class TestReplacement:
         built = 0
 
         class Counting(Document):
-            def __init__(self, tokens, sentences, pronouns):
+            def __init__(self, surfaces, sentence_of, quoted, sentences, pronouns):
                 nonlocal built
-                built += len(tokens) + len(sentences) + len(pronouns)
-                super().__init__(tokens, sentences, pronouns)
+                built += len(surfaces) + len(sentences) + len(pronouns)
+                super().__init__(surfaces, sentence_of, quoted, sentences, pronouns)
 
         def per_pronoun(k):
             nonlocal built
@@ -361,17 +373,26 @@ class TestReplacement:
                 for field in (replaced.tokens, replaced.sentences, replaced.pronouns)
             )
 
-    def test_token_count_is_the_renumbered_tokens_plus_the_names_written_in(self):
-        # The first zero lengthens the text by one name, so every token from
-        # its position on is renumbered (by Token._make) once, and each name
-        # written in is built by the checking constructor.
+    def test_each_input_token_is_copied_once(self):
+        # The walk copies each input token into its text once, and no token
+        # of its text again; the names written in go straight into the text.
         doc = parse_document(f"Ali geldi. {ZERO.format(1)} güldü. Ayşe geldi. {ZERO.format(2)} sustu.")
-        with tokens_built() as built:
-            resolved = resolve_document(doc, DICT)
+        with surfaces_copied(doc) as (copied, counted):
+            resolved = resolve_document(counted, DICT)
         written = sum(len(r.antecedent) for r in resolved.resolutions)
-        renumbered = len(doc.tokens) - doc.pronouns[0].position
-        assert (renumbered, written) == (7, 2)
-        assert built.n == renumbered + written
+        assert (len(doc.surfaces), written) == (10, 2)
+        assert copied.n == len(doc.surfaces)
+        assert len(resolved.paraphrased.surfaces) == len(doc.surfaces) + written
+
+    def test_parse_resolve_and_serialize_build_no_token(self, names9):
+        # They read the columns; Token records are built only for a reader
+        # of doc.tokens.
+        with tokens_built() as built:
+            doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
+            serialize_document(resolve_document(doc, names9).paraphrased)
+        with tokens_built() as read:
+            doc.tokens
+        assert (built.n, read.n) == (0, len(doc.surfaces))
 
     def test_window_base_counts_hold_at_most_twice_the_window_keys(self, names9):
         # Counts of the bases gone from the window are pruned once they
@@ -394,22 +415,22 @@ class TestReplacement:
         # earlier sentence.
         def per_pronoun(n):
             doc = parse_document(" ".join(f"Ali {ZERO.format(i)} güldü." for i in range(n)))
-            built, resolved = _tokens_built(doc, DICT)
+            copied, resolved = _tokens_copied(doc, DICT)
             assert resolved == n - 1
-            return built / n
+            return copied / n
 
         assert per_pronoun(2000) <= 1.5 * per_pronoun(20)
 
-    def test_renumbering_calls_grow_with_pronouns_not_sentences(self):
+    def test_stream_slices_grow_with_pronouns_not_sentences(self):
         # Tokens are streamed in at each pronoun and once after the last
         # sentence: a walk that copied each sentence in as it reached it
-        # would renumber about once per sentence, here about 1000 times.
+        # would slice the input about once per sentence, here about 1000 times.
         doc = parse_document("Ali geldi. " * 1000 + f"{ZERO.format(1)} güldü.")
-        with calls(anafor.resolver, "_renumbered") as renumbered:
-            resolved = resolve_document(doc, DICT)
+        with surfaces_copied(doc) as (copied, counted):
+            resolved = resolve_document(counted, DICT)
         assert [r.antecedent for r in resolved.resolutions] == [frozenset({"Ali"})]
         assert len(doc.sentences) == 1001
-        assert renumbered.n <= 2 * len(doc.pronouns) + 1
+        assert copied.slices <= 2 * len(doc.pronouns) + 1
 
     def test_zeros_of_one_sentence_build_at_most_length_times_zeros_tokens(self):
         # A loose bound: a splice that shifted the rest of the sentence
@@ -419,9 +440,9 @@ class TestReplacement:
             "Ali geldi. " + " ".join(f"{ZERO.format(i)} güldü" for i in range(zeros)) + "."
         )
         sentence = doc.sentences[1]
-        built, resolved = _tokens_built(doc, DICT)
+        copied, resolved = _tokens_copied(doc, DICT)
         assert resolved == zeros
-        assert built <= (sentence.last - sentence.first + 1) * zeros
+        assert copied <= (sentence.last - sentence.first + 1) * zeros
 
     def test_one_long_sentence_is_matched_once_per_window_token(self):
         # A zero at the end of a 20000-token sentence that names Ayşe on
@@ -430,10 +451,10 @@ class TestReplacement:
         words = " ".join("Ayşe" if i % 10 == 0 else "sonra" for i in range(20000))
         doc = parse_document(f"Ali geldi. {words} {ZERO.format(1)} güldü.")
         (pronoun,) = doc.pronouns
-        lookups, built, resolved = _walk_counts(doc, DICT)
+        lookups, copied, resolved = _walk_counts(doc, DICT)
         assert [r.antecedent for r in resolved.resolutions] == [frozenset({"Ali"})]
         assert lookups <= pronoun.position
-        assert built <= 2 * len(doc.tokens)
+        assert copied <= 2 * len(doc.tokens)
 
     def test_ve_linked_names_before_plural_zeros_are_matched_once_per_window(self):
         # Each plural zero takes the compound of all 300 names, so every
@@ -442,7 +463,7 @@ class TestReplacement:
         chain = " ve ".join(names[i % len(names)] for i in range(300))
         zeros = " ".join(f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(5))
         doc = parse_document(f"{chain} geldi. {zeros}.")
-        lookups, built, resolved = _walk_counts(doc, DICT)
+        lookups, copied, resolved = _walk_counts(doc, DICT)
         assert [r.antecedent for r in resolved.resolutions] == [frozenset(names)] * 5
         paraphrase = [token.surface for token in resolved.paraphrased.tokens]
         # A zero's window ends where the names written for it begin, before
@@ -450,17 +471,17 @@ class TestReplacement:
         verbs = [i for i, surface in enumerate(paraphrase) if surface == "güldü"]
         assert lookups <= sum(verbs)
         second = doc.sentences[1]
-        assert built <= len(paraphrase) + 5 * (second.last - second.first + 1)
+        assert copied <= len(paraphrase) + 5 * (second.last - second.first + 1)
 
     @staticmethod
     def _probe_counts(tokens):
-        # Gazetteer lookups, Tokens built, names written in and the probe.
+        # Gazetteer lookups, tokens copied, names written in and the probe.
         doc = _probe(tokens)
-        lookups, built, resolved = _walk_counts(doc, DICT)
+        lookups, copied, resolved = _walk_counts(doc, DICT)
         assert len(doc.tokens) == tokens and len(doc.pronouns) == tokens // 50 - 1
         written = sum(len(r.antecedent) for r in resolved.resolutions if r.resolved)
         assert written == len(doc.pronouns)
-        return lookups, built, written, doc
+        return lookups, copied, written, doc
 
     # Counts, not timings: a walk that re-reads the sentence left of each
     # pronoun, or shifts the rest of the sentence on each splice, does so
@@ -472,8 +493,8 @@ class TestReplacement:
 
     @pytest.mark.parametrize("tokens", [2000, 8000])
     def test_long_sentence_builds_each_token_once(self, tokens):
-        _, built, written, doc = self._probe_counts(tokens)
-        assert built <= len(doc.tokens) + written + len(doc.sentences)
+        _, copied, written, doc = self._probe_counts(tokens)
+        assert copied <= len(doc.tokens) + written + len(doc.sentences)
 
     def test_window_reads_do_not_grow_with_survivors(self):
         # A count, not a timing: scoring that re-reads the window for each

@@ -14,7 +14,6 @@ from anafor import (
     parse_document,
     parse_weights,
     resolve_document,
-    save_weights,
     load_weights,
     score,
 )
@@ -159,7 +158,7 @@ class TestScore:
 class TestWeightsIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "weights.txt"
-        save_weights(DEFAULT_WEIGHTS, path)
+        path.write_text(format_weights(DEFAULT_WEIGHTS), encoding="utf-8")
         assert load_weights(path) == DEFAULT_WEIGHTS
 
     def test_missing_name_rejected(self):

@@ -126,7 +126,7 @@ class TestMentionQuoted:
     def test_zero_before_a_quote_mark(self, text, quoted):
         doc = parse_document(text)
         (mention,) = doc.pronouns
-        assert mention_quoted(doc.tokens, mention) is quoted
+        assert mention_quoted(doc, mention) is quoted
 
 
 class TestTokenInvariants:
@@ -248,37 +248,42 @@ class TestDocumentInvariants:
 
     # Each document breaks one invariant that every parsed document keeps.
     @pytest.mark.parametrize(
-        "tokens,sentences,pronouns,message",
+        "surfaces,sentence_of,sentences,pronouns,message",
         [
             pytest.param(
-                [("Ali", 1, 0)], [(0, 0)], [], "token 0 carries index 1", id="token-index"
+                ["Ali", "geldi"], [0], [(0, 1)], [], "token columns differ in length",
+                id="column-length",
             ),
             pytest.param(
-                [("Ali", 0, 0), ("geldi", 1, 0)], [(0, 0), (0, 1)], [],
+                ["Ali", "geldi"], [0, 0], [(0, 0), (0, 1)], [],
                 r"sentence 1 range \(0, 1\) is not adjacent", id="sentence-overlap",
             ),
             pytest.param(
-                [("Ali", 0, 0), ("geldi", 1, 1)], [(0, 1)], [],
+                ["Ali", "geldi"], [0, 1], [(0, 1)], [],
                 "token 1 not tagged with sentence 0", id="sentence-tag",
             ),
             pytest.param(
-                [("Ali", 0, 0), ("geldi", 1, 0)], [(0, 0)], [],
+                ["Ali", "geldi"], [0, 0], [(0, 0)], [],
                 "sentences do not cover the token stream", id="uncovered-token",
             ),
             pytest.param(
-                [("Ali", 0, 0), ("onu", 1, 0), ("gördü", 2, 0)], [(0, 2)],
+                ["Ali", "onu", "gördü"], [0, 0, 0], [(0, 2)],
                 [(1, 2, ""), (2, 1, "")],
                 "pronouns are not ordered by position", id="mention-order",
             ),
             pytest.param(
-                [("Ali", 0, 0), ("onu", 1, 0)], [(0, 1)], [(1, 1, "ona")],
+                ["Ali", "onu"], [0, 0], [(0, 1)], [(1, 1, "ona")],
                 "pronoun 1 surface does not match its token", id="overt-surface",
             ),
         ],
     )
-    def test_validate_rejects_a_broken_invariant(self, tokens, sentences, pronouns, message):
+    def test_validate_rejects_a_broken_invariant(
+        self, surfaces, sentence_of, sentences, pronouns, message
+    ):
         doc = Document(
-            tuple(Token(*fields) for fields in tokens),
+            tuple(surfaces),
+            tuple(sentence_of),
+            (False,) * len(surfaces),
             tuple(Sentence(*fields) for fields in sentences),
             tuple(
                 PronounMention(i, PronounKind.PERSONAL, Number.SINGULAR, position, surface)
