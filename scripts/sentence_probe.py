@@ -2,7 +2,6 @@
 document holds per token.
 
     PYTHONPATH=src python3 scripts/sentence_probe.py [--tokens 2000 8000] [--repeat 3]
-        [--documents 800]
 
 Two shapes of one sentence, each of ``--tokens`` tokens.  ``filler`` is
 filler words with ``Ali`` at its start and a reflexive zero pronoun before
@@ -20,9 +19,9 @@ against the punctuation marks.  The counters are those of the tests
 (``tests/counting.py``).
 
 A last line, ``long``, parses the long-document probe: the first
-``--documents`` documents of the benchmark's generator from
-``random.Random(1)``, joined with their pronoun ids made unique, and gives
-the bytes the parsed Document holds per token (``tracemalloc``).
+``PROBE_DOCUMENTS`` documents of the benchmark's generator from
+``random.Random(1)``, one per line with their pronoun ids made unique,
+and gives the bytes the parsed Document holds per token (``tracemalloc``).
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from perfbench import corpora  # noqa: E402
 FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
 ZERO = '<zero id="{}" kind="refl" num="sg"/> '
 DICTIONARY = NameDictionary.from_names(["Ali", "Ayşe"])
+PROBE_DOCUMENTS = 800  # ROADMAP's long-document probe
 
 
 def filler_text(tokens: int) -> str:
@@ -80,16 +80,17 @@ def counted(doc) -> tuple[int, int, int, int]:
     return lookups.n, built.n, copied.n, punctuation.n
 
 
-def long_document(documents: int) -> str:
-    """The first ``documents`` generated documents, pronoun ids made unique."""
+def long_document() -> str:
+    """The first ``PROBE_DOCUMENTS`` generated documents, one per line,
+    pronoun ids made unique."""
     minicorpus, _ = corpora.read_minicorpus(ROOT)
     _, names = corpora.build_gazetteer(ROOT, minicorpus)
     rng = random.Random(1)
     texts = []
-    for k in range(documents):
+    for k in range(PROBE_DOCUMENTS):
         text = corpora.generate_document(rng, names)
         texts.append(re.sub(r'id="(\d+)"', lambda m: f'id="{100 * k + int(m[1])}"', text))
-    return "".join(texts)
+    return "\n".join(texts)
 
 
 def bytes_held(text: str) -> tuple[int, int, int]:
@@ -111,7 +112,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tokens", type=int, nargs="+", default=[2000, 8000])
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--documents", type=int, default=800)
     args = parser.parse_args()
     for length in args.tokens:
         for shape, text in (("filler", filler_text), ("commas", commas_text)):
@@ -125,7 +125,7 @@ def main() -> None:
             lookups, built, copied, punctuation = counted(doc)
             print(json.dumps({
                 "shape": shape,
-                "tokens": len(doc.tokens),
+                "tokens": len(doc.surfaces),
                 "pronouns": pronouns,
                 "ms_per_pronoun": round(1000 * min(times) / pronouns, 3),
                 "lookups_per_pronoun": round(lookups / pronouns, 2),
@@ -134,7 +134,7 @@ def main() -> None:
                 "tokens_touched_per_pronoun": round((lookups + copied) / pronouns, 2),
                 "punctuation_tests_per_pronoun": round(punctuation / pronouns, 2),
             }))
-    tokens, pronouns, held = bytes_held(long_document(args.documents))
+    tokens, pronouns, held = bytes_held(long_document())
     print(json.dumps({
         "shape": "long",
         "tokens": tokens,

@@ -101,9 +101,9 @@ def scan_name_occurrences(
     lexicon: Lexicon | None = None,
 ) -> list[NameOccurrence]:
     """All gazetteer matches in the pronoun's search window, left to right."""
-    occurrences = []
+    occurrences, tokens = [], doc.tokens  # a WalkText builds its tokens on each read
     for i in range(_window_start(doc, pronoun, scope), pronoun.position):
-        match = match_name(doc.tokens[i], dictionary, lexicon)
+        match = match_name(tokens[i], dictionary, lexicon)
         if match is not None:
             occurrences.append(match)
     return occurrences

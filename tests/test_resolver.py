@@ -22,7 +22,7 @@ from anafor import (
     resolve_document,
     serialize_document,
 )
-from anafor.candidates import SearchScope
+from anafor.candidates import SearchScope, scan_name_occurrences
 from anafor.resolver import walk_document
 from anafor.textmodel import Document, Sentence, Token
 from conftest import FIXTURES, fixture_text, replace_one
@@ -394,6 +394,24 @@ class TestReplacement:
             doc.tokens
         assert (built.n, read.n) == (0, len(doc.surfaces))
 
+    def test_window_scan_of_the_walk_text_builds_its_tokens_once(self):
+        # The walk's text builds its tokens on each read of work.tokens, so
+        # a scan that read it once per window token would build the text
+        # once per window token.
+        doc = parse_document("Ali geldi. " * 50 + f"{ZERO.format(1)} güldü.")
+        scans = []
+
+        def choose(work, mention, survivors, history):
+            with tokens_built() as built:
+                occurrences = scan_name_occurrences(work, mention, DICT, SearchScope())
+            scans.append((len(occurrences), built.n, len(work.surfaces)))
+            return None
+
+        walk_document(doc, DICT, SearchScope(), None, choose)
+        ((names, built, text),) = scans
+        assert names == 3
+        assert built <= text
+
     def test_window_base_counts_hold_at_most_twice_the_window_keys(self, names9):
         # Counts of the bases gone from the window are pruned once they
         # outnumber twice the window's tokens, so the keys do not grow with
@@ -454,7 +472,7 @@ class TestReplacement:
         lookups, copied, resolved = _walk_counts(doc, DICT)
         assert [r.antecedent for r in resolved.resolutions] == [frozenset({"Ali"})]
         assert lookups <= pronoun.position
-        assert copied <= 2 * len(doc.tokens)
+        assert copied == len(doc.surfaces)
 
     def test_ve_linked_names_before_plural_zeros_are_matched_once_per_window(self):
         # Each plural zero takes the compound of all 300 names, so every
