@@ -20,8 +20,10 @@ against the punctuation marks.  The counters are those of the tests
 
 A last line, ``long``, parses the long-document probe: the first
 ``PROBE_DOCUMENTS`` documents of the benchmark's generator from
-``random.Random(1)``, one per line with their pronoun ids made unique,
-and gives the bytes the parsed Document holds per token (``tracemalloc``).
+``random.Random(1)``, one per line with their pronoun ids made unique.
+It gives the bytes held per token (``tracemalloc``) by the parsed
+Document, and after ``resolve_document`` with the benchmark's gazetteer
+by the Document, its paraphrase and the resolutions with their traces.
 """
 
 from __future__ import annotations
@@ -80,21 +82,22 @@ def counted(doc) -> tuple[int, int, int, int]:
     return lookups.n, built.n, copied.n, punctuation.n
 
 
-def long_document() -> str:
+def long_document() -> tuple[str, NameDictionary]:
     """The first ``PROBE_DOCUMENTS`` generated documents, one per line,
-    pronoun ids made unique."""
+    pronoun ids made unique, and the benchmark's gazetteer."""
     minicorpus, _ = corpora.read_minicorpus(ROOT)
-    _, names = corpora.build_gazetteer(ROOT, minicorpus)
+    gazetteer, names = corpora.build_gazetteer(ROOT, minicorpus)
     rng = random.Random(1)
     texts = []
     for k in range(PROBE_DOCUMENTS):
         text = corpora.generate_document(rng, names)
         texts.append(re.sub(r'id="(\d+)"', lambda m: f'id="{100 * k + int(m[1])}"', text))
-    return "\n".join(texts)
+    return "\n".join(texts), NameDictionary.from_names(gazetteer)
 
 
-def bytes_held(text: str) -> tuple[int, int, int]:
-    """Tokens, pronouns and the bytes the Document parsed from ``text`` holds."""
+def bytes_held(text: str, dictionary: NameDictionary) -> tuple[int, int, int, int]:
+    """Tokens, pronouns and the bytes held after parsing ``text`` and
+    after resolving the parsed Document."""
     default_lexicon()  # loaded once, not counted
     gc.collect()
     tracemalloc.start()
@@ -102,10 +105,13 @@ def bytes_held(text: str) -> tuple[int, int, int]:
         before = tracemalloc.get_traced_memory()[0]
         doc = parse_document(text)
         gc.collect()
+        parsed = tracemalloc.get_traced_memory()[0] - before
+        resolved = resolve_document(doc, dictionary)
+        gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    return len(doc.surfaces), len(doc.pronouns), held
+    return len(doc.surfaces), len(resolved.resolutions), parsed, held
 
 
 def main() -> None:
@@ -134,12 +140,13 @@ def main() -> None:
                 "tokens_touched_per_pronoun": round((lookups + copied) / pronouns, 2),
                 "punctuation_tests_per_pronoun": round(punctuation / pronouns, 2),
             }))
-    tokens, pronouns, held = bytes_held(long_document())
+    tokens, pronouns, parsed, resolved = bytes_held(*long_document())
     print(json.dumps({
         "shape": "long",
         "tokens": tokens,
         "pronouns": pronouns,
-        "bytes_per_token": round(held / tokens, 1),
+        "bytes_per_token": round(parsed / tokens, 1),
+        "bytes_per_token_resolved": round(resolved / tokens, 1),
     }))
 
 

@@ -88,9 +88,8 @@ class SearchScope:
 
 
 def _window_start(doc: Document, pronoun: PronounMention, scope: SearchScope) -> int:
-    pronoun_sentence = doc.sentence_index_of(pronoun.position)
-    first_sentence = max(0, pronoun_sentence - scope.max_back_sentences)
-    return doc.sentences[first_sentence].first
+    first_sentence = max(0, doc.sentence_index_of(pronoun.position) - scope.max_back_sentences)
+    return bisect_left(doc.sentence_of, first_sentence, 0, pronoun.position)
 
 
 def scan_name_occurrences(
@@ -162,6 +161,7 @@ class WalkText(Document):
     """The working text of a document walk, with the index of its names."""
     names: NameIndex
     tokens = property(Document.tokens.func)  # built on each read: the text grows
+    sentences = property(Document.sentences.func)
 
 
 def window_index(

@@ -147,6 +147,9 @@ def _check_gold_names(doc: Document, dictionary: NameDictionary) -> None:
 def _cmd_resolve(args: argparse.Namespace) -> int:
     if args.trace == args.output == "-":
         raise ValueError("--trace - needs -o PATH: the paraphrase already goes to stdout")
+    paths = [Path(path).resolve() for path in (args.trace, args.output) if path not in (None, "-")]
+    if len(paths) == 2 and paths[0] == paths[1]:
+        raise ValueError("--trace and -o name the same file")
     dictionary = _load_dictionary(args)
     lexicon = _load_lexicon(args)
     doc = parse_document(_read_input(args.input), lexicon)

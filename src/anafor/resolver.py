@@ -33,7 +33,7 @@ from .scoring import (
     score,
 )
 from .textmodel import (
-    QUOTE, Document, Overtness, PronounMention, Sentence, check_surfaces, mention_quoted,
+    QUOTE, Document, Overtness, PronounMention, check_surfaces, mention_quoted,
 )
 
 # Unused here, but perfbench/tracing.py patches them as attributes of this module.
@@ -71,11 +71,11 @@ def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str
     """Write the walk's pronoun as its antecedent names, in place.
 
     The pronoun is the last mention visited: its token is the working
-    text's last token and its sentence the last sentence, so only those
-    change.  An overt pronoun's token gives way to the names; a zero's
-    names go in before its token.  The names take only their quote flag,
-    the mention's own (:func:`~anafor.textmodel.mention_quoted`).  No name
-    may be a quote mark, since that would re-pair every quote after it.
+    text's last token, so only the columns' last elements change.  An
+    overt pronoun's token gives way to the names; a zero's names go in
+    before its token.  The names take their quote flag, the mention's own
+    (:func:`~anafor.textmodel.mention_quoted`).  No name may be a quote
+    mark, since that would re-pair every quote after it.
     """
     if not names:
         raise ValueError("replacement needs at least one name")
@@ -83,14 +83,11 @@ def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str
         raise ValueError("a replacement name cannot be a quote mark")
     check_surfaces(list(names))
     position = mention.position
-    overt = mention.overtness is Overtness.OVERT
-    at = slice(position, position + overt)
+    at = slice(position, position + (mention.overtness is Overtness.OVERT))
     inserted = [surface for name in names for surface in ("ve", name)][1:]
     work.quoted[at] = [mention_quoted(work, mention)] * len(inserted)
     work.sentence_of[at] = [work.sentence_of[position]] * len(inserted)
     work.surfaces[at] = inserted
-    own = work.sentences[-1]
-    work.sentences[-1] = Sentence(own.first, own.last + len(inserted) - overt)
 
 
 def walk_document(
@@ -107,8 +104,7 @@ def walk_document(
 
     The working text is the only Document over lists.  Candidates never lie
     right of a pronoun, so its columns are streamed in from ``doc`` only at
-    each pronoun, through its token, and after the last sentence; a
-    sentence is placed by the shift of the replacements before it.  So a
+    each pronoun, through its token, and after the last pronoun.  So a
     splice has a tail of at most one token, no token left of the pronoun
     moves, and its :class:`NameIndex` matches each token once and keeps the
     window's base counts and first phrase tokens at ``scope``.  For each
@@ -117,45 +113,40 @@ def walk_document(
     history, and returns the names to write in, or None to leave the
     pronoun.  The text's mention list gets only the pronouns left in place;
     nothing reads it before the walk ends.  The history is the set of name
-    sets written in for zero pronouns of earlier sentences; a sentence's
-    own zeros join it once the whole sentence is walked.  Returns the
-    document with every chosen replacement made.
+    sets written in for zero pronouns of earlier sentences: the zeros of a
+    sentence join it when the walk reaches the first pronoun of a later
+    sentence.  Returns the document with every chosen replacement made.
     """
-    work = WalkText([], [], [], [], [], NameIndex(dictionary, lexicon))
+    work = WalkText([], [], [], [], NameIndex(dictionary, lexicon))
     columns = [(work.surfaces, doc.surfaces), (work.sentence_of, doc.sentence_of),
                (work.quoted, doc.quoted)]
     history: set[frozenset[str]] = set()
-    streamed = 0  # doc's first streamed tokens are in the working text
-    mentions = iter(doc.pronouns)
-    mention = next(mentions, None)
-    for sentence in doc.sentences:
-        shift = len(work.surfaces) - streamed  # the tokens the replacements so far added
-        work.sentences.append(Sentence(sentence.first + shift, sentence.last + shift))
-        zeros = []
-        while mention is not None and mention.position <= sentence.last:
-            if mention.position >= streamed:
-                for column, source in columns:
-                    column += source[streamed:mention.position + 1]
-                streamed = mention.position + 1
-            visited = PronounMention(
-                mention.id, mention.kind, mention.number, len(work.surfaces) - 1,
-                mention.surface, mention.gold_antecedent,
-            )
-            work.names.advance(work, visited, scope)
-            survivors = constrained_candidates(work, visited, dictionary, scope, lexicon)
-            names = choose(work, visited, survivors, history)
-            if names is None:
-                work.pronouns.append(visited)
-            else:
-                replace_mention(work, visited, names)
-                if visited.overtness is Overtness.ZERO:
-                    zeros.append(frozenset(names))
-            mention = next(mentions, None)
-        history.update(zeros)
+    zeros: list[frozenset[str]] = []  # written in for the zeros of sentence `sentence`
+    sentence = streamed = 0  # doc's first streamed tokens are in the working text
+    for mention in doc.pronouns:
+        if doc.sentence_of[mention.position] != sentence:
+            history.update(zeros)
+            zeros, sentence = [], doc.sentence_of[mention.position]
+        if mention.position >= streamed:
+            for column, source in columns:
+                column += source[streamed:mention.position + 1]
+            streamed = mention.position + 1
+        visited = PronounMention(
+            mention.id, mention.kind, mention.number, len(work.surfaces) - 1,
+            mention.surface, mention.gold_antecedent,
+        )
+        work.names.advance(work, visited, scope)
+        survivors = constrained_candidates(work, visited, dictionary, scope, lexicon)
+        names = choose(work, visited, survivors, history)
+        if names is None:
+            work.pronouns.append(visited)
+        else:
+            replace_mention(work, visited, names)
+            if visited.overtness is Overtness.ZERO:
+                zeros.append(frozenset(names))
     for column, source in columns:
         column += source[streamed:]
-    paraphrased = Document(*(tuple(column) for column, _ in columns),
-                           tuple(work.sentences), tuple(work.pronouns))
+    paraphrased = Document(*(tuple(column) for column, _ in columns), tuple(work.pronouns))
     paraphrased.validate()
     return paraphrased
 

@@ -2,22 +2,21 @@
 
 A :class:`Document` holds its tokens as parallel columns: the surfaces,
 the sentence of each token and whether it stands between quote marks.  A
-token's index is its offset; anything else about it, such as a comma
-after it, is read off its neighbours.  ``assemble_document`` builds and
-validates a Document from token surfaces, as the corpus parser does: one
-split of their join checks them all.  A Document holds tuples and is
-immutable, save the resolver walk's working text: it holds lists, grown
-and spliced in place, and only the walk may keep it.
+token's index is its offset, a sentence is a run of one sentence number,
+and anything else, such as a comma after a token, is read off neighbours.
+``assemble_document`` builds and validates a Document from token surfaces,
+as the corpus parser does: one split of their join checks them all.  A
+Document holds tuples and is immutable, save the resolver walk's working
+text, which holds lists grown and spliced in place; only the walk keeps it.
 
-``doc.tokens`` builds the :class:`Token` records on first read, for
-callers that want them; the package reads only the columns.  Tokens and
-sentences are ``NamedTuple`` records, as are the names, candidates and
-scored candidates: a tuple costs a third of a frozen dataclass.  ``Token``
-and its ``_replace`` check the surface; ``Token._make`` does not.  A
-record equals a bare tuple of the same fields, so a Document must hold
-these types.  ``Document``, ``PronounMention`` and the resolver's
-``Resolution`` stay frozen dataclasses: they are few, and callers copy
-them with ``dataclasses.replace``.
+``doc.tokens`` and ``doc.sentences`` build :class:`Token` and
+:class:`Sentence` records on first read, for callers that want them;
+parse and the walk read only the columns.  Records are ``NamedTuple``s, as
+are the names, candidates and scored candidates: a tuple costs a third of
+a frozen dataclass.  ``Token`` and its ``_replace`` check the surface;
+``Token._make`` does not.  ``Document``, ``PronounMention`` and the
+resolver's ``Resolution`` stay frozen dataclasses: they are few, and
+callers copy them with ``dataclasses.replace``.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` (``PUNCTUATION_TOKENS``) become tokens of
@@ -30,8 +29,10 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 PUNCTUATION_TOKENS = frozenset({",", ".", "!", "?", "…", '"'})
@@ -120,12 +121,12 @@ class PronounMention:
 
 @dataclass(frozen=True)
 class Document:
-    """Token ``i`` is ``surfaces[i]``, in sentence ``sentence_of[i]``, quoted if ``quoted[i]``."""
+    """Token ``i`` is ``surfaces[i]``, in sentence ``sentence_of[i]``, quoted if
+    ``quoted[i]``.  Sentence numbers start at 0 and step by 0 or 1 per token."""
 
     surfaces: tuple[str, ...]
     sentence_of: tuple[int, ...]
     quoted: tuple[bool, ...]
-    sentences: tuple[Sentence, ...]
     pronouns: tuple[PronounMention, ...]
 
     @cached_property
@@ -134,6 +135,13 @@ class Document:
         columns = self.surfaces, range(len(self.surfaces)), self.sentence_of, self.quoted
         return tuple(map(Token._make, zip(*columns)))
 
+    @cached_property
+    def sentences(self) -> tuple[Sentence, ...]:
+        """Each sentence's first and last token, read off ``sentence_of`` on first read."""
+        column = self.sentence_of
+        bounds = [bisect_left(column, k) for k in range(column[-1] + 2 if column else 0)]
+        return tuple(Sentence(first, end - 1) for first, end in zip(bounds, bounds[1:]))
+
     def sentence_index_of(self, token_index: int) -> int:
         if not 0 <= token_index < len(self.sentence_of):
             raise IndexError(f"token index out of range: {token_index}")
@@ -141,21 +149,15 @@ class Document:
 
     def validate(self) -> None:
         """Check the structural invariants; raise ValueError on violation."""
-        n = len(self.surfaces)
-        if len(self.sentence_of) != n or len(self.quoted) != n:
+        n, column = len(self.surfaces), self.sentence_of
+        if len(column) != n or len(self.quoted) != n:
             raise ValueError("token columns differ in length")
-        expected_start = 0
-        for k, (first, last) in enumerate(self.sentences):
-            if first != expected_start or last < first:
-                raise ValueError(f"sentence {k} range {(first, last)} is not adjacent")
-            expected_start = last + 1
-            for i in range(first, last + 1):
-                if self.sentence_of[i] != k:
-                    raise ValueError(f"token {i} not tagged with sentence {k}")
-        if expected_start != n:
-            raise ValueError("sentences do not cover the token stream")
-        seen_ids = set()
-        last_position = -1
+        if n and column[0] != 0:
+            raise ValueError(f"token 0 is in sentence {column[0]}, not sentence 0")
+        if not set(map(sub, column[1:], column)) <= {0, 1}:
+            i = next(i for i in range(1, n) if column[i] - column[i - 1] not in (0, 1))
+            raise ValueError(f"token {i} is in sentence {column[i]}, after {column[i - 1]}")
+        seen_ids, last_position = set(), -1
         for mention in self.pronouns:
             if mention.id in seen_ids:
                 raise ValueError(f"duplicate pronoun id {mention.id}")
@@ -261,16 +263,14 @@ def assemble_document(
     """
     surfaces: list[str] = []
     sentence_of: list[int] = []
-    sentences: list[Sentence] = []
     for k, sent_surfaces in enumerate(sentence_surfaces):
         if not sent_surfaces:
             raise ValueError(f"sentence {k} has no tokens")
-        sentences.append(Sentence(len(surfaces), len(surfaces) + len(sent_surfaces) - 1))
         surfaces += sent_surfaces
         sentence_of += [k] * len(sent_surfaces)
     check_surfaces(surfaces)
     quoted = _quoted_flags(surfaces, sentence_of)
     ordered = tuple(sorted(pronouns, key=lambda m: m.position))
-    doc = Document(tuple(surfaces), tuple(sentence_of), tuple(quoted), tuple(sentences), ordered)
+    doc = Document(tuple(surfaces), tuple(sentence_of), tuple(quoted), ordered)
     doc.validate()
     return doc

@@ -2,7 +2,8 @@
 verbatim copies of the per-token forms they replaced: the same input gives
 an equal Document of the same record types, or the same ValueError message.
 A Document's ``tokens``, built from its columns in bulk, must equal one
-checked ``Token`` per offset.
+checked ``Token`` per offset, and its ``sentences``, read off its sentence
+column, the spans ``sentence_spans`` finds in its surfaces.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from anafor.textmodel import (
     Token,
     _quoted_flags,
     assemble_document,
+    sentence_spans,
 )
 from conftest import FIXTURES, fixture_text
 from test_acceptance import PROP_DICT, annotated_texts
@@ -39,7 +41,8 @@ ALPHABET = ["a", "ş", "A", '"', ".", " ", "\t", "\n", "\x1c", "\xa0", "\u2003",
 
 def seed_assemble_document(sentence_surfaces, pronouns=()):
     # The per-token build, as it was before tokens were built in bulk; the
-    # Document holds the columns of its tokens.
+    # Document holds the columns of its tokens, and the build returns it
+    # with its own list of sentences.
     surfaces: list[str] = []
     sentence_of: list[int] = []
     sentences: list[Sentence] = []
@@ -67,11 +70,10 @@ def seed_assemble_document(sentence_surfaces, pronouns=()):
         tuple(token.surface for token in tokens),
         tuple(token.sentence_index for token in tokens),
         tuple(token.quoted for token in tokens),
-        tuple(sentences),
         ordered,
     )
     doc.validate()
-    return doc
+    return doc, tuple(sentences)
 
 
 def seed_checked_name(name: str) -> str:
@@ -99,10 +101,11 @@ def _outcome(build, *args):
 def assert_same_document(sentence_surfaces, pronouns=()) -> None:
     expected = _outcome(seed_assemble_document, sentence_surfaces, pronouns)
     actual = _outcome(assemble_document, sentence_surfaces, pronouns)
-    assert actual == expected
     if isinstance(actual, Document):
         assert all(type(token) is Token for token in actual.tokens)
         assert all(type(sentence) is Sentence for sentence in actual.sentences)
+        actual = actual, actual.sentences  # the derived view against the seed's list
+    assert actual == expected
 
 
 @pytest.mark.parametrize("relative", FIXTURE_FILES)
@@ -163,6 +166,9 @@ def test_tokens_match_the_per_token_build(text):
     ):
         assert document.tokens == per_token_tokens(document)
         assert all(type(token) is Token for token in document.tokens)
+        assert document.sentences == tuple(
+            Sentence(a, b - 1) for a, b in sentence_spans(document.surfaces)
+        )
 
 
 NAMES = [

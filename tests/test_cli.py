@@ -149,6 +149,21 @@ class TestTraceToStdout:
         )
         assert not (tmp_path / "-").exists()
 
+    @pytest.mark.parametrize("output", ["p.txt", "../{}/p.txt", "{}/p.txt"])
+    def test_trace_and_paraphrase_to_one_file_is_an_error(
+        self, capsys, tmp_path, monkeypatch, command, output
+    ):
+        # The trace used to overwrite the paraphrase, with exit status 0.
+        monkeypatch.chdir(tmp_path)
+        fixture = str(FIXTURES / "corpora" / "p7_punctuation.txt")
+        output = output.format(tmp_path.name if output.startswith("..") else tmp_path)
+        status, out, err = _run(
+            capsys, command, "--dict", str(NAMES), fixture, "--trace", "p.txt", "-o", output
+        )
+        assert (status, out) == (1, "")
+        assert err == "anafor: error: --trace and -o name the same file\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("command", ["resolve", "baseline"])
 class TestOutputDashIsStdout:

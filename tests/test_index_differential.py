@@ -31,10 +31,12 @@ def check_document(doc, names, scope) -> None:
     visited = []
 
     def choose(work, mention, survivors, history):
-        # The text ends at the pronoun's token; every token left of it is
-        # numbered for good.
+        # The text ends at the pronoun's token, its last sentence with it;
+        # every token left of it is numbered for good.
         assert len(work.tokens) == mention.position + 1
         assert all(token.index == i for i, token in enumerate(work.tokens[:-1]))
+        work.validate()
+        assert work.sentences[-1].last == len(work.surfaces) - 1
         occurrences = scan_name_occurrences(work, mention, names, scope)
         assert [c.members[0] for c in work.names.simple] == occurrences
         assert work.names.simple == [

@@ -325,14 +325,14 @@ class TestReplacement:
     ):
         # A count, not a timing: a walk that copies its text into a new
         # Document for each sentence or replacement builds about k times as
-        # many tokens, sentences and mentions per pronoun at k tiles.
+        # many tokens and mentions per pronoun at k tiles.
         built = 0
 
         class Counting(Document):
-            def __init__(self, surfaces, sentence_of, quoted, sentences, pronouns):
+            def __init__(self, surfaces, sentence_of, quoted, pronouns):
                 nonlocal built
-                built += len(surfaces) + len(sentences) + len(pronouns)
-                super().__init__(surfaces, sentence_of, quoted, sentences, pronouns)
+                built += len(surfaces) + len(pronouns)
+                super().__init__(surfaces, sentence_of, quoted, pronouns)
 
         def per_pronoun(k):
             nonlocal built
@@ -393,6 +393,15 @@ class TestReplacement:
         with tokens_built() as read:
             doc.tokens
         assert (built.n, read.n) == (0, len(doc.surfaces))
+
+    def test_parse_and_the_walks_build_no_sentence_record(self, names9):
+        # A Document's sentences are read off its sentence column on first
+        # read; parse and the walk never read them.
+        doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
+        resolved = resolve_document(doc, names9).paraphrased
+        baseline = baseline_resolve_document(doc, names9).paraphrased
+        for document in (doc, resolved, baseline):
+            assert "sentences" not in vars(document)
 
     def test_window_scan_of_the_walk_text_builds_its_tokens_once(self):
         # The walk's text builds its tokens on each read of work.tokens, so

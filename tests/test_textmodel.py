@@ -11,7 +11,6 @@ from anafor import (
     Number,
     PronounKind,
     PronounMention,
-    Sentence,
     Token,
     assemble_document,
     parse_document,
@@ -248,43 +247,40 @@ class TestDocumentInvariants:
 
     # Each document breaks one invariant that every parsed document keeps.
     @pytest.mark.parametrize(
-        "surfaces,sentence_of,sentences,pronouns,message",
+        "surfaces,sentence_of,pronouns,message",
         [
             pytest.param(
-                ["Ali", "geldi"], [0], [(0, 1)], [], "token columns differ in length",
+                ["Ali", "geldi"], [0], [], "token columns differ in length",
                 id="column-length",
             ),
             pytest.param(
-                ["Ali", "geldi"], [0, 0], [(0, 0), (0, 1)], [],
-                r"sentence 1 range \(0, 1\) is not adjacent", id="sentence-overlap",
+                ["Ali", "geldi"], [1, 1], [], "token 0 is in sentence 1, not sentence 0",
+                id="column-1-1",
             ),
             pytest.param(
-                ["Ali", "geldi"], [0, 1], [(0, 1)], [],
-                "token 1 not tagged with sentence 0", id="sentence-tag",
+                ["Ali", "geldi"], [0, 2], [], "token 1 is in sentence 2, after 0",
+                id="column-0-2",
             ),
             pytest.param(
-                ["Ali", "geldi"], [0, 0], [(0, 0)], [],
-                "sentences do not cover the token stream", id="uncovered-token",
+                ["Ali", ".", "geldi"], [0, 1, 0], [],
+                "token 2 is in sentence 0, after 1", id="column-0-1-0",
             ),
             pytest.param(
-                ["Ali", "onu", "gördü"], [0, 0, 0], [(0, 2)],
+                ["Ali", "onu", "gördü"], [0, 0, 0],
                 [(1, 2, ""), (2, 1, "")],
                 "pronouns are not ordered by position", id="mention-order",
             ),
             pytest.param(
-                ["Ali", "onu"], [0, 0], [(0, 1)], [(1, 1, "ona")],
+                ["Ali", "onu"], [0, 0], [(1, 1, "ona")],
                 "pronoun 1 surface does not match its token", id="overt-surface",
             ),
         ],
     )
-    def test_validate_rejects_a_broken_invariant(
-        self, surfaces, sentence_of, sentences, pronouns, message
-    ):
+    def test_validate_rejects_a_broken_invariant(self, surfaces, sentence_of, pronouns, message):
         doc = Document(
             tuple(surfaces),
             tuple(sentence_of),
             (False,) * len(surfaces),
-            tuple(Sentence(*fields) for fields in sentences),
             tuple(
                 PronounMention(i, PronounKind.PERSONAL, Number.SINGULAR, position, surface)
                 for i, position, surface in pronouns
