@@ -12,7 +12,8 @@ plural candidate.
 A :class:`NameIndex` is the one reader of a pronoun's window, for
 extraction and scoring alike: the walk's text carries one, or else
 :func:`window_index` reads the window into a new one.  Both read the
-token columns, where a token's index is its offset.
+token columns, where a token's index is its offset.  The index builds
+each candidate once, as its last name enters, and extraction copies them.
 """
 
 from __future__ import annotations
@@ -109,31 +110,37 @@ def scan_name_occurrences(
 
 
 class NameIndex:
-    """A pronoun's window: its names, as one simple candidate per name in
-    token order, its pre-apostrophe base counts, and each sentence's first
-    non-punctuation token read so far.  A document walk never changes a
-    token left of the pronoun it visits, nor starts a window left of the
-    previous one, so :meth:`advance` reads each token once, analyses the
-    suffix of the gazetteer names only, and tests it against the
-    punctuation marks only until its sentence has a first phrase token.
-    The counts keep the bases gone from the window at zero until they
-    outnumber twice the window's tokens, then drop them."""
+    """A pronoun's window: its candidates in ``(anchor, size)`` order, its
+    pre-apostrophe base counts, and each sentence's first non-punctuation
+    token read so far.  Each name makes a simple candidate.  A compound's
+    names are two tokens apart, so one run per index parity is open: a
+    name extends it when it ends two tokens left, in the name's sentence,
+    behind a single ``ve``/``ile``, and the longer compound replaces the
+    shorter.  A document walk never changes a token left of the pronoun it
+    visits, nor starts a window left of the previous one (and a window
+    starts on a sentence, so it drops whole runs), so :meth:`advance` reads
+    each token once, analyses the suffix of the gazetteer names only, and
+    tests it against the punctuation marks only until its sentence has a
+    first phrase token.  The counts keep the bases gone from the window at
+    zero until they outnumber twice the window's tokens, then drop them."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.lexicon = dictionary, lexicon
-        self.simple: list[Candidate] = []
+        self.candidates: list[Candidate] = []
         self.bases: Counter[str] = Counter()
         self.first_phrase: dict[int, int] = {}  # sentence -> token; grows as the text does
+        self._runs: list[Candidate | None] = [None, None]  # the open run of each parity
         self._bases: list[str] = []  # those counted, in token order
         self._start = self._end = 0  # the window start; tokens before _end are matched or skipped
 
     def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
         start = _window_start(doc, pronoun, scope)
+        candidates, runs = self.candidates, self._runs
         if start > self._start:
-            drop = bisect_left(self.simple, start, key=attrgetter("anchor"))
+            drop = bisect_left(candidates, start, key=attrgetter("anchor"))
             gone = min(start, self._end) - self._start
             self.bases.subtract(self._bases[:gone])
-            del self.simple[:drop], self._bases[:gone]
+            del candidates[:drop], self._bases[:gone]
             self._start, self._end = start, max(start, self._end)
         entries, lexicon, first_phrase = self.dictionary.entries, self.lexicon, self.first_phrase
         surfaces, sentence_of = doc.surfaces, doc.sentence_of
@@ -144,10 +151,20 @@ class NameIndex:
                 first_phrase[sentence] = i
             base, suffix = _split_apostrophe(surface)
             bases.append(base)
-            if base and base in entries:
-                occ = name_occurrence(surface, i, base, suffix, lexicon)
-                if occ is not None:  # a one-member SIMPLE candidate needs no check
-                    self.simple.append(Candidate._make(((occ,), CandidateKind.SIMPLE, sentence)))
+            occ = base and base in entries and name_occurrence(surface, i, base, suffix, lexicon)
+            if not occ:  # not a name, or a pronoun form
+                continue
+            # Built unchecked: one member makes a SIMPLE candidate, two or more a COMPOUND.
+            candidates.append(tuple.__new__(Candidate, ((occ,), CandidateKind.SIMPLE, sentence)))
+            run = runs[i % 2]
+            if run and run.anchor == i - 2 and sentence_of[i - 2] == sentence and (
+                    turkish_lower(surfaces[i - 1]) in LINKER_SURFACES):
+                if run.kind is CandidateKind.COMPOUND:
+                    # Only the candidates anchored at i - 1 and i follow it.
+                    del candidates[candidates.index(run, -4)]
+                compound = (run.members + (occ,), CandidateKind.COMPOUND, sentence)
+                candidates.append(tuple.__new__(Candidate, compound))
+            runs[i % 2] = candidates[-1]
         self.bases.update(bases)
         self._bases += bases
         if len(self.bases) > 2 * len(self._bases):
@@ -178,26 +195,6 @@ def window_index(
     return NameIndex(dictionary, lexicon).advance(doc, pronoun, scope)
 
 
-def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
-    # Maximal runs of names chained by single 've'/'ile' tokens:
-    # A ve B ile C collapses into one compound of all three.  A run's
-    # members are two tokens apart, so one run per index parity is open;
-    # a linker token that is itself a name then opens a run of its own.
-    runs: list[list[NameOccurrence]] = [[], []]
-    for occ in occurrences:
-        i = occ.token_index
-        run = runs[i % 2]
-        if run and run[-1].token_index == i - 2 and (
-            turkish_lower(doc.surfaces[i - 1]) in LINKER_SURFACES
-        ):
-            run.append(occ)
-            continue
-        if len(run) >= 2:
-            yield run
-        runs[i % 2] = [occ]
-    yield from (run for run in runs if len(run) >= 2)
-
-
 def extract_candidates(
     doc: Document,
     pronoun: PronounMention,
@@ -205,14 +202,9 @@ def extract_candidates(
     scope: SearchScope = SearchScope(),
     lexicon: Lexicon | None = None,
 ) -> list[Candidate]:
-    """Simple and compound candidates for one pronoun, oldest anchor first."""
-    index = window_index(doc, pronoun, scope, dictionary, lexicon)
-    candidates = index.simple + [
-        Candidate(tuple(run), CandidateKind.COMPOUND, doc.sentence_index_of(run[-1].token_index))
-        for run in _compound_runs(doc, [c.members[0] for c in index.simple])
-    ]
-    candidates.sort(key=lambda c: (c.anchor, len(c.members)))
-    return candidates
+    """Simple and compound candidates for one pronoun, oldest anchor first
+    and the simple before the compound at one anchor: the window index's."""
+    return window_index(doc, pronoun, scope, dictionary, lexicon).candidates.copy()
 
 
 def generate_sets(
@@ -229,9 +221,10 @@ def generate_sets(
     """
     # The window's names come in token order, so sentences and first occurrences do.
     per_sentence: dict[int, dict[str, NameOccurrence]] = {}
-    for candidate in window_index(doc, pronoun, scope, dictionary, lexicon).simple:
-        (occ,) = candidate.members
-        per_sentence.setdefault(candidate.sentence_index, {}).setdefault(occ.base, occ)
+    for candidate in window_index(doc, pronoun, scope, dictionary, lexicon).candidates:
+        if candidate.kind is CandidateKind.SIMPLE:
+            (occ,) = candidate.members
+            per_sentence.setdefault(candidate.sentence_index, {}).setdefault(occ.base, occ)
     return [
         Candidate(tuple(members.values()), CandidateKind.GENERATED_SET, sentence)
         for sentence, members in per_sentence.items()

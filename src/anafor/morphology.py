@@ -11,7 +11,7 @@ file (``data/lexicon.txt``); see :meth:`Lexicon.from_text` for the format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping, NamedTuple
@@ -64,6 +64,8 @@ class Lexicon:
     # Longest first, so the first form that matches is the longest match.
     plural_prefixes: tuple[str, ...]
     copula_suffixes: tuple[str, ...]
+    # name_occurrence's suffix flags per name surface, None for a pronoun form.
+    analyses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_text(cls, text: str) -> "Lexicon":
@@ -207,9 +209,14 @@ def name_occurrence(
     lexicon: Lexicon | None = None,
 ) -> NameOccurrence | None:
     """:func:`match_name` for ``surface``, token ``token_index``, split at its
-    apostrophe into ``base``, a gazetteer entry, and ``suffix``."""
+    apostrophe into ``base``, a gazetteer entry, and ``suffix``.  The
+    lexicon keeps each surface's analysis, so a surface is analysed once."""
     lexicon = lexicon or default_lexicon()
-    if turkish_lower(surface) in lexicon.pronoun_forms:
-        return None
-    nominative, plural, copular = _analyze_suffix(suffix, lexicon)
-    return NameOccurrence(base, token_index, nominative, plural, copular)
+    try:
+        flags = lexicon.analyses[surface]
+    except KeyError:
+        flags = lexicon.analyses[surface] = (
+            None if turkish_lower(surface) in lexicon.pronoun_forms
+            else _analyze_suffix(suffix, lexicon)
+        )
+    return None if flags is None else tuple.__new__(NameOccurrence, (base, token_index, *flags))

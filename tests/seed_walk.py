@@ -3,11 +3,16 @@
 ``test_walk_differential.py`` compares the shared walk against.
 
 The document walks, the tie rules, antecedent replacement and the
-per-candidate preference flags live here; the candidates are the package's
-own.  ``replace_mention`` re-assembles and re-validates the whole document,
-so it is also the reference for the package's spliced replacement, and
-``feature_vector`` (which re-reads the search window for every member of
-every survivor) is the reference for ``anafor.scoring.feature_vectors``.
+per-candidate preference flags live here; the walks' candidates are the
+package's own.  ``replace_mention`` re-assembles and re-validates the
+whole document, so it is also the reference for the package's spliced
+replacement, and ``feature_vector`` (which re-reads the search window for
+every member of every survivor) is the reference for
+``anafor.scoring.feature_vectors``.  ``extract_candidates`` is the
+extraction as it was before the name index built compounds as names
+enter it: it merges each window's names into compounds afresh and sorts
+them, and is the reference that ``test_index_differential.py`` holds the
+package's extraction to.
 ``ResolutionHistory`` is the seed's zero-pronoun history, which the walk
 now keeps as a plain set of name sets.  One line differs from the seed: a
 pronoun's quote flag is ``mention_quoted``'s, which fixes the seed's
@@ -19,9 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Iterable, Sequence
 
-from anafor.candidates import Candidate, SearchScope, _window_start, constrained_candidates
+from anafor.candidates import (
+    LINKER_SURFACES,
+    Candidate,
+    CandidateKind,
+    SearchScope,
+    _window_start,
+    constrained_candidates,
+    scan_name_occurrences,
+)
 from anafor.corpus import NameDictionary
-from anafor.morphology import APOSTROPHES, Lexicon
+from anafor.morphology import APOSTROPHES, Lexicon, NameOccurrence, turkish_lower
 from anafor.resolver import Resolution, ResolvedDocument, ScoredCandidate
 from anafor.scoring import (
     DEFAULT_WEIGHTS,
@@ -62,6 +75,49 @@ def _split_apostrophe(surface: str) -> tuple[str, str]:
     if cut < 0:
         return surface, ""
     return surface[:cut], surface[cut + 1:]
+
+
+def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
+    # Maximal runs of names chained by single 've'/'ile' tokens:
+    # A ve B ile C collapses into one compound of all three.  A run's
+    # members are two tokens apart, so one run per index parity is open;
+    # a linker token that is itself a name then opens a run of its own.
+    runs: list[list[NameOccurrence]] = [[], []]
+    for occ in occurrences:
+        i = occ.token_index
+        run = runs[i % 2]
+        if run and run[-1].token_index == i - 2 and (
+            turkish_lower(doc.surfaces[i - 1]) in LINKER_SURFACES
+        ):
+            run.append(occ)
+            continue
+        if len(run) >= 2:
+            yield run
+        runs[i % 2] = [occ]
+    yield from (run for run in runs if len(run) >= 2)
+
+
+def extract_candidates(
+    doc: Document,
+    pronoun: PronounMention,
+    dictionary: NameDictionary,
+    scope: SearchScope = SearchScope(),
+    lexicon: Lexicon | None = None,
+) -> list[Candidate]:
+    """Simple and compound candidates for one pronoun, oldest anchor first.
+
+    The simple candidates come from a scan of the window, where the
+    package's body took them from its name index."""
+    simple = [
+        Candidate((occ,), CandidateKind.SIMPLE, doc.sentence_index_of(occ.token_index))
+        for occ in scan_name_occurrences(doc, pronoun, dictionary, scope, lexicon)
+    ]
+    candidates = simple + [
+        Candidate(tuple(run), CandidateKind.COMPOUND, doc.sentence_index_of(run[-1].token_index))
+        for run in _compound_runs(doc, [c.members[0] for c in simple])
+    ]
+    candidates.sort(key=lambda c: (c.anchor, len(c.members)))
+    return candidates
 
 
 def _first_phrase_token(doc: Document, sentence_index: int) -> int | None:

@@ -8,12 +8,16 @@ from anafor import (
     NameDictionary,
     NameOccurrence,
     Number,
+    PronounKind,
+    PronounMention,
     SearchScope,
     apply_constraints,
+    assemble_document,
     extract_candidates,
     generate_sets,
     parse_document,
 )
+from anafor.resolver import walk_document
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zeynep", "Murat", "Can"]
@@ -87,6 +91,28 @@ class TestExtractCandidates:
         assert _shape(compounds[0]) == (
             ("Ali", "Ayşe", "Murat"), CandidateKind.COMPOUND, Number.PLURAL,
         )
+
+    @pytest.mark.parametrize("back", [0, 1])
+    def test_a_compound_stays_inside_its_sentence(self, back):
+        # A hand-built sentence may end in a linker.  The walk's index met
+        # Ali ve Ayşe at the zero; Fatma, after the next sentence starts
+        # behind "ve", extends no run, whether or not the window still
+        # holds that run.
+        doc = assemble_document(
+            [["Ali", "ve", "Ayşe", "ve"], ["Fatma", "onları"]],
+            [PronounMention(1, PronounKind.REFLEXIVE, Number.SINGULAR, 3),
+             PronounMention(2, PronounKind.PERSONAL, Number.PLURAL, 5, "onları")],
+        )
+        compounds = []
+
+        def choose(work, mention, survivors, history):
+            compounds.append([
+                _shape(c)[0] for c in extract_candidates(work, mention, DICT, SearchScope(back))
+                if c.kind is CandidateKind.COMPOUND
+            ])
+
+        walk_document(doc, DICT, SearchScope(back), None, choose)
+        assert compounds == [[("Ali", "Ayşe")], [("Ali", "Ayşe")] if back else []]
 
     def test_a_linker_that_is_also_a_name_still_links(self):
         dictionary = NameDictionary.from_names(["Ali", "Ayşe", "Murat", "İle"])

@@ -3,7 +3,10 @@ step of a walk, the window's name occurrences, their simple candidates, the
 counts of its pre-apostrophe bases and each window sentence's first phrase
 token must equal ``scan_name_occurrences``, a fresh ``Counter`` of the
 window and a scan of each sentence as the seed's ``_first_phrase_token``
-made (for the pronoun's own sentence, of the tokens left of it)."""
+made (for the pronoun's own sentence, of the tokens left of it).  The
+extracted candidates, whose compounds the index grows as names enter it,
+must equal ``seed_walk.extract_candidates``, which merges each window's
+names afresh."""
 
 from __future__ import annotations
 
@@ -13,12 +16,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anafor import parse_document
-from anafor.candidates import Candidate, CandidateKind, SearchScope, scan_name_occurrences
+from anafor.candidates import (
+    Candidate, CandidateKind, SearchScope, extract_candidates, scan_name_occurrences,
+)
+from anafor.corpus import NameDictionary
 from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.textmodel import PUNCTUATION_TOKENS
+import seed_walk
 from conftest import fixture_text
-from test_acceptance import PROP_DICT, annotated_texts
+from test_acceptance import (
+    FILLERS, NAME_SUFFIXES, OVERT_FORMS, PROP_DICT, PROP_NAMES, annotated_texts,
+)
 from test_walk_differential import FIXTURE_FILES, TEXTS, quoted_texts
 
 SCOPES = [0, 1, 3]
@@ -38,11 +47,15 @@ def check_document(doc, names, scope) -> None:
         work.validate()
         assert work.sentences[-1].last == len(work.surfaces) - 1
         occurrences = scan_name_occurrences(work, mention, names, scope)
-        assert [c.members[0] for c in work.names.simple] == occurrences
-        assert work.names.simple == [
+        simple = [c for c in work.names.candidates if c.kind is CandidateKind.SIMPLE]
+        assert [c.members[0] for c in simple] == occurrences
+        assert simple == [
             Candidate((occ,), CandidateKind.SIMPLE, work.sentence_index_of(occ.token_index))
             for occ in occurrences
         ]
+        extracted = extract_candidates(work, mention, names, scope)
+        assert extracted == seed_walk.extract_candidates(work, mention, names, scope)
+        assert extracted is not work.names.candidates
         sentence = work.sentence_index_of(mention.position)
         start = work.sentences[max(0, sentence - scope.max_back_sentences)].first
         window = work.tokens[start:mention.position]
@@ -77,3 +90,44 @@ def test_texts_match_the_scan(text, back, names9):
 @given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.sampled_from(SCOPES))
 def test_generated_documents_match_the_scan(text, back):
     check_document(parse_document(text), PROP_DICT, SearchScope(back))
+
+
+# "Ve" and "İle" lower-case to linkers: between two names such a name both
+# links them and opens a run of its own.
+CHAIN_NAMES = PROP_NAMES + ("Ve", "İle")
+CHAIN_DICT = NameDictionary.from_names(CHAIN_NAMES)
+LINKS = ("ve", "ile", "Ve", "İle", "dün", ",")
+
+
+@st.composite
+def chained_texts(draw) -> str:
+    """Documents of name chains 2-5 names long, each two names joined by a
+    linker, a linking name or a word that breaks the chain, with pronouns
+    at any slot, chains included."""
+    sentences = []
+    for _ in range(draw(st.integers(1, 5))):
+        items = []
+        for _ in range(draw(st.integers(1, 3))):
+            items.append(draw(st.sampled_from(CHAIN_NAMES)))
+            for _ in range(draw(st.integers(1, 4))):
+                name = draw(st.sampled_from(CHAIN_NAMES)) + draw(st.sampled_from(NAME_SUFFIXES))
+                items += [draw(st.sampled_from(LINKS)), name]
+            items.append(draw(st.sampled_from(FILLERS)))
+        sentences.append(items)
+    for next_id in range(1, draw(st.integers(1, 4)) + 1):
+        items = draw(st.sampled_from(sentences))
+        slot = draw(st.integers(0, len(items)))
+        if draw(st.booleans()):
+            items.insert(slot, f'<pro id="{next_id}">{draw(st.sampled_from(OVERT_FORMS))}</pro>')
+        else:
+            kind = draw(st.sampled_from(("pers", "refl")))
+            num = draw(st.sampled_from(("sg", "pl")))
+            items.insert(slot, f'<zero id="{next_id}" kind="{kind}" num="{num}"/>')
+    return " ".join(" ".join(items + ["."]) for items in sentences)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=chained_texts(), back=st.sampled_from(SCOPES))
+def test_name_chains_match_the_scan(text, back):
+    check_document(parse_document(text), CHAIN_DICT, SearchScope(back))
+

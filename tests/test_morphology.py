@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from anafor import (
+    Lexicon,
     NameDictionary,
     Number,
     PronounKind,
@@ -11,9 +14,13 @@ from anafor import (
     classify_pronoun,
     default_lexicon,
     match_name,
+    parse_document,
+    resolve_document,
     turkish_lower,
     turkish_upper,
 )
+from anafor.morphology import _split_apostrophe
+from conftest import fixture_text
 
 DICT = NameDictionary.from_names(["Ayşe", "Ali", "Murat", "Zeynep", "Ahmet", "O"])
 
@@ -195,3 +202,42 @@ class TestIsNominative:
         occurrence = match_name(_token(surface), DICT)
         assert occurrence is not None
         assert occurrence.nominative is expected
+
+
+class TestAnalysisMemo:
+    TABLES = "[pronoun o pers sg]\no\n[suffix case]\nyi\n[suffix copula]\nydi\n"
+
+    def test_lexicons_with_other_tables_analyse_a_surface_apart(self):
+        ler = Lexicon.from_text(self.TABLES + "[suffix plural]\nler\n")
+        lar = Lexicon.from_text(self.TABLES + "[suffix plural]\nlar\n")
+        token = _token("Ali'ler")
+        flags = [
+            match_name(token, DICT, lexicon)[2:] for lexicon in (ler, lar, ler, lar)
+        ]
+        assert flags == [(True, True, False), (False, False, False)] * 2
+        assert ler.analyses == {"Ali'ler": (True, True, False)}
+        assert lar.analyses == {"Ali'ler": (False, False, False)}
+
+    def test_a_replaced_lexicon_starts_a_memo_of_its_own(self):
+        ler = Lexicon.from_text(self.TABLES + "[suffix plural]\nler\n")
+        assert match_name(_token("Ali'ler"), DICT, ler).plural_suffix
+        lar = dataclasses.replace(ler, plural_prefixes=("lar",))
+        assert not match_name(_token("Ali'ler"), DICT, lar).plural_suffix
+        assert ler == dataclasses.replace(lar, plural_prefixes=("ler",))
+
+    def test_pronoun_forms_are_refused_from_the_memo(self):
+        lexicon = Lexicon.from_text(self.TABLES + "[suffix plural]\nler\n")
+        assert [match_name(_token("O"), DICT, lexicon) for _ in range(2)] == [None, None]
+        assert lexicon.analyses == {"O": None}
+
+    def test_default_memo_holds_only_gazetteer_hits(self, names9):
+        memo = default_lexicon().analyses
+        memo.clear()
+        doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
+        paraphrased = resolve_document(doc, names9).paraphrased
+        hits = {
+            surface for surface in doc.surfaces + tuple(paraphrased.surfaces)
+            if _split_apostrophe(surface)[0] in names9
+        }
+        assert 0 < len(memo) <= len(hits)
+        assert set(memo) <= hits

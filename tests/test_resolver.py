@@ -500,6 +500,24 @@ class TestReplacement:
         second = doc.sentences[1]
         assert copied <= len(paraphrase) + 5 * (second.last - second.first + 1)
 
+    def test_linkers_are_lowered_at_most_once_per_name(self):
+        # A count, not a timing: 500 sentences of a two-name compound, each
+        # followed by a plural zero that takes it.  Merging each window's
+        # names into compounds afresh at every pronoun lowercases the
+        # linkers of every sentence in the window again, about three times
+        # per name here; the name index lowercases one linker as a name
+        # enters it, if any.
+        zero = '<zero id="{}" kind="pers" num="pl"/>'
+        doc = parse_document(
+            " ".join(f"Ali ve Ayşe geldi. {zero.format(i)}" for i in range(500)) + " Güldü."
+        )
+        with calls(anafor.candidates, "turkish_lower") as lowered:
+            resolved = resolve_document(doc, DICT)
+        assert [r.antecedent for r in resolved.resolutions] == [frozenset({"Ali", "Ayşe"})] * 500
+        names = sum(surface in DICT for surface in resolved.paraphrased.surfaces)
+        assert names == 2000
+        assert 0 < lowered.n <= names
+
     @staticmethod
     def _probe_counts(tokens):
         # Gazetteer lookups, tokens copied, names written in and the probe.
