@@ -18,12 +18,19 @@ own), the lookups plus the copies (the tokens touched) and the tests
 against the punctuation marks.  The counters are those of the tests
 (``tests/counting.py``).
 
-A last line, ``long``, parses the long-document probe: the first
+The line ``long`` parses the long-document probe: the first
 ``PROBE_DOCUMENTS`` documents of the benchmark's generator from
 ``random.Random(1)``, one per line with their pronoun ids made unique.
 It gives the bytes held per token (``tracemalloc``) by the parsed
 Document, and after ``resolve_document`` with the benchmark's gazetteer
 by the Document, its paraphrase and the resolutions with their traces.
+
+A last line, ``stages``, times the layers of ``anafor resolve --trace`` on
+the dense_shorts shape: the first ``DENSE_DOCUMENTS`` generated documents
+of ``random.Random(1)``, each its own document, one at a time.  It gives
+the best-of-``--repeat`` milliseconds per pronoun, summed over the
+documents, of each layer: parse, the walk (``resolve_document``),
+``serialize_document`` and ``format_trace``.
 """
 
 from __future__ import annotations
@@ -39,12 +46,16 @@ import tracemalloc
 from pathlib import Path
 
 import anafor.candidates
-from anafor import NameDictionary, default_lexicon, parse_document, resolve_document
+from anafor import (
+    NameDictionary, default_lexicon, format_trace, parse_document, resolve_document,
+    serialize_document,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]
 from counting import calls, punctuation_lookups, surfaces_copied, tokens_built  # noqa: E402
 from perfbench import corpora  # noqa: E402
+from perfbench.workloads import DENSE_DOCUMENTS  # noqa: E402
 
 FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
 ZERO = '<zero id="{}" kind="refl" num="sg"/> '
@@ -82,17 +93,49 @@ def counted(doc) -> tuple[int, int, int, int]:
     return lookups.n, built.n, copied.n, punctuation.n
 
 
-def long_document() -> tuple[str, NameDictionary]:
-    """The first ``PROBE_DOCUMENTS`` generated documents, one per line,
-    pronoun ids made unique, and the benchmark's gazetteer."""
+def generated(count: int) -> tuple[list[str], NameDictionary]:
+    """The first ``count`` documents of the benchmark's generator from
+    ``random.Random(1)``, and the benchmark's gazetteer."""
     minicorpus, _ = corpora.read_minicorpus(ROOT)
     gazetteer, names = corpora.build_gazetteer(ROOT, minicorpus)
     rng = random.Random(1)
-    texts = []
-    for k in range(PROBE_DOCUMENTS):
-        text = corpora.generate_document(rng, names)
-        texts.append(re.sub(r'id="(\d+)"', lambda m: f'id="{100 * k + int(m[1])}"', text))
-    return "\n".join(texts), NameDictionary.from_names(gazetteer)
+    texts = [corpora.generate_document(rng, names) for _ in range(count)]
+    return texts, NameDictionary.from_names(gazetteer)
+
+
+def long_document() -> tuple[str, NameDictionary]:
+    """The first ``PROBE_DOCUMENTS`` generated documents, one per line,
+    pronoun ids made unique, and the benchmark's gazetteer."""
+    texts, dictionary = generated(PROBE_DOCUMENTS)
+    texts = [
+        re.sub(r'id="(\d+)"', lambda m: f'id="{100 * k + int(m[1])}"', text)
+        for k, text in enumerate(texts)
+    ]
+    return "\n".join(texts), dictionary
+
+
+def stages(repeat: int) -> tuple[dict[str, float], int]:
+    """Best-of-``repeat`` seconds of each layer over the first
+    ``DENSE_DOCUMENTS`` generated documents, and their pronoun count."""
+    texts, dictionary = generated(DENSE_DOCUMENTS)
+    default_lexicon()  # loaded once, not timed
+    runs = []
+    for _ in range(repeat):
+        spent = [0.0] * 4
+        for text in texts:  # one document at a time, as an op of the benchmark
+            times = [time.perf_counter()]
+            doc = parse_document(text)
+            times.append(time.perf_counter())
+            resolved = resolve_document(doc, dictionary)
+            times.append(time.perf_counter())
+            serialize_document(resolved.paraphrased)
+            times.append(time.perf_counter())
+            format_trace(resolved.resolutions)
+            times.append(time.perf_counter())
+            spent = [total + end - start for total, start, end in zip(spent, times, times[1:])]
+        runs.append(spent)
+    best = dict(zip(("parse", "walk", "serialize", "trace"), map(min, zip(*runs))))
+    return best, sum(len(parse_document(text).pronouns) for text in texts)
 
 
 def bytes_held(text: str, dictionary: NameDictionary) -> tuple[int, int, int, int]:
@@ -147,6 +190,13 @@ def main() -> None:
         "pronouns": pronouns,
         "bytes_per_token": round(parsed / tokens, 1),
         "bytes_per_token_resolved": round(resolved / tokens, 1),
+    }))
+    timed, pronouns = stages(args.repeat)
+    print(json.dumps({
+        "shape": "stages",
+        "documents": DENSE_DOCUMENTS,
+        "pronouns": pronouns,
+        **{f"{stage}_ms_per_pronoun": round(1000 * s / pronouns, 4) for stage, s in timed.items()},
     }))
 
 

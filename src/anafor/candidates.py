@@ -241,17 +241,16 @@ def apply_constraints(
 
     Number agreement runs first.  Personal pronouns then lose every
     candidate from their own sentence; reflexive pronouns keep only the
-    nearest surviving candidate below the pronoun.  The result is ordered
-    by ascending anchor (most recent last) and the pipeline is idempotent.
+    nearest surviving candidate below the pronoun: the greatest by
+    ``(anchor, size)``, whatever the input order.  The survivors keep the
+    order of ``candidates``, and the pipeline is idempotent.
     """
     survivors = [c for c in candidates if c.number == pronoun.number]
     if pronoun.kind is PronounKind.PERSONAL:
         pronoun_sentence = doc.sentence_index_of(pronoun.position)
         survivors = [c for c in survivors if c.sentence_index != pronoun_sentence]
     elif survivors:
-        nearest = max(survivors, key=lambda c: (c.anchor, len(c.members)))
-        survivors = [nearest]
-    survivors.sort(key=lambda c: (c.anchor, len(c.members)))
+        survivors = [max(survivors, key=lambda c: (c.anchor, len(c.members)))]
     return survivors
 
 
@@ -264,10 +263,13 @@ def constrained_candidates(
 ) -> list[Candidate]:
     """Full candidate pipeline: extraction, conditional set generation,
     constraints.  Set generation only kicks in for a plural pronoun whose
-    extracted candidates contain no plural form."""
+    extracted candidates contain no plural form.  The survivors come in
+    ``(anchor, size)`` order unsorted: extraction gives that order, and
+    number agreement leaves a pronoun that generated sets only the sets,
+    one per sentence in sentence order."""
     candidates = extract_candidates(doc, pronoun, dictionary, scope, lexicon)
     if pronoun.number is Number.PLURAL and not any(
         c.number is Number.PLURAL for c in candidates
     ):
-        candidates = candidates + generate_sets(doc, pronoun, dictionary, scope, lexicon)
+        candidates += generate_sets(doc, pronoun, dictionary, scope, lexicon)
     return apply_constraints(doc, pronoun, candidates)

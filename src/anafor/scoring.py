@@ -3,9 +3,10 @@
 :func:`feature_vectors` computes the flags of all of a pronoun's survivors
 at once, reading the window's base counts and first phrase tokens off its
 name index (:func:`~anafor.candidates.window_index`), never the window
-itself.  The zero-pronoun history is the caller's: a set of the name sets
-already written in for zero pronouns of earlier sentences, which the
-document walk keeps.
+itself.  It builds each vector as a bare tuple and takes a one-member
+candidate's flags straight off its name.  The zero-pronoun history is the
+caller's: a set of the name sets already written in for zero pronouns of
+earlier sentences, which the document walk keeps.
 
 Feature order is part of the serialization contract (weights files, trace
 bit strings): quoted_match, recency, nominative, first_np,
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, SearchScope, window_index
@@ -33,11 +35,9 @@ class PreferenceVector(NamedTuple):
     punctuation: bool
     zero_antecedent_history: bool
 
-    def bits(self) -> str:
-        return "".join("1" if flag else "0" for flag in self)
-
 
 FEATURE_NAMES: tuple[str, ...] = PreferenceVector._fields
+_base, _nominative, _copular = map(attrgetter, ("base", "nominative", "copular_suffix"))
 
 
 @dataclass(frozen=True)
@@ -144,27 +144,35 @@ def feature_vectors(
     """
     if not survivors:
         return []
+    surfaces, quoted = doc.surfaces, doc.quoted
     pronoun_quoted = mention_quoted(doc, pronoun)
-    nearest_sentence = max(c.sentence_index for c in survivors)
+    nearest_sentence = max(map(attrgetter("sentence_index"), survivors))
     window = window_index(doc, pronoun, scope)
     bases, first_phrase = window.bases, window.first_phrase
     zero = pronoun.overtness is Overtness.ZERO
+    followed = len(surfaces) - 1  # an anchor left of this has a token after it
     vectors = []
     for candidate in survivors:
-        sentence = candidate.sentence_index
-        vectors.append(PreferenceVector(
-            quoted_match=pronoun_quoted == doc.quoted[candidate.anchor],
-            recency=sentence == nearest_sentence,
-            nominative=all(member.nominative for member in candidate.members),
-            first_np=candidate.members[0].token_index == first_phrase.get(sentence),
-            predicate_nominal=any(member.copular_suffix for member in candidate.members),
-            repetition=all(bases[member.base] >= 2 for member in candidate.members),
-            punctuation=(
-                candidate.anchor + 1 < len(doc.surfaces)
-                and doc.surfaces[candidate.anchor + 1] == ","
-            ),
-            zero_antecedent_history=zero and candidate.base_names in history,
-        ))
+        members, _, sentence = candidate
+        anchor = members[-1].token_index
+        if len(members) == 1:
+            (name,) = members
+            nominative, predicate = name.nominative, name.copular_suffix
+            repetition = bases[name.base] >= 2
+        else:
+            nominative = all(map(_nominative, members))
+            predicate = any(map(_copular, members))
+            repetition = min(map(bases.__getitem__, map(_base, members))) >= 2
+        vectors.append(tuple.__new__(PreferenceVector, (
+            pronoun_quoted == quoted[anchor],
+            sentence == nearest_sentence,
+            nominative,
+            members[0].token_index == first_phrase.get(sentence),
+            predicate,
+            repetition,
+            anchor < followed and surfaces[anchor + 1] == ",",
+            zero and candidate.base_names in history,
+        )))
     return vectors
 
 

@@ -14,9 +14,10 @@ text, which holds lists grown and spliced in place; only the walk keeps it.
 parse and the walk read only the columns.  Records are ``NamedTuple``s, as
 are the names, candidates and scored candidates: a tuple costs a third of
 a frozen dataclass.  ``Token`` and its ``_replace`` check the surface;
-``Token._make`` does not.  ``Document``, ``PronounMention`` and the
-resolver's ``Resolution`` stay frozen dataclasses: they are few, and
-callers copy them with ``dataclasses.replace``.
+``Token._make`` does not, nor does ``tuple.__new__``, which builds the
+names, candidates, vectors and scored entries.  ``Document``,
+``PronounMention`` and the resolver's ``Resolution`` stay frozen
+dataclasses: they are few, and callers copy them with ``dataclasses.replace``.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` (``PUNCTUATION_TOKENS``) become tokens of

@@ -3,16 +3,21 @@
 ``test_walk_differential.py`` compares the shared walk against.
 
 The document walks, the tie rules, antecedent replacement and the
-per-candidate preference flags live here; the walks' candidates are the
-package's own.  ``replace_mention`` re-assembles and re-validates the
-whole document, so it is also the reference for the package's spliced
-replacement, and ``feature_vector`` (which re-reads the search window for
-every member of every survivor) is the reference for
-``anafor.scoring.feature_vectors``.  ``extract_candidates`` is the
-extraction as it was before the name index built compounds as names
-enter it: it merges each window's names into compounds afresh and sorts
-them, and is the reference that ``test_index_differential.py`` holds the
-package's extraction to.
+per-candidate preference flags live here.  ``replace_mention``
+re-assembles and re-validates the whole document, so it is also the
+reference for the package's spliced replacement, and ``feature_vector``
+(which re-reads the search window for every member of every survivor) is
+the reference for ``anafor.scoring.feature_vectors``.
+``extract_candidates`` is the extraction as it was before the name index
+built compounds as names enter it: it merges each window's names into
+compounds afresh and sorts them, and is the reference that
+``test_index_differential.py`` holds the package's extraction to.
+``apply_constraints`` and ``constrained_candidates`` are the constraint
+pipeline as it was when it sorted every pronoun's survivors, and the
+reference that ``test_index_differential.py`` holds the package's order
+to; the walks here take their candidates from it.  ``format_trace`` and
+``_format_candidate`` are the trace formatter before it memoised each
+vector's bit string, the reference of ``test_trace_differential.py``.
 ``ResolutionHistory`` is the seed's zero-pronoun history, which the walk
 now keeps as a plain set of name sets.  One line differs from the seed: a
 pronoun's quote flag is ``mention_quoted``'s, which fixes the seed's
@@ -30,12 +35,12 @@ from anafor.candidates import (
     CandidateKind,
     SearchScope,
     _window_start,
-    constrained_candidates,
+    generate_sets,
     scan_name_occurrences,
 )
 from anafor.corpus import NameDictionary
 from anafor.morphology import APOSTROPHES, Lexicon, NameOccurrence, turkish_lower
-from anafor.resolver import Resolution, ResolvedDocument, ScoredCandidate
+from anafor.resolver import AMBIGUOUS_FIELD, Resolution, ResolvedDocument, ScoredCandidate
 from anafor.scoring import (
     DEFAULT_WEIGHTS,
     PreferenceVector,
@@ -45,7 +50,9 @@ from anafor.scoring import (
 from anafor.textmodel import (
     PUNCTUATION_TOKENS,
     Document,
+    Number,
     Overtness,
+    PronounKind,
     PronounMention,
     assemble_document,
     mention_quoted,
@@ -118,6 +125,47 @@ def extract_candidates(
     ]
     candidates.sort(key=lambda c: (c.anchor, len(c.members)))
     return candidates
+
+
+def apply_constraints(
+    doc: Document,
+    pronoun: PronounMention,
+    candidates: list[Candidate],
+) -> list[Candidate]:
+    """Filter candidates through number agreement plus the kind-specific rule.
+
+    Number agreement runs first.  Personal pronouns then lose every
+    candidate from their own sentence; reflexive pronouns keep only the
+    nearest surviving candidate below the pronoun.  The result is ordered
+    by ascending anchor (most recent last) and the pipeline is idempotent.
+    """
+    survivors = [c for c in candidates if c.number == pronoun.number]
+    if pronoun.kind is PronounKind.PERSONAL:
+        pronoun_sentence = doc.sentence_index_of(pronoun.position)
+        survivors = [c for c in survivors if c.sentence_index != pronoun_sentence]
+    elif survivors:
+        nearest = max(survivors, key=lambda c: (c.anchor, len(c.members)))
+        survivors = [nearest]
+    survivors.sort(key=lambda c: (c.anchor, len(c.members)))
+    return survivors
+
+
+def constrained_candidates(
+    doc: Document,
+    pronoun: PronounMention,
+    dictionary: NameDictionary,
+    scope: SearchScope = SearchScope(),
+    lexicon: Lexicon | None = None,
+) -> list[Candidate]:
+    """Full candidate pipeline: extraction, conditional set generation,
+    constraints.  Set generation only kicks in for a plural pronoun whose
+    extracted candidates contain no plural form."""
+    candidates = extract_candidates(doc, pronoun, dictionary, scope, lexicon)
+    if pronoun.number is Number.PLURAL and not any(
+        c.number is Number.PLURAL for c in candidates
+    ):
+        candidates = candidates + generate_sets(doc, pronoun, dictionary, scope, lexicon)
+    return apply_constraints(doc, pronoun, candidates)
 
 
 def _first_phrase_token(doc: Document, sentence_index: int) -> int | None:
@@ -414,3 +462,42 @@ def train(
         if errors == 0:
             break
     return PreferenceWeights(tuple(weights)), TrainReport(epochs_run, errors)
+
+
+# ---------------------------------------------------------------------------
+# The trace formatter as it was before it memoised each vector's bit
+# string; ``bits`` was the method ``PreferenceVector.bits``, so
+# ``_format_candidate``'s local of that name is ``bits_field`` here.
+
+
+def bits(vector: PreferenceVector) -> str:
+    return "".join("1" if flag else "0" for flag in vector)
+
+
+def _format_candidate(entry: ScoredCandidate) -> str:
+    names = ";".join(member.base for member in entry.candidate.members)
+    bits_field = bits(entry.vector) if entry.vector is not None else AMBIGUOUS_FIELD
+    return f"{names}:{bits_field}={entry.score:.4f}"
+
+
+def format_trace(resolutions: Iterable[Resolution]) -> str:
+    lines = []
+    for resolution in resolutions:
+        if resolution.resolved:
+            fields = [
+                str(resolution.pronoun_id),
+                "resolved",
+                ";".join(sorted(resolution.antecedent)),
+                f"{resolution.score:.4f}",
+                "|".join(_format_candidate(entry) for entry in resolution.trace),
+            ]
+        else:
+            fields = [
+                str(resolution.pronoun_id),
+                "ambiguous",
+                AMBIGUOUS_FIELD,
+                AMBIGUOUS_FIELD,
+                AMBIGUOUS_FIELD,
+            ]
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + ("\n" if lines else "")

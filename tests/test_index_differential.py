@@ -6,10 +6,17 @@ window and a scan of each sentence as the seed's ``_first_phrase_token``
 made (for the pronoun's own sentence, of the tokens left of it).  The
 extracted candidates, whose compounds the index grows as names enter it,
 must equal ``seed_walk.extract_candidates``, which merges each window's
-names afresh."""
+names afresh.  The survivors must equal, in order, those of
+``seed_walk.constrained_candidates``, which sorted every pronoun's
+survivors: the package sorts nothing, since extraction comes in
+``(anchor, size)`` order and a pronoun that generates sets keeps only the
+sets, in sentence order.  ``apply_constraints`` keeps the order it is
+given, so on shuffled candidates it must keep the same survivors, and for a
+reflexive the same nearest one."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -17,12 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 from anafor import parse_document
 from anafor.candidates import (
-    Candidate, CandidateKind, SearchScope, extract_candidates, scan_name_occurrences,
+    Candidate, CandidateKind, SearchScope, apply_constraints, constrained_candidates,
+    extract_candidates, generate_sets, scan_name_occurrences,
 )
 from anafor.corpus import NameDictionary
 from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
-from anafor.textmodel import PUNCTUATION_TOKENS
+from anafor.textmodel import PUNCTUATION_TOKENS, Number, PronounKind
 import seed_walk
 from conftest import fixture_text
 from test_acceptance import (
@@ -33,11 +41,36 @@ from test_walk_differential import FIXTURE_FILES, TEXTS, quoted_texts
 SCOPES = [0, 1, 3]
 
 
+def nearness(candidate: Candidate) -> tuple[int, int]:
+    return candidate.anchor, len(candidate.members)
+
+
+def check_constraints(work, mention, survivors, extracted, names, scope, rng) -> None:
+    """The walk's survivors equal, in order, those of the reference
+    pipeline, which sorted them; on the pipeline's candidates shuffled,
+    ``apply_constraints`` keeps the same survivors, and for a reflexive
+    the same nearest one."""
+    expected = seed_walk.constrained_candidates(work, mention, names, scope)
+    assert survivors == expected
+    candidates = extracted.copy()
+    if mention.number is Number.PLURAL and not any(c.number is Number.PLURAL for c in candidates):
+        candidates += generate_sets(work, mention, names, scope)
+    # No two candidates of one pronoun tie on (anchor, size).
+    assert len(set(map(nearness, candidates))) == len(candidates)
+    rng.shuffle(candidates)
+    shuffled = apply_constraints(work, mention, candidates)
+    if mention.kind is PronounKind.REFLEXIVE:
+        assert shuffled == expected
+    else:
+        assert sorted(shuffled, key=nearness) == expected
+
+
 def check_document(doc, names, scope) -> None:
     """Walk ``doc``, leaving every third pronoun in place and writing in
-    the most recent survivor for the others, and check the index at each
-    pronoun."""
+    the most recent survivor for the others, and check the index and the
+    constraints at each pronoun."""
     visited = []
+    rng = random.Random(len(doc.surfaces))
 
     def choose(work, mention, survivors, history):
         # The text ends at the pronoun's token, its last sentence with it;
@@ -56,6 +89,7 @@ def check_document(doc, names, scope) -> None:
         extracted = extract_candidates(work, mention, names, scope)
         assert extracted == seed_walk.extract_candidates(work, mention, names, scope)
         assert extracted is not work.names.candidates
+        check_constraints(work, mention, survivors, extracted, names, scope, rng)
         sentence = work.sentence_index_of(mention.position)
         start = work.sentences[max(0, sentence - scope.max_back_sentences)].first
         window = work.tokens[start:mention.position]
@@ -131,3 +165,51 @@ def chained_texts(draw) -> str:
 def test_name_chains_match_the_scan(text, back):
     check_document(parse_document(text), CHAIN_DICT, SearchScope(back))
 
+
+SINGULAR_SUFFIXES = tuple(suffix for suffix in NAME_SUFFIXES if "ler" not in suffix)
+PLURAL_FORMS = ("onlar", "onları", "kendileri")
+
+
+@st.composite
+def set_texts(draw) -> str:
+    """Documents whose names are all singular and never linked, with
+    plural pronouns at any slot: until an antecedent is written in as a
+    compound, every plural pronoun runs set generation (in one 300-example
+    draw, about a third of the pronouns got a set)."""
+    sentences = []
+    for _ in range(draw(st.integers(1, 5))):
+        items = []
+        for _ in range(draw(st.integers(1, 5))):
+            name = draw(st.sampled_from(PROP_NAMES)) + draw(st.sampled_from(SINGULAR_SUFFIXES))
+            items += [name, draw(st.sampled_from(FILLERS + (",",)))]
+        sentences.append(items)
+    for next_id in range(1, draw(st.integers(1, 4)) + 1):
+        items = draw(st.sampled_from(sentences))
+        slot = draw(st.integers(0, len(items)))
+        if draw(st.booleans()):
+            items.insert(slot, f'<pro id="{next_id}">{draw(st.sampled_from(PLURAL_FORMS))}</pro>')
+        else:
+            kind = draw(st.sampled_from(("pers", "refl")))
+            items.insert(slot, f'<zero id="{next_id}" kind="{kind}" num="pl"/>')
+    return " ".join(" ".join(items + ["."]) for items in sentences)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=set_texts(), back=st.sampled_from(SCOPES))
+def test_generated_sets_match_the_reference(text, back):
+    check_document(parse_document(text), PROP_DICT, SearchScope(back))
+
+
+def test_sets_are_the_only_plural_survivors():
+    # set_texts' premise: a plural pronoun that finds only singular names
+    # keeps the sets alone, one per window sentence, in sentence order.
+    doc = parse_document(
+        "Ali eve geldi , Ayşe'yi gördü . Murat Zeynep'le oyun . "
+        '<zero id="1" kind="pers" num="pl"/> güldü .'
+    )
+    survivors = constrained_candidates(doc, doc.pronouns[0], PROP_DICT, SearchScope(2))
+    assert [(c.kind, sorted(c.base_names)) for c in survivors] == [
+        (CandidateKind.GENERATED_SET, ["Ali", "Ayşe"]),
+        (CandidateKind.GENERATED_SET, ["Murat", "Zeynep"]),
+    ]
+    check_document(doc, PROP_DICT, SearchScope(2))

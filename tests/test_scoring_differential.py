@@ -1,6 +1,6 @@
 """``scoring.feature_vectors`` against the per-candidate ``feature_vector``
-of the seed (seed_walk.py), and the regex apostrophe split against the
-seed's ``min``-of-``find`` split."""
+of the seed (seed_walk.py), with every flag exactly a ``bool``, and the
+regex apostrophe split against the seed's ``min``-of-``find`` split."""
 
 from __future__ import annotations
 
@@ -21,10 +21,14 @@ SCOPES = [0, 1, 3]
 
 
 def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope) -> None:
-    assert feature_vectors(doc, pronoun, survivors, history, scope) == [
+    vectors = feature_vectors(doc, pronoun, survivors, history, scope)
+    assert vectors == [
         seed_walk.feature_vector(doc, pronoun, candidate, survivors, seed_history, scope)
         for candidate in survivors
     ]
+    # Exactly bools, though 1 == True: a one-member candidate's flags are
+    # copied from its name unchanged.
+    assert all(type(flag) is bool for vector in vectors for flag in vector)
 
 
 def _records(survivors, sentence) -> list[tuple[frozenset[str], int]]:
