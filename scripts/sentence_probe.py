@@ -25,11 +25,13 @@ It gives the bytes held per token (``tracemalloc``) by the parsed
 Document, and after ``resolve_document`` with the benchmark's gazetteer
 by the Document, its paraphrase and the resolutions with their traces.
 
-A last line, ``stages``, times the layers of ``anafor resolve --trace`` on
-the dense_shorts shape: the first ``DENSE_DOCUMENTS`` generated documents
-of ``random.Random(1)``, each its own document, one at a time.  It gives
-the best-of-``--repeat`` milliseconds per pronoun, summed over the
-documents, of each layer: parse, the walk (``resolve_document``),
+Two last lines, ``stages``, time the layers of ``anafor resolve --trace``
+on the shape of a benchmark workload each.  ``dense_shorts`` is the first
+``DENSE_DOCUMENTS`` generated documents of ``random.Random(1)``, each its
+own document, one at a time; ``long_story`` is the mini corpus tiled
+``LONG_STORY_TILES`` times, as one document.  Each gives the
+best-of-``--repeat`` milliseconds per pronoun, summed over the documents,
+of each layer: parse, the walk (``resolve_document``),
 ``serialize_document`` and ``format_trace``.
 """
 
@@ -55,7 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]
 from counting import calls, punctuation_lookups, surfaces_copied, tokens_built  # noqa: E402
 from perfbench import corpora  # noqa: E402
-from perfbench.workloads import DENSE_DOCUMENTS  # noqa: E402
+from perfbench.workloads import DENSE_DOCUMENTS, LONG_STORY_TILES  # noqa: E402
 
 FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
 ZERO = '<zero id="{}" kind="refl" num="sg"/> '
@@ -114,10 +116,15 @@ def long_document() -> tuple[str, NameDictionary]:
     return "\n".join(texts), dictionary
 
 
-def stages(repeat: int) -> tuple[dict[str, float], int]:
-    """Best-of-``repeat`` seconds of each layer over the first
-    ``DENSE_DOCUMENTS`` generated documents, and their pronoun count."""
-    texts, dictionary = generated(DENSE_DOCUMENTS)
+def long_story() -> str:
+    """The long_story document: the mini corpus tiled ``LONG_STORY_TILES``
+    times, pronoun ids made unique."""
+    minicorpus, oracle = corpora.read_minicorpus(ROOT)
+    return corpora.tile_minicorpus(minicorpus, LONG_STORY_TILES, oracle.stride)
+
+
+def stages(texts: list[str], dictionary: NameDictionary, repeat: int) -> dict[str, float]:
+    """Best-of-``repeat`` seconds of each layer over ``texts``."""
     default_lexicon()  # loaded once, not timed
     runs = []
     for _ in range(repeat):
@@ -134,8 +141,7 @@ def stages(repeat: int) -> tuple[dict[str, float], int]:
             times.append(time.perf_counter())
             spent = [total + end - start for total, start, end in zip(spent, times, times[1:])]
         runs.append(spent)
-    best = dict(zip(("parse", "walk", "serialize", "trace"), map(min, zip(*runs))))
-    return best, sum(len(parse_document(text).pronouns) for text in texts)
+    return dict(zip(("parse", "walk", "serialize", "trace"), map(min, zip(*runs))))
 
 
 def bytes_held(text: str, dictionary: NameDictionary) -> tuple[int, int, int, int]:
@@ -191,13 +197,18 @@ def main() -> None:
         "bytes_per_token": round(parsed / tokens, 1),
         "bytes_per_token_resolved": round(resolved / tokens, 1),
     }))
-    timed, pronouns = stages(args.repeat)
-    print(json.dumps({
-        "shape": "stages",
-        "documents": DENSE_DOCUMENTS,
-        "pronouns": pronouns,
-        **{f"{stage}_ms_per_pronoun": round(1000 * s / pronouns, 4) for stage, s in timed.items()},
-    }))
+    dense, dictionary = generated(DENSE_DOCUMENTS)  # the benchmark's gazetteer for both
+    for workload, texts in (("dense_shorts", dense), ("long_story", [long_story()])):
+        timed = stages(texts, dictionary, args.repeat)
+        pronouns = sum(len(parse_document(text).pronouns) for text in texts)
+        print(json.dumps({
+            "shape": "stages",
+            "workload": workload,
+            "documents": len(texts),
+            "pronouns": pronouns,
+            **{f"{stage}_ms_per_pronoun": round(1000 * s / pronouns, 4)
+               for stage, s in timed.items()},
+        }))
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ names, and is meant to be invoked only when a plural pronoun finds no
 plural candidate.
 
 A :class:`NameIndex` is the one reader of a pronoun's window, for
-extraction and scoring alike: the walk's text carries one, or else
-:func:`window_index` reads the window into a new one.  Both read the
-token columns, where a token's index is its offset.  The index builds
-each candidate once, as its last name enters, and extraction copies them.
+extraction and scoring alike: the walk's text carries one, or else each
+reads the window into a new one, of the gazetteer's or the survivors'
+names.  Both read the token columns, where a token's index is its offset.
+The index builds each candidate once, as its last name enters, and
+extraction copies them.
 """
 
 from __future__ import annotations
@@ -110,19 +111,20 @@ def scan_name_occurrences(
 
 
 class NameIndex:
-    """A pronoun's window: its candidates in ``(anchor, size)`` order, its
-    pre-apostrophe base counts, and each sentence's first non-punctuation
-    token read so far.  Each name makes a simple candidate.  A compound's
-    names are two tokens apart, so one run per index parity is open: a
-    name extends it when it ends two tokens left, in the name's sentence,
-    behind a single ``ve``/``ile``, and the longer compound replaces the
-    shorter.  A document walk never changes a token left of the pronoun it
-    visits, nor starts a window left of the previous one (and a window
-    starts on a sentence, so it drops whole runs), so :meth:`advance` reads
-    each token once, analyses the suffix of the gazetteer names only, and
-    tests it against the punctuation marks only until its sentence has a
-    first phrase token.  The counts keep the bases gone from the window at
-    zero until they outnumber twice the window's tokens, then drop them."""
+    """A pronoun's window: its candidates in ``(anchor, size)`` order, the
+    counts of its gazetteer bases, and each sentence's first
+    non-punctuation token read so far.  Each name makes a simple candidate.
+    A compound's names are two tokens apart, so one run per index parity
+    is open: a name extends it when it ends two tokens left, in the name's
+    sentence, behind a single ``ve``/``ile``, and the longer compound
+    replaces the shorter.  A document walk never changes a token left of
+    the pronoun it visits, nor starts a window left of the previous one
+    (and a window starts on a sentence, so it drops whole runs), so
+    :meth:`advance` reads each token once, analyses the suffix of the
+    gazetteer names only, and tests it against the punctuation marks only
+    until its sentence has a first phrase token.  Only a token whose base
+    is a gazetteer entry is counted, a pronoun form spelled like a name
+    too; a base whose count falls to zero leaves the counts."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.lexicon = dictionary, lexicon
@@ -130,29 +132,34 @@ class NameIndex:
         self.bases: Counter[str] = Counter()
         self.first_phrase: dict[int, int] = {}  # sentence -> token; grows as the text does
         self._runs: list[Candidate | None] = [None, None]  # the open run of each parity
-        self._bases: list[str] = []  # those counted, in token order
+        self._hits, self._hit_bases = [], []  # the counted tokens and their bases, in token order
         self._start = self._end = 0  # the window start; tokens before _end are matched or skipped
 
     def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
         start = _window_start(doc, pronoun, scope)
-        candidates, runs = self.candidates, self._runs
+        candidates, runs, bases = self.candidates, self._runs, self.bases
         if start > self._start:
             drop = bisect_left(candidates, start, key=attrgetter("anchor"))
-            gone = min(start, self._end) - self._start
-            self.bases.subtract(self._bases[:gone])
-            del candidates[:drop], self._bases[:gone]
+            gone = bisect_left(self._hits, start)
+            for base in self._hit_bases[:gone]:
+                bases[base] -= 1
+                if not bases[base]:
+                    del bases[base]
+            del candidates[:drop], self._hits[:gone], self._hit_bases[:gone]
             self._start, self._end = start, max(start, self._end)
         entries, lexicon, first_phrase = self.dictionary.entries, self.lexicon, self.first_phrase
-        surfaces, sentence_of = doc.surfaces, doc.sentence_of
-        bases = []
+        surfaces, sentence_of, hits, new = doc.surfaces, doc.sentence_of, self._hits, []
         for i in range(self._end, pronoun.position):
             surface, sentence = surfaces[i], sentence_of[i]
             if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
                 first_phrase[sentence] = i
             base, suffix = _split_apostrophe(surface)
-            bases.append(base)
-            occ = base and base in entries and name_occurrence(surface, i, base, suffix, lexicon)
-            if not occ:  # not a name, or a pronoun form
+            if base not in entries:
+                continue
+            hits.append(i)
+            new.append(base)
+            occ = base and name_occurrence(surface, i, base, suffix, lexicon)
+            if not occ:  # a pronoun form
                 continue
             # Built unchecked: one member makes a SIMPLE candidate, two or more a COMPOUND.
             candidates.append(tuple.__new__(Candidate, ((occ,), CandidateKind.SIMPLE, sentence)))
@@ -165,10 +172,8 @@ class NameIndex:
                 compound = (run.members + (occ,), CandidateKind.COMPOUND, sentence)
                 candidates.append(tuple.__new__(Candidate, compound))
             runs[i % 2] = candidates[-1]
-        self.bases.update(bases)
-        self._bases += bases
-        if len(self.bases) > 2 * len(self._bases):
-            self.bases = +self.bases  # drop the zero counts of bases gone from the window
+        bases.update(new)
+        self._hit_bases += new
         self._end = pronoun.position
         return self
 
@@ -185,8 +190,8 @@ def window_index(
     doc: Document,
     pronoun: PronounMention,
     scope: SearchScope,
-    dictionary: NameDictionary = NameDictionary(frozenset()),
-    lexicon: Lexicon | None = None,
+    dictionary: NameDictionary,
+    lexicon: Lexicon | None,
 ) -> NameIndex:
     """The walk's own index, advanced to the pronoun at the walk's scope,
     or else a new one of the window at ``scope`` with ``dictionary``'s names."""

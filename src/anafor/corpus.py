@@ -22,8 +22,10 @@ running text.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import compress
+from operator import add, ne
 from typing import Iterable, Iterator
 import re
 
@@ -54,6 +56,8 @@ _REJECTED_RE = re.compile(f"[{_INVISIBLE}\u00ab\u00bb\u201c\u201d]")
 _RESERVED_RE = re.compile("['’\"<]")  # never in a gazetteer name
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
+_KINDS = {kind.value: kind for kind in PronounKind}
+_NUMBERS = {number.value: number for number in Number}
 
 
 class ParseError(ValueError):
@@ -147,10 +151,12 @@ def _mention_id(attrs: dict[str, str], seen_ids: set[int]) -> int:
     return mention_id
 
 
-def _gold(attrs: dict[str, str]) -> frozenset[str] | None:
-    if "ant" not in attrs:
+@lru_cache(maxsize=1024)  # a document names few antecedents; errors are not kept
+def _gold(ant: str | None) -> frozenset[str] | None:
+    """The checked names of an ``ant`` value, None for no value."""
+    if ant is None:
         return None
-    names = attrs["ant"].split(";")
+    names = ant.split(";")
     if len(names) > 1 and all(names[:-1]) and not names[-1]:
         raise ValueError("trailing ';' separator in ant attribute")
     if not all(names):
@@ -171,7 +177,7 @@ def _read_tag(
     if match := _PRO_OPEN_RE.match(text, offset):
         attrs = _attributes(match.group(1), _PRO_KEYS)
         mention_id = _mention_id(attrs, seen_ids)
-        gold = _gold(attrs)
+        gold = _gold(attrs.get("ant"))
         close = text.find(_PRO_CLOSE, match.end())
         if close < 0:
             raise ValueError("unterminated <pro> tag")
@@ -192,15 +198,12 @@ def _read_tag(
         for required in ("kind", "num"):
             if required not in attrs:
                 raise ValueError(f"missing {required} attribute")
-        try:
-            kind = PronounKind(attrs["kind"])
-        except ValueError:
-            raise ValueError(f"unknown kind value: {attrs['kind']!r}") from None
-        try:
-            number = Number(attrs["num"])
-        except ValueError:
-            raise ValueError(f"unknown num value: {attrs['num']!r}") from None
-        mention = PronounMention(mention_id, kind, number, position, gold_antecedent=_gold(attrs))
+        kind, number = _KINDS.get(attrs["kind"]), _NUMBERS.get(attrs["num"])
+        if kind is None:
+            raise ValueError(f"unknown kind value: {attrs['kind']!r}")
+        if number is None:
+            raise ValueError(f"unknown num value: {attrs['num']!r}")
+        mention = PronounMention(mention_id, kind, number, position, "", _gold(attrs.get("ant")))
         return mention, match.end()
     raise ValueError("malformed tag")
 
@@ -273,44 +276,31 @@ def serialize_document(doc: Document) -> str:
     """Render a Document back to annotated text, one sentence per line.
 
     Re-parsing the output yields a structurally identical Document; the
-    attribute order inside tags is canonical (id, kind, num, ant).
+    attribute order inside tags is canonical (id, kind, num, ant).  Each
+    token is rendered in place, an overt pronoun inside its tag and zero
+    tags before their token, after one separator: a newline at a sentence
+    start, else a space before zero tags, else nothing before a mark other
+    than an opening quote or after an opening quote, else a space.  Only
+    the marks, the mentions and the sentence starts are visited.
     """
-    zeros_at: defaultdict[int, list[PronounMention]] = defaultdict(list)
-    overt_at: dict[int, PronounMention] = {}
+    surfaces, sentence_of, n = doc.surfaces, doc.sentence_of, len(doc.surfaces)
+    rendered, seps, quotes = list(surfaces), [" "] * (n + 1), 0  # seps[i] goes before token i
+    for i in compress(range(n), map(PUNCTUATION_TOKENS.__contains__, surfaces)):
+        if surfaces[i] != QUOTE or quotes % 2:
+            seps[i] = ""
+        else:  # an opening quote: the token after it glues
+            seps[i + 1] = ""
+        quotes += surfaces[i] == QUOTE
     for mention in doc.pronouns:
-        if mention.overtness is Overtness.ZERO:
-            zeros_at[mention.position].append(mention)
-        else:
-            overt_at[mention.position] = mention
-
-    lines = []
-    quote_parity = 0
-    for sent in doc.sentences:
-        parts: list[str] = []
-        previous_opening_quote = False
-        for i in range(sent.first, sent.last + 1):
-            surface = doc.surfaces[i]
-            rendered = surface
-            if i in overt_at:
-                mention = overt_at[i]
-                rendered = f"<pro {_render_mention_attrs(mention)}>{surface}</pro>"
-            glue = (
-                parts
-                and surface in PUNCTUATION_TOKENS
-                and (surface != QUOTE or quote_parity % 2 == 1)
-                or previous_opening_quote
-            )
-            if i in zeros_at:
-                tags = " ".join(
-                    f"<zero {_render_mention_attrs(m)}/>" for m in zeros_at[i]
-                )
-                rendered = f"{tags} {rendered}"
-                glue = False
-            if parts and not glue:
-                parts.append(" ")
-            parts.append(rendered)
-            previous_opening_quote = surface == QUOTE and quote_parity % 2 == 0
-            if surface == QUOTE:
-                quote_parity += 1
-        lines.append("".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
+        if mention.surface:
+            at = mention.position
+            rendered[at] = f"<pro {_render_mention_attrs(mention)}>{rendered[at]}</pro>"
+    for mention in reversed(doc.pronouns):  # the first zero at a token ends up first
+        if not mention.surface:
+            at = mention.position
+            rendered[at] = f"<zero {_render_mention_attrs(mention)}/> {rendered[at]}"
+            seps[at] = " "
+    for i in compress(range(1, n), map(ne, sentence_of[1:], sentence_of)):
+        seps[i] = "\n"
+    seps[0] = ""  # a document can start with a mark or a zero
+    return "".join(map(add, seps, rendered)) + ("\n" if n else "")

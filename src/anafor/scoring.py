@@ -1,12 +1,13 @@
 """The eight binary salience preferences and their weighted aggregate score.
 
 :func:`feature_vectors` computes the flags of all of a pronoun's survivors
-at once, reading the window's base counts and first phrase tokens off its
-name index (:func:`~anafor.candidates.window_index`), never the window
-itself.  It builds each vector as a bare tuple and takes a one-member
-candidate's flags straight off its name.  The zero-pronoun history is the
-caller's: a set of the name sets already written in for zero pronouns of
-earlier sentences, which the document walk keeps.
+at once, reading the window's base counts and first phrase tokens off a
+name index, never the window itself: the walk's own, or else a new one
+that counts the survivors' bases.  It builds each vector as a bare tuple
+and takes a one-member candidate's flags straight off its name.  The
+zero-pronoun history is the caller's: a set of the name sets already
+written in for zero pronouns of earlier sentences, which the document
+walk keeps.
 
 Feature order is part of the serialization contract (weights files, trace
 bit strings): quoted_match, recency, nominative, first_np,
@@ -21,7 +22,8 @@ from itertools import compress
 from operator import attrgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
-from .candidates import Candidate, SearchScope, window_index
+from .candidates import Candidate, NameIndex, SearchScope, WalkText
+from .corpus import NameDictionary
 from .textmodel import Document, Overtness, PronounMention, decode_utf8, mention_quoted
 
 
@@ -147,7 +149,11 @@ def feature_vectors(
     surfaces, quoted = doc.surfaces, doc.quoted
     pronoun_quoted = mention_quoted(doc, pronoun)
     nearest_sentence = max(map(attrgetter("sentence_index"), survivors))
-    window = window_index(doc, pronoun, scope)
+    if isinstance(doc, WalkText):
+        window = doc.names
+    else:  # a new index, which counts the survivors' bases
+        names = NameDictionary(frozenset(m.base for c in survivors for m in c.members))
+        window = NameIndex(names, None).advance(doc, pronoun, scope)
     bases, first_phrase = window.bases, window.first_phrase
     zero = pronoun.overtness is Overtness.ZERO
     followed = len(surfaces) - 1  # an anchor left of this has a token after it

@@ -30,15 +30,18 @@ from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 PUNCTUATION_TOKENS = frozenset({",", ".", "!", "?", "…", '"'})
 SENTENCE_TERMINATORS = frozenset({".", "!", "?", "…"})
 QUOTE = '"'
+_BREAKS = SENTENCE_TERMINATORS | {QUOTE}
 
 _MARKS = "".join(map(re.escape, sorted(PUNCTUATION_TOKENS)))  # one character each
 _TOKEN_RE = re.compile(f"[{_MARKS}]|[^{_MARKS}\\s]+")
@@ -209,47 +212,43 @@ def sentence_spans(surfaces: Sequence[str]) -> list[tuple[int, int]]:
     """Half-open [start, end) spans of the sentences in a token stream.
 
     A sentence ends after a run of terminator tokens; a closing double
-    quote immediately after the run belongs to the ending sentence.
+    quote immediately after the run belongs to the ending sentence.  Only
+    the terminators and quote marks are visited.
     """
     spans: list[tuple[int, int]] = []
-    start = 0
-    quotes_seen = 0
-    i = 0
-    n = len(surfaces)
-    while i < n:
-        surface = surfaces[i]
-        if surface in SENTENCE_TERMINATORS:
-            while i + 1 < n and surfaces[i + 1] in SENTENCE_TERMINATORS:
-                i += 1
-            if i + 1 < n and surfaces[i + 1] == QUOTE and quotes_seen % 2 == 1:
-                quotes_seen += 1
-                i += 1
-            spans.append((start, i + 1))
-            start = i + 1
-        elif surface == QUOTE:
+    n, start, quotes_seen = len(surfaces), 0, 0
+    for i in compress(range(n), map(_BREAKS.__contains__, surfaces)):
+        if i < start:  # inside the run and closing quote that ended a sentence
+            continue
+        if surfaces[i] == QUOTE:
             quotes_seen += 1
-        i += 1
+            continue
+        end = i + 1
+        while end < n and surfaces[end] in SENTENCE_TERMINATORS:
+            end += 1
+        if end < n and surfaces[end] == QUOTE and quotes_seen % 2 == 1:
+            quotes_seen += 1
+            end += 1
+        spans.append((start, end))
+        start = end
     if start < n:
         spans.append((start, n))
     return spans
 
 
 def _quoted_flags(surfaces: Sequence[str], sentence_of: Sequence[int]) -> list[bool]:
-    # Quote characters pair up left to right; tokens strictly between an
-    # opening quote and its partner are quoted.  An unpaired trailing quote
-    # opens a span that ends with its own sentence.
-    flags = [False] * len(surfaces)
-    open_at: int | None = None
-    for i, surface in enumerate(surfaces):
-        if surface == QUOTE:
-            open_at = i if open_at is None else None
-        elif open_at is not None:
-            flags[i] = True
-    if open_at is not None:
-        limit = sentence_of[open_at]
-        for i in range(open_at + 1, len(surfaces)):
-            if sentence_of[i] != limit:
-                flags[i] = False
+    """Quote characters pair up left to right; tokens strictly between an
+    opening quote and its partner are quoted.  An unpaired last quote opens
+    a span that ends with its own sentence.  Only the quotes are visited."""
+    flags, quotes, at = [False] * len(surfaces), [], -1
+    with suppress(ValueError):  # raised past the last quote
+        while True:
+            at = surfaces.index(QUOTE, at + 1)
+            quotes.append(at)
+    if len(quotes) % 2:
+        quotes.append(bisect_right(sentence_of, sentence_of[quotes[-1]], quotes[-1]))
+    for opening, closing in zip(quotes[::2], quotes[1::2]):
+        flags[opening + 1:closing] = [True] * (closing - opening - 1)
     return flags
 
 

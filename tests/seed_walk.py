@@ -18,6 +18,9 @@ reference that ``test_index_differential.py`` holds the package's order
 to; the walks here take their candidates from it.  ``format_trace`` and
 ``_format_candidate`` are the trace formatter before it memoised each
 vector's bit string, the reference of ``test_trace_differential.py``.
+``serialize_document``, ``sentence_spans`` and ``_quoted_flags`` are the
+text layer as it was when each visited every token, the reference of the
+text-layer checks in ``test_walk_differential.py``.
 ``ResolutionHistory`` is the seed's zero-pronoun history, which the walk
 now keeps as a plain set of name sets.  One line differs from the seed: a
 pronoun's quote flag is ``mention_quoted``'s, which fixes the seed's
@@ -26,6 +29,7 @@ reading of a zero before a closing quote mark as unquoted.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Iterable, Sequence
 
@@ -38,7 +42,7 @@ from anafor.candidates import (
     generate_sets,
     scan_name_occurrences,
 )
-from anafor.corpus import NameDictionary
+from anafor.corpus import NameDictionary, _render_mention_attrs
 from anafor.morphology import APOSTROPHES, Lexicon, NameOccurrence, turkish_lower
 from anafor.resolver import AMBIGUOUS_FIELD, Resolution, ResolvedDocument, ScoredCandidate
 from anafor.scoring import (
@@ -49,6 +53,8 @@ from anafor.scoring import (
 )
 from anafor.textmodel import (
     PUNCTUATION_TOKENS,
+    QUOTE,
+    SENTENCE_TERMINATORS,
     Document,
     Number,
     Overtness,
@@ -500,4 +506,105 @@ def format_trace(resolutions: Iterable[Resolution]) -> str:
                 AMBIGUOUS_FIELD,
             ]
         lines.append("\t".join(fields))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ---------------------------------------------------------------------------
+# The text layer as it was when serialize, the sentence split and the quote
+# flags each visited every token, the reference of the text-layer checks
+# in ``test_walk_differential.py``.
+
+
+def sentence_spans(surfaces: Sequence[str]) -> list[tuple[int, int]]:
+    """Half-open [start, end) spans of the sentences in a token stream.
+
+    A sentence ends after a run of terminator tokens; a closing double
+    quote immediately after the run belongs to the ending sentence.
+    """
+    spans: list[tuple[int, int]] = []
+    start = 0
+    quotes_seen = 0
+    i = 0
+    n = len(surfaces)
+    while i < n:
+        surface = surfaces[i]
+        if surface in SENTENCE_TERMINATORS:
+            while i + 1 < n and surfaces[i + 1] in SENTENCE_TERMINATORS:
+                i += 1
+            if i + 1 < n and surfaces[i + 1] == QUOTE and quotes_seen % 2 == 1:
+                quotes_seen += 1
+                i += 1
+            spans.append((start, i + 1))
+            start = i + 1
+        elif surface == QUOTE:
+            quotes_seen += 1
+        i += 1
+    if start < n:
+        spans.append((start, n))
+    return spans
+
+
+def _quoted_flags(surfaces: Sequence[str], sentence_of: Sequence[int]) -> list[bool]:
+    # Quote characters pair up left to right; tokens strictly between an
+    # opening quote and its partner are quoted.  An unpaired trailing quote
+    # opens a span that ends with its own sentence.
+    flags = [False] * len(surfaces)
+    open_at: int | None = None
+    for i, surface in enumerate(surfaces):
+        if surface == QUOTE:
+            open_at = i if open_at is None else None
+        elif open_at is not None:
+            flags[i] = True
+    if open_at is not None:
+        limit = sentence_of[open_at]
+        for i in range(open_at + 1, len(surfaces)):
+            if sentence_of[i] != limit:
+                flags[i] = False
+    return flags
+
+
+def serialize_document(doc: Document) -> str:
+    """Render a Document back to annotated text, one sentence per line.
+
+    Re-parsing the output yields a structurally identical Document; the
+    attribute order inside tags is canonical (id, kind, num, ant).
+    """
+    zeros_at: defaultdict[int, list[PronounMention]] = defaultdict(list)
+    overt_at: dict[int, PronounMention] = {}
+    for mention in doc.pronouns:
+        if mention.overtness is Overtness.ZERO:
+            zeros_at[mention.position].append(mention)
+        else:
+            overt_at[mention.position] = mention
+
+    lines = []
+    quote_parity = 0
+    for sent in doc.sentences:
+        parts: list[str] = []
+        previous_opening_quote = False
+        for i in range(sent.first, sent.last + 1):
+            surface = doc.surfaces[i]
+            rendered = surface
+            if i in overt_at:
+                mention = overt_at[i]
+                rendered = f"<pro {_render_mention_attrs(mention)}>{surface}</pro>"
+            glue = (
+                parts
+                and surface in PUNCTUATION_TOKENS
+                and (surface != QUOTE or quote_parity % 2 == 1)
+                or previous_opening_quote
+            )
+            if i in zeros_at:
+                tags = " ".join(
+                    f"<zero {_render_mention_attrs(m)}/>" for m in zeros_at[i]
+                )
+                rendered = f"{tags} {rendered}"
+                glue = False
+            if parts and not glue:
+                parts.append(" ")
+            parts.append(rendered)
+            previous_opening_quote = surface == QUOTE and quote_parity % 2 == 0
+            if surface == QUOTE:
+                quote_parity += 1
+        lines.append("".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")

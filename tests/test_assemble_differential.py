@@ -1,9 +1,11 @@
 """The bulk ``assemble_document`` and ``corpus._checked_name`` against
 verbatim copies of the per-token forms they replaced: the same input gives
 an equal Document of the same record types, or the same ValueError message.
-A Document's ``tokens``, built from its columns in bulk, must equal one
-checked ``Token`` per offset, and its ``sentences``, read off its sentence
-column, the spans ``sentence_spans`` finds in its surfaces.
+The per-token build takes its quote flags from the per-token
+``seed_walk._quoted_flags``.  A Document's ``tokens``, built from its
+columns in bulk, must equal one checked ``Token`` per offset, and its
+``sentences``, read off its sentence column, the spans ``sentence_spans``
+finds in its surfaces.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from anafor.textmodel import (
     PronounMention,
     Sentence,
     Token,
-    _quoted_flags,
     assemble_document,
     sentence_spans,
 )
+import seed_walk
 from conftest import FIXTURES, fixture_text
 from test_acceptance import PROP_DICT, annotated_texts
 from test_walk_differential import quoted_texts
@@ -55,7 +57,7 @@ def seed_assemble_document(sentence_surfaces, pronouns=()):
             sentence_of.append(k)
         sentences.append(Sentence(first, len(surfaces) - 1))
 
-    quoted = _quoted_flags(surfaces, sentence_of)
+    quoted = seed_walk._quoted_flags(surfaces, sentence_of)
     tokens = tuple(
         Token(
             surface=surface,

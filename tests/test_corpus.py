@@ -140,6 +140,19 @@ class TestParseDocument:
             ('Ali <zero id="1" kind="foo" num="x"/> geldi.', "unknown kind value: 'foo'", 1, 5),
             ('Ali <zero id="1" kind="pers" num="x" ant=""/> geldi.', "unknown num value: 'x'", 1, 5),
             ('Ali .\n <zero id="1" kind="pers" num="sg" ant=""/>', "empty name in ant attribute", 2, 2),
+            # Values are matched as spelled, never by the kind's or number's name.
+            ('Ali <zero id="1" kind="PERSONAL" num="sg"/> geldi.', "unknown kind value: 'PERSONAL'",
+             1, 5),
+            ('Ali <zero id="1" kind="refl" num="Sg"/> geldi.', "unknown num value: 'Sg'", 1, 5),
+            # An ant value already read is taken again; the other checks still run.
+            (
+                'Ali <pro id="1" ant="Ali">onu</pro> <pro id="2" ant="Ali">kitap</pro>',
+                "not a recognized pronoun form: 'kitap'", 1, 37,
+            ),
+            (
+                'Ali <zero id="1" kind="pers" num="sg" ant="Ali;"/> x <pro id="2" ant="Ali;">o</pro>',
+                "trailing ';' separator in ant attribute", 1, 5,
+            ),
             (
                 'Ali . <zero id="1" kind="pers" num="sg"/> <zero id="2" kind="pers" num="sg"/> <',
                 "malformed tag", 1, 79,

@@ -1,7 +1,8 @@
 """The document walk's name index against a scan of each window: at every
 step of a walk, the window's name occurrences, their simple candidates, the
-counts of its pre-apostrophe bases and each window sentence's first phrase
-token must equal ``scan_name_occurrences``, a fresh ``Counter`` of the
+counts of its pre-apostrophe bases that are gazetteer entries and each
+window sentence's first phrase token must equal
+``scan_name_occurrences``, a fresh ``Counter`` of the
 window and a scan of each sentence as the seed's ``_first_phrase_token``
 made (for the pronoun's own sentence, of the tokens left of it).  The
 extracted candidates, whose compounds the index grows as names enter it,
@@ -93,7 +94,8 @@ def check_document(doc, names, scope) -> None:
         sentence = work.sentence_index_of(mention.position)
         start = work.sentences[max(0, sentence - scope.max_back_sentences)].first
         window = work.tokens[start:mention.position]
-        assert work.names.bases == Counter(_split_apostrophe(token.surface)[0] for token in window)
+        bases = (_split_apostrophe(token.surface)[0] for token in window)
+        assert work.names.bases == Counter(base for base in bases if base in names)
         for k in range(max(0, sentence - scope.max_back_sentences), sentence + 1):
             own = work.sentences[k]
             left = range(own.first, min(own.last + 1, mention.position))

@@ -422,20 +422,20 @@ class TestReplacement:
         assert built <= text
 
     def test_window_base_counts_hold_at_most_twice_the_window_keys(self, names9):
-        # Counts of the bases gone from the window are pruned once they
-        # outnumber twice the window's tokens, so the keys do not grow with
-        # the document's vocabulary.
+        # A base whose count falls to zero leaves the counts at once, so
+        # the keys do not grow with the document's vocabulary.
         doc = _tiled_minicorpus(20)
         sizes = []
 
         def choose(work, mention, survivors, history):
             start = anafor.candidates._window_start(work, mention, SearchScope())
+            assert all(count > 0 for count in work.names.bases.values())
             sizes.append((len(work.names.bases), mention.position - start))
             return None
 
         walk_document(doc, names9, SearchScope(), None, choose)
         assert len(sizes) == len(doc.pronouns)
-        assert all(keys <= 2 * window for keys, window in sizes)
+        assert all(keys <= window for keys, window in sizes)
 
     def test_tokens_built_per_zero_do_not_grow_with_sentences(self):
         # Each sentence's zero but the first resolves to an Ali of an

@@ -1,6 +1,7 @@
 """``scoring.feature_vectors`` against the per-candidate ``feature_vector``
-of the seed (seed_walk.py), with every flag exactly a ``bool``, and the
-regex apostrophe split against the seed's ``min``-of-``find`` split."""
+of the seed (seed_walk.py), with every flag exactly a ``bool``, also where
+a gazetteer name is spelled as a pronoun form, and the regex apostrophe
+split against the seed's ``min``-of-``find`` split."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import seed_walk
 from anafor import constrained_candidates, parse_document
 from anafor.candidates import SearchScope
+from anafor.corpus import NameDictionary
 from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.scoring import feature_vectors
@@ -83,6 +85,19 @@ def test_texts_match_the_seed(text, back, names9):
 @given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.sampled_from(SCOPES))
 def test_generated_documents_match_the_seed(text, back):
     check_document(parse_document(text), PROP_DICT, SearchScope(back))
+
+
+def test_a_pronoun_form_spelled_as_a_name_counts_towards_repetition():
+    # "O" is a gazetteer entry spelled as the pronoun "o": a bare "O" is
+    # never a name, yet it repeats the base of the name "O'nu".
+    names = NameDictionary.from_names(["O", "Ahmet"])
+    doc = parse_document("O geldi . Ahmet O'nu gördü . <pro id=\"1\">o</pro> güldü .")
+    (pronoun,) = doc.pronouns
+    survivors = constrained_candidates(doc, pronoun, names)
+    assert [candidate.base_names for candidate in survivors] == [{"Ahmet"}, {"O"}]
+    vectors = feature_vectors(doc, pronoun, survivors, set())
+    assert [vector.repetition for vector in vectors] == [False, True]
+    check_document(doc, names, SearchScope())
 
 
 @settings(max_examples=1000)

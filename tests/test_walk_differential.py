@@ -1,6 +1,9 @@
 """The shared document walk against the seed's separate walks (seed_walk.py):
 paraphrases, traces, training instances and trained weights must match
-byte for byte."""
+byte for byte.  The text layer is held to its per-token reference on every
+document met: the parsed input and both paraphrases serialize to the same
+bytes, and their sentence spans and quote flags are the same, here and on
+token streams built to hit every rule of the marks."""
 
 from __future__ import annotations
 
@@ -9,13 +12,14 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seed_walk
 from anafor import (
     baseline_resolve_document,
     build_instances,
     format_trace,
+    load_dictionary,
     parse_document,
     resolve_document,
     serialize_document,
@@ -23,8 +27,13 @@ from anafor import (
 )
 from anafor.candidates import SearchScope
 from anafor.scoring import format_weights
+from anafor.textmodel import (
+    PUNCTUATION_TOKENS, QUOTE, SENTENCE_TERMINATORS, Number, PronounKind, PronounMention,
+    _quoted_flags, assemble_document, sentence_spans,
+)
 from conftest import FIXTURES, fixture_text
 from test_acceptance import FILLERS, PROP_DICT, PROP_NAMES, annotated_texts
+from test_golden import GOLDEN, _generated
 
 FIXTURE_FILES = sorted(
     path.relative_to(FIXTURES).as_posix()
@@ -44,8 +53,18 @@ def _outcome(run):
         return ("ValueError", str(exc))
 
 
+def assert_same_text(doc) -> None:
+    """``doc`` serializes to the reference's bytes, and its sentence spans
+    and quote flags are the reference's."""
+    assert serialize_document(doc) == seed_walk.serialize_document(doc)
+    assert sentence_spans(doc.surfaces) == seed_walk.sentence_spans(doc.surfaces)
+    flags = _quoted_flags(doc.surfaces, doc.sentence_of)
+    assert flags == seed_walk._quoted_flags(doc.surfaces, doc.sentence_of)
+
+
 def _resolve_bytes(resolve, doc, names, scope):
     resolved = resolve(doc, names, scope=scope)
+    assert_same_text(resolved.paraphrased)
     return serialize_document(resolved.paraphrased), format_trace(resolved.resolutions)
 
 
@@ -59,6 +78,7 @@ def _training_bytes(build, trainer, doc, names, scope):
 
 
 def assert_same_as_seed(doc, names, scope=SearchScope()) -> None:
+    assert_same_text(doc)
     assert _resolve_bytes(resolve_document, doc, names, scope) == _resolve_bytes(
         seed_walk.resolve_document, doc, names, scope
     )
@@ -127,3 +147,60 @@ def test_generated_documents_match_the_seed(text, back, data):
         for mention, names in zip(doc.pronouns, gold)
     ))
     assert_same_as_seed(doc, PROP_DICT, SearchScope(back))
+
+
+def test_generated_documents_serialize_as_the_reference():
+    # The golden digests' 100 documents from perfbench's generator, parsed
+    # and after either walk.
+    names = load_dictionary(GOLDEN / "generated.names")
+    for text in _generated():
+        doc = parse_document(text)
+        assert_same_text(doc)
+        assert_same_text(resolve_document(doc, names).paraphrased)
+        assert_same_text(baseline_resolve_document(doc, names).paraphrased)
+
+
+# Words, every mark alone, terminator runs and runs of quote marks.
+PIECES = [(word,) for word in ("Ali", "geldi", "Ayşe'yi", "onu")] * 3 + [
+    (mark,) for mark in sorted(PUNCTUATION_TOKENS)
+] + [(".", "."), ("!", "?"), ("…", ".", "!"), (QUOTE, QUOTE), (QUOTE, QUOTE, QUOTE)]
+ATTRIBUTES = [  # kind, number and gold antecedent of a mention
+    (kind, number, gold) for kind in PronounKind for number in Number
+    for gold in (None, frozenset({"Ali"}), frozenset({"Ali", "Ayşe"}))
+]
+
+
+@st.composite
+def mark_documents(draw):
+    """Documents of pieces, which may start with a mark and end on an
+    unpaired quote, with zeros at any token (token 0, a sentence start, a
+    closing quote) and overt pronouns ``onu`` in place of any word."""
+    surfaces = [surface for piece in draw(st.lists(st.sampled_from(PIECES))) for surface in piece]
+    pronouns, overt = [], set()
+    mentions = st.tuples(st.integers(0, 99), st.booleans(), st.sampled_from(ATTRIBUTES))
+    for slot, wants_overt, (kind, number, gold) in draw(st.lists(mentions, max_size=4)):
+        if not surfaces:
+            break
+        position = slot % len(surfaces)
+        word = surfaces[position] not in PUNCTUATION_TOKENS and position not in overt
+        surface = "onu" if wants_overt and word else ""
+        if surface:  # the word becomes the pronoun
+            surfaces[position] = surface
+            overt.add(position)
+        pronouns.append(PronounMention(len(pronouns), kind, number, position, surface, gold))
+    spans = seed_walk.sentence_spans(surfaces)
+    return assemble_document([surfaces[start:end] for start, end in spans], pronouns)
+
+
+def _zero(position, id_=0):
+    return PronounMention(id_, PronounKind.PERSONAL, Number.SINGULAR, position)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mark_documents())
+@example(doc=assemble_document([[",", "Ali", "."], ['"', "geldi"]], [_zero(0), _zero(3, 1)]))
+@example(doc=assemble_document([['"', "Ali", '"', "."], ["geldi", '"']], [_zero(2), _zero(2, 1)]))
+@example(doc=assemble_document([["Ali", '"', "geldi", ".", '"'], ['"', '"', "!", "!"]]))
+@example(doc=assemble_document([]))
+def test_mark_streams_match_the_reference(doc):
+    assert_same_text(doc)
