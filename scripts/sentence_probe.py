@@ -1,7 +1,8 @@
 """Cost per pronoun inside one long sentence, and the memory a parsed
 document holds per token.
 
-    PYTHONPATH=src python3 scripts/sentence_probe.py [--tokens 2000 8000] [--repeat 3]
+    PYTHONPATH=src python3 scripts/sentence_probe.py [--tokens 2000 8000 32000] \
+        [--chain 500 2000 8000] [--repeat 3]
 
 Two shapes of one sentence, each of ``--tokens`` tokens.  ``filler`` is
 filler words with ``Ali`` at its start and a reflexive zero pronoun before
@@ -17,6 +18,14 @@ copied (the surfaces the walk slices out of the input's columns and its
 own), the lookups plus the copies (the tokens touched) and the tests
 against the punctuation marks.  The counters are those of the tests
 (``tests/counting.py``).
+
+The ``chain`` shape is one sentence of ``--chain`` gazetteer names joined
+by ``ve``, then a sentence of ``CHAIN_ZEROS`` plural zeros, with the
+``CHAIN_DICTIONARY`` names at the default scope of 3.  Each zero takes the
+compound of all the names and is written in as it, so the next zero's
+window holds one more such chain.  Its line gives the best-of-``--repeat``
+milliseconds per pronoun and, from one more run, the members of the
+compound candidates built per pronoun.
 
 The line ``long`` parses the long-document probe: the first
 ``PROBE_DOCUMENTS`` documents of the benchmark's generator from
@@ -55,13 +64,17 @@ from anafor import (
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]
-from counting import calls, punctuation_lookups, surfaces_copied, tokens_built  # noqa: E402
+from counting import (  # noqa: E402
+    calls, compound_members, punctuation_lookups, surfaces_copied, tokens_built,
+)
 from perfbench import corpora  # noqa: E402
 from perfbench.workloads import DENSE_DOCUMENTS, LONG_STORY_TILES  # noqa: E402
 
 FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
 ZERO = '<zero id="{}" kind="refl" num="sg"/> '
 DICTIONARY = NameDictionary.from_names(["Ali", "Ayşe"])
+CHAIN_DICTIONARY = NameDictionary.from_names(["Ali", "Ayşe", "Fatma", "Murat"])
+CHAIN_ZEROS = 20
 PROBE_DOCUMENTS = 800  # ROADMAP's long-document probe
 
 
@@ -80,6 +93,27 @@ def commas_text(tokens: int) -> str:
     before ``güldü``, then the full stop."""
     zeros = " ".join(ZERO.format(i) + "güldü" for i in range(200))
     return ", " * (tokens - 202) + f"Ali {zeros} ."
+
+
+def chain_text(names: int) -> str:
+    """``names`` gazetteer names joined by ``ve``, then ``CHAIN_ZEROS``
+    plural zeros, each before ``güldü``."""
+    gazetteer = sorted(CHAIN_DICTIONARY)
+    chain = " ve ".join(gazetteer[i % len(gazetteer)] for i in range(names))
+    zeros = " ".join(
+        f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(CHAIN_ZEROS)
+    )
+    return f"{chain} geldi . {zeros} ."
+
+
+def best_ms_per_pronoun(doc, dictionary: NameDictionary, repeat: int) -> float:
+    """Best-of-``repeat`` milliseconds per pronoun of ``resolve_document``."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        resolve_document(doc, dictionary)
+        times.append(time.perf_counter() - start)
+    return round(1000 * min(times) / len(doc.pronouns), 3)
 
 
 def counted(doc) -> tuple[int, int, int, int]:
@@ -166,29 +200,39 @@ def bytes_held(text: str, dictionary: NameDictionary) -> tuple[int, int, int, in
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tokens", type=int, nargs="+", default=[2000, 8000])
+    parser.add_argument("--chain", type=int, nargs="+", default=[500, 2000])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     for length in args.tokens:
         for shape, text in (("filler", filler_text), ("commas", commas_text)):
             doc = parse_document(text(length))
             pronouns = len(doc.pronouns)
-            times = []
-            for _ in range(args.repeat):
-                start = time.perf_counter()
-                resolve_document(doc, DICTIONARY)
-                times.append(time.perf_counter() - start)
+            ms = best_ms_per_pronoun(doc, DICTIONARY, args.repeat)
             lookups, built, copied, punctuation = counted(doc)
             print(json.dumps({
                 "shape": shape,
                 "tokens": len(doc.surfaces),
                 "pronouns": pronouns,
-                "ms_per_pronoun": round(1000 * min(times) / pronouns, 3),
+                "ms_per_pronoun": ms,
                 "lookups_per_pronoun": round(lookups / pronouns, 2),
                 "tokens_built_per_pronoun": round(built / pronouns, 2),
                 "tokens_copied_per_pronoun": round(copied / pronouns, 2),
                 "tokens_touched_per_pronoun": round((lookups + copied) / pronouns, 2),
                 "punctuation_tests_per_pronoun": round(punctuation / pronouns, 2),
             }))
+    for names in args.chain:
+        doc = parse_document(chain_text(names))
+        ms = best_ms_per_pronoun(doc, CHAIN_DICTIONARY, args.repeat)
+        with compound_members() as members:
+            resolve_document(doc, CHAIN_DICTIONARY)
+        print(json.dumps({
+            "shape": "chain",
+            "names": names,
+            "tokens": len(doc.surfaces),
+            "pronouns": len(doc.pronouns),
+            "ms_per_pronoun": ms,
+            "compound_members_per_pronoun": round(members.n / len(doc.pronouns), 2),
+        }))
     tokens, pronouns, parsed, resolved = bytes_held(*long_document())
     print(json.dumps({
         "shape": "long",

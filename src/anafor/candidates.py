@@ -13,8 +13,8 @@ A :class:`NameIndex` is the one reader of a pronoun's window, for
 extraction and scoring alike: the walk's text carries one, or else each
 reads the window into a new one, of the gazetteer's or the survivors'
 names.  Both read the token columns, where a token's index is its offset.
-The index builds each candidate once, as its last name enters, and
-extraction copies them.
+The index builds each candidate once and keeps each number's candidates
+apart, so the constraints take a slice of one list, never a filter.
 """
 
 from __future__ import annotations
@@ -111,44 +111,60 @@ def scan_name_occurrences(
 
 
 class NameIndex:
-    """A pronoun's window: its candidates in ``(anchor, size)`` order, the
-    counts of its gazetteer bases, and each sentence's first
-    non-punctuation token read so far.  Each name makes a simple candidate.
-    A compound's names are two tokens apart, so one run per index parity
-    is open: a name extends it when it ends two tokens left, in the name's
-    sentence, behind a single ``ve``/``ile``, and the longer compound
-    replaces the shorter.  A document walk never changes a token left of
-    the pronoun it visits, nor starts a window left of the previous one
-    (and a window starts on a sentence, so it drops whole runs), so
-    :meth:`advance` reads each token once, analyses the suffix of the
-    gazetteer names only, and tests it against the punctuation marks only
-    until its sentence has a first phrase token.  Only a token whose base
-    is a gazetteer entry is counted, a pronoun form spelled like a name
-    too; a base whose count falls to zero leaves the counts."""
+    """A pronoun's window: its candidates of each number in ``(anchor,
+    size)`` order, the counts of its gazetteer bases, and each window
+    sentence's first non-punctuation token read so far.  A name makes a
+    simple candidate, plural when its suffix is.  A compound's names are two
+    tokens apart, so one run per index parity is open: a name extends it
+    when it ends two tokens left, in the name's sentence, behind a single
+    ``ve``/``ile``.  A run grows a list of members; its compound, always
+    plural, is built once a name that does not extend it arrives or
+    :meth:`advance` returns, and again if it grows.  A document walk never
+    changes a token left of the pronoun it visits, nor starts a window left
+    of the previous one (and a window starts on a sentence, so it drops
+    whole sentences), so :meth:`advance` reads each token once, analyses the
+    suffix of the gazetteer names only, and tests it against the punctuation
+    marks only until its sentence has a first phrase token.  Only a token
+    whose base is a gazetteer entry is counted, a pronoun form spelled like
+    a name too; a base whose count falls to zero leaves the counts."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.lexicon = dictionary, lexicon
-        self.candidates: list[Candidate] = []
+        self.singular, self.plural = [], []  # the candidates of each number
         self.bases: Counter[str] = Counter()
-        self.first_phrase: dict[int, int] = {}  # sentence -> token; grows as the text does
-        self._runs: list[Candidate | None] = [None, None]  # the open run of each parity
+        self.first_phrase: dict[int, int] = {}  # window sentence -> token, in sentence order
+        self._runs: list[list[NameOccurrence]] = [[], []]  # the open run of each parity
         self._hits, self._hit_bases = [], []  # the counted tokens and their bases, in token order
         self._start = self._end = 0  # the window start; tokens before _end are matched or skipped
 
+    @property
+    def candidates(self) -> list[Candidate]:
+        """Both numbers' candidates, merged in ``(anchor, size)`` order."""
+        return sorted(self.singular + self.plural, key=lambda c: (c.anchor, len(c.members)))
+
     def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
         start = _window_start(doc, pronoun, scope)
-        candidates, runs, bases = self.candidates, self._runs, self.bases
+        singular, plural, runs, bases = self.singular, self.plural, self._runs, self.bases
         if start > self._start:
-            drop = bisect_left(candidates, start, key=attrgetter("anchor"))
+            first = doc.sentence_of[start]
+            for kept in singular, plural:
+                del kept[:bisect_left(kept, first, key=attrgetter("sentence_index"))]
+            while self.first_phrase and (old := next(iter(self.first_phrase))) < first:
+                del self.first_phrase[old]
             gone = bisect_left(self._hits, start)
             for base in self._hit_bases[:gone]:
                 bases[base] -= 1
                 if not bases[base]:
                     del bases[base]
-            del candidates[:drop], self._hits[:gone], self._hit_bases[:gone]
+            del self._hits[:gone], self._hit_bases[:gone]
             self._start, self._end = start, max(start, self._end)
         entries, lexicon, first_phrase = self.dictionary.entries, self.lexicon, self.first_phrase
         surfaces, sentence_of, hits, new = doc.surfaces, doc.sentence_of, self._hits, []
+        pending = None  # the run whose compound is not built yet
+
+        def compound(run: list[NameOccurrence]) -> tuple:  # its candidate's fields
+            return tuple(run), CandidateKind.COMPOUND, sentence_of[run[0].token_index]
+
         for i in range(self._end, pronoun.position):
             surface, sentence = surfaces[i], sentence_of[i]
             if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
@@ -161,17 +177,22 @@ class NameIndex:
             occ = base and name_occurrence(surface, i, base, suffix, lexicon)
             if not occ:  # a pronoun form
                 continue
-            # Built unchecked: one member makes a SIMPLE candidate, two or more a COMPOUND.
-            candidates.append(tuple.__new__(Candidate, ((occ,), CandidateKind.SIMPLE, sentence)))
             run = runs[i % 2]
-            if run and run.anchor == i - 2 and sentence_of[i - 2] == sentence and (
-                    turkish_lower(surfaces[i - 1]) in LINKER_SURFACES):
-                if run.kind is CandidateKind.COMPOUND:
-                    # Only the candidates anchored at i - 1 and i follow it.
-                    del candidates[candidates.index(run, -4)]
-                compound = (run.members + (occ,), CandidateKind.COMPOUND, sentence)
-                candidates.append(tuple.__new__(Candidate, compound))
-            runs[i % 2] = candidates[-1]
+            if not (run and run[-1].token_index == i - 2 and sentence_of[i - 2] == sentence
+                    and turkish_lower(surfaces[i - 1]) in LINKER_SURFACES):
+                run = runs[i % 2] = []
+            if run is not pending:
+                if pending:
+                    plural.append(tuple.__new__(Candidate, compound(pending)))
+                if len(run) > 1:  # built before it grew: only i - 1 follows it
+                    del plural[plural.index(compound(run), -4)]
+                pending = run or None
+            run.append(occ)
+            # Built unchecked: one member makes a SIMPLE candidate.
+            simple = tuple.__new__(Candidate, ((occ,), CandidateKind.SIMPLE, sentence))
+            (plural if occ.plural_suffix else singular).append(simple)
+        if pending:
+            plural.append(tuple.__new__(Candidate, compound(pending)))
         bases.update(new)
         self._hit_bases += new
         self._end = pronoun.position
@@ -208,8 +229,8 @@ def extract_candidates(
     lexicon: Lexicon | None = None,
 ) -> list[Candidate]:
     """Simple and compound candidates for one pronoun, oldest anchor first
-    and the simple before the compound at one anchor: the window index's."""
-    return window_index(doc, pronoun, scope, dictionary, lexicon).candidates.copy()
+    and the simple before the compound at one anchor: the index's, merged."""
+    return window_index(doc, pronoun, scope, dictionary, lexicon).candidates
 
 
 def generate_sets(
@@ -266,15 +287,16 @@ def constrained_candidates(
     scope: SearchScope = SearchScope(),
     lexicon: Lexicon | None = None,
 ) -> list[Candidate]:
-    """Full candidate pipeline: extraction, conditional set generation,
-    constraints.  Set generation only kicks in for a plural pronoun whose
-    extracted candidates contain no plural form.  The survivors come in
-    ``(anchor, size)`` order unsorted: extraction gives that order, and
-    number agreement leaves a pronoun that generated sets only the sets,
-    one per sentence in sentence order."""
-    candidates = extract_candidates(doc, pronoun, dictionary, scope, lexicon)
-    if pronoun.number is Number.PLURAL and not any(
-        c.number is Number.PLURAL for c in candidates
-    ):
-        candidates += generate_sets(doc, pronoun, dictionary, scope, lexicon)
-    return apply_constraints(doc, pronoun, candidates)
+    """Full candidate pipeline, read off the window's index: the
+    candidates of the pronoun's number, or the sets when a plural pronoun
+    finds none; of these a reflexive keeps the last, the nearest, and a
+    personal pronoun the prefix before its own sentence.  So the survivors
+    come in ``(anchor, size)`` order, or the sets' sentence order."""
+    index = window_index(doc, pronoun, scope, dictionary, lexicon)
+    kept = index.plural if pronoun.number is Number.PLURAL else index.singular
+    if not kept and pronoun.number is Number.PLURAL:
+        kept = generate_sets(doc, pronoun, dictionary, scope, lexicon)
+    if pronoun.kind is PronounKind.REFLEXIVE:
+        return kept[-1:]
+    own = doc.sentence_of[pronoun.position]
+    return kept[:bisect_left(kept, own, key=attrgetter("sentence_index"))]

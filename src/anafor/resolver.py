@@ -10,8 +10,8 @@ the replacement is visible to later candidate extraction and scoring.
 Ambiguous pronouns stay in the text untouched.  The walk streams the
 text's token columns in up to each pronoun, :func:`replace_mention`
 splices each replacement into those columns alone, in place, and the
-text's name index reads each token once: no token is copied or read twice,
-so the cost per pronoun is flat across sentences and inside them.
+text's name index reads each token once and slices out the survivors, so
+the cost per pronoun is flat across sentences and inside them.
 The resolver picks the highest-scoring survivor; the baseline scores
 nothing, so the most recent survivor wins.  Scored entries are built as
 bare tuples, and the trace keeps one bit string per distinct vector.
@@ -108,18 +108,19 @@ def walk_document(
 
     The working text is the only Document over lists.  Candidates never lie
     right of a pronoun, so its columns are streamed in from ``doc`` only at
-    each pronoun, through its token, and after the last pronoun.  So a
-    splice has a tail of at most one token, no token left of the pronoun
-    moves, and its :class:`NameIndex` matches each token once and keeps the
-    window's base counts and first phrase tokens at ``scope``.  For each
-    pronoun in document order ``choose`` sees that text, which it must not
-    keep, the mention, its constrained survivors and the zero-pronoun
-    history, and returns the names to write in, or None to leave the
-    pronoun.  The text's mention list gets only the pronouns left in place;
-    nothing reads it before the walk ends.  The history is the set of name
-    sets written in for zero pronouns of earlier sentences: the zeros of a
-    sentence join it when the walk reaches the first pronoun of a later
-    sentence.  Returns the document with every chosen replacement made.
+    each pronoun, through its token, and after the last pronoun.  So a splice
+    has a tail of at most one token, no token left of the pronoun moves, and
+    its :class:`NameIndex` matches each token once and keeps the window's
+    candidates of each number, base counts and first phrase tokens at
+    ``scope``.  For each pronoun in document order ``choose`` sees that text,
+    which it must not keep, the mention, its survivors, sliced off the
+    index, and the zero-pronoun history, and returns the names to write in,
+    or None to leave the pronoun.  The text's mention list gets only the
+    pronouns left in place; nothing reads it before the walk ends.  The
+    history is the set of name sets written in for zero pronouns of earlier
+    sentences: the zeros of a sentence join it when the walk reaches the
+    first pronoun of a later sentence.  Returns the document with every
+    chosen replacement made.
     """
     work = WalkText([], [], [], [], NameIndex(dictionary, lexicon))
     columns = [(work.surfaces, doc.surfaces), (work.sentence_of, doc.sentence_of),

@@ -1,6 +1,7 @@
 """Counters of the work one call does, for the tests and for
 ``scripts/sentence_probe.py``: the ``Token``s it builds, the surfaces the
-document walk copies, the calls it makes of one function and its tests
+document walk copies, the calls it makes of one function, the reads of one
+property, the members of the compound candidates it builds and its tests
 against the punctuation marks.  None needs pytest."""
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator
 
+import anafor.candidates
 import anafor.resolver
+from anafor.candidates import CandidateKind
 from anafor.textmodel import PUNCTUATION_TOKENS, Document, Token
 
 
@@ -33,6 +36,47 @@ def calls(owner, name: str) -> Iterator[Count]:
         yield count
     finally:
         setattr(owner, name, original)
+
+
+@contextmanager
+def property_reads(owner: type, name: str) -> Iterator[Count]:
+    """Count the reads of the property ``owner.name`` in the block."""
+    count, original = Count(), vars(owner)[name]
+
+    def counting(self):
+        count.n += 1
+        return original.fget(self)
+
+    setattr(owner, name, property(counting))
+    try:
+        yield count
+    finally:
+        setattr(owner, name, original)
+
+
+@contextmanager
+def compound_members() -> Iterator[Count]:
+    """Count the members of the compound candidates built in the block.
+    ``anafor.candidates`` builds every candidate of its name index with
+    ``tuple.__new__(Candidate, fields)``, so for the block its name
+    ``tuple`` is a subclass whose ``__new__`` counts a compound's members
+    before it builds; called as ``tuple(iterable)``, it builds a plain tuple."""
+    count = Count()
+
+    class Counting(tuple):
+        def __new__(cls, *args):
+            if cls is Counting:
+                return tuple(*args)
+            (fields,) = args
+            if fields[1] is CandidateKind.COMPOUND:
+                count.n += len(fields[0])
+            return tuple.__new__(cls, fields)
+
+    anafor.candidates.tuple = Counting
+    try:
+        yield count
+    finally:
+        del anafor.candidates.tuple
 
 
 @contextmanager

@@ -4,10 +4,15 @@ counts of its pre-apostrophe bases that are gazetteer entries and each
 window sentence's first phrase token must equal
 ``scan_name_occurrences``, a fresh ``Counter`` of the
 window and a scan of each sentence as the seed's ``_first_phrase_token``
-made (for the pronoun's own sentence, of the tokens left of it).  The
+made (for the pronoun's own sentence, of the tokens left of it), and the
+index keeps first phrase tokens of window sentences only.  The
 extracted candidates, whose compounds the index grows as names enter it,
 must equal ``seed_walk.extract_candidates``, which merges each window's
-names afresh.  The survivors must equal, in order, those of
+names afresh.  The index keeps its candidates in one list per number, a
+rule that ``Candidate.number`` states too: each list must hold exactly the
+reference's candidates of its number, in order, and the two merged in
+``(anchor, size)`` order must give the reference back.  The survivors,
+which the index slices out of one list, must equal, in order, those of
 ``seed_walk.constrained_candidates``, which sorted every pronoun's
 survivors: the package sorts nothing, since extraction comes in
 ``(anchor, size)`` order and a pronoun that generates sets keeps only the
@@ -88,15 +93,22 @@ def check_document(doc, names, scope) -> None:
             for occ in occurrences
         ]
         extracted = extract_candidates(work, mention, names, scope)
-        assert extracted == seed_walk.extract_candidates(work, mention, names, scope)
-        assert extracted is not work.names.candidates
+        reference = seed_walk.extract_candidates(work, mention, names, scope)
+        assert extracted == reference
+        index = work.names
+        for kept, number in ((index.singular, Number.SINGULAR), (index.plural, Number.PLURAL)):
+            assert kept == [c for c in reference if c.number is number]
+            assert extracted is not kept
+        assert sorted(index.singular + index.plural, key=nearness) == reference
         check_constraints(work, mention, survivors, extracted, names, scope, rng)
         sentence = work.sentence_index_of(mention.position)
         start = work.sentences[max(0, sentence - scope.max_back_sentences)].first
         window = work.tokens[start:mention.position]
         bases = (_split_apostrophe(token.surface)[0] for token in window)
         assert work.names.bases == Counter(base for base in bases if base in names)
-        for k in range(max(0, sentence - scope.max_back_sentences), sentence + 1):
+        window_sentences = range(max(0, sentence - scope.max_back_sentences), sentence + 1)
+        assert set(work.names.first_phrase) <= set(window_sentences)
+        for k in window_sentences:
             own = work.sentences[k]
             left = range(own.first, min(own.last + 1, mention.position))
             words = [i for i in left if work.tokens[i].surface not in PUNCTUATION_TOKENS]

@@ -22,11 +22,13 @@ from anafor import (
     resolve_document,
     serialize_document,
 )
-from anafor.candidates import SearchScope, scan_name_occurrences
+from anafor.candidates import Candidate, SearchScope, scan_name_occurrences
 from anafor.resolver import walk_document
 from anafor.textmodel import Document, Sentence, Token
 from conftest import FIXTURES, fixture_text, replace_one
-from counting import calls, punctuation_lookups, surfaces_copied, tokens_built
+from counting import (
+    calls, compound_members, property_reads, punctuation_lookups, surfaces_copied, tokens_built,
+)
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep", "Tekin"]
@@ -540,6 +542,47 @@ class TestReplacement:
     def test_long_sentence_builds_each_token_once(self, tokens):
         _, copied, written, doc = self._probe_counts(tokens)
         assert copied <= len(doc.tokens) + written + len(doc.sentences)
+
+    @pytest.mark.parametrize("tokens", [2000, 8000])
+    def test_long_sentence_reads_no_candidate_but_the_survivors(self, tokens):
+        # A count, not a timing: each reflexive of the probe has every Ali
+        # written in before it as a candidate, tokens / 100 of them at the
+        # last one.  Filtering them by number reads Candidate.number of
+        # each, and taking the nearest reads the anchor of each; the name
+        # index keeps the candidates by number and hands a reflexive the
+        # last of its number, so the walk reads neither property.
+        doc = _probe(tokens)
+        with (
+            property_reads(Candidate, "number") as numbers,
+            property_reads(Candidate, "anchor") as anchors,
+        ):
+            resolved = resolve_document(doc, DICT)
+        survivors = sum(len(r.trace) for r in resolved.resolutions)
+        assert all(r.resolved for r in resolved.resolutions)
+        assert survivors == len(doc.pronouns)
+        assert numbers.n == 0
+        assert numbers.n + anchors.n <= survivors
+
+    def test_compound_members_built_per_pronoun_grow_linearly_with_the_chain(self):
+        # A count, not a timing: one sentence of n names joined by ve, then
+        # five plural zeros, each written in as the n-name compound that the
+        # next zero reads again.  Building a longer compound at each link
+        # copies the run so far, about n * n / 2 members per chain; a run
+        # that grows a list of members builds its compound once, n members.
+        names = sorted(DICT)
+
+        def members_per_pronoun(n):
+            chain = " ve ".join(names[i % len(names)] for i in range(n))
+            zeros = " ".join(f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(5))
+            doc = parse_document(f"{chain} geldi. {zeros}.")
+            with compound_members() as built:
+                resolved = resolve_document(doc, DICT)
+            assert [r.antecedent for r in resolved.resolutions] == [frozenset(names)] * 5
+            return built.n / len(doc.pronouns)
+
+        short, long = members_per_pronoun(300), members_per_pronoun(1200)
+        assert 0 < short <= 2 * 300
+        assert long <= 4 * short
 
     def test_window_reads_do_not_grow_with_survivors(self):
         # A count, not a timing: scoring that re-reads the window for each
