@@ -1,14 +1,33 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from anafor import NameDictionary, load_dictionary
 from anafor.candidates import SearchScope
 from anafor.resolver import walk_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+FIXTURE_FILES = sorted(
+    path.relative_to(FIXTURES).as_posix() for path in FIXTURES.glob("*/*.txt")
+)
+
+SCOPES = [0, 1, 3]
+
+# Inputs that the generators need not draw: zeros before a closing quote
+# mark, which are quoted though the mark's own flag is not, and sentences
+# led by punctuation, whose first phrase token comes later.
+TEXTS = [
+    '" Ali geldi . " Ayşe gitti . " Eve <zero id="1" kind="pers" num="sg"/> " dedi .',
+    'Ali " eve <zero id="1" kind="refl" num="sg"/> " gitti . Ayşe " <zero id="2" '
+    'kind="pers" num="sg"/> " güldü .',
+    ', , Ali geldi . , " Ayşe <zero id="1" kind="refl" num="sg"/> gitti " . , ! '
+    '<zero id="2" kind="pers" num="sg"/> güldü , Fatma <zero id="3" kind="pers" num="pl"/> .',
+]
 
 EXAMPLE_NAMES = (
     "Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep", "Tekin", "Ayla",
@@ -27,6 +46,21 @@ def replace_one(doc, mention, names):
         return names if visited.id == mention.id else None
 
     return walk_document(doc, NameDictionary.from_names([]), SearchScope(0), None, choose)
+
+
+@st.composite
+def quoted_texts(draw) -> str:
+    """Generated documents with quote marks before some filler words, so
+    quotes pair within and across sentences or stay unpaired."""
+    # test_acceptance imports this module, so its generator is read at draw time.
+    from test_acceptance import FILLERS, annotated_texts
+
+    text = draw(annotated_texts())
+    return re.sub(
+        r"\b(?:%s)\b" % "|".join(FILLERS),
+        lambda word: ('" ' if draw(st.booleans()) else "") + word.group(0),
+        text,
+    )
 
 
 @pytest.fixture(scope="session")

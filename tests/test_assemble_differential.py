@@ -5,7 +5,9 @@ The per-token build takes its quote flags from the per-token
 ``seed_walk._quoted_flags``.  A Document's ``tokens``, built from its
 columns in bulk, must equal one checked ``Token`` per offset, and its
 ``sentences``, read off its sentence column, the spans ``sentence_spans``
-finds in its surfaces.
+finds in its surfaces: ``assert_per_token_build`` checks this on parsed
+documents and both walks' paraphrases in the shared draw of generated
+documents in ``test_walk_differential.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from anafor import baseline_resolve_document, parse_document, resolve_document
+from anafor import parse_document
 from anafor.corpus import _checked_name
 from anafor.morphology import turkish_lower, turkish_upper
 from anafor.textmodel import (
@@ -27,13 +29,7 @@ from anafor.textmodel import (
     sentence_spans,
 )
 import seed_walk
-from conftest import FIXTURES, fixture_text
-from test_acceptance import PROP_DICT, annotated_texts
-from test_walk_differential import quoted_texts
-
-FIXTURE_FILES = sorted(
-    path.relative_to(FIXTURES).as_posix() for path in FIXTURES.glob("*/*.txt")
-)
+from conftest import FIXTURE_FILES, fixture_text
 
 # Whitespace by str.split (ASCII, U+001C, U+00A0, U+2003) and look-alikes
 # that are not (U+200B, U+FEFF), among plain letters and marks.
@@ -156,21 +152,12 @@ def per_token_tokens(doc: Document) -> tuple[Token, ...]:
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(annotated_texts(), quoted_texts()))
-def test_tokens_match_the_per_token_build(text):
-    # For parsed documents and both walks' paraphrases.
-    doc = parse_document(text)
-    for document in (
-        doc,
-        resolve_document(doc, PROP_DICT).paraphrased,
-        baseline_resolve_document(doc, PROP_DICT).paraphrased,
-    ):
-        assert document.tokens == per_token_tokens(document)
-        assert all(type(token) is Token for token in document.tokens)
-        assert document.sentences == tuple(
-            Sentence(a, b - 1) for a, b in sentence_spans(document.surfaces)
-        )
+def assert_per_token_build(document: Document) -> None:
+    assert document.tokens == per_token_tokens(document)
+    assert all(type(token) is Token for token in document.tokens)
+    assert document.sentences == tuple(
+        Sentence(a, b - 1) for a, b in sentence_spans(document.surfaces)
+    )
 
 
 NAMES = [

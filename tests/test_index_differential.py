@@ -18,7 +18,9 @@ survivors: the package sorts nothing, since extraction comes in
 ``(anchor, size)`` order and a pronoun that generates sets keeps only the
 sets, in sentence order.  ``apply_constraints`` keeps the order it is
 given, so on shuffled candidates it must keep the same survivors, and for a
-reflexive the same nearest one."""
+reflexive the same nearest one.  ``check_document`` runs here on the
+fixtures, ``TEXTS``, name chains and set texts, and on the shared draw of
+generated documents in ``test_walk_differential.py``."""
 
 from __future__ import annotations
 
@@ -38,13 +40,8 @@ from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.textmodel import PUNCTUATION_TOKENS, Number, PronounKind
 import seed_walk
-from conftest import fixture_text
-from test_acceptance import (
-    FILLERS, NAME_SUFFIXES, OVERT_FORMS, PROP_DICT, PROP_NAMES, annotated_texts,
-)
-from test_walk_differential import FIXTURE_FILES, TEXTS, quoted_texts
-
-SCOPES = [0, 1, 3]
+from conftest import FIXTURE_FILES, SCOPES, TEXTS, fixture_text
+from test_acceptance import FILLERS, NAME_SUFFIXES, OVERT_FORMS, PROP_DICT, PROP_NAMES
 
 
 def nearness(candidate: Candidate) -> tuple[int, int]:
@@ -132,12 +129,6 @@ def test_fixtures_match_the_scan(relative, back, names9):
 @pytest.mark.parametrize("back", SCOPES)
 def test_texts_match_the_scan(text, back, names9):
     check_document(parse_document(text), names9, SearchScope(back))
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.sampled_from(SCOPES))
-def test_generated_documents_match_the_scan(text, back):
-    check_document(parse_document(text), PROP_DICT, SearchScope(back))
 
 
 # "Ve" and "İle" lower-case to linkers: between two names such a name both

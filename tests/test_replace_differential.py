@@ -1,23 +1,17 @@
 """The walk's spliced ``replace_mention`` against the seed's
 whole-document re-assembly (seed_walk.py): a walk that writes names in for
 one mention alone must leave every token field, the sentences and the
-remaining mentions as the seed's one replacement does."""
+remaining mentions as the seed's one replacement does, on the fixtures, on
+edge cases and on the shared draw of generated documents in
+``test_walk_differential.py``."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import seed_walk
 from anafor import parse_document
-from conftest import FIXTURES, fixture_text, replace_one
-from test_acceptance import annotated_texts
-from test_walk_differential import quoted_texts
-
-FIXTURE_FILES = sorted(
-    path.relative_to(FIXTURES).as_posix()
-    for path in FIXTURES.glob("*/*.txt")
-)
+from conftest import FIXTURE_FILES, fixture_text, replace_one
 
 NAME_LISTS = (["Ali"], ["Ayşe", "Murat"])
 
@@ -76,9 +70,3 @@ def test_quote_mark_name_is_rejected():
     doc = parse_document(f"Ali geldi. {ZERO.format(1)} Gitti.")
     with pytest.raises(ValueError, match="quote mark"):
         replace_one(doc, doc.pronouns[0], ['"'])
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=st.one_of(annotated_texts(), quoted_texts()))
-def test_generated_replacements_match_the_seed(text):
-    assert_every_replacement_matches(parse_document(text))

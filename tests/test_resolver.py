@@ -25,17 +25,13 @@ from anafor import (
 from anafor.candidates import Candidate, SearchScope, scan_name_occurrences
 from anafor.resolver import walk_document
 from anafor.textmodel import Document, Sentence, Token
-from conftest import FIXTURES, fixture_text, replace_one
+from conftest import FIXTURE_FILES, fixture_text, replace_one
 from counting import (
     calls, compound_members, property_reads, punctuation_lookups, surfaces_copied, tokens_built,
 )
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep", "Tekin"]
-)
-
-FIXTURE_FILES = sorted(
-    path.relative_to(FIXTURES).as_posix() for path in FIXTURES.glob("*/*.txt")
 )
 
 ZERO = '<zero id="{}" kind="pers" num="sg"/>'

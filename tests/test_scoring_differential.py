@@ -1,7 +1,9 @@
 """``scoring.feature_vectors`` against the per-candidate ``feature_vector``
 of the seed (seed_walk.py), with every flag exactly a ``bool``, also where
 a gazetteer name is spelled as a pronoun form, and the regex apostrophe
-split against the seed's ``min``-of-``find`` split."""
+split against the seed's ``min``-of-``find`` split.  ``check_document``
+runs here on the fixtures and ``TEXTS``, and on the shared draw of
+generated documents in ``test_walk_differential.py``."""
 
 from __future__ import annotations
 
@@ -15,11 +17,7 @@ from anafor.corpus import NameDictionary
 from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.scoring import feature_vectors
-from conftest import fixture_text
-from test_acceptance import PROP_DICT, annotated_texts
-from test_walk_differential import FIXTURE_FILES, TEXTS, quoted_texts
-
-SCOPES = [0, 1, 3]
+from conftest import FIXTURE_FILES, SCOPES, TEXTS, fixture_text
 
 
 def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope) -> None:
@@ -79,12 +77,6 @@ def test_fixtures_match_the_seed(relative, back, names9):
 @pytest.mark.parametrize("back", SCOPES)
 def test_texts_match_the_seed(text, back, names9):
     check_document(parse_document(text), names9, SearchScope(back))
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.sampled_from(SCOPES))
-def test_generated_documents_match_the_seed(text, back):
-    check_document(parse_document(text), PROP_DICT, SearchScope(back))
 
 
 def test_a_pronoun_form_spelled_as_a_name_counts_towards_repetition():

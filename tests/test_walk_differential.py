@@ -3,7 +3,14 @@ paraphrases, traces, training instances and trained weights must match
 byte for byte.  The text layer is held to its per-token reference on every
 document met: the parsed input and both paraphrases serialize to the same
 bytes, and their sentence spans and quote flags are the same, here and on
-token streams built to hit every rule of the marks."""
+token streams built to hit every rule of the marks.
+
+Generated documents are drawn here once for every layer:
+``test_generated_documents_match_the_seed`` parses each drawn text once,
+runs the package's resolve and baseline walks on it once, and hands the
+results to each layer's checker: the index, scoring, replace and assemble
+differentials' and the serialize round trips of ``test_corpus.py``.  No
+other test module draws ``quoted_texts()`` (``test_shared_draw.py``)."""
 
 from __future__ import annotations
 
@@ -15,6 +22,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seed_walk
+import test_index_differential
+import test_scoring_differential
 from anafor import (
     baseline_resolve_document,
     build_instances,
@@ -31,14 +40,12 @@ from anafor.textmodel import (
     PUNCTUATION_TOKENS, QUOTE, SENTENCE_TERMINATORS, Number, PronounKind, PronounMention,
     _quoted_flags, assemble_document, sentence_spans,
 )
-from conftest import FIXTURES, fixture_text
-from test_acceptance import FILLERS, PROP_DICT, PROP_NAMES, annotated_texts
+from conftest import FIXTURE_FILES, TEXTS, fixture_text, quoted_texts
+from test_acceptance import PROP_DICT, PROP_NAMES, annotated_texts
+from test_assemble_differential import assert_per_token_build
+from test_corpus import assert_round_trip
 from test_golden import GOLDEN, _generated
-
-FIXTURE_FILES = sorted(
-    path.relative_to(FIXTURES).as_posix()
-    for path in FIXTURES.glob("*/*.txt")
-)
+from test_replace_differential import assert_every_replacement_matches
 
 GOLD_SETS = [frozenset({name}) for name in PROP_NAMES] + [
     frozenset(pair) for pair in combinations(PROP_NAMES[:3], 2)
@@ -62,8 +69,7 @@ def assert_same_text(doc) -> None:
     assert flags == seed_walk._quoted_flags(doc.surfaces, doc.sentence_of)
 
 
-def _resolve_bytes(resolve, doc, names, scope):
-    resolved = resolve(doc, names, scope=scope)
+def _resolve_bytes(resolved):
     assert_same_text(resolved.paraphrased)
     return serialize_document(resolved.paraphrased), format_trace(resolved.resolutions)
 
@@ -77,13 +83,23 @@ def _training_bytes(build, trainer, doc, names, scope):
     return _outcome(run)
 
 
-def assert_same_as_seed(doc, names, scope=SearchScope()) -> None:
-    assert_same_text(doc)
-    assert _resolve_bytes(resolve_document, doc, names, scope) == _resolve_bytes(
-        seed_walk.resolve_document, doc, names, scope
+def package_walks(doc, names, scope):
+    """The package's resolve and baseline results on ``doc``."""
+    return (
+        resolve_document(doc, names, scope=scope),
+        baseline_resolve_document(doc, names, scope=scope),
     )
-    assert _resolve_bytes(baseline_resolve_document, doc, names, scope) == _resolve_bytes(
-        seed_walk.baseline_resolve_document, doc, names, scope
+
+
+def assert_same_as_seed(doc, names, scope=SearchScope(), walks=None) -> None:
+    """``walks`` are ``package_walks(doc, names, scope)``, run here if not given."""
+    resolved, baseline = walks or package_walks(doc, names, scope)
+    assert_same_text(doc)
+    assert _resolve_bytes(resolved) == _resolve_bytes(
+        seed_walk.resolve_document(doc, names, scope=scope)
+    )
+    assert _resolve_bytes(baseline) == _resolve_bytes(
+        seed_walk.baseline_resolve_document(doc, names, scope=scope)
     )
     assert _training_bytes(build_instances, train, doc, names, scope) == _training_bytes(
         seed_walk.build_instances, seed_walk.train, doc, names, scope
@@ -94,18 +110,6 @@ def assert_same_as_seed(doc, names, scope=SearchScope()) -> None:
 @pytest.mark.parametrize("back", [1, 3, 4])
 def test_fixtures_match_the_seed(relative, back, names9):
     assert_same_as_seed(parse_document(fixture_text(relative)), names9, SearchScope(back))
-
-
-# Inputs that the generators need not draw: zeros before a closing quote
-# mark, which are quoted though the mark's own flag is not, and sentences
-# led by punctuation, whose first phrase token comes later.
-TEXTS = [
-    '" Ali geldi . " Ayşe gitti . " Eve <zero id="1" kind="pers" num="sg"/> " dedi .',
-    'Ali " eve <zero id="1" kind="refl" num="sg"/> " gitti . Ayşe " <zero id="2" '
-    'kind="pers" num="sg"/> " güldü .',
-    ', , Ali geldi . , " Ayşe <zero id="1" kind="refl" num="sg"/> gitti " . , ! '
-    '<zero id="2" kind="pers" num="sg"/> güldü , Fatma <zero id="3" kind="pers" num="pl"/> .',
-]
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -123,30 +127,29 @@ def test_tiled_minicorpus_matches_the_seed(names9):
     assert_same_as_seed(parse_document("\n".join(tiles)), names9)
 
 
-@st.composite
-def quoted_texts(draw) -> str:
-    """Generated documents with quote marks before some filler words, so
-    quotes pair within and across sentences or stay unpaired."""
-    text = draw(annotated_texts())
-    return re.sub(
-        r"\b(?:%s)\b" % "|".join(FILLERS),
-        lambda word: ('" ' if draw(st.booleans()) else "") + word.group(0),
-        text,
-    )
-
-
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.integers(0, 3),
        data=st.data())
 def test_generated_documents_match_the_seed(text, back, data):
+    # Every layer's checks on one draw, the text layer's first, so that a
+    # layer's own checker is the first to fail on a fault in that layer.
     doc = parse_document(text)
     gold = data.draw(st.lists(st.sampled_from(GOLD_SETS), min_size=len(doc.pronouns),
                               max_size=len(doc.pronouns)))
-    doc = dataclasses.replace(doc, pronouns=tuple(
+    annotated = dataclasses.replace(doc, pronouns=tuple(
         dataclasses.replace(mention, gold_antecedent=names)
         for mention, names in zip(doc.pronouns, gold)
     ))
-    assert_same_as_seed(doc, PROP_DICT, SearchScope(back))
+    scope = SearchScope(back)
+    walks = package_walks(annotated, PROP_DICT, scope)
+    paraphrases = [walked.paraphrased for walked in walks]
+    for document in (doc, *paraphrases):
+        assert_per_token_build(document)
+        assert_round_trip(document)
+    assert_every_replacement_matches(doc)
+    test_index_differential.check_document(doc, PROP_DICT, scope)
+    test_scoring_differential.check_document(doc, PROP_DICT, scope)
+    assert_same_as_seed(annotated, PROP_DICT, scope, walks)
 
 
 def test_generated_documents_serialize_as_the_reference():
