@@ -64,5 +64,22 @@ def quoted_texts(draw) -> str:
 
 
 @pytest.fixture(scope="session")
+def shared_draw() -> dict[str, str | None]:
+    """Each layer's report on the one draw of generated documents,
+    ``test_walk_differential.check_generated_documents``, made once for
+    every test that reads it."""
+    from test_walk_differential import check_generated_documents
+
+    return check_generated_documents()
+
+
+def assert_layer_passed(shared_draw, layer: str) -> None:
+    report = shared_draw[layer]  # a KeyError for a layer that is not checked
+    if report is not None:
+        pytest.fail(f"the {layer} checks failed on a generated document: {report}",
+                    pytrace=False)
+
+
+@pytest.fixture(scope="session")
 def names9() -> NameDictionary:
     return load_dictionary(FIXTURES / "names9.txt")

@@ -29,7 +29,7 @@ from anafor.textmodel import (
     sentence_spans,
 )
 import seed_walk
-from conftest import FIXTURE_FILES, fixture_text
+from conftest import FIXTURE_FILES, assert_layer_passed, fixture_text
 
 # Whitespace by str.split (ASCII, U+001C, U+00A0, U+2003) and look-alikes
 # that are not (U+200B, U+FEFF), among plain letters and marks.
@@ -158,6 +158,11 @@ def assert_per_token_build(document: Document) -> None:
     assert document.sentences == tuple(
         Sentence(a, b - 1) for a, b in sentence_spans(document.surfaces)
     )
+
+
+def test_tokens_match_the_per_token_build(shared_draw):
+    # For parsed documents and both walks' paraphrases.
+    assert_layer_passed(shared_draw, "assemble")
 
 
 NAMES = [

@@ -19,7 +19,7 @@ from anafor import (
     resolve_document,
     serialize_document,
 )
-from conftest import EXAMPLE_NAMES, FIXTURES, fixture_text
+from conftest import EXAMPLE_NAMES, FIXTURES, assert_layer_passed, fixture_text
 from test_acceptance import PROP_DICT
 
 CORPORA = sorted((FIXTURES / "corpora").glob("*.txt")) + [
@@ -281,6 +281,12 @@ class TestSerializeDocument:
     @pytest.mark.parametrize("path", CORPORA, ids=lambda p: p.stem)
     def test_round_trip_on_fixtures(self, path):
         assert_round_trip(parse_document(path.read_text(encoding="utf-8")))
+
+    def test_round_trip_on_generated_texts(self, shared_draw):
+        assert_layer_passed(shared_draw, "round trip")
+
+    def test_round_trip_on_paraphrases(self, shared_draw):
+        assert_layer_passed(shared_draw, "paraphrase round trip")
 
     def test_round_trip_of_a_zero_before_a_closing_quote(self):
         # The closing quote ends the second sentence, so the zero anchors to

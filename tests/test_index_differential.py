@@ -40,7 +40,7 @@ from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.textmodel import PUNCTUATION_TOKENS, Number, PronounKind
 import seed_walk
-from conftest import FIXTURE_FILES, SCOPES, TEXTS, fixture_text
+from conftest import FIXTURE_FILES, SCOPES, TEXTS, assert_layer_passed, fixture_text
 from test_acceptance import FILLERS, NAME_SUFFIXES, OVERT_FORMS, PROP_DICT, PROP_NAMES
 
 
@@ -129,6 +129,10 @@ def test_fixtures_match_the_scan(relative, back, names9):
 @pytest.mark.parametrize("back", SCOPES)
 def test_texts_match_the_scan(text, back, names9):
     check_document(parse_document(text), names9, SearchScope(back))
+
+
+def test_generated_documents_match_the_scan(shared_draw):
+    assert_layer_passed(shared_draw, "index")
 
 
 # "Ve" and "İle" lower-case to linkers: between two names such a name both

@@ -11,7 +11,7 @@ import pytest
 
 import seed_walk
 from anafor import parse_document
-from conftest import FIXTURE_FILES, fixture_text, replace_one
+from conftest import FIXTURE_FILES, assert_layer_passed, fixture_text, replace_one
 
 NAME_LISTS = (["Ali"], ["Ayşe", "Murat"])
 
@@ -70,3 +70,7 @@ def test_quote_mark_name_is_rejected():
     doc = parse_document(f"Ali geldi. {ZERO.format(1)} Gitti.")
     with pytest.raises(ValueError, match="quote mark"):
         replace_one(doc, doc.pronouns[0], ['"'])
+
+
+def test_generated_replacements_match_the_seed(shared_draw):
+    assert_layer_passed(shared_draw, "replace")

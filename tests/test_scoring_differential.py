@@ -17,7 +17,7 @@ from anafor.corpus import NameDictionary
 from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.scoring import feature_vectors
-from conftest import FIXTURE_FILES, SCOPES, TEXTS, fixture_text
+from conftest import FIXTURE_FILES, SCOPES, TEXTS, assert_layer_passed, fixture_text
 
 
 def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope) -> None:
@@ -77,6 +77,10 @@ def test_fixtures_match_the_seed(relative, back, names9):
 @pytest.mark.parametrize("back", SCOPES)
 def test_texts_match_the_seed(text, back, names9):
     check_document(parse_document(text), names9, SearchScope(back))
+
+
+def test_generated_documents_match_the_seed(shared_draw):
+    assert_layer_passed(shared_draw, "scoring")
 
 
 def test_a_pronoun_form_spelled_as_a_name_counts_towards_repetition():

@@ -1,8 +1,9 @@
 """Generated documents are drawn once, for every layer, by
-``test_walk_differential.test_generated_documents_match_the_seed``: no
-other test module may pass ``quoted_texts()`` or ``annotated_texts()`` to
-``@given``.  A new differential hands its checker to that test instead of
-drawing the same documents again.  ``test_acceptance.py``'s own draw of
+``test_walk_differential.check_generated_documents``: no other test module
+may pass ``quoted_texts()`` or ``annotated_texts()`` to ``@given``.  A new
+differential hands its checker to that function, and reads its layer's
+report from the ``shared_draw`` fixture, instead of drawing the same
+documents again.  ``test_acceptance.py``'s own draw of
 ``annotated_texts()`` is exempt.
 """
 

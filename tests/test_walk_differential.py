@@ -6,16 +6,21 @@ bytes, and their sentence spans and quote flags are the same, here and on
 token streams built to hit every rule of the marks.
 
 Generated documents are drawn here once for every layer:
-``test_generated_documents_match_the_seed`` parses each drawn text once,
-runs the package's resolve and baseline walks on it once, and hands the
-results to each layer's checker: the index, scoring, replace and assemble
-differentials' and the serialize round trips of ``test_corpus.py``.  No
-other test module draws ``quoted_texts()`` (``test_shared_draw.py``)."""
+``check_generated_documents`` parses each drawn text once, runs the
+package's resolve and baseline walks on it once, and hands the results to
+each layer's checker: this module's, the index, scoring, replace and
+assemble differentials' and the serialize round trips of
+``test_corpus.py``.  It runs once per session, as conftest.py's
+``shared_draw`` fixture, and each layer's ``test_generated_*`` or
+``test_round_trip_on_*`` test reports that layer's failure.  No other test
+module draws ``quoted_texts()`` (``test_shared_draw.py``)."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
+import traceback
 from itertools import combinations
 
 import pytest
@@ -40,7 +45,7 @@ from anafor.textmodel import (
     PUNCTUATION_TOKENS, QUOTE, SENTENCE_TERMINATORS, Number, PronounKind, PronounMention,
     _quoted_flags, assemble_document, sentence_spans,
 )
-from conftest import FIXTURE_FILES, TEXTS, fixture_text, quoted_texts
+from conftest import FIXTURE_FILES, TEXTS, assert_layer_passed, fixture_text, quoted_texts
 from test_acceptance import PROP_DICT, PROP_NAMES, annotated_texts
 from test_assemble_differential import assert_per_token_build
 from test_corpus import assert_round_trip
@@ -127,29 +132,74 @@ def test_tiled_minicorpus_matches_the_seed(names9):
     assert_same_as_seed(parse_document("\n".join(tiles)), names9)
 
 
-@settings(max_examples=400, deadline=None)
-@given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.integers(0, 3),
-       data=st.data())
-def test_generated_documents_match_the_seed(text, back, data):
-    # Every layer's checks on one draw, the text layer's first, so that a
-    # layer's own checker is the first to fail on a fault in that layer.
-    doc = parse_document(text)
-    gold = data.draw(st.lists(st.sampled_from(GOLD_SETS), min_size=len(doc.pronouns),
-                              max_size=len(doc.pronouns)))
-    annotated = dataclasses.replace(doc, pronouns=tuple(
-        dataclasses.replace(mention, gold_antecedent=names)
-        for mention, names in zip(doc.pronouns, gold)
-    ))
-    scope = SearchScope(back)
-    walks = package_walks(annotated, PROP_DICT, scope)
-    paraphrases = [walked.paraphrased for walked in walks]
-    for document in (doc, *paraphrases):
-        assert_per_token_build(document)
-        assert_round_trip(document)
-    assert_every_replacement_matches(doc)
-    test_index_differential.check_document(doc, PROP_DICT, scope)
-    test_scoring_differential.check_document(doc, PROP_DICT, scope)
-    assert_same_as_seed(annotated, PROP_DICT, scope, walks)
+# The layers checked on each generated document, each reported by its
+# own test through the ``shared_draw`` fixture of conftest.py.
+LAYERS = (
+    "walk", "index", "scoring", "replace", "assemble", "round trip", "paraphrase round trip",
+)
+
+
+def check_generated_documents() -> dict[str, str | None]:
+    """Every layer's checks on one draw of 400 generated documents: for
+    each of ``LAYERS``, the report of its failure, or None.  A layer's
+    failure does not stop the other layers' checks on that document."""
+    failures = dict.fromkeys(LAYERS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(annotated_texts(), quoted_texts()), back=st.integers(0, 3),
+           data=st.data())
+    def check(text, back, data):
+        doc = parse_document(text)
+        gold = data.draw(st.lists(st.sampled_from(GOLD_SETS), min_size=len(doc.pronouns),
+                                  max_size=len(doc.pronouns)))
+        annotated = dataclasses.replace(doc, pronouns=tuple(
+            dataclasses.replace(mention, gold_antecedent=names)
+            for mention, names in zip(doc.pronouns, gold)
+        ))
+        scope = SearchScope(back)
+        walks = functools.cache(lambda: package_walks(annotated, PROP_DICT, scope))
+
+        def paraphrases():
+            return [walked.paraphrased for walked in walks()]
+
+        def per_token_build():
+            for document in (doc, *paraphrases()):
+                assert_per_token_build(document)
+
+        def paraphrase_round_trips():
+            for paraphrased in paraphrases():
+                assert_round_trip(paraphrased)
+
+        checks = {
+            "walk": lambda: assert_same_as_seed(annotated, PROP_DICT, scope, walks()),
+            "index": lambda: test_index_differential.check_document(doc, PROP_DICT, scope),
+            "scoring": lambda: test_scoring_differential.check_document(doc, PROP_DICT, scope),
+            "replace": lambda: assert_every_replacement_matches(doc),
+            "assemble": per_token_build,
+            "round trip": lambda: assert_round_trip(doc),
+            "paraphrase round trip": paraphrase_round_trips,
+        }
+        failed = []
+        for layer in LAYERS:
+            try:
+                checks[layer]()
+            except Exception:
+                failures[layer] = f"text={text!r}, back={back}\n{traceback.format_exc()}"
+                failed.append(layer)
+        assert not failed, f"failed layers: {', '.join(failed)}"
+
+    try:
+        check()
+    except Exception:
+        # Hypothesis replays the shrunk example last, so each layer keeps
+        # the smallest failing document it met; anything else is raised.
+        if not any(failures.values()):
+            raise
+    return failures
+
+
+def test_generated_documents_match_the_seed(shared_draw):
+    assert_layer_passed(shared_draw, "walk")
 
 
 def test_generated_documents_serialize_as_the_reference():
