@@ -16,8 +16,10 @@ index splits each window token once to look up its base), the ``Token``
 records built (none: the walk reads and splices token columns), the tokens
 copied (the surfaces the walk slices out of the input's columns and its
 own), the lookups plus the copies (the tokens touched) and the tests
-against the punctuation marks.  The counters are those of the tests
-(``tests/counting.py``).
+against the punctuation marks.  The documents and the counters are those
+of the count pins (``tests/counting.py``): the lookups and the records
+built are the runs of ``_split_apostrophe``, and of ``Token.__new__`` and
+a Token's ``Token._make``, under whatever name they are called.
 
 The ``chain`` shape is one sentence of ``--chain`` gazetteer names joined
 by ``ve``, then a sentence of ``CHAIN_ZEROS`` plural zeros, with the
@@ -56,54 +58,26 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import anafor.candidates
 from anafor import (
     NameDictionary, default_lexicon, format_trace, parse_document, resolve_document,
     serialize_document,
 )
+from anafor.morphology import _split_apostrophe
+from anafor.textmodel import Token
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]
 from counting import (  # noqa: E402
-    calls, compound_members, punctuation_lookups, surfaces_copied, tokens_built,
+    builds_token, chain_text, commas_text, compound_members, filler_text, punctuation_lookups,
+    runs, surfaces_copied,
 )
 from perfbench import corpora  # noqa: E402
 from perfbench.workloads import DENSE_DOCUMENTS, LONG_STORY_TILES  # noqa: E402
 
-FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
-ZERO = '<zero id="{}" kind="refl" num="sg"/> '
 DICTIONARY = NameDictionary.from_names(["Ali", "Ayşe"])
 CHAIN_DICTIONARY = NameDictionary.from_names(["Ali", "Ayşe", "Fatma", "Murat"])
 CHAIN_ZEROS = 20
 PROBE_DOCUMENTS = 800  # ROADMAP's long-document probe
-
-
-def filler_text(tokens: int) -> str:
-    """``Ali``, then ``tokens - 2`` filler words with a reflexive zero
-    before every 50th token, then the full stop."""
-    words = ["Ali"]
-    for i in range(1, tokens - 1):
-        zero = ZERO.format(i // 50) if i % 50 == 0 else ""
-        words.append(zero + FILLERS[i % len(FILLERS)])
-    return " ".join(words) + " ."
-
-
-def commas_text(tokens: int) -> str:
-    """``tokens - 202`` commas, then ``Ali``, then 200 reflexive zeros each
-    before ``güldü``, then the full stop."""
-    zeros = " ".join(ZERO.format(i) + "güldü" for i in range(200))
-    return ", " * (tokens - 202) + f"Ali {zeros} ."
-
-
-def chain_text(names: int) -> str:
-    """``names`` gazetteer names joined by ``ve``, then ``CHAIN_ZEROS``
-    plural zeros, each before ``güldü``."""
-    gazetteer = sorted(CHAIN_DICTIONARY)
-    chain = " ve ".join(gazetteer[i % len(gazetteer)] for i in range(names))
-    zeros = " ".join(
-        f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(CHAIN_ZEROS)
-    )
-    return f"{chain} geldi . {zeros} ."
 
 
 def best_ms_per_pronoun(doc, dictionary: NameDictionary, repeat: int) -> float:
@@ -120,13 +94,14 @@ def counted(doc) -> tuple[int, int, int, int]:
     """Gazetteer lookups, ``Token``s built, tokens copied and punctuation
     tests by one resolve of ``doc``."""
     with (
-        calls(anafor.candidates, "_split_apostrophe") as lookups,
-        tokens_built() as built,
+        runs(_split_apostrophe) as lookups,
+        runs(Token.__new__) as checked,
+        runs(Token._make, builds_token) as made,
         surfaces_copied(doc) as (copied, counting),
         punctuation_lookups() as punctuation,
     ):
         resolve_document(counting, DICTIONARY)
-    return lookups.n, built.n, copied.n, punctuation.n
+    return lookups.n, checked.n + made.n, copied.n, punctuation.n
 
 
 def generated(count: int) -> tuple[list[str], NameDictionary]:
@@ -204,8 +179,9 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     for length in args.tokens:
-        for shape, text in (("filler", filler_text), ("commas", commas_text)):
-            doc = parse_document(text(length))
+        shapes = ("filler", filler_text(length)), ("commas", commas_text(length - 202))
+        for shape, text in shapes:
+            doc = parse_document(text)
             pronouns = len(doc.pronouns)
             ms = best_ms_per_pronoun(doc, DICTIONARY, args.repeat)
             lookups, built, copied, punctuation = counted(doc)
@@ -221,7 +197,7 @@ def main() -> None:
                 "punctuation_tests_per_pronoun": round(punctuation / pronouns, 2),
             }))
     for names in args.chain:
-        doc = parse_document(chain_text(names))
+        doc = parse_document(chain_text(sorted(CHAIN_DICTIONARY), names, CHAIN_ZEROS))
         ms = best_ms_per_pronoun(doc, CHAIN_DICTIONARY, args.repeat)
         with compound_members() as members:
             resolve_document(doc, CHAIN_DICTIONARY)

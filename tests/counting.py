@@ -1,20 +1,37 @@
-"""Counters of the work one call does, for the tests and for
-``scripts/sentence_probe.py``: the ``Token``s it builds, the surfaces the
-document walk copies, the calls it makes of one function, the reads of one
-property, the members of the compound candidates it builds and its tests
-against the punctuation marks.  None needs pytest."""
+"""Counters of the work one call does, and the long-sentence documents
+they are read on, for the tests and for ``scripts/sentence_probe.py``.
+None needs pytest.
+
+``runs`` counts the frames that run one function's code, whatever name
+or binding reaches it: a call through a local alias or another module's
+import counts too.  Three counters patch a name instead, because the work
+they count runs no Python frame: ``compound_members`` (candidates built by
+``tuple.__new__``), ``surfaces_copied`` (slices of the token columns) and
+``punctuation_lookups`` (tests of membership in ``PUNCTUATION_TOKENS``).
+They, and no other module of the tests or scripts, assign to the package's
+names (``tests/test_counting.py`` checks the sources).
+
+The documents are long sentences: ``filler_text``, a name and filler
+words with a reflexive zero before every 50th token; ``commas_text``,
+commas before the name and its reflexives; and ``chain_text``, names
+joined by ``ve``, then a sentence of plural zeros that take their
+compound."""
 
 from __future__ import annotations
 
 import dataclasses
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from types import FrameType
+from typing import Callable, Iterator, Sequence
 
 import anafor.candidates
 import anafor.resolver
 from anafor.candidates import CandidateKind
 from anafor.textmodel import PUNCTUATION_TOKENS, Document, Token
+
+FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
+REFLEXIVE = '<zero id="{}" kind="refl" num="sg"/> '
 
 
 class Count:
@@ -23,44 +40,49 @@ class Count:
 
 
 @contextmanager
-def calls(owner, name: str) -> Iterator[Count]:
-    """Count the calls of ``owner.name`` (a module's function) in the block."""
-    count, original = Count(), getattr(owner, name)
+def runs(function, weight: Callable[[FrameType], int] | None = None) -> Iterator[Count]:
+    """Count the frames that run ``function``'s code in the block: 1 each,
+    or ``weight(frame)``, read as the frame starts with its arguments
+    bound.  For a property the getter is counted, for a class or bound
+    method its function.  A generator counts as it starts and at each
+    resume.  The count is kept by ``sys.setprofile``: a profiler set
+    before the block still sees every event, and is set again after it.
+    ``cProfile``'s profiler, which Python before 3.12 runs as C code that
+    Python cannot call, misses the block and is enabled again after it."""
+    function = getattr(function, "fget", function)
+    code = getattr(function, "__func__", function).__code__
+    count, previous = Count(), sys.getprofile()
+    chained = previous if callable(previous) else None
 
-    def counting(*args, **kwargs):
-        count.n += 1
-        return original(*args, **kwargs)
+    def profile(frame: FrameType, event: str, arg) -> None:
+        if frame.f_code is code and event == "call":
+            count.n += 1 if weight is None else weight(frame)
+        if chained is not None:
+            chained(frame, event, arg)
 
-    setattr(owner, name, counting)
+    sys.setprofile(profile)
     try:
         yield count
     finally:
-        setattr(owner, name, original)
+        sys.setprofile(chained)
+        if previous is not chained:
+            previous.enable()
 
 
-@contextmanager
-def property_reads(owner: type, name: str) -> Iterator[Count]:
-    """Count the reads of the property ``owner.name`` in the block."""
-    count, original = Count(), vars(owner)[name]
-
-    def counting(self):
-        count.n += 1
-        return original.fget(self)
-
-    setattr(owner, name, property(counting))
-    try:
-        yield count
-    finally:
-        setattr(owner, name, original)
+def builds_token(frame: FrameType) -> bool:
+    """The weight of a run of ``Token._make``: every named tuple's
+    ``_make`` runs one code, and only a Token's builds a token."""
+    return frame.f_locals["cls"] is Token
 
 
 @contextmanager
 def compound_members() -> Iterator[Count]:
     """Count the members of the compound candidates built in the block.
     ``anafor.candidates`` builds every candidate of its name index with
-    ``tuple.__new__(Candidate, fields)``, so for the block its name
-    ``tuple`` is a subclass whose ``__new__`` counts a compound's members
-    before it builds; called as ``tuple(iterable)``, it builds a plain tuple."""
+    ``tuple.__new__(Candidate, fields)``, C code that runs no frame for
+    ``runs`` to count, so for the block its name ``tuple`` is a subclass
+    whose ``__new__`` counts a compound's members before it builds; called
+    as ``tuple(iterable)``, it builds a plain tuple."""
     count = Count()
 
     class Counting(tuple):
@@ -80,35 +102,15 @@ def compound_members() -> Iterator[Count]:
 
 
 @contextmanager
-def tokens_built() -> Iterator[Count]:
-    """Count the ``Token``s built in the block, by the checking constructor
-    and by ``Token._make``, which copies a token without the check."""
-    count = Count()
-    new, make = vars(Token)["__new__"], Token._make.__func__
-
-    def counting_new(cls, *args, **kwargs):
-        count.n += 1
-        return new.__func__(cls, *args, **kwargs)
-
-    def counting_make(cls, iterable):
-        count.n += 1
-        return make(cls, iterable)
-
-    Token.__new__, Token._make = staticmethod(counting_new), classmethod(counting_make)
-    try:
-        yield count
-    finally:
-        Token.__new__ = new
-        del Token._make  # inherited again from the fields tuple
-
-
-@contextmanager
 def surfaces_copied(doc: Document) -> Iterator[tuple[Count, Document]]:
     """Count the surfaces sliced out of a surface column in the block: out
     of the copy of ``doc`` it yields, which the block should walk, and out
     of the working text of each walk.  Each slice adds its length to ``n``
     and one to ``slices``.  The walk slices its three token columns
-    together, so ``n`` is the tokens it copies."""
+    together, so ``n`` is the tokens it copies.  A slice of a tuple or
+    list runs no frame for ``runs`` to count, so the columns are
+    subclasses, and ``anafor.resolver.WalkText`` builds the working text
+    out of one for the block."""
     count = Count()
 
     def counted(column: type) -> type:
@@ -138,7 +140,8 @@ def surfaces_copied(doc: Document) -> Iterator[tuple[Count, Document]]:
 def punctuation_lookups() -> Iterator[Count]:
     """Count the tests against ``PUNCTUATION_TOKENS`` in the block, in every
     module of the package; those that do not read the marks get the name
-    unused for the block."""
+    unused for the block.  A test of membership in a frozenset runs no
+    frame for ``runs`` to count, so the name is a subclass for the block."""
     count = Count()
 
     class Counting(frozenset):
@@ -159,3 +162,28 @@ def punctuation_lookups() -> Iterator[Count]:
                 module.PUNCTUATION_TOKENS = PUNCTUATION_TOKENS
             else:
                 del module.PUNCTUATION_TOKENS
+
+
+def filler_text(tokens: int) -> str:
+    """``Ali``, then ``tokens - 2`` filler words with a reflexive zero
+    before every 50th token, then the full stop."""
+    words = ["Ali"] + [
+        (REFLEXIVE.format(i // 50) if i % 50 == 0 else "") + FILLERS[i % len(FILLERS)]
+        for i in range(1, tokens - 1)
+    ]
+    return " ".join(words) + " ."
+
+
+def commas_text(commas: int) -> str:
+    """``commas`` commas, then ``Ali``, then 200 reflexive zeros each
+    before ``güldü``, then the full stop."""
+    zeros = " ".join(REFLEXIVE.format(i) + "güldü" for i in range(200))
+    return ", " * commas + f"Ali {zeros} ."
+
+
+def chain_text(names: Sequence[str], length: int, zeros: int) -> str:
+    """``length`` names, cycling through ``names``, joined by ``ve``; then
+    a sentence of ``zeros`` plural zeros, each before ``güldü``."""
+    chain = " ve ".join(names[i % len(names)] for i in range(length))
+    plurals = " ".join(f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(zeros))
+    return f"{chain} geldi . {plurals} ."

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-import anafor.corpus
 from anafor import (
     NameDictionary,
     Number,
@@ -18,8 +17,10 @@ from anafor import (
     parse_document,
     resolve_document,
     serialize_document,
+    turkish_upper,
 )
 from conftest import EXAMPLE_NAMES, FIXTURES, assert_layer_passed, fixture_text
+from counting import runs
 from test_acceptance import PROP_DICT
 
 CORPORA = sorted((FIXTURES / "corpora").glob("*.txt")) + [
@@ -412,19 +413,12 @@ class TestLoadDictionary:
             load_dictionary(path)
         assert str(caught.value) == f"{path}, line 3: dictionary entry must start uppercase: 'ali'"
 
-    def test_each_entry_is_checked_once(self, tmp_path, monkeypatch):
+    def test_each_entry_is_checked_once(self, tmp_path):
         # Loading used to check every line on its own and then all of them
         # again, building a throwaway dictionary per line.
         names = [f"Ad{i}" for i in range(50)]
         path = tmp_path / "names.txt"
         path.write_text("\n".join(names + names[:10]) + "\n", encoding="utf-8")
-        checked = []
-        original = anafor.corpus.turkish_upper
-
-        def counting(text):
-            checked.append(text)
-            return original(text)
-
-        monkeypatch.setattr(anafor.corpus, "turkish_upper", counting)
-        assert set(load_dictionary(path)) == set(names)
-        assert len(checked) == 60
+        with runs(turkish_upper) as checked:
+            assert set(load_dictionary(path)) == set(names)
+        assert checked.n == 60

@@ -6,9 +6,6 @@ import re
 import pytest
 
 import anafor.candidates
-import anafor.morphology
-import anafor.resolver
-import anafor.scoring
 from anafor import (
     DEFAULT_WEIGHTS,
     FEATURE_NAMES,
@@ -23,11 +20,13 @@ from anafor import (
     serialize_document,
 )
 from anafor.candidates import Candidate, SearchScope, scan_name_occurrences
+from anafor.morphology import _split_apostrophe, turkish_lower
 from anafor.resolver import walk_document
 from anafor.textmodel import Document, Sentence, Token
 from conftest import FIXTURE_FILES, fixture_text, replace_one
 from counting import (
-    calls, compound_members, property_reads, punctuation_lookups, surfaces_copied, tokens_built,
+    builds_token, chain_text, commas_text, compound_members, filler_text, punctuation_lookups,
+    runs, surfaces_copied,
 )
 
 DICT = NameDictionary.from_names(
@@ -35,18 +34,6 @@ DICT = NameDictionary.from_names(
 )
 
 ZERO = '<zero id="{}" kind="pers" num="sg"/>'
-
-
-def _probe(tokens: int):
-    # One sentence of filler words: Ali at its start, a reflexive zero
-    # before every 50th token and a full stop at its end.
-    fillers = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
-    words = ["Ali"] + [
-        (f'<zero id="{i}" kind="refl" num="sg"/> ' if i % 50 == 0 else "")
-        + fillers[i % len(fillers)]
-        for i in range(1, tokens - 1)
-    ]
-    return parse_document(" ".join(words) + " .")
 
 
 def _tiled_minicorpus(k: int):
@@ -68,10 +55,7 @@ def _walk_counts(doc, dictionary):
     # Gazetteer lookups (the name index splits each window token once, and
     # looks up its base) and tokens copied while resolving doc, and the
     # resolved document.
-    with (
-        calls(anafor.candidates, "_split_apostrophe") as lookups,
-        surfaces_copied(doc) as (copied, counted),
-    ):
+    with runs(_split_apostrophe) as lookups, surfaces_copied(doc) as (copied, counted):
         resolved = resolve_document(counted, dictionary)
     return lookups.n, copied.n, resolved
 
@@ -318,28 +302,18 @@ class TestReplacement:
 
         assert per_pronoun(8) <= 1.5 * per_pronoun(1)
 
-    def test_document_elements_built_per_pronoun_do_not_grow_with_length(
-        self, names9, monkeypatch
-    ):
+    def test_document_elements_built_per_pronoun_do_not_grow_with_length(self, names9):
         # A count, not a timing: a walk that copies its text into a new
         # Document for each sentence or replacement builds about k times as
         # many tokens and mentions per pronoun at k tiles.
-        built = 0
-
-        class Counting(Document):
-            def __init__(self, surfaces, sentence_of, quoted, pronouns):
-                nonlocal built
-                built += len(surfaces) + len(pronouns)
-                super().__init__(surfaces, sentence_of, quoted, pronouns)
+        def elements(frame):
+            return len(frame.f_locals["surfaces"]) + len(frame.f_locals["pronouns"])
 
         def per_pronoun(k):
-            nonlocal built
             doc = _tiled_minicorpus(k)
-            built = 0
-            with monkeypatch.context() as patch:
-                patch.setattr(anafor.resolver, "Document", Counting)
+            with runs(Document.__init__, elements) as built:
                 resolve_document(doc, names9)
-            return built / len(doc.pronouns)
+            return built.n / len(doc.pronouns)
 
         assert per_pronoun(32) <= 1.5 * per_pronoun(1)
 
@@ -384,13 +358,14 @@ class TestReplacement:
 
     def test_parse_resolve_and_serialize_build_no_token(self, names9):
         # They read the columns; Token records are built only for a reader
-        # of doc.tokens.
-        with tokens_built() as built:
+        # of doc.tokens, by the checking constructor or by Token._make.
+        with runs(Token.__new__) as checked, runs(Token._make, builds_token) as made:
             doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
             serialize_document(resolve_document(doc, names9).paraphrased)
-        with tokens_built() as read:
+        with runs(Token.__new__) as checked_read, runs(Token._make, builds_token) as made_read:
             doc.tokens
-        assert (built.n, read.n) == (0, len(doc.surfaces))
+        built, read = checked.n + made.n, checked_read.n + made_read.n
+        assert (built, read) == (0, len(doc.surfaces))
 
     def test_parse_and_the_walks_build_no_sentence_record(self, names9):
         # A Document's sentences are read off its sentence column on first
@@ -409,9 +384,9 @@ class TestReplacement:
         scans = []
 
         def choose(work, mention, survivors, history):
-            with tokens_built() as built:
+            with runs(Token.__new__) as checked, runs(Token._make, builds_token) as made:
                 occurrences = scan_name_occurrences(work, mention, DICT, SearchScope())
-            scans.append((len(occurrences), built.n, len(work.surfaces)))
+            scans.append((len(occurrences), checked.n + made.n, len(work.surfaces)))
             return None
 
         walk_document(doc, DICT, SearchScope(), None, choose)
@@ -485,9 +460,7 @@ class TestReplacement:
         # Each plural zero takes the compound of all 300 names, so every
         # later zero's window holds the names written in before it.
         names = sorted(DICT)
-        chain = " ve ".join(names[i % len(names)] for i in range(300))
-        zeros = " ".join(f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(5))
-        doc = parse_document(f"{chain} geldi. {zeros}.")
+        doc = parse_document(chain_text(names, 300, 5))
         lookups, copied, resolved = _walk_counts(doc, DICT)
         assert [r.antecedent for r in resolved.resolutions] == [frozenset(names)] * 5
         paraphrase = [token.surface for token in resolved.paraphrased.tokens]
@@ -509,7 +482,7 @@ class TestReplacement:
         doc = parse_document(
             " ".join(f"Ali ve Ayşe geldi. {zero.format(i)}" for i in range(500)) + " Güldü."
         )
-        with calls(anafor.candidates, "turkish_lower") as lowered:
+        with runs(turkish_lower) as lowered:
             resolved = resolve_document(doc, DICT)
         assert [r.antecedent for r in resolved.resolutions] == [frozenset({"Ali", "Ayşe"})] * 500
         names = sum(surface in DICT for surface in resolved.paraphrased.surfaces)
@@ -519,7 +492,7 @@ class TestReplacement:
     @staticmethod
     def _probe_counts(tokens):
         # Gazetteer lookups, tokens copied, names written in and the probe.
-        doc = _probe(tokens)
+        doc = parse_document(filler_text(tokens))
         lookups, copied, resolved = _walk_counts(doc, DICT)
         assert len(doc.tokens) == tokens and len(doc.pronouns) == tokens // 50 - 1
         written = sum(len(r.antecedent) for r in resolved.resolutions if r.resolved)
@@ -547,11 +520,8 @@ class TestReplacement:
         # each, and taking the nearest reads the anchor of each; the name
         # index keeps the candidates by number and hands a reflexive the
         # last of its number, so the walk reads neither property.
-        doc = _probe(tokens)
-        with (
-            property_reads(Candidate, "number") as numbers,
-            property_reads(Candidate, "anchor") as anchors,
-        ):
+        doc = parse_document(filler_text(tokens))
+        with runs(Candidate.number) as numbers, runs(Candidate.anchor) as anchors:
             resolved = resolve_document(doc, DICT)
         survivors = sum(len(r.trace) for r in resolved.resolutions)
         assert all(r.resolved for r in resolved.resolutions)
@@ -568,9 +538,7 @@ class TestReplacement:
         names = sorted(DICT)
 
         def members_per_pronoun(n):
-            chain = " ve ".join(names[i % len(names)] for i in range(n))
-            zeros = " ".join(f'<zero id="{i}" kind="pers" num="pl"/> güldü' for i in range(5))
-            doc = parse_document(f"{chain} geldi. {zeros}.")
+            doc = parse_document(chain_text(names, n, 5))
             with compound_members() as built:
                 resolved = resolve_document(doc, DICT)
             assert [r.antecedent for r in resolved.resolutions] == [frozenset(names)] * 5
@@ -583,17 +551,14 @@ class TestReplacement:
     def test_window_reads_do_not_grow_with_survivors(self):
         # A count, not a timing: scoring that re-reads the window for each
         # survivor splits every window token once per survivor.  Every
-        # module that splits surfaces is counted.
+        # split is counted, by whatever name it is called.
         def splits(first_sentence):
             doc = parse_document(
                 f'{first_sentence} geldi. <zero id="1" kind="pers" num="sg"/> Güldü.'
             )
-            with (
-                calls(anafor.morphology, "_split_apostrophe") as in_morphology,
-                calls(anafor.candidates, "_split_apostrophe") as in_candidates,
-            ):
+            with runs(_split_apostrophe) as split:
                 (resolution,) = resolve_document(doc, DICT).resolutions
-            return len(resolution.trace), in_morphology.n + in_candidates.n
+            return len(resolution.trace), split.n
 
         eight_survivors, eight_calls = splits("Ali Ayşe Ahmet Fatma Zerrin Murat Zeynep Tekin")
         one_survivor, one_calls = splits("Ali sonra sonra sonra sonra sonra sonra sonra")
@@ -606,8 +571,7 @@ class TestReplacement:
         # reflexive zeros that each take the Ali nearest them.  Finding the
         # sentence's first phrase token once per pronoun reads every comma
         # again for each zero.  Every module of the package is counted.
-        zeros = " ".join(f'<zero id="{i}" kind="refl" num="sg"/> güldü' for i in range(200))
-        doc = parse_document(", " * commas + f"Ali {zeros} .")
+        doc = parse_document(commas_text(commas))
         with punctuation_lookups() as lookups:
             resolved = resolve_document(doc, DICT)
         assert all(resolution.resolved for resolution in resolved.resolutions)

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import anafor.training
 from anafor import (
     NameDictionary,
     PreferenceVector,
@@ -17,7 +16,9 @@ from anafor import (
     parse_document,
     train,
 )
+from anafor.scoring import most_recent_max
 from conftest import FIXTURES, fixture_text
+from counting import runs
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep"]
@@ -177,7 +178,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="max epochs must be an integer"):
             TrainConfig(max_epochs=epochs)
 
-    def test_work_is_bounded_on_cycling_gold(self, monkeypatch):
+    def test_work_is_bounded_on_cycling_gold(self):
         # The mini corpus plus 12 generated documents never reach a
         # zero-error epoch, so all 100 epochs count; the weights repeat
         # within a few dozen epochs, and the rest need no scoring.
@@ -187,18 +188,10 @@ class TestTrain:
         instances, _skipped = build_instances(
             [parse_document(text) for text in texts], load_dictionary(golden / "generated.names")
         )
-        calls = 0
-        real = anafor.training.most_recent_max
-
-        def counting(scores):
-            nonlocal calls
-            calls += 1
-            return real(scores)
-
-        monkeypatch.setattr(anafor.training, "most_recent_max", counting)
-        _weights, report = train(instances)
+        with runs(most_recent_max) as calls:
+            _weights, report = train(instances)
         assert report.epochs == 100 and report.final_errors > 0
-        assert calls <= 0.25 * len(instances) * report.epochs
+        assert calls.n <= 0.25 * len(instances) * report.epochs
 
 
 def _separable_instances(rng: random.Random, count: int) -> list[TrainingInstance]:
