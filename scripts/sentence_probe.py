@@ -12,14 +12,15 @@ verb, so the sentence's first phrase token comes after every comma.  For
 each shape and length the script prints one JSON line: the
 best-of-``--repeat`` milliseconds per pronoun of ``resolve_document``, and
 from one more run, per pronoun, the gazetteer lookups (the walk's name
-index splits each window token once to look up its base), the ``Token``
+index looks up the base of each window token once), the ``Token``
 records built (none: the walk reads and splices token columns), the tokens
 copied (the surfaces the walk slices out of the input's columns and its
 own), the lookups plus the copies (the tokens touched) and the tests
 against the punctuation marks.  The documents and the counters are those
-of the count pins (``tests/counting.py``): the lookups and the records
-built are the runs of ``_split_apostrophe``, and of ``Token.__new__`` and
-a Token's ``Token._make``, under whatever name they are called.
+of the count pins (``tests/counting.py``): the lookups are the tests of
+membership in the gazetteer's entries, and the records built the runs of
+``Token.__new__`` and a Token's ``Token._make``, under whatever name they
+are called.
 
 The ``chain`` shape is one sentence of ``--chain`` gazetteer names joined
 by ``ve``, then a sentence of ``CHAIN_ZEROS`` plural zeros, with the
@@ -62,14 +63,13 @@ from anafor import (
     NameDictionary, default_lexicon, format_trace, parse_document, resolve_document,
     serialize_document,
 )
-from anafor.morphology import _split_apostrophe
 from anafor.textmodel import Token
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]
 from counting import (  # noqa: E402
-    builds_token, chain_text, commas_text, compound_members, filler_text, punctuation_lookups,
-    runs, surfaces_copied,
+    builds_token, chain_text, commas_text, compound_members, filler_text, gazetteer_lookups,
+    punctuation_lookups, runs, surfaces_copied,
 )
 from perfbench import corpora  # noqa: E402
 from perfbench.workloads import DENSE_DOCUMENTS, LONG_STORY_TILES  # noqa: E402
@@ -93,14 +93,14 @@ def best_ms_per_pronoun(doc, dictionary: NameDictionary, repeat: int) -> float:
 def counted(doc) -> tuple[int, int, int, int]:
     """Gazetteer lookups, ``Token``s built, tokens copied and punctuation
     tests by one resolve of ``doc``."""
+    lookups, gazetteer = gazetteer_lookups(DICTIONARY)
     with (
-        runs(_split_apostrophe) as lookups,
         runs(Token.__new__) as checked,
         runs(Token._make, builds_token) as made,
         surfaces_copied(doc) as (copied, counting),
         punctuation_lookups() as punctuation,
     ):
-        resolve_document(counting, DICTIONARY)
+        resolve_document(counting, gazetteer)
     return lookups.n, checked.n + made.n, copied.n, punctuation.n
 
 

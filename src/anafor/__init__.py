@@ -6,64 +6,30 @@ personal-pronoun disjointness) and weighted surface preferences, with no
 parser or semantic resources involved.
 """
 
-from .textmodel import (
-    Document,
-    Number,
-    Overtness,
-    PronounKind,
-    PronounMention,
-    Sentence,
-    Token,
-    assemble_document,
-)
-from .corpus import (
-    NameDictionary,
-    ParseError,
-    load_dictionary,
-    parse_document,
-    serialize_document,
-)
-from .morphology import (
-    Lexicon,
-    NameOccurrence,
-    PronounForm,
-    classify_pronoun,
-    default_lexicon,
-    match_name,
-    turkish_lower,
-    turkish_upper,
-)
-from .candidates import (
-    Candidate,
-    CandidateKind,
-    SearchScope,
-    apply_constraints,
-    constrained_candidates,
-    extract_candidates,
-    generate_sets,
-    scan_name_occurrences,
-)
-from .scoring import (
-    DEFAULT_WEIGHTS,
-    FEATURE_NAMES,
-    PreferenceVector,
-    PreferenceWeights,
-    feature_vector,
-    feature_vectors,
-    load_weights,
-    parse_weights,
-    score,
-)
-from .resolver import (
-    Resolution,
-    ResolvedDocument,
-    ScoredCandidate,
-    baseline_resolve_document,
-    format_trace,
-    parse_trace,
-    resolve_document,
-)
-from .training import TrainConfig, TrainingInstance, TrainReport, build_instances, train
-from .evaluation import Comparison, Metrics, evaluate
+from importlib import import_module
 
+_PUBLIC = {  # module -> its public names, each loaded on first access
+    "textmodel": "Document Number Overtness PronounKind PronounMention Sentence Token "
+                 "assemble_document",
+    "corpus": "NameDictionary ParseError load_dictionary parse_document serialize_document",
+    "morphology": "Lexicon NameOccurrence PronounForm classify_pronoun default_lexicon "
+                  "match_name turkish_lower turkish_upper",
+    "candidates": "Candidate CandidateKind SearchScope apply_constraints constrained_candidates "
+                  "extract_candidates generate_sets scan_name_occurrences",
+    "scoring": "DEFAULT_WEIGHTS FEATURE_NAMES PreferenceVector PreferenceWeights feature_vector "
+               "feature_vectors load_weights parse_weights score",
+    "resolver": "Resolution ResolvedDocument ScoredCandidate baseline_resolve_document "
+                "format_trace parse_trace resolve_document",
+    "training": "TrainConfig TrainingInstance TrainReport build_instances train",
+    "evaluation": "Comparison Metrics evaluate",
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value

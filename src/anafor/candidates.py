@@ -122,11 +122,11 @@ class NameIndex:
     :meth:`advance` returns, and again if it grows.  A document walk never
     changes a token left of the pronoun it visits, nor starts a window left
     of the previous one (and a window starts on a sentence, so it drops
-    whole sentences), so :meth:`advance` reads each token once, analyses the
-    suffix of the gazetteer names only, and tests it against the punctuation
-    marks only until its sentence has a first phrase token.  Only a token
-    whose base is a gazetteer entry is counted, a pronoun form spelled like
-    a name too; a base whose count falls to zero leaves the counts."""
+    whole sentences), so :meth:`advance` reads each token once, splits only
+    one with an apostrophe, analyses the suffix of gazetteer names only, and
+    tests punctuation only until its sentence has a first phrase token.  Only
+    a token whose base is a gazetteer entry is counted, a pronoun form spelled
+    like a name too; a base whose count falls to zero leaves the counts."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.lexicon = dictionary, lexicon
@@ -169,7 +169,8 @@ class NameIndex:
             surface, sentence = surfaces[i], sentence_of[i]
             if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
                 first_phrase[sentence] = i
-            base, suffix = _split_apostrophe(surface)
+            apostrophe = "'" in surface or "’" in surface
+            base, suffix = _split_apostrophe(surface) if apostrophe else (surface, "")
             if base not in entries:
                 continue
             hits.append(i)

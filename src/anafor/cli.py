@@ -9,14 +9,26 @@ from pathlib import Path
 
 from .candidates import SearchScope
 from .corpus import NameDictionary, ParseError, load_dictionary, parse_document, serialize_document
-from .evaluation import Comparison, evaluate
 from .morphology import Lexicon
 from .resolver import baseline_resolve_document, format_trace, parse_trace, resolve_document
 from .scoring import DEFAULT_WEIGHTS, format_weights, load_weights
 from .textmodel import Document, decode_utf8
-from .training import TrainConfig, build_instances, train
 
 DICT_ENV_VAR = "ANAFOR_DICT"
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which sets the defaults its ``late_defaults`` returns
+    as it starts to parse, before any help: their module loads with the command."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.set_defaults(**getattr(self, "late_defaults", dict)())
+        return super().parse_known_args(args, namespace)
+
+
+def _train_defaults() -> dict:
+    from .training import TrainConfig
+    return {"learning_rate": TrainConfig.learning_rate, "epochs": TrainConfig.max_epochs}
 
 
 def _search_scope(value: str) -> SearchScope:
@@ -38,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
             "overt and zero third-person pronouns to proper person names."
         ),
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     # Each option is defined once, in a parent parser; a command lists its
     # parents in the order its help shows their options.
@@ -93,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     train_parser = command("train", _cmd_train, "learn preference weights from gold links",
                            walk, lexicon)
     train_parser.add_argument("inputs", nargs="+", help="gold-annotated corpus files")
-    train_parser.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate,
-                              metavar="F", help="default: %(default)s")
-    train_parser.add_argument("--epochs", type=int, default=TrainConfig.max_epochs,
-                              metavar="N", help="default: %(default)s")
+    train_parser.late_defaults = _train_defaults
+    train_parser.add_argument("--learning-rate", type=float, metavar="F",
+                              help="default: %(default)s")
+    train_parser.add_argument("--epochs", type=int, metavar="N", help="default: %(default)s")
     train_parser.add_argument(
         "-o", "--output", default="-", metavar="PATH", help="weights file (default: stdout)"
     )
@@ -165,6 +177,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .training import TrainConfig, build_instances, train
     dictionary = _load_dictionary(args)
     lexicon = _load_lexicon(args)
     corpus = [parse_document(_read_input(path), lexicon) for path in args.inputs]
@@ -186,6 +199,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate
     if args.gold == "-" and args.trace == "-":
         raise ValueError("--gold and --trace cannot both read stdin")
     lexicon = _load_lexicon(args)
@@ -197,6 +211,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .evaluation import Comparison, evaluate
     dictionary = _load_dictionary(args)
     lexicon = _load_lexicon(args)
     gold = parse_document(_read_input(args.gold), lexicon)

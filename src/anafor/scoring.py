@@ -9,6 +9,10 @@ zero-pronoun history is the caller's: a set of the name sets already
 written in for zero pronouns of earlier sentences, which the document
 walk keeps.
 
+The trainer sums the weights of a vector's set features, read in feature
+order by its getter in :data:`weights_of`: the floats :func:`score` adds, in
+its order, so every score bit is the same.
+
 Feature order is part of the serialization contract (weights files, trace
 bit strings): quoted_match, recency, nominative, first_np,
 predicate_nominal, repetition, punctuation, zero_antecedent_history.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, NameIndex, SearchScope, WalkText
@@ -52,22 +56,26 @@ class PreferenceWeights:
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("weights must be finite")
 
-    def as_mapping(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, self.values))
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, float]) -> "PreferenceWeights":
-        missing = [name for name in FEATURE_NAMES if name not in mapping]
-        if missing:
-            raise ValueError(f"missing weight names: {', '.join(missing)}")
-        extra = [name for name in mapping if name not in FEATURE_NAMES]
-        if extra:
-            raise ValueError(f"unknown weight names: {', '.join(extra)}")
-        return cls(tuple(mapping[name] for name in FEATURE_NAMES))
-
 
 #: Shipped default weights for the eight preferences, in feature order.
 DEFAULT_WEIGHTS = PreferenceWeights((2.20, 2.15, 1.85, 1.40, 1.20, 1.20, 1.15, 1.05))
+
+
+class _WeightGetters(dict):
+    """Each vector's itemgetter of the weights of its set features, in
+    feature order, built at its first lookup."""
+
+    def __missing__(self, vector: PreferenceVector) -> itemgetter:
+        flags = tuple(compress(range(len(vector)), vector))
+        if len(flags) > 1:
+            getter = itemgetter(*flags)
+        else:  # an itemgetter of one index returns the bare weight
+            getter = itemgetter(slice(flags[0], flags[0] + 1) if flags else slice(0))
+        self[vector] = getter
+        return getter
+
+
+weights_of = _WeightGetters()  # at most one getter for each of the 256 vectors
 
 
 def score(vector: PreferenceVector, weights: PreferenceWeights) -> float:
@@ -76,11 +84,13 @@ def score(vector: PreferenceVector, weights: PreferenceWeights) -> float:
 
 
 def most_recent_max(scores: Iterable[float]) -> int:
-    """Index of the highest of the finite ``scores``, ties going to the
-    highest index.
+    """Index of the highest of ``scores``, ties going to the highest index,
+    ±inf included; 0 for no scores.
 
     Survivors are ordered oldest anchor first, so a tie goes to the most
-    recent candidate.
+    recent candidate.  No score is NaN: the resolver's weights are finite,
+    and in training a NaN can only follow a weight overflow, which makes
+    that epoch raise.
     """
     best, best_score = 0, -math.inf
     for i, value in enumerate(scores):
@@ -90,7 +100,7 @@ def most_recent_max(scores: Iterable[float]) -> int:
 
 
 def format_weights(weights: PreferenceWeights) -> str:
-    lines = [f"{name} = {value!r}" for name, value in weights.as_mapping().items()]
+    lines = [f"{name} = {value!r}" for name, value in zip(FEATURE_NAMES, weights.values)]
     return "\n".join(lines) + "\n"
 
 
@@ -113,7 +123,13 @@ def parse_weights(text: str) -> PreferenceWeights:
             raise ValueError(f"weights line {lineno}: bad value {value.strip()!r}") from None
         if not math.isfinite(mapping[name]):
             raise ValueError(f"weights line {lineno}: {name} must be finite")
-    return PreferenceWeights.from_mapping(mapping)
+    missing = [name for name in FEATURE_NAMES if name not in mapping]
+    if missing:
+        raise ValueError(f"missing weight names: {', '.join(missing)}")
+    extra = [name for name in mapping if name not in FEATURE_NAMES]
+    if extra:
+        raise ValueError(f"unknown weight names: {', '.join(extra)}")
+    return PreferenceWeights(tuple(mapping[name] for name in FEATURE_NAMES))
 
 
 def load_weights(path) -> PreferenceWeights:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import compress
 
 from .candidates import SearchScope
 from .corpus import NameDictionary
@@ -25,6 +24,7 @@ from .scoring import (
     PreferenceWeights,
     feature_vectors,
     most_recent_max,
+    weights_of,
 )
 from .textmodel import Document
 
@@ -119,25 +119,27 @@ def train(
     given the instance order.
 
     Two shortcuts leave every weight bit and the report as they would be
-    without them.  Copies of a vector tie and the tie goes to the last copy,
-    so each distinct vector is scored once, at its last index; an instance
-    whose one distinct vector is the gold one can never miss and is left
-    out.  An epoch is a pure function of the weights it starts from, so once
-    an epoch starts from the exact bits an earlier one started from, the
-    epochs between them repeat, and as many whole periods as fit before
-    ``max_epochs`` are skipped.  A weight that overflows is a ValueError.
+    without them.  Copies of a vector tie and the tie goes to the last copy, so
+    each distinct vector is scored once, at its last index, as the sum of the
+    weights its getter in :data:`~anafor.scoring.weights_of` reads: the floats
+    :func:`~anafor.scoring.score` adds, in its order.  An instance whose one
+    distinct vector is the gold one can never miss and is left out.  An epoch
+    is a pure function of the weights it starts from, so once an epoch starts
+    from the exact bits an earlier one started from, the epochs between them
+    repeat, and as many whole periods as fit before ``max_epochs`` are
+    skipped.  A weight that overflows is a ValueError.
     """
     if not instances:
         raise ValueError("no training instances")
     # Per instance: its distinct vectors in the order of their last index,
-    # those indices, and the gold index and vector.
+    # their weight getters, those indices, and the gold index and vector.
     distinct = []
     for instance in instances:
         indices = sorted({vector: i for i, vector in enumerate(instance.vectors)}.values())
         if indices != [instance.gold_index]:
             vectors = [instance.vectors[i] for i in indices]
-            gold = instance.gold_index
-            distinct.append((vectors, indices, gold, instance.vectors[gold]))
+            getters, gold = [weights_of[vector] for vector in vectors], instance.gold_index
+            distinct.append((vectors, getters, indices, gold, instance.vectors[gold]))
     weights = list(config.initial_weights.values)
     pack = struct.Struct(f"{len(weights)}d").pack
     started: dict[bytes, int] = {}  # bits of an epoch's starting weights -> epoch
@@ -152,8 +154,8 @@ def train(
             continue
         started[state] = epoch
         errors = 0
-        for vectors, indices, gold_index, gold_vector in distinct:
-            predicted = most_recent_max([sum(compress(weights, vector)) for vector in vectors])
+        for vectors, getters, indices, gold_index, gold_vector in distinct:
+            predicted = most_recent_max([sum(get(weights)) for get in getters])
             if indices[predicted] != gold_index:
                 errors += 1
                 weights = [

@@ -9,7 +9,9 @@ they count runs no Python frame: ``compound_members`` (candidates built by
 ``tuple.__new__``), ``surfaces_copied`` (slices of the token columns) and
 ``punctuation_lookups`` (tests of membership in ``PUNCTUATION_TOKENS``).
 They, and no other module of the tests or scripts, assign to the package's
-names (``tests/test_counting.py`` checks the sources).
+names (``tests/test_counting.py`` checks the sources).  ``gazetteer_lookups``
+counts the tests of membership in a gazetteer's entries, which run no frame
+either, on a copy of the gazetteer, so it patches nothing.
 
 The documents are long sentences: ``filler_text``, a name and filler
 words with a reflexive zero before every 50th token; ``commas_text``,
@@ -28,6 +30,7 @@ from typing import Callable, Iterator, Sequence
 import anafor.candidates
 import anafor.resolver
 from anafor.candidates import CandidateKind
+from anafor.corpus import NameDictionary
 from anafor.textmodel import PUNCTUATION_TOKENS, Document, Token
 
 FILLERS = ("sonra", "eve", "döndü", "bir", "kitap", "okudu")
@@ -143,15 +146,9 @@ def punctuation_lookups() -> Iterator[Count]:
     unused for the block.  A test of membership in a frozenset runs no
     frame for ``runs`` to count, so the name is a subclass for the block."""
     count = Count()
-
-    class Counting(frozenset):
-        def __contains__(self, item):
-            count.n += 1
-            return super().__contains__(item)
-
     modules = [module for name, module in sys.modules.items() if name.startswith("anafor.")]
     had = [module for module in modules if "PUNCTUATION_TOKENS" in vars(module)]
-    counting = Counting(PUNCTUATION_TOKENS)
+    counting = _counting_set(PUNCTUATION_TOKENS, count)
     for module in modules:
         module.PUNCTUATION_TOKENS = counting
     try:
@@ -162,6 +159,26 @@ def punctuation_lookups() -> Iterator[Count]:
                 module.PUNCTUATION_TOKENS = PUNCTUATION_TOKENS
             else:
                 del module.PUNCTUATION_TOKENS
+
+
+def gazetteer_lookups(dictionary: NameDictionary) -> tuple[Count, NameDictionary]:
+    """A count of the tests of membership in the entries of the copy of
+    ``dictionary`` it returns, by whatever code reads them: the name index
+    tests the base of each token it reads once."""
+    count = Count()
+    return count, NameDictionary(_counting_set(dictionary.entries, count))
+
+
+def _counting_set(items: frozenset, count: Count) -> frozenset:
+    """A copy of ``items`` whose tests of membership each add one to
+    ``count.n``: such a test runs no frame for ``runs`` to count."""
+
+    class Counting(frozenset):
+        def __contains__(self, item):
+            count.n += 1
+            return super().__contains__(item)
+
+    return Counting(items)
 
 
 def filler_text(tokens: int) -> str:

@@ -546,6 +546,34 @@ class TestNonUtf8Stdio:
         assert proc.stdout == "Ayşe geldi.\nAyşe Güldü.\n".encode("utf-8")
 
 
+class TestStartUp:
+    # A new interpreter runs the module as ``python -m anafor.cli resolve``
+    # does, then prints the modules it loaded of these two and the public
+    # names that do not resolve.
+    SCRIPT = """if True:
+        import runpy, sys
+        sys.argv[0] = "anafor"
+        try:
+            runpy.run_module("anafor.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exit:
+            assert exit.code == 0, exit.code
+        import anafor
+        loaded = [m for m in ("anafor.training", "anafor.evaluation") if m in sys.modules]
+        print([loaded, [name for name in anafor.__all__ if not hasattr(anafor, name)]])
+    """
+
+    def test_resolve_loads_neither_the_trainer_nor_the_evaluation(self):
+        fixture = FIXTURES / "corpora" / "c1_number_agreement.txt"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, "resolve", "--dict", str(NAMES), str(fixture)],
+            capture_output=True, text=True, encoding="utf-8", timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(anafor.__file__).parent.parent)),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "Ahmet ve Fatma Ayşe gördü." in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "[[], []]"
+
+
 class TestCompareCommand:
     def test_side_by_side_table(self, capsys):
         fixture = FIXTURES / "minicorpus" / "minicorpus.txt"

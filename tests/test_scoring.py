@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from itertools import product
+
 import pytest
 
 from anafor import (
@@ -18,7 +21,7 @@ from anafor import (
     score,
 )
 from anafor.candidates import SearchScope
-from anafor.scoring import format_weights
+from anafor.scoring import format_weights, most_recent_max, weights_of
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep", "Tekin"]
@@ -153,6 +156,30 @@ class TestScore:
             zero_antecedent_history=False,
         )
         assert score(vector, DEFAULT_WEIGHTS) == pytest.approx(5.40)
+
+    def test_each_weight_getter_adds_what_score_adds_bit_for_bit(self):
+        # Big and small weights of both signs make the order of addition
+        # show in the bits; repr tells 0 from 0.0 and -0.0.
+        weights = PreferenceWeights((0.1, -0.2, 1e16, 0.3, -1e16, 2.5, -0.0, 7e-3))
+        for flags in product((False, True), repeat=8):
+            vector = PreferenceVector(*flags)
+            summed = sum(weights_of[vector](list(weights.values)))
+            assert repr(summed) == repr(score(vector, weights)), flags
+
+
+class TestMostRecentMax:
+    @pytest.mark.parametrize(
+        "scores,index",
+        [
+            ([], 0),
+            ([1.0, 2.0, 2.0, 0.5], 2),
+            ([math.inf, 1.0, math.inf], 2),
+            ([-math.inf, -math.inf], 1),
+            ([-math.inf, 0.0, -0.0], 2),
+        ],
+    )
+    def test_the_last_highest_score_wins(self, scores, index):
+        assert most_recent_max(scores) == index
 
 
 class TestWeightsIO:

@@ -1,11 +1,15 @@
 """``anafor.training.train`` against the seed's trainer (seed_walk.py): every
-weight bit, the epochs run and the last epoch's errors must match.
+weight bit, the epochs run and the last epoch's errors must match.  Where a
+weight overflows, the package's error must name the first epoch after
+which the seed holds a weight that is not finite.
 
 The instances draw their vectors from a small pool, so copies of a vector
 within an instance and repeated weight states across epochs are common.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -77,6 +81,32 @@ def _bits(result) -> tuple:
     return [value.hex() for value in weights.values], report.epochs, report.final_errors
 
 
+def _outcome(instances, config):
+    """The package's bits, or its error."""
+    try:
+        return _bits(train(instances, config))
+    except ValueError as error:
+        return str(error)
+
+
+def _seed_outcome(instances, config):
+    """The seed's bits, or the error for the first epoch it ends with a
+    weight that is not finite (then its PreferenceWeights refuses them)."""
+    try:
+        return _bits(seed_walk.train(instances, config))
+    except ValueError:
+        for epochs in range(1, config.max_epochs + 1):
+            try:
+                seed_walk.train(instances, replace(config, max_epochs=epochs))
+            except ValueError:
+                rate = config.learning_rate
+                return f"learning rate {rate} made a weight non-finite in epoch {epochs}"
+        raise
+
+
+BIG = 1.7e308  # two of them overflow a sum
+
+
 @settings(max_examples=200, deadline=None)
 @given(instances=instance_sets(), config=configs)
 # An always-wrong instance of one distinct vector updates by zero, which
@@ -93,5 +123,21 @@ def _bits(result) -> tuple:
 # Caps that leave one epoch over after the last whole period.
 @example(instances=PERIOD_2, config=TrainConfig(max_epochs=101))
 @example(instances=PERIOD_3, config=TrainConfig(max_epochs=100))
+# Scores that tie at +inf and at -inf: the most recent survivor wins.
+@example(
+    instances=_instances(([(0, 1), (2, 3)], 0), ([(4, 5, 6), (7,)], 1)),
+    config=TrainConfig(initial_weights=PreferenceWeights((BIG,) * 8), max_epochs=4),
+)
+@example(
+    instances=_instances(([(0, 1, 2), (3, 4)], 0), ([(5,), (6, 7)], 0)),
+    config=TrainConfig(initial_weights=PreferenceWeights((-BIG,) * 8), max_epochs=4),
+)
+# A rate that overflows weights to +inf and -inf, so the last instance
+# scores inf + -inf, a NaN: both trainers end with the same epoch.
+@example(
+    instances=_instances(([(0, 4), (1,)], 0), ([(0, 5), (2,)], 1), ([(2, 5), (3,)], 0)),
+    config=TrainConfig(learning_rate=1e308, max_epochs=3,
+                       initial_weights=PreferenceWeights((BIG,) * 4 + (-BIG,) * 4)),
+)
 def test_train_matches_the_seed_trainer(instances, config):
-    assert _bits(train(instances, config)) == _bits(seed_walk.train(instances, config))
+    assert _outcome(instances, config) == _seed_outcome(instances, config)

@@ -16,7 +16,7 @@ from anafor import (
     parse_document,
     train,
 )
-from anafor.scoring import most_recent_max
+from anafor.scoring import most_recent_max, weights_of
 from conftest import FIXTURES, fixture_text
 from counting import runs
 
@@ -188,10 +188,14 @@ class TestTrain:
         instances, _skipped = build_instances(
             [parse_document(text) for text in texts], load_dictionary(golden / "generated.names")
         )
-        with runs(most_recent_max) as calls:
+        weights_of.clear()  # so that every getter train reads is built in it
+        with runs(most_recent_max) as calls, runs(type(weights_of).__missing__) as built:
             _weights, report = train(instances)
         assert report.epochs == 100 and report.final_errors > 0
-        assert calls.n <= 0.25 * len(instances) * report.epochs
+        assert 0 < calls.n <= 0.25 * len(instances) * report.epochs
+        # One weight getter per distinct vector, built once.
+        distinct = {vector for instance in instances for vector in instance.vectors}
+        assert 0 < built.n <= len(distinct)
 
 
 def _separable_instances(rng: random.Random, count: int) -> list[TrainingInstance]:
