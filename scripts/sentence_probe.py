@@ -44,7 +44,13 @@ own document, one at a time; ``long_story`` is the mini corpus tiled
 ``LONG_STORY_TILES`` times, as one document.  Each gives the
 best-of-``--repeat`` milliseconds per pronoun, summed over the documents,
 of each layer: parse, the walk (``resolve_document``),
-``serialize_document`` and ``format_trace``.
+``serialize_document`` and ``format_trace``.  It gives each layer per
+document in reference units too, as the benchmark reports an op: the
+best-of-``--repeat`` seconds divided by the documents and by the mean of
+two runs of ``perfbench.reference.reference_seconds``, one just before the
+layers are timed and one just after (``reference_ms``).  On a shared
+2-vCPU host raw milliseconds moved by up to 30% between identical runs;
+the reference units cancel the host's speed, as the benchmark's do.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ from counting import (  # noqa: E402
     punctuation_lookups, runs, surfaces_copied,
 )
 from perfbench import corpora  # noqa: E402
+from perfbench.reference import reference_seconds  # noqa: E402
 from perfbench.workloads import DENSE_DOCUMENTS, LONG_STORY_TILES  # noqa: E402
 
 DICTIONARY = NameDictionary.from_names(["Ali", "Ayşe"])
@@ -132,9 +139,13 @@ def long_story() -> str:
     return corpora.tile_minicorpus(minicorpus, LONG_STORY_TILES, oracle.stride)
 
 
-def stages(texts: list[str], dictionary: NameDictionary, repeat: int) -> dict[str, float]:
-    """Best-of-``repeat`` seconds of each layer over ``texts``."""
+def stages(
+    texts: list[str], dictionary: NameDictionary, repeat: int
+) -> tuple[dict[str, float], float]:
+    """Best-of-``repeat`` seconds of each layer over ``texts``, and the mean
+    of the benchmark's reference computation timed before and after them."""
     default_lexicon()  # loaded once, not timed
+    reference = reference_seconds()
     runs = []
     for _ in range(repeat):
         spent = [0.0] * 4
@@ -150,7 +161,8 @@ def stages(texts: list[str], dictionary: NameDictionary, repeat: int) -> dict[st
             times.append(time.perf_counter())
             spent = [total + end - start for total, start, end in zip(spent, times, times[1:])]
         runs.append(spent)
-    return dict(zip(("parse", "walk", "serialize", "trace"), map(min, zip(*runs))))
+    reference = (reference + reference_seconds()) / 2
+    return dict(zip(("parse", "walk", "serialize", "trace"), map(min, zip(*runs)))), reference
 
 
 def bytes_held(text: str, dictionary: NameDictionary) -> tuple[int, int, int, int]:
@@ -219,7 +231,7 @@ def main() -> None:
     }))
     dense, dictionary = generated(DENSE_DOCUMENTS)  # the benchmark's gazetteer for both
     for workload, texts in (("dense_shorts", dense), ("long_story", [long_story()])):
-        timed = stages(texts, dictionary, args.repeat)
+        timed, reference = stages(texts, dictionary, args.repeat)
         pronouns = sum(len(parse_document(text).pronouns) for text in texts)
         print(json.dumps({
             "shape": "stages",
@@ -227,6 +239,9 @@ def main() -> None:
             "documents": len(texts),
             "pronouns": pronouns,
             **{f"{stage}_ms_per_pronoun": round(1000 * s / pronouns, 4)
+               for stage, s in timed.items()},
+            "reference_ms": round(1000 * reference, 3),
+            **{f"{stage}_ref_per_document": round(s / len(texts) / reference, 5)
                for stage, s in timed.items()},
         }))
 

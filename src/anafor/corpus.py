@@ -16,7 +16,9 @@ the zero anchors to ``Gitti``).  Proper names are never annotated; they are
 found through the gazetteer.
 
 The literal ``<`` character is reserved for tags and may not appear in the
-running text.
+running text.  A tag spelled as :func:`serialize_document` writes it is
+read by one regex match; any other spelling goes through the attribute
+reader, and the same checks follow both, in the same order.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ from .textmodel import (
     decode_utf8,
 )
 
+# A tag as serialize_document spells it; no value holds '<' or '>', so the
+# attribute reader would read the same attributes, surface and end.
+_CANONICAL_RE = re.compile(
+    r'<(?:pro|(?P<zero>zero)) id="(?P<id>[^"<>]*)"(?(zero) kind="(?P<kind>pers|refl)"'
+    r' num="(?P<num>sg|pl)")(?: ant="(?P<ant>[^"<>]*)")?(?(zero)/>|>(?P<surface>[^<]*)</pro>)'
+)
 _PRO_OPEN_RE = re.compile(r"<pro\b([^<>]*)>")
 _ZERO_RE = re.compile(r"<zero\b([^<>]*?)/>")
 _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
@@ -52,7 +60,7 @@ _PRO_CLOSE = "</pro>"
 # Invisible format characters glue onto a token unseen; typographic quote
 # marks glue onto a token too, and never pair as '"' does.
 _INVISIBLE = "\u00ad\u200b\u2060\ufeff"
-_REJECTED_RE = re.compile(f"[{_INVISIBLE}\u00ab\u00bb\u201c\u201d]")
+_REJECTED = _INVISIBLE + "\u00ab\u00bb\u201c\u201d"
 _RESERVED_RE = re.compile("['’\"<]")  # never in a gazetteer name
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
@@ -138,19 +146,6 @@ def _attributes(raw: str, allowed: frozenset[str]) -> dict[str, str]:
     return attrs
 
 
-def _mention_id(attrs: dict[str, str], seen_ids: set[int]) -> int:
-    if "id" not in attrs:
-        raise ValueError("missing id attribute")
-    try:
-        mention_id = int(attrs["id"])
-    except ValueError:
-        raise ValueError(f"id is not an integer: {attrs['id']!r}") from None
-    if mention_id in seen_ids:
-        raise ValueError(f"duplicate pronoun id {mention_id}")
-    seen_ids.add(mention_id)
-    return mention_id
-
-
 @lru_cache(maxsize=1024)  # a document names few antecedents; errors are not kept
 def _gold(ant: str | None) -> frozenset[str] | None:
     """The checked names of an ``ant`` value, None for no value."""
@@ -173,39 +168,51 @@ def _read_tag(
     text: str, offset: int, position: int, seen_ids: set[int], lexicon: Lexicon
 ) -> tuple[PronounMention, int]:
     """The pronoun tag at ``offset``, as a mention at token ``position``,
-    and the offset after it; a ValueError says what is wrong with the tag."""
-    if match := _PRO_OPEN_RE.match(text, offset):
-        attrs = _attributes(match.group(1), _PRO_KEYS)
-        mention_id = _mention_id(attrs, seen_ids)
-        gold = _gold(attrs.get("ant"))
-        close = text.find(_PRO_CLOSE, match.end())
+    and the offset after it; a ValueError says what is wrong with the tag.
+    A tag spelled as ``serialize_document`` writes it is read by one match,
+    any other by the attribute reader; the same checks follow both."""
+    if canonical := _CANONICAL_RE.match(text, offset):
+        zero, value, kind, number, ant, raw_surface = canonical.groups()
+        end = canonical.end()
+    elif match := _PRO_OPEN_RE.match(text, offset) or _ZERO_RE.match(text, offset):
+        zero, end = match.re is _ZERO_RE, match.end()
+        attrs = _attributes(match.group(1), _ZERO_KEYS if zero else _PRO_KEYS)
+        value, kind, number, ant = map(attrs.get, ("id", "kind", "num", "ant"))
+    else:
+        raise ValueError("malformed tag")
+    if value is None:
+        raise ValueError("missing id attribute")
+    try:
+        mention_id = int(value)
+    except ValueError:
+        raise ValueError(f"id is not an integer: {value!r}") from None
+    if mention_id in seen_ids:
+        raise ValueError(f"duplicate pronoun id {mention_id}")
+    seen_ids.add(mention_id)
+    if zero:
+        if kind is None or number is None:
+            raise ValueError(f"missing {'kind' if kind is None else 'num'} attribute")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown kind value: {kind!r}")
+        if number not in _NUMBERS:
+            raise ValueError(f"unknown num value: {number!r}")
+        mention = PronounMention(mention_id, _KINDS[kind], _NUMBERS[number], position, "", _gold(ant))
+        return mention, end
+    gold = _gold(ant)
+    if not canonical:
+        close = text.find(_PRO_CLOSE, end)
         if close < 0:
             raise ValueError("unterminated <pro> tag")
-        raw_surface = text[match.end():close]
+        raw_surface, end = text[end:close], close + len(_PRO_CLOSE)
         if "<" in raw_surface:
             raise ValueError("nested tag inside <pro>")
-        tokens = split_tokens(raw_surface)
-        if len(tokens) != 1:
-            raise ValueError(f"pronoun tag must contain exactly one token, got {raw_surface!r}")
-        form = classify_pronoun(tokens[0], lexicon)
-        if form is None:
-            raise ValueError(f"not a recognized pronoun form: {tokens[0]!r}")
-        mention = PronounMention(mention_id, form.kind, form.number, position, tokens[0], gold)
-        return mention, close + len(_PRO_CLOSE)
-    if match := _ZERO_RE.match(text, offset):
-        attrs = _attributes(match.group(1), _ZERO_KEYS)
-        mention_id = _mention_id(attrs, seen_ids)
-        for required in ("kind", "num"):
-            if required not in attrs:
-                raise ValueError(f"missing {required} attribute")
-        kind, number = _KINDS.get(attrs["kind"]), _NUMBERS.get(attrs["num"])
-        if kind is None:
-            raise ValueError(f"unknown kind value: {attrs['kind']!r}")
-        if number is None:
-            raise ValueError(f"unknown num value: {attrs['num']!r}")
-        mention = PronounMention(mention_id, kind, number, position, "", _gold(attrs.get("ant")))
-        return mention, match.end()
-    raise ValueError("malformed tag")
+    tokens = split_tokens(raw_surface)
+    if len(tokens) != 1:
+        raise ValueError(f"pronoun tag must contain exactly one token, got {raw_surface!r}")
+    form = classify_pronoun(tokens[0], lexicon)
+    if form is None:
+        raise ValueError(f"not a recognized pronoun form: {tokens[0]!r}")
+    return PronounMention(mention_id, form.kind, form.number, position, tokens[0], gold), end
 
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
@@ -221,9 +228,9 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     zero_at: dict[int, int] = {}  # token position -> offset of its first zero tag
     i = 0
     try:
-        if rejected := _REJECTED_RE.search(text):
-            offset = rejected.start()
-            char = rejected[0]
+        if found := [at for at in map(text.find, _REJECTED) if at >= 0]:
+            offset = min(found)
+            char = text[offset]
             what = "invisible format character" if char in _INVISIBLE else "typographic quote mark"
             raise ValueError(f"{what} U+{ord(char):04X}")
         while (offset := text.find("<", i)) >= 0:

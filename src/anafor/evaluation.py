@@ -117,20 +117,10 @@ class Comparison:
         return round(_pct(self.system.precision) - _pct(self.baseline.precision), 1)
 
     def format_text(self) -> str:
-        rows = [
-            ("", "baseline", "system", "delta"),
-            (
-                "recall",
-                f"{_pct(self.baseline.recall)}%",
-                f"{_pct(self.system.recall)}%",
-                f"{self.recall_delta:+}",
-            ),
-            (
-                "precision",
-                f"{_pct(self.baseline.precision)}%",
-                f"{_pct(self.system.precision)}%",
-                f"{self.precision_delta:+}",
-            ),
+        rows = [("", "baseline", "system", "delta")] + [
+            (name, f"{_pct(getattr(self.baseline, name))}%",
+             f"{_pct(getattr(self.system, name))}%", f"{delta:+}")
+            for name, delta in (("recall", self.recall_delta), ("precision", self.precision_delta))
         ]
         widths = [max(len(row[col]) for row in rows) for col in range(4)]
         lines = [

@@ -22,15 +22,25 @@ vector's bit string, the reference of ``test_trace_differential.py``.
 text layer as it was when each visited every token, the reference of the
 text-layer checks in ``test_walk_differential.py``.
 ``ResolutionHistory`` is the seed's zero-pronoun history, which the walk
-now keeps as a plain set of name sets.  One line differs from the seed: a
+now keeps as a plain set of name sets.  The resolver sums each vector's
+weights left to right itself, as the trainer's ``_predict`` does, so the
+differentials see a fault in ``anafor.scoring.score``.
+``parse_document``, ``_read_tag``, ``_mention_id``, ``_attributes``,
+``_gold``, their patterns and the regex ``split_tokens`` are the parser as
+it was when every tag went through the attribute reader, the reference of
+``test_parse_differential.py``; only the gazetteer's name rule is the
+package's.  One line differs from the seed: a
 pronoun's quote flag is ``mention_quoted``'s, which fixes the seed's
 reading of a zero before a closing quote mark as unquoted.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, replace, replace as dc_replace
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from anafor.candidates import (
@@ -42,15 +52,12 @@ from anafor.candidates import (
     generate_sets,
     scan_name_occurrences,
 )
-from anafor.corpus import NameDictionary, _render_mention_attrs
-from anafor.morphology import APOSTROPHES, Lexicon, NameOccurrence, turkish_lower
-from anafor.resolver import AMBIGUOUS_FIELD, Resolution, ResolvedDocument, ScoredCandidate
-from anafor.scoring import (
-    DEFAULT_WEIGHTS,
-    PreferenceVector,
-    PreferenceWeights,
-    score,
+from anafor.corpus import NameDictionary, ParseError, _checked_name, _render_mention_attrs
+from anafor.morphology import (
+    APOSTROPHES, Lexicon, NameOccurrence, classify_pronoun, default_lexicon, turkish_lower,
 )
+from anafor.resolver import AMBIGUOUS_FIELD, Resolution, ResolvedDocument, ScoredCandidate
+from anafor.scoring import DEFAULT_WEIGHTS, PreferenceVector, PreferenceWeights
 from anafor.textmodel import (
     PUNCTUATION_TOKENS,
     QUOTE,
@@ -324,7 +331,8 @@ def _preference_chooser(weights: PreferenceWeights, scope: SearchScope) -> _Choo
         scored = []
         for candidate in survivors:
             vector = feature_vector(doc, pronoun, candidate, survivors, history, scope)
-            scored.append(ScoredCandidate(candidate, vector, score(vector, weights)))
+            total = sum(w for flag, w in zip(vector, weights.values) if flag)
+            scored.append(ScoredCandidate(candidate, vector, total))
         return scored
 
     return choose
@@ -608,3 +616,176 @@ def serialize_document(doc: Document) -> str:
                 quote_parity += 1
         lines.append("".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ---------------------------------------------------------------------------
+# The parser as it was before it read canonically spelled tags by one
+# match, split tokens with ``str.split`` and tested for rejected characters
+# by substring tests: every tag goes through the attribute reader, and
+# tokens come from one regex.  The reference of
+# ``test_parse_differential.py``.
+
+
+_PRO_OPEN_RE = re.compile(r"<pro\b([^<>]*)>")
+_ZERO_RE = re.compile(r"<zero\b([^<>]*?)/>")
+_ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
+_PRO_CLOSE = "</pro>"
+# Invisible format characters glue onto a token unseen; typographic quote
+# marks glue onto a token too, and never pair as '"' does.
+_INVISIBLE = "\u00ad\u200b\u2060\ufeff"
+_REJECTED_RE = re.compile(f"[{_INVISIBLE}\u00ab\u00bb\u201c\u201d]")
+_PRO_KEYS = frozenset({"id", "ant"})
+_ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
+_KINDS = {kind.value: kind for kind in PronounKind}
+_NUMBERS = {number.value: number for number in Number}
+
+_MARKS = "".join(map(re.escape, sorted(PUNCTUATION_TOKENS)))  # one character each
+_TOKEN_RE = re.compile(f"[{_MARKS}]|[^{_MARKS}\\s]+")
+
+
+def split_tokens(text: str) -> list[str]:
+    """Split plain text into token surfaces; punctuation marks stand alone."""
+    return _TOKEN_RE.findall(text)
+
+
+def _mention_id(attrs: dict[str, str], seen_ids: set[int]) -> int:
+    if "id" not in attrs:
+        raise ValueError("missing id attribute")
+    try:
+        mention_id = int(attrs["id"])
+    except ValueError:
+        raise ValueError(f"id is not an integer: {attrs['id']!r}") from None
+    if mention_id in seen_ids:
+        raise ValueError(f"duplicate pronoun id {mention_id}")
+    seen_ids.add(mention_id)
+    return mention_id
+
+
+def _attributes(raw: str, allowed: frozenset[str]) -> dict[str, str]:
+    attrs: dict[str, str] = {}
+    pos = 0
+    while pos < len(raw):
+        match = _ATTR_RE.match(raw, pos)
+        if not match:
+            if raw[pos:].strip():
+                raise ValueError(f"malformed attribute list: {raw.strip()!r}")
+            break
+        key, value = match.groups()
+        if key not in allowed:
+            raise ValueError(f"unknown attribute {key!r}")
+        if key in attrs:
+            raise ValueError(f"duplicate attribute {key!r}")
+        attrs[key] = value
+        pos = match.end()
+    return attrs
+
+
+@lru_cache(maxsize=1024)  # a document names few antecedents; errors are not kept
+def _gold(ant: str | None) -> frozenset[str] | None:
+    """The checked names of an ``ant`` value, None for no value."""
+    if ant is None:
+        return None
+    names = ant.split(";")
+    if len(names) > 1 and all(names[:-1]) and not names[-1]:
+        raise ValueError("trailing ';' separator in ant attribute")
+    if not all(names):
+        raise ValueError("empty name in ant attribute")
+    try:
+        for name in names:
+            _checked_name(name)
+    except ValueError as exc:
+        raise ValueError(f"bad name in ant attribute: {exc}") from None
+    return frozenset(names)
+
+
+def _read_tag(
+    text: str, offset: int, position: int, seen_ids: set[int], lexicon: Lexicon
+) -> tuple[PronounMention, int]:
+    """The pronoun tag at ``offset``, as a mention at token ``position``,
+    and the offset after it; a ValueError says what is wrong with the tag."""
+    if match := _PRO_OPEN_RE.match(text, offset):
+        attrs = _attributes(match.group(1), _PRO_KEYS)
+        mention_id = _mention_id(attrs, seen_ids)
+        gold = _gold(attrs.get("ant"))
+        close = text.find(_PRO_CLOSE, match.end())
+        if close < 0:
+            raise ValueError("unterminated <pro> tag")
+        raw_surface = text[match.end():close]
+        if "<" in raw_surface:
+            raise ValueError("nested tag inside <pro>")
+        tokens = split_tokens(raw_surface)
+        if len(tokens) != 1:
+            raise ValueError(f"pronoun tag must contain exactly one token, got {raw_surface!r}")
+        form = classify_pronoun(tokens[0], lexicon)
+        if form is None:
+            raise ValueError(f"not a recognized pronoun form: {tokens[0]!r}")
+        mention = PronounMention(mention_id, form.kind, form.number, position, tokens[0], gold)
+        return mention, close + len(_PRO_CLOSE)
+    if match := _ZERO_RE.match(text, offset):
+        attrs = _attributes(match.group(1), _ZERO_KEYS)
+        mention_id = _mention_id(attrs, seen_ids)
+        for required in ("kind", "num"):
+            if required not in attrs:
+                raise ValueError(f"missing {required} attribute")
+        kind, number = _KINDS.get(attrs["kind"]), _NUMBERS.get(attrs["num"])
+        if kind is None:
+            raise ValueError(f"unknown kind value: {attrs['kind']!r}")
+        if number is None:
+            raise ValueError(f"unknown num value: {attrs['num']!r}")
+        mention = PronounMention(mention_id, kind, number, position, "", _gold(attrs.get("ant")))
+        return mention, match.end()
+    raise ValueError("malformed tag")
+
+
+def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
+    """Parse an annotated corpus file into a Document; one leading UTF-8
+    byte-order mark is dropped, and any other U+FEFF, U+200B, U+2060 or
+    U+00AD, and each typographic quote mark U+201C, U+201D, U+00AB or
+    U+00BB, is a ParseError."""
+    text = text.removeprefix("\ufeff")
+    lexicon = lexicon or default_lexicon()
+    surfaces: list[str] = []
+    mentions: list[PronounMention] = []
+    seen_ids: set[int] = set()
+    zero_at: dict[int, int] = {}  # token position -> offset of its first zero tag
+    i = 0
+    try:
+        if rejected := _REJECTED_RE.search(text):
+            offset = rejected.start()
+            char = rejected[0]
+            what = "invisible format character" if char in _INVISIBLE else "typographic quote mark"
+            raise ValueError(f"{what} U+{ord(char):04X}")
+        while (offset := text.find("<", i)) >= 0:
+            surfaces += split_tokens(text[i:offset])
+            mention, i = _read_tag(text, offset, len(surfaces), seen_ids, lexicon)
+            if mention.surface:
+                surfaces.append(mention.surface)
+            else:
+                zero_at.setdefault(mention.position, offset)
+            mentions.append(mention)
+        surfaces += split_tokens(text[i:])
+        spans = sentence_spans(surfaces)
+        # A zero inside the run of terminators, and closing quote, that
+        # ends a sentence anchors to the first token of the next sentence.
+        n = len(surfaces)
+        ends = [end for _, end in spans]
+        anchor = {}
+        for p in zero_at:
+            if 0 < p < n and surfaces[p - 1] in SENTENCE_TERMINATORS:
+                start, end = spans[bisect_right(ends, p)]
+                if start < p:
+                    anchor[p] = end
+        if anchor:
+            mentions = [
+                replace(m, position=anchor[m.position])
+                if not m.surface and m.position in anchor else m
+                for m in mentions
+            ]
+        if dangling := [p for p in zero_at if anchor.get(p, p) == n]:
+            offset = zero_at[min(dangling)]
+            raise ValueError("zero pronoun tag has no following token")
+    except ValueError as exc:
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        raise ParseError(str(exc), line, column) from None
+    return assemble_document([surfaces[start:end] for start, end in spans], mentions)

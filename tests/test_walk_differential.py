@@ -8,8 +8,8 @@ token streams built to hit every rule of the marks.
 Generated documents are drawn here once for every layer:
 ``check_generated_documents`` parses each drawn text once, runs the
 package's resolve and baseline walks on it once, and hands the results to
-each layer's checker: this module's, the index, scoring, replace and
-assemble differentials' and the serialize round trips of
+each layer's checker: this module's, the index, scoring, replace,
+assemble and parse differentials' and the serialize round trips of
 ``test_corpus.py``.  It runs once per session, as conftest.py's
 ``shared_draw`` fixture, and each layer's ``test_generated_*`` or
 ``test_round_trip_on_*`` test reports that layer's failure.  No other test
@@ -50,6 +50,7 @@ from test_acceptance import PROP_DICT, PROP_NAMES, annotated_texts
 from test_assemble_differential import assert_per_token_build
 from test_corpus import assert_round_trip
 from test_golden import GOLDEN, _generated
+from test_parse_differential import assert_same_parse
 from test_replace_differential import assert_every_replacement_matches
 
 GOLD_SETS = [frozenset({name}) for name in PROP_NAMES] + [
@@ -136,6 +137,7 @@ def test_tiled_minicorpus_matches_the_seed(names9):
 # own test through the ``shared_draw`` fixture of conftest.py.
 LAYERS = (
     "walk", "index", "scoring", "replace", "assemble", "round trip", "paraphrase round trip",
+    "parse",
 )
 
 
@@ -170,6 +172,10 @@ def check_generated_documents() -> dict[str, str | None]:
             for paraphrased in paraphrases():
                 assert_round_trip(paraphrased)
 
+        def parses():
+            for each in (text, *map(serialize_document, paraphrases())):
+                assert_same_parse(each)
+
         checks = {
             "walk": lambda: assert_same_as_seed(annotated, PROP_DICT, scope, walks()),
             "index": lambda: test_index_differential.check_document(doc, PROP_DICT, scope),
@@ -178,6 +184,7 @@ def check_generated_documents() -> dict[str, str | None]:
             "assemble": per_token_build,
             "round trip": lambda: assert_round_trip(doc),
             "paraphrase round trip": paraphrase_round_trips,
+            "parse": parses,
         }
         failed = []
         for layer in LAYERS:
