@@ -14,17 +14,17 @@ extraction and scoring alike: the walk's text carries one, or else each
 reads the window into a new one, of the gazetteer's or the survivors'
 names.  Both read the token columns, where a token's index is its offset.
 The index builds each candidate once and keeps each number's candidates
-apart, so the constraints take a slice of one list, never a filter.
+apart, so the constraints take a slice of one list, never a filter.  Its
+window bookkeeping is plain dict and list operations alone.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .corpus import NameDictionary
 from .morphology import (
@@ -33,12 +33,16 @@ from .morphology import (
 from .textmodel import PUNCTUATION_TOKENS, Document, Number, PronounKind, PronounMention
 
 LINKER_SURFACES = frozenset({"ve", "ile"})
+_base, _sentence_index = map(attrgetter, ("base", "sentence_index"))
 
 
 class CandidateKind(enum.Enum):
     SIMPLE = "simple"
     COMPOUND = "compound"
     GENERATED_SET = "set"
+
+
+_SIMPLE, _COMPOUND = CandidateKind.SIMPLE, CandidateKind.COMPOUND
 
 
 class _CandidateFields(NamedTuple):
@@ -77,7 +81,7 @@ class Candidate(_CandidateFields):
 
     @property
     def base_names(self) -> frozenset[str]:
-        return frozenset(member.base for member in self.members)
+        return frozenset(map(_base, self.members))
 
 
 @dataclass(frozen=True)
@@ -102,36 +106,34 @@ def scan_name_occurrences(
     lexicon: Lexicon | None = None,
 ) -> list[NameOccurrence]:
     """All gazetteer matches in the pronoun's search window, left to right."""
-    occurrences, tokens = [], doc.tokens  # a WalkText builds its tokens on each read
-    for i in range(_window_start(doc, pronoun, scope), pronoun.position):
-        match = match_name(tokens[i], dictionary, lexicon)
-        if match is not None:
-            occurrences.append(match)
-    return occurrences
+    window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]  # one read
+    return [occ for occ in (match_name(token, dictionary, lexicon) for token in window) if occ]
 
 
 class NameIndex:
     """A pronoun's window: its candidates of each number in ``(anchor,
-    size)`` order, the counts of its gazetteer bases, and each window
-    sentence's first non-punctuation token read so far.  A name makes a
-    simple candidate, plural when its suffix is.  A compound's names are two
-    tokens apart, so one run per index parity is open: a name extends it
-    when it ends two tokens left, in the name's sentence, behind a single
-    ``ve``/``ile``.  A run grows a list of members; its compound, always
-    plural, is built once a name that does not extend it arrives or
+    size)`` order, the counts of its gazetteer bases in a plain dict, and
+    each window sentence's first non-punctuation token read so far.  A name
+    makes a simple candidate, plural when its suffix is.  A compound's names
+    are two tokens apart, so one run per index parity is open: a name
+    extends it when it ends two tokens left, in the name's sentence, behind
+    a single ``ve``/``ile``.  A run grows a list of members; its compound,
+    always plural, is built once a name that does not extend it arrives or
     :meth:`advance` returns, and again if it grows.  A document walk never
     changes a token left of the pronoun it visits, nor starts a window left
-    of the previous one (and a window starts on a sentence, so it drops
-    whole sentences), so :meth:`advance` reads each token once, splits only
-    one with an apostrophe, analyses the suffix of gazetteer names only, and
-    tests punctuation only until its sentence has a first phrase token.  Only
-    a token whose base is a gazetteer entry is counted, a pronoun form spelled
-    like a name too; a base whose count falls to zero leaves the counts."""
+    of the previous one, so :meth:`advance` reads each token once, splits
+    only one with an apostrophe, analyses the suffix of gazetteer names
+    only, and tests punctuation only until its sentence has a first phrase
+    token.  A window's first sentence is the pronoun's sentence number less
+    the scope; only when that passes the last one is the window start
+    bisected, from the last start, and whole sentences leave.  Only a token
+    whose base is a gazetteer entry is counted, a pronoun form spelled like
+    a name too; a base whose count falls to zero leaves the counts at once."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.lexicon = dictionary, lexicon
         self.singular, self.plural = [], []  # the candidates of each number
-        self.bases: Counter[str] = Counter()
+        self.bases: dict[str, int] = {}  # the positive counts
         self.first_phrase: dict[int, int] = {}  # window sentence -> token, in sentence order
         self._runs: list[list[NameOccurrence]] = [[], []]  # the open run of each parity
         self._hits, self._hit_bases = [], []  # the counted tokens and their bases, in token order
@@ -143,28 +145,24 @@ class NameIndex:
         return sorted(self.singular + self.plural, key=lambda c: (c.anchor, len(c.members)))
 
     def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
-        start = _window_start(doc, pronoun, scope)
-        singular, plural, runs, bases = self.singular, self.plural, self._runs, self.bases
-        if start > self._start:
-            first = doc.sentence_of[start]
+        first = doc.sentence_index_of(pronoun.position) - scope.max_back_sentences
+        singular, plural, bases, runs = self.singular, self.plural, self.bases, self._runs
+        sentence_of, hits, hit_bases = doc.sentence_of, self._hits, self._hit_bases
+        if first > sentence_of[self._start]:  # the window moves right, past its last start
+            start = bisect_left(sentence_of, first, self._start, pronoun.position)
             for kept in singular, plural:
-                del kept[:bisect_left(kept, first, key=attrgetter("sentence_index"))]
+                del kept[:bisect_left(kept, first, key=_sentence_index)]
             while self.first_phrase and (old := next(iter(self.first_phrase))) < first:
                 del self.first_phrase[old]
-            gone = bisect_left(self._hits, start)
-            for base in self._hit_bases[:gone]:
+            gone = bisect_left(hits, start)
+            for base in hit_bases[:gone]:
                 bases[base] -= 1
                 if not bases[base]:
                     del bases[base]
-            del self._hits[:gone], self._hit_bases[:gone]
+            del hits[:gone], hit_bases[:gone]
             self._start, self._end = start, max(start, self._end)
         entries, lexicon, first_phrase = self.dictionary.entries, self.lexicon, self.first_phrase
-        surfaces, sentence_of, hits, new = doc.surfaces, doc.sentence_of, self._hits, []
-        pending = None  # the run whose compound is not built yet
-
-        def compound(run: list[NameOccurrence]) -> tuple:  # its candidate's fields
-            return tuple(run), CandidateKind.COMPOUND, sentence_of[run[0].token_index]
-
+        surfaces, pending = doc.surfaces, None  # pending: the run whose compound is not built yet
         for i in range(self._end, pronoun.position):
             surface, sentence = surfaces[i], sentence_of[i]
             if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
@@ -174,7 +172,8 @@ class NameIndex:
             if base not in entries:
                 continue
             hits.append(i)
-            new.append(base)
+            hit_bases.append(base)
+            bases[base] = bases.get(base, 0) + 1
             occ = base and name_occurrence(surface, i, base, suffix, lexicon)
             if not occ:  # a pronoun form
                 continue
@@ -184,20 +183,23 @@ class NameIndex:
                 run = runs[i % 2] = []
             if run is not pending:
                 if pending:
-                    plural.append(tuple.__new__(Candidate, compound(pending)))
+                    plural.append(_compound(pending, sentence_of))
                 if len(run) > 1:  # built before it grew: only i - 1 follows it
-                    del plural[plural.index(compound(run), -4)]
+                    del plural[plural.index(_compound(run, sentence_of), -4)]
                 pending = run or None
             run.append(occ)
             # Built unchecked: one member makes a SIMPLE candidate.
-            simple = tuple.__new__(Candidate, ((occ,), CandidateKind.SIMPLE, sentence))
+            simple = tuple.__new__(Candidate, ((occ,), _SIMPLE, sentence))
             (plural if occ.plural_suffix else singular).append(simple)
         if pending:
-            plural.append(tuple.__new__(Candidate, compound(pending)))
-        bases.update(new)
-        self._hit_bases += new
+            plural.append(_compound(pending, sentence_of))
         self._end = pronoun.position
         return self
+
+
+def _compound(run: list[NameOccurrence], sentence_of: Sequence[int]) -> Candidate:
+    # A run's compound, built unchecked: only a run of two or more members is built.
+    return tuple.__new__(Candidate, (tuple(run), _COMPOUND, sentence_of[run[0].token_index]))
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ def generate_sets(
     # The window's names come in token order, so sentences and first occurrences do.
     per_sentence: dict[int, dict[str, NameOccurrence]] = {}
     for candidate in window_index(doc, pronoun, scope, dictionary, lexicon).candidates:
-        if candidate.kind is CandidateKind.SIMPLE:
+        if candidate.kind is _SIMPLE:
             (occ,) = candidate.members
             per_sentence.setdefault(candidate.sentence_index, {}).setdefault(occ.base, occ)
     return [
@@ -300,4 +302,4 @@ def constrained_candidates(
     if pronoun.kind is PronounKind.REFLEXIVE:
         return kept[-1:]
     own = doc.sentence_of[pronoun.position]
-    return kept[:bisect_left(kept, own, key=attrgetter("sentence_index"))]
+    return kept[:bisect_left(kept, own, key=_sentence_index)]

@@ -157,9 +157,9 @@ def _split_apostrophe(surface: str) -> tuple[str, str]:
 def _analyze_suffix(suffix: str, lexicon: Lexicon) -> tuple[bool, bool, bool]:
     """Classify a post-apostrophe suffix into (nominative, plural, copular).
 
-    Longest-match: an optional plural prefix, an optional copula in final
-    position, and the remainder must then be empty or exactly one case
-    marker.  Anything unrecognized counts as oblique, never nominative.
+    Longest-match: an optional plural prefix, then an optional copula in
+    final position.  A name is nominative only when nothing else remains:
+    a case marker and anything unrecognized alike count as oblique.
     """
     rest = turkish_lower(suffix)
     if not rest:
@@ -176,11 +176,7 @@ def _analyze_suffix(suffix: str, lexicon: Lexicon) -> tuple[bool, bool, bool]:
             copular = True
             rest = rest[:-len(copula)]
             break
-    has_case = False
-    if rest and rest in lexicon.case_markers:
-        has_case = True
-        rest = ""
-    return not (has_case or copular or rest), plural, copular
+    return not (copular or rest), plural, copular
 
 
 def match_name(

@@ -111,9 +111,9 @@ def walk_document(
     each pronoun, through its token, and after the last pronoun.  So a splice
     has a tail of at most one token, no token left of the pronoun moves, and
     its :class:`NameIndex` matches each token once and keeps the window's
-    candidates of each number, base counts and first phrase tokens at
-    ``scope``.  For each pronoun in document order ``choose`` sees that text,
-    which it must not keep, the mention, its survivors, sliced off the
+    candidates of each number, base counts (a plain dict) and first phrase
+    tokens at ``scope``.  For each pronoun in document order ``choose`` sees
+    that text, which it must not keep, the mention, its survivors, sliced off the
     index, and the zero-pronoun history, and returns the names to write in,
     or None to leave the pronoun.  The text's mention list gets only the
     pronouns left in place; nothing reads it before the walk ends.  The

@@ -3,7 +3,8 @@
 :func:`feature_vectors` computes the flags of all of a pronoun's survivors
 at once, reading the window's base counts and first phrase tokens off a
 name index, never the window itself: the walk's own, or else a new one
-that counts the survivors' bases.  It builds each vector as a bare tuple
+that counts the survivors' bases.  A base missing from the counts, one
+outside the window, counts 0.  It builds each vector as a bare tuple
 and takes a one-member candidate's flags straight off its name.  The
 zero-pronoun history is the caller's: a set of the name sets already
 written in for zero pronouns of earlier sentences, which the document
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
-from .candidates import Candidate, NameIndex, SearchScope, WalkText
+from .candidates import Candidate, NameIndex, SearchScope, WalkText, _base, _sentence_index
 from .corpus import NameDictionary
 from .textmodel import Document, Overtness, PronounMention, decode_utf8, mention_quoted
 
@@ -43,7 +44,7 @@ class PreferenceVector(NamedTuple):
 
 
 FEATURE_NAMES: tuple[str, ...] = PreferenceVector._fields
-_base, _nominative, _copular = map(attrgetter, ("base", "nominative", "copular_suffix"))
+_nominative, _copular = map(attrgetter, ("nominative", "copular_suffix"))
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def feature_vectors(
         return []
     surfaces, quoted = doc.surfaces, doc.quoted
     pronoun_quoted = mention_quoted(doc, pronoun)
-    nearest_sentence = max(map(attrgetter("sentence_index"), survivors))
+    nearest_sentence = max(map(_sentence_index, survivors))
     if isinstance(doc, WalkText):
         window = doc.names
     else:  # a new index, which counts the survivors' bases
@@ -180,11 +181,11 @@ def feature_vectors(
         if len(members) == 1:
             (name,) = members
             nominative, predicate = name.nominative, name.copular_suffix
-            repetition = bases[name.base] >= 2
+            repetition = bases.get(name.base, 0) >= 2
         else:
             nominative = all(map(_nominative, members))
             predicate = any(map(_copular, members))
-            repetition = min(map(bases.__getitem__, map(_base, members))) >= 2
+            repetition = min(map(bases.get, map(_base, members), repeat(0))) >= 2
         vectors.append(tuple.__new__(PreferenceVector, (
             pronoun_quoted == quoted[anchor],
             sentence == nearest_sentence,

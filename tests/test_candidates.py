@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from anafor import (
@@ -13,8 +15,10 @@ from anafor import (
     SearchScope,
     apply_constraints,
     assemble_document,
+    constrained_candidates,
     extract_candidates,
     generate_sets,
+    feature_vectors,
     parse_document,
 )
 from anafor.resolver import walk_document
@@ -234,3 +238,19 @@ class TestApplyConstraints:
         )
         survivors = apply_constraints(doc, pronoun, extract_candidates(doc, pronoun, DICT))
         assert survivors and all(c.number is pronoun.number for c in survivors)
+
+
+@pytest.mark.parametrize("position", [-1, "end"])
+def test_a_pronoun_outside_the_document_is_an_index_error(position):
+    # The window starts at the pronoun's sentence number, so a position
+    # read off the columns unchecked would give -1 the last sentence.
+    doc, pronoun = _doc_and_pronoun('Ali geldi. Murat <pro id="1">onu</pro> gördü.')
+    (survivor,) = constrained_candidates(doc, pronoun, DICT)
+    position = len(doc.surfaces) if position == "end" else position
+    outside = dataclasses.replace(pronoun, position=position)
+    message = f"token index out of range: {position}"
+    for reader in extract_candidates, generate_sets, constrained_candidates:
+        with pytest.raises(IndexError, match=message):
+            reader(doc, outside, DICT)
+    with pytest.raises(IndexError):
+        feature_vectors(doc, outside, [survivor], frozenset())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import copy
 import re
 
@@ -410,6 +411,17 @@ class TestReplacement:
         walk_document(doc, names9, SearchScope(), None, choose)
         assert len(sizes) == len(doc.pronouns)
         assert all(keys <= window for keys, window in sizes)
+
+    def test_the_walk_keeps_its_window_without_a_bisect_from_zero_or_a_counter(self, names9):
+        # The walk reads each window's first sentence off the pronoun's
+        # sentence number and counts its bases in a plain dict.
+        doc = _tiled_minicorpus(2)
+        with (
+            runs(anafor.candidates._window_start) as starts,
+            runs(collections.Counter.update) as updates,
+        ):
+            resolve_document(doc, names9)
+        assert (starts.n, updates.n) == (0, 0)
 
     def test_tokens_built_per_zero_do_not_grow_with_sentences(self):
         # Each sentence's zero but the first resolves to an Ali of an

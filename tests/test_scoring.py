@@ -101,6 +101,18 @@ class TestFeatureVector:
             (True, True), (False, True), (True, False)
         ]
         assert [(v.first_np, v.repetition) for v in narrow] == [(False, False)] * 3
+        # A compound survivor reads each member's count, 0 outside the window.
+        doc = parse_document(
+            'Ali ve Murat geldi. Ali ve Murat güldü. '
+            '<zero id="1" kind="pers" num="pl"/> Sustular.'
+        )
+        (pronoun,) = doc.pronouns
+        survivors = constrained_candidates(doc, pronoun, DICT)
+        assert [c.base_names for c in survivors] == [frozenset({"Ali", "Murat"})] * 2
+        wide = feature_vectors(doc, pronoun, survivors, frozenset())
+        narrow = feature_vectors(doc, pronoun, survivors, frozenset(), SearchScope(0))
+        assert [(v.first_np, v.repetition) for v in wide] == [(True, True)] * 2
+        assert [(v.first_np, v.repetition) for v in narrow] == [(False, False)] * 2
 
     def test_predicate_nominal(self):
         _, _, vectors = _vectors(
