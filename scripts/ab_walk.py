@@ -5,7 +5,9 @@
 Each checkout's ``src/anafor`` is copied into a temporary directory under
 a package name of its own (``anafor_parent``, ``anafor_change``; the
 package imports itself only relatively), so both load in one interpreter.
-Each copy reads the lexicon file of its own ``data`` directory.  The inputs
+Each copy is called as the benchmark calls the program, with no lexicon
+argument, so each reads the default lexicon of its own package: the
+lexicon file of its own ``data`` directory.  The inputs
 are those of two benchmark workloads, built as
 ``scripts/sentence_probe.py`` builds them, with the benchmark's gazetteer:
 ``long_story`` is the mini corpus tiled ``LONG_STORY_TILES`` times, one
@@ -63,16 +65,13 @@ def load_copy(checkout: Path, package: str, into: Path, gazetteer: list[str]):
     """The resolve op of ``checkout``'s package, loaded as ``package``."""
     shutil.copytree(checkout / "src" / "anafor", into / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    corpus, morphology, resolver = (
-        importlib.import_module(f"{package}.{name}")
-        for name in ("corpus", "morphology", "resolver")
-    )
+    corpus = importlib.import_module(f"{package}.corpus")
+    resolver = importlib.import_module(f"{package}.resolver")
     dictionary = corpus.NameDictionary.from_names(gazetteer)
-    lexicon = morphology.Lexicon.from_file(into / package / "data" / "lexicon.txt")
 
     def op(text: str) -> tuple[str, str]:
         doc = corpus.parse_document(text)
-        resolved = resolver.resolve_document(doc, dictionary, lexicon=lexicon)
+        resolved = resolver.resolve_document(doc, dictionary)
         paraphrase = corpus.serialize_document(resolved.paraphrased)
         return paraphrase, resolver.format_trace(resolved.resolutions)
 

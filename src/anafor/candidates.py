@@ -15,7 +15,8 @@ reads the window into a new one, of the gazetteer's or the survivors'
 names.  Both read the token columns, where a token's index is its offset.
 The index builds each candidate once and keeps each number's candidates
 apart, so the constraints take a slice of one list, never a filter.  Its
-window bookkeeping is plain dict and list operations alone.
+window bookkeeping is plain dict and list operations; it reads enum members
+off module constants and a name's suffix flags off the lexicon's table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import NamedTuple, Sequence
 
 from .corpus import NameDictionary
 from .morphology import (
-    Lexicon, NameOccurrence, _split_apostrophe, match_name, name_occurrence, turkish_lower,
+    Lexicon, NameOccurrence, _split_apostrophe, default_lexicon, match_name, name_occurrence,
+    turkish_lower,
 )
 from .textmodel import PUNCTUATION_TOKENS, Document, Number, PronounKind, PronounMention
 
@@ -43,6 +45,7 @@ class CandidateKind(enum.Enum):
 
 
 _SIMPLE, _COMPOUND = CandidateKind.SIMPLE, CandidateKind.COMPOUND
+_SINGULAR, _PLURAL, _REFLEXIVE = Number.SINGULAR, Number.PLURAL, PronounKind.REFLEXIVE
 
 
 class _CandidateFields(NamedTuple):
@@ -75,9 +78,7 @@ class Candidate(_CandidateFields):
 
     @property
     def number(self) -> Number:
-        if self.kind is CandidateKind.SIMPLE and not self.members[0].plural_suffix:
-            return Number.SINGULAR
-        return Number.PLURAL
+        return _SINGULAR if self.kind is _SIMPLE and not self.members[0].plural_suffix else _PLURAL
 
     @property
     def base_names(self) -> frozenset[str]:
@@ -122,16 +123,17 @@ class NameIndex:
     :meth:`advance` returns, and again if it grows.  A document walk never
     changes a token left of the pronoun it visits, nor starts a window left
     of the previous one, so :meth:`advance` reads each token once, splits
-    only one with an apostrophe, analyses the suffix of gazetteer names
-    only, and tests punctuation only until its sentence has a first phrase
-    token.  A window's first sentence is the pronoun's sentence number less
-    the scope; only when that passes the last one is the window start
+    only one with an apostrophe, reads a gazetteer name's flags off the
+    lexicon's table, analysing a surface only at its first hit, and tests
+    punctuation only until its sentence has a first phrase token.  A
+    window's first sentence is the pronoun's sentence number less the
+    scope; only when that passes the last one is the window start
     bisected, from the last start, and whole sentences leave.  Only a token
     whose base is a gazetteer entry is counted, a pronoun form spelled like
     a name too; a base whose count falls to zero leaves the counts at once."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
-        self.dictionary, self.lexicon = dictionary, lexicon
+        self.dictionary, self.lexicon = dictionary, lexicon or default_lexicon()
         self.singular, self.plural = [], []  # the candidates of each number
         self.bases: dict[str, int] = {}  # the positive counts
         self.first_phrase: dict[int, int] = {}  # window sentence -> token, in sentence order
@@ -152,8 +154,8 @@ class NameIndex:
             start = bisect_left(sentence_of, first, self._start, pronoun.position)
             for kept in singular, plural:
                 del kept[:bisect_left(kept, first, key=_sentence_index)]
-            while self.first_phrase and (old := next(iter(self.first_phrase))) < first:
-                del self.first_phrase[old]
+            for old in range(sentence_of[self._start], first):  # the sentences that leave
+                self.first_phrase.pop(old, None)
             gone = bisect_left(hits, start)
             for base in hit_bases[:gone]:
                 bases[base] -= 1
@@ -167,15 +169,18 @@ class NameIndex:
             surface, sentence = surfaces[i], sentence_of[i]
             if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
                 first_phrase[sentence] = i
-            apostrophe = "'" in surface or "’" in surface
-            base, suffix = _split_apostrophe(surface) if apostrophe else (surface, "")
+            base, _, suffix = surface.partition("'")  # cut in C, unless a ’ comes first
+            if "’" in base:
+                base, suffix = _split_apostrophe(surface)
             if base not in entries:
                 continue
             hits.append(i)
             hit_bases.append(base)
             bases[base] = bases.get(base, 0) + 1
-            occ = base and name_occurrence(surface, i, base, suffix, lexicon)
-            if not occ:  # a pronoun form
+            flags = lexicon.analyses.get(surface, False)  # False: not analysed yet
+            occ = (flags and tuple.__new__(NameOccurrence, (base, i, *flags)) if flags is not False
+                   else name_occurrence(surface, i, base, suffix, lexicon))
+            if not (base and occ):  # a pronoun form
                 continue
             run = runs[i % 2]
             if not (run and run[-1].token_index == i - 2 and sentence_of[i - 2] == sentence
@@ -296,10 +301,10 @@ def constrained_candidates(
     personal pronoun the prefix before its own sentence.  So the survivors
     come in ``(anchor, size)`` order, or the sets' sentence order."""
     index = window_index(doc, pronoun, scope, dictionary, lexicon)
-    kept = index.plural if pronoun.number is Number.PLURAL else index.singular
-    if not kept and pronoun.number is Number.PLURAL:
+    kept = index.plural if pronoun.number is _PLURAL else index.singular
+    if not kept and pronoun.number is _PLURAL:
         kept = generate_sets(doc, pronoun, dictionary, scope, lexicon)
-    if pronoun.kind is PronounKind.REFLEXIVE:
+    if pronoun.kind is _REFLEXIVE:
         return kept[-1:]
     own = doc.sentence_of[pronoun.position]
     return kept[:bisect_left(kept, own, key=_sentence_index)]

@@ -35,7 +35,6 @@ from .morphology import Lexicon, classify_pronoun, default_lexicon, turkish_lowe
 from .textmodel import (
     Document,
     Number,
-    Overtness,
     PronounKind,
     PronounMention,
     PUNCTUATION_TOKENS,
@@ -61,7 +60,7 @@ _PRO_CLOSE = "</pro>"
 # marks glue onto a token too, and never pair as '"' does.
 _INVISIBLE = "\u00ad\u200b\u2060\ufeff"
 _REJECTED = _INVISIBLE + "\u00ab\u00bb\u201c\u201d"
-_RESERVED_RE = re.compile("['’\"<]")  # never in a gazetteer name
+_RESERVED_RE = re.compile("['’\"<;]")  # never in a gazetteer name; ';' joins names
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
 _KINDS = {kind.value: kind for kind in PronounKind}
@@ -271,9 +270,8 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
 
 def _render_mention_attrs(mention: PronounMention) -> str:
     parts = [f'id="{mention.id}"']
-    if mention.overtness is Overtness.ZERO:
-        parts.append(f'kind="{mention.kind.value}"')
-        parts.append(f'num="{mention.number.value}"')
+    if not mention.surface:
+        parts.append(f'kind="{mention.kind.value}" num="{mention.number.value}"')
     if mention.gold_antecedent is not None:
         parts.append(f'ant="{";".join(sorted(mention.gold_antecedent))}"')
     return " ".join(parts)

@@ -131,7 +131,7 @@ class Lexicon:
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> Lexicon:
-    text = resources.files("anafor").joinpath("data/lexicon.txt").read_text("utf-8")
+    text = resources.files(__package__).joinpath("data/lexicon.txt").read_text("utf-8")
     return Lexicon.from_text(text)
 
 
@@ -205,14 +205,9 @@ def name_occurrence(
     lexicon: Lexicon | None = None,
 ) -> NameOccurrence | None:
     """:func:`match_name` for ``surface``, token ``token_index``, split at its
-    apostrophe into ``base``, a gazetteer entry, and ``suffix``.  The
-    lexicon keeps each surface's analysis, so a surface is analysed once."""
+    apostrophe into ``base``, a gazetteer entry, and ``suffix``.  Its
+    analysis is kept on the lexicon, where the name index reads later hits."""
     lexicon = lexicon or default_lexicon()
-    try:
-        flags = lexicon.analyses[surface]
-    except KeyError:
-        flags = lexicon.analyses[surface] = (
-            None if turkish_lower(surface) in lexicon.pronoun_forms
-            else _analyze_suffix(suffix, lexicon)
-        )
+    pronoun = turkish_lower(surface) in lexicon.pronoun_forms
+    flags = lexicon.analyses[surface] = None if pronoun else _analyze_suffix(suffix, lexicon)
     return None if flags is None else tuple.__new__(NameOccurrence, (base, token_index, *flags))

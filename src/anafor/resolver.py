@@ -12,9 +12,11 @@ text's token columns in up to each pronoun, :func:`replace_mention`
 splices each replacement into those columns alone, in place, and the
 text's name index reads each token once and slices out the survivors, so
 the cost per pronoun is flat across sentences and inside them.
-The resolver picks the highest-scoring survivor; the baseline scores
-nothing, so the most recent survivor wins.  Scored entries are built as
-bare tuples, and the trace keeps one bit string per distinct vector.
+The resolver picks the highest-scoring survivor, reading each vector's
+:func:`score` off the weights' ``scores`` table, which sums it once; the
+baseline scores nothing, so the most recent survivor wins.  Scored
+entries are built as bare tuples, and the trace formats each vector and
+score pair once.  A zero pronoun is one whose ``surface`` is empty.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from math import copysign
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, NameIndex, SearchScope, WalkText, constrained_candidates
@@ -36,9 +39,7 @@ from .scoring import (
     most_recent_max,
     score,
 )
-from .textmodel import (
-    QUOTE, Document, Overtness, PronounMention, check_surfaces, mention_quoted,
-)
+from .textmodel import QUOTE, Document, PronounMention, check_surfaces, mention_quoted
 
 # Unused here, but perfbench/tracing.py patches them as attributes of this module.
 from .scoring import feature_vector  # noqa: F401
@@ -87,7 +88,7 @@ def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str
         raise ValueError("a replacement name cannot be a quote mark")
     check_surfaces(list(names))
     position = mention.position
-    at = slice(position, position + (mention.overtness is Overtness.OVERT))
+    at = slice(position, position + 1 if mention.surface else position)
     inserted = [surface for name in names for surface in ("ve", name)][1:]
     work.quoted[at] = [mention_quoted(work, mention)] * len(inserted)
     work.sentence_of[at] = [work.sentence_of[position]] * len(inserted)
@@ -147,7 +148,7 @@ def walk_document(
             work.pronouns.append(visited)
         else:
             replace_mention(work, visited, names)
-            if visited.overtness is Overtness.ZERO:
+            if not visited.surface:
                 zeros.append(frozenset(names))
     for column, source in columns:
         column += source[streamed:]
@@ -174,8 +175,9 @@ def _resolve_all(
         if weights is None:
             vectors, scores = [None] * len(survivors), [0.0] * len(survivors)
         else:
-            vectors = feature_vectors(work, mention, survivors, history)
-            scores = [score(vector, weights) for vector in vectors]
+            vectors, known = feature_vectors(work, mention, survivors, history), weights.scores
+            scores = [known[v] if v in known else known.setdefault(v, score(v, weights))
+                      for v in vectors]
         entries = zip(survivors, vectors, scores)
         # A list first: tuple() over-allocates for an iterator and then
         # shrinks, which grew peak RSS by 0.9 MB over 3000 dense_shorts ops.
@@ -216,9 +218,10 @@ def baseline_resolve_document(
 AMBIGUOUS_FIELD = "-"
 
 
-@lru_cache(maxsize=257)  # the 256 vectors and None, a baseline entry's
-def _bits(vector: PreferenceVector | None) -> str:
-    return AMBIGUOUS_FIELD if vector is None else "".join("1" if flag else "0" for flag in vector)
+@lru_cache(maxsize=1024)  # the 256 vectors of up to four weights, and the baseline's
+def _scored_bits(vector: PreferenceVector | None, value: float, sign: float) -> str:
+    bits = AMBIGUOUS_FIELD if vector is None else "".join("1" if flag else "0" for flag in vector)
+    return f":{bits}={value:.4f}"
 
 
 def format_trace(resolutions: Iterable[Resolution]) -> str:
@@ -227,14 +230,13 @@ def format_trace(resolutions: Iterable[Resolution]) -> str:
         if not resolution.resolved:
             lines.append(f"{resolution.pronoun_id}\tambiguous" + f"\t{AMBIGUOUS_FIELD}" * 3)
             continue
-        antecedent = ";".join(sorted(resolution.antecedent))
+        head = f"{resolution.pronoun_id}\tresolved\t{';'.join(sorted(resolution.antecedent))}"
         entries = "|".join([
-            f"{';'.join(map(_base, candidate.members))}:{_bits(vector)}={value:.4f}"
-            for candidate, vector, value in resolution.trace
+            (m[0].base if len(m) == 1 else ";".join(map(_base, m)))
+            + _scored_bits(vector, value, copysign(1, value))  # the sign keys -0.0 apart from 0.0
+            for (m, _, _), vector, value in resolution.trace
         ])
-        lines.append(
-            f"{resolution.pronoun_id}\tresolved\t{antecedent}\t{resolution.score:.4f}\t{entries}"
-        )
+        lines.append(f"{head}\t{resolution.score:.4f}\t{entries}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -4,15 +4,15 @@
 at once, reading the window's base counts and first phrase tokens off a
 name index, never the window itself: the walk's own, or else a new one
 that counts the survivors' bases.  A base missing from the counts, one
-outside the window, counts 0.  It builds each vector as a bare tuple
-and takes a one-member candidate's flags straight off its name.  The
-zero-pronoun history is the caller's: a set of the name sets already
-written in for zero pronouns of earlier sentences, which the document
-walk keeps.
+outside the window, counts 0.  It builds each vector as a bare tuple,
+takes a one-member candidate's flags straight off its name and tells a
+zero pronoun by its empty ``surface``.  The zero-pronoun history is the
+caller's: a set of the name sets already written in for zero pronouns of
+earlier sentences, which the document walk keeps.
 
-The trainer sums the weights of a vector's set features, read in feature
-order by its getter in :data:`weights_of`: the floats :func:`score` adds, in
-its order, so every score bit is the same.
+The trainer sums a vector's set weights through its getter in :data:`weights_of`,
+and the resolver keeps each vector's :func:`score` in the weights' ``scores``:
+both add the floats :func:`score` adds, in its order, so every bit is the same.
 
 Feature order is part of the serialization contract (weights files, trace
 bit strings): quoted_match, recency, nominative, first_np,
@@ -22,14 +22,14 @@ predicate_nominal, repetition, punctuation, zero_antecedent_history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, NameIndex, SearchScope, WalkText, _base, _sentence_index
 from .corpus import NameDictionary
-from .textmodel import Document, Overtness, PronounMention, decode_utf8, mention_quoted
+from .textmodel import Document, PronounMention, decode_utf8, mention_quoted
 
 
 class PreferenceVector(NamedTuple):
@@ -50,6 +50,7 @@ _nominative, _copular = map(attrgetter, ("nominative", "copular_suffix"))
 @dataclass(frozen=True)
 class PreferenceWeights:
     values: tuple[float, ...]
+    scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != len(FEATURE_NAMES):
@@ -163,8 +164,7 @@ def feature_vectors(
     """
     if not survivors:
         return []
-    surfaces, quoted = doc.surfaces, doc.quoted
-    pronoun_quoted = mention_quoted(doc, pronoun)
+    surfaces, quoted, pronoun_quoted = doc.surfaces, doc.quoted, mention_quoted(doc, pronoun)
     nearest_sentence = max(map(_sentence_index, survivors))
     if isinstance(doc, WalkText):
         window = doc.names
@@ -172,7 +172,7 @@ def feature_vectors(
         names = NameDictionary(frozenset(m.base for c in survivors for m in c.members))
         window = NameIndex(names, None).advance(doc, pronoun, scope)
     bases, first_phrase = window.bases, window.first_phrase
-    zero = pronoun.overtness is Overtness.ZERO
+    zero = not pronoun.surface
     followed = len(surfaces) - 1  # an anchor left of this has a token after it
     vectors = []
     for candidate in survivors:

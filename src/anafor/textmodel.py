@@ -180,7 +180,7 @@ def mention_quoted(doc: Document, mention: PronounMention) -> bool:
     a zero is quoted when a quote is open left of the mark: the flag of the
     nearest non-quote token to the left, flipped by each quote mark between."""
     surfaces, quoted, position = doc.surfaces, doc.quoted, mention.position
-    if mention.overtness is Overtness.OVERT or surfaces[position] != QUOTE:
+    if mention.surface or surfaces[position] != QUOTE:
         return quoted[position]
     i = position - 1
     while i >= 0 and surfaces[i] == QUOTE:

@@ -7,6 +7,8 @@ import re
 import pytest
 
 import anafor.candidates
+import anafor.morphology
+import anafor.scoring
 from anafor import (
     DEFAULT_WEIGHTS,
     FEATURE_NAMES,
@@ -23,7 +25,7 @@ from anafor import (
 from anafor.candidates import Candidate, SearchScope, scan_name_occurrences
 from anafor.morphology import turkish_lower
 from anafor.resolver import walk_document
-from anafor.textmodel import Document, Sentence, Token
+from anafor.textmodel import Document, PronounMention, Sentence, Token
 from conftest import FIXTURE_FILES, fixture_text, replace_one
 from counting import (
     builds_token, chain_text, commas_text, compound_members, filler_text, gazetteer_lookups,
@@ -422,6 +424,36 @@ class TestReplacement:
         ):
             resolve_document(doc, names9)
         assert (starts.n, updates.n) == (0, 0)
+
+    @staticmethod
+    def _resolve_serialize_trace(doc, dictionary):
+        resolved = resolve_document(doc, dictionary)
+        serialize_document(resolved.paraphrased)
+        return format_trace(resolved.resolutions)
+
+    def test_zero_mentions_are_told_by_their_surface(self, names9):
+        # The walk, the scorer, the quote flag and serialization read
+        # mention.surface, not the overtness property.
+        with runs(PronounMention.overtness) as reads:
+            self._resolve_serialize_trace(_tiled_minicorpus(2), names9)
+        assert reads.n == 0
+
+    def test_the_name_index_reads_analysed_surfaces_off_the_lexicon(self, names9):
+        # After one resolve every name surface of the text is analysed, so
+        # the index builds each occurrence without calling name_occurrence.
+        doc = _tiled_minicorpus(2)
+        resolve_document(doc, names9)
+        with runs(anafor.morphology.name_occurrence) as analysed:
+            self._resolve_serialize_trace(doc, names9)
+        assert analysed.n == 0
+
+    def test_each_distinct_vector_is_scored_at_most_once(self, names9):
+        # The resolver keeps each vector's score in the weights' table.
+        with runs(anafor.scoring.score) as scored:
+            trace = self._resolve_serialize_trace(_tiled_minicorpus(2), names9)
+        vectors = set(re.findall(r":([01]{8})=", trace))
+        assert len(vectors) == 28
+        assert scored.n <= len(vectors)
 
     def test_tokens_built_per_zero_do_not_grow_with_sentences(self):
         # Each sentence's zero but the first resolves to an Ali of an

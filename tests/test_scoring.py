@@ -178,6 +178,22 @@ class TestScore:
             summed = sum(weights_of[vector](list(weights.values)))
             assert repr(summed) == repr(score(vector, weights)), flags
 
+    def test_the_resolvers_score_table_holds_what_score_returns(self):
+        # The table fills as a resolve meets each vector; it is no part of
+        # the weights' equality, hash or repr.
+        weights = PreferenceWeights((0.1, -0.2, 1e16, 0.3, -1e16, 2.5, -0.0, 7e-3))
+        doc = parse_document(
+            "Ali ve Ayşe geldi . Murat'ı gördüler , Fatma'ya güldüler . "
+            '<pro id="1">onlar</pro> <zero id="2" kind="pers" num="sg"/> gitti .'
+        )
+        resolve_document(doc, DICT, weights)
+        assert weights.scores
+        for vector, value in weights.scores.items():
+            assert repr(value) == repr(score(vector, weights))
+        fresh = PreferenceWeights(weights.values)
+        assert (fresh, hash(fresh), repr(fresh)) == (weights, hash(weights), repr(weights))
+        assert fresh.scores == {}
+
 
 class TestMostRecentMax:
     @pytest.mark.parametrize(
