@@ -2,7 +2,7 @@
 document holds per token.
 
     PYTHONPATH=src python3 scripts/sentence_probe.py [--tokens 2000 8000 32000] \
-        [--chain 500 2000 8000] [--repeat 3]
+        [--chain 500 2000 8000] [--repeat 3] [--startup-only]
 
 Two shapes of one sentence, each of ``--tokens`` tokens.  ``filler`` is
 filler words with ``Ali`` at its start and a reflexive zero pronoun before
@@ -51,6 +51,20 @@ two runs of ``perfbench.reference.reference_seconds``, one just before the
 layers are timed and one just after (``reference_ms``).  On a shared
 2-vCPU host raw milliseconds moved by up to 30% between identical runs;
 the reference units cancel the host's speed, as the benchmark's do.
+
+The line ``startup``, printed first (and alone with ``--startup-only``),
+times what ``anafor resolve`` does before it reads its text.  The
+benchmark's gazetteer, then names drawn from ``random.Random(1)`` up to
+``LARGE_GAZETTEER`` lines, are written to a file under ``.perfbench/``.
+It gives the best of ``STARTUP_REPEAT`` in-process runs of
+``load_dictionary``, in milliseconds, on that file, on the benchmark's
+gazetteer and on ``tests/fixtures/names9.txt``.  Then it runs
+``python -m anafor.cli resolve`` on the benchmark's setup document
+``SETUP_RUNS`` times with each of the two larger gazetteers, through the
+benchmark's ``SetupProbe``: each run is divided by bare ``python -c pass``
+runs timed just before and just after it, and the median is given in
+seconds on a host whose bare start takes ``BARE_START_S`` (``setup_s``),
+beside the median wall time.
 """
 
 from __future__ import annotations
@@ -60,14 +74,15 @@ import gc
 import json
 import random
 import re
+import statistics
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 from anafor import (
-    NameDictionary, default_lexicon, format_trace, parse_document, resolve_document,
-    serialize_document,
+    NameDictionary, default_lexicon, format_trace, load_dictionary, parse_document,
+    resolve_document, serialize_document, turkish_upper,
 )
 from anafor.textmodel import Token
 
@@ -79,12 +94,17 @@ from counting import (  # noqa: E402
 )
 from perfbench import corpora  # noqa: E402
 from perfbench.reference import reference_seconds  # noqa: E402
+from perfbench.run import BARE_START_S, WORK_DIR, SetupProbe  # noqa: E402
 from perfbench.workloads import DENSE_DOCUMENTS, LONG_STORY_TILES  # noqa: E402
 
 DICTIONARY = NameDictionary.from_names(["Ali", "Ayşe"])
 CHAIN_DICTIONARY = NameDictionary.from_names(["Ali", "Ayşe", "Fatma", "Murat"])
 CHAIN_ZEROS = 20
 PROBE_DOCUMENTS = 800  # ROADMAP's long-document probe
+LARGE_GAZETTEER = 100_000
+LETTERS = "abcçdefgğhıijklmnoöprsştuüvyz"
+STARTUP_REPEAT = 5
+SETUP_RUNS = 11
 
 
 def best_ms_per_pronoun(doc, dictionary: NameDictionary, repeat: int) -> float:
@@ -184,12 +204,57 @@ def bytes_held(text: str, dictionary: NameDictionary) -> tuple[int, int, int, in
     return len(doc.surfaces), len(resolved.resolutions), parsed, held
 
 
+def large_gazetteer(path: Path, entries: list[str]) -> None:
+    """Write ``entries``, then names of 3 to 9 letters drawn from
+    ``random.Random(1)``, to ``path``, one a line, ``LARGE_GAZETTEER`` lines
+    in all."""
+    rng = random.Random(1)
+    words = ["".join(rng.choices(LETTERS, k=rng.randint(3, 9)))
+             for _ in range(LARGE_GAZETTEER - len(entries))]
+    names = entries + [turkish_upper(word[0]) + word[1:] for word in words]
+    path.write_text("".join(f"{name}\n" for name in names), encoding="utf-8")
+
+
+def startup() -> dict:
+    """The ``startup`` line: ``load_dictionary`` in process, and whole
+    ``anafor resolve`` processes as the benchmark's ``SetupProbe`` runs them."""
+    WORK_DIR.mkdir(exist_ok=True)
+    large, benchmark = WORK_DIR / "names-large.txt", WORK_DIR / "names-benchmark.txt"
+    entries, _ = corpora.build_gazetteer(ROOT, corpora.read_minicorpus(ROOT)[0])
+    large_gazetteer(large, entries)
+    benchmark.write_text("\n".join(entries) + "\n", encoding="utf-8")
+    line = {"shape": "startup"}
+    for label, path in (("large", large), ("benchmark", benchmark),
+                        ("names9", ROOT / "tests" / "fixtures" / "names9.txt")):
+        times = []
+        for _ in range(STARTUP_REPEAT):
+            start = time.perf_counter()
+            loaded = load_dictionary(path)
+            times.append(time.perf_counter() - start)
+        line[f"load_{label}_names"] = len(loaded)
+        line[f"load_{label}_ms"] = round(1000 * min(times), 2)
+    for label, path in (("benchmark", benchmark), ("large", large)):
+        probe = SetupProbe(path)
+        for _ in range(SETUP_RUNS):
+            probe.run_once()
+        if probe.problems:
+            raise SystemExit(probe.problems[0])
+        line[f"setup_{label}_s"] = round(statistics.median(probe.scaled), 4)
+        line[f"setup_{label}_wall_s"] = round(statistics.median(probe.times), 4)
+    line["bare_start_s"] = BARE_START_S
+    return line
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tokens", type=int, nargs="+", default=[2000, 8000])
     parser.add_argument("--chain", type=int, nargs="+", default=[500, 2000])
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--startup-only", action="store_true")
     args = parser.parse_args()
+    print(json.dumps(startup()), flush=True)
+    if args.startup_only:
+        return
     for length in args.tokens:
         shapes = ("filler", filler_text(length)), ("commas", commas_text(length - 202))
         for shape, text in shapes:

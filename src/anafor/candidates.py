@@ -85,13 +85,16 @@ class Candidate(_CandidateFields):
         return frozenset(map(_base, self.members))
 
 
-@dataclass(frozen=True)
-class SearchScope:
-    max_back_sentences: int = 3
+class SearchScope(NamedTuple("SearchScope", [("max_back_sentences", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_back_sentences < 0:
+    def __new__(cls, max_back_sentences: int = 3):
+        if max_back_sentences < 0:
             raise ValueError("scope must be non-negative")
+        return tuple.__new__(cls, (max_back_sentences,))
+
+    def _replace(self, **changes) -> SearchScope:
+        return SearchScope(*super()._replace(**changes))
 
 
 def _window_start(doc: Document, pronoun: PronounMention, scope: SearchScope) -> int:

@@ -1,4 +1,5 @@
-"""Command-line front end: resolve, baseline, train, eval, compare."""
+"""Command-line front end: resolve, baseline, train, eval, compare.  A command
+builds only its own options; a ``--dict`` file of bare names is checked whole."""
 
 from __future__ import annotations
 
@@ -18,17 +19,13 @@ DICT_ENV_VAR = "ANAFOR_DICT"
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, which sets the defaults its ``late_defaults`` returns
-    as it starts to parse, before any help: their module loads with the command."""
+    """A command's parser: it runs its ``add_options`` as it starts to parse, before
+    any help, so only the command run builds its options and imports their defaults."""
 
     def parse_known_args(self, args=None, namespace=None):
-        self.set_defaults(**getattr(self, "late_defaults", dict)())
+        for add in vars(self).pop("add_options", ()):
+            add(self)
         return super().parse_known_args(args, namespace)
-
-
-def _train_defaults() -> dict:
-    from .training import TrainConfig
-    return {"learning_rate": TrainConfig.learning_rate, "epochs": TrainConfig.max_epochs}
 
 
 def _search_scope(value: str) -> SearchScope:
@@ -43,80 +40,70 @@ def _search_scope(value: str) -> SearchScope:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="anafor",
-        description=(
-            "Pronoun resolution for annotated Turkish narrative text: links "
-            "overt and zero third-person pronouns to proper person names."
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="anafor", description=(
+        "Pronoun resolution for annotated Turkish narrative text: links "
+        "overt and zero third-person pronouns to proper person names."))
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    # Each option is defined once, in a parent parser; a command lists its
-    # parents in the order its help shows their options.
-    walk = argparse.ArgumentParser(add_help=False)
-    walk.add_argument(
-        "--dict",
-        metavar="PATH",
-        help=f"proper-name gazetteer, one name per line (default: ${DICT_ENV_VAR})",
-    )
-    walk.add_argument(
-        "--scope",
-        type=_search_scope,
-        default=SearchScope(),
-        metavar="N",
-        help="how many preceding sentences to search (default: 3)",
-    )
-    lexicon = argparse.ArgumentParser(add_help=False)
-    lexicon.add_argument(
-        "--lexicon", metavar="PATH", help="override the built-in pronoun/suffix lexicon file"
-    )
-    weights = argparse.ArgumentParser(add_help=False)
-    weights.add_argument(
-        "--weights", metavar="PATH", help="weights file (default: built-in weights)"
-    )
-    paraphrase = argparse.ArgumentParser(add_help=False)
-    paraphrase.add_argument("input", help="annotated corpus file ('-' for stdin)")
-    paraphrase.add_argument(
-        "--trace", metavar="PATH", help="write a resolution trace ('-' for stdout)"
-    )
-    paraphrase.add_argument(
-        "-o", "--output", default="-", metavar="PATH", help="paraphrase file (default: stdout)"
-    )
-    graded = argparse.ArgumentParser(add_help=False)
-    graded.add_argument(
-        "--gold", required=True, metavar="PATH", help="gold corpus file ('-' for stdin)"
-    )
-    graded.add_argument(
-        "--trace", required=True, metavar="PATH", help="resolution trace ('-' for stdin)"
-    )
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--format", choices=("text", "kv"), default="text", help="report format")
+    # Each option is defined once, by a function that adds it to a command's
+    # parser; a command lists them in the order its help shows their options.
+    def walk(command):
+        command.add_argument("--dict", metavar="PATH", help="proper-name gazetteer, one name "
+                             f"per line (default: ${DICT_ENV_VAR})")
+        command.add_argument("--scope", type=_search_scope, default=SearchScope(), metavar="N",
+                             help="how many preceding sentences to search (default: 3)")
 
-    def command(name: str, run, summary: str, *parents) -> argparse.ArgumentParser:
-        subparser = subparsers.add_parser(name, parents=list(parents), help=summary)
-        subparser.set_defaults(run=run)
-        return subparser
+    def lexicon(command):
+        command.add_argument("--lexicon", metavar="PATH",
+                             help="override the built-in pronoun/suffix lexicon file")
 
-    command("resolve", _cmd_resolve, "resolve pronouns and paraphrase the text",
-            walk, lexicon, weights, paraphrase)
-    command("baseline", _cmd_resolve, "resolve favouring the most recent candidate",
-            walk, lexicon, paraphrase)
-    train_parser = command("train", _cmd_train, "learn preference weights from gold links",
-                           walk, lexicon)
-    train_parser.add_argument("inputs", nargs="+", help="gold-annotated corpus files")
-    train_parser.late_defaults = _train_defaults
-    train_parser.add_argument("--learning-rate", type=float, metavar="F",
-                              help="default: %(default)s")
-    train_parser.add_argument("--epochs", type=int, metavar="N", help="default: %(default)s")
-    train_parser.add_argument(
-        "-o", "--output", default="-", metavar="PATH", help="weights file (default: stdout)"
-    )
-    command("eval", _cmd_eval, "score a resolution trace against a gold corpus",
-            graded, report, lexicon)
-    compare_parser = command("compare", _cmd_compare, "run system and baseline on one gold corpus",
-                             walk, lexicon, weights, report)
-    compare_parser.add_argument("gold", help="gold-annotated corpus file ('-' for stdin)")
+    def weights(command):
+        command.add_argument("--weights", metavar="PATH",
+                             help="weights file (default: built-in weights)")
+
+    def paraphrase(command):
+        command.add_argument("input", help="annotated corpus file ('-' for stdin)")
+        command.add_argument("--trace", metavar="PATH",
+                             help="write a resolution trace ('-' for stdout)")
+        command.add_argument("-o", "--output", default="-", metavar="PATH",
+                             help="paraphrase file (default: stdout)")
+
+    def graded(command):
+        command.add_argument("--gold", required=True, metavar="PATH",
+                             help="gold corpus file ('-' for stdin)")
+        command.add_argument("--trace", required=True, metavar="PATH",
+                             help="resolution trace ('-' for stdin)")
+
+    def report(command):
+        command.add_argument("--format", choices=("text", "kv"), default="text",
+                             help="report format")
+
+    def training(command):
+        from .training import TrainConfig
+        command.add_argument("inputs", nargs="+", help="gold-annotated corpus files")
+        command.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate,
+                             metavar="F", help="default: %(default)s")
+        command.add_argument("--epochs", type=int, default=TrainConfig.max_epochs, metavar="N",
+                             help="default: %(default)s")
+        command.add_argument("-o", "--output", default="-", metavar="PATH",
+                             help="weights file (default: stdout)")
+
+    def gold(command):
+        command.add_argument("gold", help="gold-annotated corpus file ('-' for stdin)")
+
+    def add(name: str, run, summary: str, *add_options) -> None:
+        command = subparsers.add_parser(name, help=summary)
+        command.set_defaults(run=run)
+        command.add_options = add_options
+
+    add("resolve", _cmd_resolve, "resolve pronouns and paraphrase the text",
+        walk, lexicon, weights, paraphrase)
+    add("baseline", _cmd_resolve, "resolve favouring the most recent candidate",
+        walk, lexicon, paraphrase)
+    add("train", _cmd_train, "learn preference weights from gold links", walk, lexicon, training)
+    add("eval", _cmd_eval, "score a resolution trace against a gold corpus", graded, report, lexicon)
+    add("compare", _cmd_compare, "run system and baseline on one gold corpus",
+        walk, lexicon, weights, report, gold)
     return parser
 
 

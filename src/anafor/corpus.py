@@ -13,7 +13,7 @@ to the next token in the stream, or to the first token of the next sentence
 when it stands inside the run of terminators and closing quote that ends a
 sentence (in ``Ali "Gel. <zero …/> " Gitti.`` and ``Gel. <zero …/> . Gitti.``
 the zero anchors to ``Gitti``).  Proper names are never annotated; they are
-found through the gazetteer.
+found through the gazetteer (a file of bare names is checked whole).
 
 The literal ``<`` character is reserved for tags and may not appear in the
 running text.  A tag spelled as :func:`serialize_document` writes it is
@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress
-from operator import add, ne
+from operator import add, itemgetter, ne
 from typing import Iterable, Iterator
 import re
 
@@ -60,7 +60,7 @@ _PRO_CLOSE = "</pro>"
 # marks glue onto a token too, and never pair as '"' does.
 _INVISIBLE = "\u00ad\u200b\u2060\ufeff"
 _REJECTED = _INVISIBLE + "\u00ab\u00bb\u201c\u201d"
-_RESERVED_RE = re.compile("['’\"<;]")  # never in a gazetteer name; ';' joins names
+_RESERVED = "'’\"<;"  # never in a gazetteer name; ';' joins names
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
 _KINDS = {kind.value: kind for kind in PronounKind}
@@ -82,12 +82,15 @@ def _checked_name(name: str) -> str:
         raise ValueError("dictionary entry must be non-empty")
     if name.split() != [name]:
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
-    if _RESERVED_RE.search(name):
+    if any(map(name.__contains__, _RESERVED)):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
-    head = name[0]
-    if turkish_upper(head) != head or turkish_lower(head) == head:
+    if not _starts_uppercase(name):
         raise ValueError(f"dictionary entry must start uppercase: {name!r}")
     return name
+
+
+def _starts_uppercase(name: str) -> bool:
+    return turkish_upper(name[0]) == name[0] != turkish_lower(name[0])
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,18 @@ class NameDictionary:
 
 
 def load_dictionary(path) -> NameDictionary:
-    """Load a gazetteer file: one name per line, ``#`` comments allowed."""
+    """Load a gazetteer file: one name per line, ``#`` comments allowed.  A file
+    of bare names, one a line, is checked whole; any other file, or one that
+    fails, is read line by line, which words the error and names its line."""
     with open(path, "rb") as handle:
         raw = decode_utf8(handle.read(), path, bom=True)
+    names = raw.split()
+    if (
+        not any(map(raw.__contains__, _RESERVED + "#"))
+        and all(map(_starts_uppercase, set(map(itemgetter(0), names))))
+        and "\n".join(names) == raw.strip()
+    ):
+        return NameDictionary(entries=frozenset(names))
     names = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         entry = line.split("#", 1)[0].strip()

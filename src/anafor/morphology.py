@@ -38,11 +38,7 @@ def turkish_upper(text: str) -> str:
     return text.replace("i", "İ").replace("ı", "I").upper()
 
 
-@dataclass(frozen=True)
-class PronounForm:
-    lemma: str
-    kind: PronounKind
-    number: Number
+PronounForm = NamedTuple("PronounForm", [("lemma", str), ("kind", PronounKind), ("number", Number)])
 
 
 class NameOccurrence(NamedTuple):

@@ -12,12 +12,14 @@ text, which holds lists grown and spliced in place; only the walk keeps it.
 ``doc.tokens`` and ``doc.sentences`` build :class:`Token` and
 :class:`Sentence` records on first read, for callers that want them;
 parse and the walk read only the columns.  Records are ``NamedTuple``s, as
-are the names, candidates and scored candidates: a tuple costs a third of
-a frozen dataclass.  ``Token`` and its ``_replace`` check the surface;
-``Token._make`` does not, nor does ``tuple.__new__``, which builds the
-names, candidates, vectors and scored entries.  ``Document``,
-``PronounMention`` and the resolver's ``Resolution`` stay frozen
-dataclasses: they are few, and callers copy them with ``dataclasses.replace``.
+are names, candidates, scores, pronoun forms and search scopes: a tuple
+costs a third of a frozen dataclass, and acts as one (``SearchScope(3) ==
+(3,)``).  ``Token``, ``SearchScope`` and ``_replace`` check fields; their
+``_make`` and ``tuple.__new__`` (which builds names, candidates, vectors
+and scored entries) do not.  A dataclass stays where one serves: callers
+copy ``Document``, ``PronounMention``, ``Lexicon`` and the resolver's
+records by ``dataclasses.replace``, ``PreferenceWeights`` keeps ``scores``
+out of equality, and a tuple's pickling would read ``NameDictionary.__iter__``.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` (``PUNCTUATION_TOKENS``) become tokens of

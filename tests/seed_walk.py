@@ -28,10 +28,13 @@ differentials see a fault in ``anafor.scoring.score``.
 ``parse_document``, ``_read_tag``, ``_mention_id``, ``_attributes``,
 ``_gold``, their patterns and the regex ``split_tokens`` are the parser as
 it was when every tag went through the attribute reader, the reference of
-``test_parse_differential.py``; only the gazetteer's name rule is the
-package's.  One line differs from the seed: a
-pronoun's quote flag is ``mention_quoted``'s, which fixes the seed's
-reading of a zero before a closing quote mark as unquoted.
+``test_parse_differential.py``.  ``load_dictionary`` is the gazetteer
+reader as it was when it checked every line on its own, the reference of
+``test_gazetteer_differential.py``; it and the parser check names with
+``_checked_name``, the gazetteer's name rule as it was then.  One line
+differs from the seed: a pronoun's quote flag is ``mention_quoted``'s,
+which fixes the seed's reading of a zero before a closing quote mark as
+unquoted.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ from anafor.candidates import (
     generate_sets,
     scan_name_occurrences,
 )
-from anafor.corpus import NameDictionary, ParseError, _checked_name, _render_mention_attrs
+from anafor.corpus import NameDictionary, ParseError, _render_mention_attrs
 from anafor.morphology import (
     APOSTROPHES, Lexicon, NameOccurrence, classify_pronoun, default_lexicon, turkish_lower,
+    turkish_upper,
 )
 from anafor.resolver import AMBIGUOUS_FIELD, Resolution, ResolvedDocument, ScoredCandidate
 from anafor.scoring import DEFAULT_WEIGHTS, PreferenceVector, PreferenceWeights
@@ -68,6 +72,7 @@ from anafor.textmodel import (
     PronounKind,
     PronounMention,
     assemble_document,
+    decode_utf8,
     mention_quoted,
 )
 from anafor.training import TrainConfig, TrainingInstance, TrainReport
@@ -789,3 +794,42 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
         column = offset - text.rfind("\n", 0, offset)
         raise ParseError(str(exc), line, column) from None
     return assemble_document([surfaces[start:end] for start, end in spans], mentions)
+
+
+# ---------------------------------------------------------------------------
+# The gazetteer reader as it was before it checked the file whole: each
+# non-blank line, cut at its first '#', is checked on its own.  The
+# reference of ``test_gazetteer_differential.py``.
+
+
+_RESERVED_RE = re.compile("['’\"<;]")  # never in a gazetteer name; ';' joins names
+
+
+def _checked_name(name: str) -> str:
+    """``name`` if it may be a gazetteer entry, else a ValueError saying why."""
+    if not name:
+        raise ValueError("dictionary entry must be non-empty")
+    if name.split() != [name]:
+        raise ValueError(f"dictionary entry contains whitespace: {name!r}")
+    if _RESERVED_RE.search(name):
+        raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
+    head = name[0]
+    if turkish_upper(head) != head or turkish_lower(head) == head:
+        raise ValueError(f"dictionary entry must start uppercase: {name!r}")
+    return name
+
+
+def load_dictionary(path) -> NameDictionary:
+    """Load a gazetteer file: one name per line, ``#`` comments allowed."""
+    with open(path, "rb") as handle:
+        raw = decode_utf8(handle.read(), path, bom=True)
+    names = []
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        entry = line.split("#", 1)[0].strip()
+        if not entry:
+            continue
+        try:
+            names.append(_checked_name(entry))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return NameDictionary(entries=frozenset(names))

@@ -65,6 +65,15 @@ class TestCandidateInvariants:
             simple._replace(members=())
 
 
+class TestSearchScope:
+    def test_constructor_and_replace_check_the_scope(self):
+        assert SearchScope() == SearchScope(3) and type(SearchScope(3)._replace()) is SearchScope
+        with pytest.raises(ValueError, match="scope must be non-negative"):
+            SearchScope(-1)
+        with pytest.raises(ValueError, match="scope must be non-negative"):
+            SearchScope(3)._replace(max_back_sentences=-1)
+
+
 class TestExtractCandidates:
     def test_compound_and_simple_members(self):
         doc, pronoun = _doc_and_pronoun(

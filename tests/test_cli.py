@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import os
 import subprocess
@@ -13,6 +14,7 @@ from anafor import load_weights
 from anafor.candidates import SearchScope
 from anafor.cli import build_parser, main
 from conftest import FIXTURES, fixture_text
+from counting import runs
 
 NAMES = FIXTURES / "names9.txt"
 
@@ -271,6 +273,69 @@ def test_each_command_has_exactly_these_options_and_defaults(argv, options):
     parsed = vars(build_parser().parse_args(argv))
     assert callable(parsed.pop("run"))
     assert parsed == {"command": argv[0], **options}
+
+
+HELP_COMMANDS = ["", "resolve", "baseline", "train", "eval", "compare"]
+
+
+class _MetavarPerSpelling(argparse.HelpFormatter):
+    """Writes an option's metavar after each of its spellings, ``-o PATH,
+    --output PATH``, as argparse did before Python 3.13 (from 3.13 on it
+    writes ``-o, --output PATH``); the help fixtures were captured so."""
+
+    def _format_action_invocation(self, action):
+        if not action.option_strings or action.nargs == 0:
+            return super()._format_action_invocation(action)
+        metavar = self._format_args(action, self._get_default_metavar_for_optional(action))
+        return ", ".join(f"{spelling} {metavar}" for spelling in action.option_strings)
+
+
+def _help_built_at_once(command: str, formatter_class=argparse.HelpFormatter) -> str:
+    """The help of ``command`` ('' for the program) from a parser whose
+    commands all build their options as the parser is built."""
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command_parser in commands.choices.values():
+        for add in vars(command_parser).pop("add_options"):
+            add(command_parser)
+    shown = commands.choices[command] if command else parser
+    shown.formatter_class = formatter_class
+    return shown.format_help()
+
+
+@pytest.fixture
+def help_columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("PYTHON_COLORS", "0")  # argparse colours its help from Python 3.14 on
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_is_the_help_of_every_option_built_at_once(command, capsys, help_columns):
+    # A command that builds its options as it starts to parse prints the
+    # same help, byte for byte, on any Python.
+    with pytest.raises(SystemExit) as exit:
+        main([command, "--help"] if command else ["--help"])
+    assert exit.value.code == 0
+    assert capsys.readouterr().out == _help_built_at_once(command)
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_is_the_fixture(command, help_columns):
+    # The fixtures are the help texts at 80 columns, byte for byte, as
+    # printed when every command built its options up front (Python 3.11).
+    fixture = FIXTURES / "help" / f"{command or 'anafor'}.help"
+    assert _help_built_at_once(command, _MetavarPerSpelling).encode() == fixture.read_bytes()
+
+
+def test_a_command_builds_only_its_own_options():
+    # The options of the other four commands are never built: 21 options
+    # and 12 parsers when every command built its own.
+    with (
+        runs(argparse._ActionsContainer.add_argument) as options,
+        runs(argparse.ArgumentParser.__init__) as parsers,
+    ):
+        build_parser().parse_args(["resolve", "in.txt"])
+    assert options.n <= 13 and parsers.n <= 6
 
 
 @pytest.mark.parametrize(

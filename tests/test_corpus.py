@@ -426,12 +426,23 @@ class TestLoadDictionary:
             load_dictionary(path)
         assert str(caught.value) == f"{path}, line 3: dictionary entry must start uppercase: 'ali'"
 
-    def test_each_entry_is_checked_once(self, tmp_path):
-        # Loading used to check every line on its own and then all of them
-        # again, building a throwaway dictionary per line.
+    def test_a_clean_file_is_checked_whole(self, tmp_path):
+        # A file that passes is checked whole: no entry on its own, and the
+        # head rule once for each distinct first letter.
         names = [f"Ad{i}" for i in range(50)]
         path = tmp_path / "names.txt"
         path.write_text("\n".join(names + names[:10]) + "\n", encoding="utf-8")
-        with runs(turkish_upper) as checked:
+        with runs(anafor.corpus._checked_name) as checked, runs(turkish_upper) as heads:
             assert set(load_dictionary(path)) == set(names)
-        assert checked.n == 60
+        assert (checked.n, heads.n) == (0, 1)
+
+    def test_each_entry_is_checked_once(self, tmp_path):
+        # A file that fails is read line by line, each entry checked once,
+        # up to the bad one.
+        names = [f"Ad{i}" for i in range(50)]
+        path = tmp_path / "names.txt"
+        path.write_text("\n".join(names + names[:10] + ["ad"]) + "\n", encoding="utf-8")
+        with runs(anafor.corpus._checked_name) as checked, pytest.raises(ValueError) as caught:
+            load_dictionary(path)
+        assert checked.n == 61
+        assert str(caught.value) == f"{path}, line 61: dictionary entry must start uppercase: 'ad'"
