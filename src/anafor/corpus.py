@@ -43,7 +43,8 @@ from .textmodel import (
     sentence_spans,
     split_tokens,
     assemble_document,
-    decode_utf8,
+    data_lines,
+    read_data_file,
 )
 
 # A tag as serialize_document spells it; no value holds '<' or '>', so the
@@ -117,8 +118,7 @@ def load_dictionary(path) -> NameDictionary:
     """Load a gazetteer file: one name per line, ``#`` comments allowed.  A file
     of bare names, one a line, is checked whole; any other file, or one that
     fails, is read line by line, which words the error and names its line."""
-    with open(path, "rb") as handle:
-        raw = decode_utf8(handle.read(), path, bom=True)
+    raw = read_data_file(path)
     names = raw.split()
     if (
         not any(map(raw.__contains__, _RESERVED + "#"))
@@ -127,10 +127,7 @@ def load_dictionary(path) -> NameDictionary:
     ):
         return NameDictionary(entries=frozenset(names))
     names = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        entry = line.split("#", 1)[0].strip()
-        if not entry:
-            continue
+    for lineno, entry in data_lines(raw):
         try:
             names.append(_checked_name(entry))
         except ValueError as exc:

@@ -16,14 +16,13 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .textmodel import Number, PronounKind, decode_utf8
+from .textmodel import Number, PronounKind, data_lines, read_data_file
 
 if TYPE_CHECKING:
     from .corpus import NameDictionary
     from .textmodel import Token
 
 APOSTROPHES = ("'", "’")
-_APOSTROPHE_RE = re.compile("[%s]" % "".join(APOSTROPHES))
 
 _SECTION_RE = re.compile(r"\[(pronoun|suffix)\s+([^\]]+)\]\s*$")
 
@@ -56,7 +55,6 @@ class Lexicon:
     """Closed pronoun inflection lexicon plus name-suffix tables."""
 
     pronoun_forms: Mapping[str, PronounForm]  # keys are turkish_lower surfaces
-    case_markers: frozenset[str]
     # Longest first, so the first form that matches is the longest match.
     plural_prefixes: tuple[str, ...]
     copula_suffixes: tuple[str, ...]
@@ -68,16 +66,13 @@ class Lexicon:
         """Parse the lexicon file format.
 
         Sections are ``[pronoun LEMMA KIND NUMBER]`` (KIND pers|refl,
-        NUMBER sg|pl) and ``[suffix case|plural|copula]``; each section
-        lists one form per line.  ``#`` starts a comment.
+        NUMBER sg|pl) and ``[suffix case|plural|copula]`` (case: required and
+        checked, never consulted); each section lists one form per line.
         """
         forms: dict[str, PronounForm] = {}
         tables: dict[str, set[str]] = {"case": set(), "plural": set(), "copula": set()}
         current: PronounForm | str | None = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(text):
             match = _SECTION_RE.match(line)
             if match:
                 section_kind, payload = match.group(1), match.group(2).split()
@@ -114,15 +109,13 @@ class Lexicon:
                 raise ValueError(f"lexicon defines no [suffix {name}] entries")
         return cls(
             pronoun_forms=dict(forms),
-            case_markers=frozenset(tables["case"]),
             plural_prefixes=tuple(sorted(tables["plural"], key=len, reverse=True)),
             copula_suffixes=tuple(sorted(tables["copula"], key=len, reverse=True)),
         )
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        with open(path, "rb") as handle:
-            return cls.from_text(decode_utf8(handle.read(), path, bom=True))
+        return cls.from_text(read_data_file(path))
 
 
 @lru_cache(maxsize=1)
@@ -143,11 +136,10 @@ def classify_pronoun(surface: str, lexicon: Lexicon | None = None) -> PronounFor
 
 def _split_apostrophe(surface: str) -> tuple[str, str]:
     """Cut at the first apostrophe of either kind: (base, suffix)."""
-    match = _APOSTROPHE_RE.search(surface)
-    if match is None:
-        return surface, ""
-    cut = match.start()
-    return surface[:cut], surface[cut + 1:]
+    base, _, suffix = surface.partition("'")
+    if "’" in base:  # a ’ comes first
+        base, _, suffix = surface.partition("’")
+    return base, suffix
 
 
 def _analyze_suffix(suffix: str, lexicon: Lexicon) -> tuple[bool, bool, bool]:
@@ -155,7 +147,7 @@ def _analyze_suffix(suffix: str, lexicon: Lexicon) -> tuple[bool, bool, bool]:
 
     Longest-match: an optional plural prefix, then an optional copula in
     final position.  A name is nominative only when nothing else remains:
-    a case marker and anything unrecognized alike count as oblique.
+    any suffix left makes it oblique, so the case table is never consulted.
     """
     rest = turkish_lower(suffix)
     if not rest:

@@ -10,9 +10,9 @@ zero pronoun by its empty ``surface``.  The zero-pronoun history is the
 caller's: a set of the name sets already written in for zero pronouns of
 earlier sentences, which the document walk keeps.
 
-The trainer sums a vector's set weights through its getter in :data:`weights_of`,
-and the resolver keeps each vector's :func:`score` in the weights' ``scores``:
-both add the floats :func:`score` adds, in its order, so every bit is the same.
+:func:`score` and the trainer sum a vector's set weights through its getter in
+:data:`weights_of`, so the resolver, which keeps each vector's score in the weights'
+``scores``, and the trainer add the same floats in the same order: every bit is the same.
 
 Feature order is part of the serialization contract (weights files, trace
 bit strings): quoted_match, recency, nominative, first_np,
@@ -29,7 +29,7 @@ from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, NameIndex, SearchScope, WalkText, _base, _sentence_index
 from .corpus import NameDictionary
-from .textmodel import Document, PronounMention, decode_utf8, mention_quoted
+from .textmodel import Document, PronounMention, data_lines, mention_quoted, read_data_file
 
 
 class PreferenceVector(NamedTuple):
@@ -82,7 +82,7 @@ weights_of = _WeightGetters()  # at most one getter for each of the 256 vectors
 
 def score(vector: PreferenceVector, weights: PreferenceWeights) -> float:
     """Aggregate salience: the sum of the weights of the satisfied features."""
-    return sum(compress(weights.values, vector))
+    return sum(weights_of[vector](weights.values))
 
 
 def most_recent_max(scores: Iterable[float]) -> int:
@@ -109,10 +109,7 @@ def format_weights(weights: PreferenceWeights) -> str:
 def parse_weights(text: str) -> PreferenceWeights:
     """Parse a weights file: eight ``name = value`` lines, any order."""
     mapping: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         name, sep, value = line.partition("=")
         name = name.strip()
         if not sep or not name:
@@ -135,8 +132,7 @@ def parse_weights(text: str) -> PreferenceWeights:
 
 
 def load_weights(path) -> PreferenceWeights:
-    with open(path, "rb") as handle:
-        return parse_weights(decode_utf8(handle.read(), path, bom=True))
+    return parse_weights(read_data_file(path))
 
 
 def feature_vectors(

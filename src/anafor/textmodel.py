@@ -27,7 +27,8 @@ their own, and apostrophes stay inside the token (``Ali'yi`` is one token)
 because the apostrophe is the cue for proper-name case suffixes.  It runs
 in C: ``str.replace`` pads each mark with spaces, and ``str.split`` cuts
 the text where the regex class ``\\s`` would.
-``decode_utf8`` turns the bytes of every input file, or of stdin, into text.
+``decode_utf8`` turns the bytes of every input file, or of stdin, into text;
+``read_data_file`` and ``data_lines`` read the gazetteer, weights and lexicon.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 PUNCTUATION_TOKENS = frozenset({",", ".", "!", "?", "…", '"'})
 SENTENCE_TERMINATORS = frozenset({".", "!", "?", "…"})
@@ -202,6 +203,19 @@ def decode_utf8(data: bytes, name, bom: bool = False) -> str:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{name}: not valid UTF-8 ({exc})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_data_file(path) -> str:
+    """The text of a data file: UTF-8, one leading byte order mark dropped."""
+    with open(path, "rb") as handle:
+        return decode_utf8(handle.read(), path, bom=True)
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line's 1-based number and its text before any ``#``, stripped, unless blank."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, line
 
 
 def split_tokens(text: str) -> list[str]:

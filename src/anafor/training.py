@@ -120,14 +120,14 @@ def train(
 
     Two shortcuts leave every weight bit and the report as they would be
     without them.  Copies of a vector tie and the tie goes to the last copy, so
-    each distinct vector is scored once, at its last index, as the sum of the
-    weights its getter in :data:`~anafor.scoring.weights_of` reads: the floats
-    :func:`~anafor.scoring.score` adds, in its order.  An instance whose one
-    distinct vector is the gold one can never miss and is left out.  An epoch
-    is a pure function of the weights it starts from, so once an epoch starts
-    from the exact bits an earlier one started from, the epochs between them
-    repeat, and as many whole periods as fit before ``max_epochs`` are
-    skipped.  A weight that overflows is a ValueError.
+    each distinct vector is scored once, at its last index, through its getter
+    in :data:`~anafor.scoring.weights_of`, as :func:`~anafor.scoring.score`
+    scores it.  An instance whose one distinct vector is the gold one can
+    never miss and is left out.  An epoch is a pure function of the weights
+    it starts from, so once an epoch starts from the exact bits an earlier
+    one started from, the epochs between them repeat, and as many whole
+    periods as fit before ``max_epochs`` are skipped.  A weight that
+    overflows is a ValueError.
     """
     if not instances:
         raise ValueError("no training instances")

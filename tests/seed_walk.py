@@ -31,7 +31,14 @@ it was when every tag went through the attribute reader, the reference of
 ``test_parse_differential.py``.  ``load_dictionary`` is the gazetteer
 reader as it was when it checked every line on its own, the reference of
 ``test_gazetteer_differential.py``; it and the parser check names with
-``_checked_name``, the gazetteer's name rule as it was then.  One line
+``_checked_name``, the gazetteer's name rule as it was then.
+``parse_weights`` and ``lexicon_from_text`` are the weights and lexicon
+readers as they were when each skipped its own comments and blank lines,
+the references of ``test_data_file_differential.py``, which also holds
+the package's ``_split_apostrophe`` to the one here.  ``_window_start`` and
+``scan_name_occurrences`` are the window scan, copied from the package so
+that the references own it; it matches each token with the package's
+``match_name``.  One line
 differs from the seed: a pronoun's quote flag is ``mention_quoted``'s,
 which fixes the seed's reading of a zero before a closing quote mark as
 unquoted.
@@ -40,7 +47,8 @@ unquoted.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, replace, replace as dc_replace
 from functools import lru_cache
@@ -51,17 +59,15 @@ from anafor.candidates import (
     Candidate,
     CandidateKind,
     SearchScope,
-    _window_start,
     generate_sets,
-    scan_name_occurrences,
 )
 from anafor.corpus import NameDictionary, ParseError, _render_mention_attrs
 from anafor.morphology import (
-    APOSTROPHES, Lexicon, NameOccurrence, classify_pronoun, default_lexicon, turkish_lower,
-    turkish_upper,
+    APOSTROPHES, Lexicon, NameOccurrence, PronounForm, classify_pronoun, default_lexicon,
+    match_name, turkish_lower, turkish_upper,
 )
 from anafor.resolver import AMBIGUOUS_FIELD, Resolution, ResolvedDocument, ScoredCandidate
-from anafor.scoring import DEFAULT_WEIGHTS, PreferenceVector, PreferenceWeights
+from anafor.scoring import DEFAULT_WEIGHTS, FEATURE_NAMES, PreferenceVector, PreferenceWeights
 from anafor.textmodel import (
     PUNCTUATION_TOKENS,
     QUOTE,
@@ -100,6 +106,23 @@ def _split_apostrophe(surface: str) -> tuple[str, str]:
     if cut < 0:
         return surface, ""
     return surface[:cut], surface[cut + 1:]
+
+
+def _window_start(doc: Document, pronoun: PronounMention, scope: SearchScope) -> int:
+    first_sentence = max(0, doc.sentence_index_of(pronoun.position) - scope.max_back_sentences)
+    return bisect_left(doc.sentence_of, first_sentence, 0, pronoun.position)
+
+
+def scan_name_occurrences(
+    doc: Document,
+    pronoun: PronounMention,
+    dictionary: NameDictionary,
+    scope: SearchScope = SearchScope(),
+    lexicon: Lexicon | None = None,
+) -> list[NameOccurrence]:
+    """All gazetteer matches in the pronoun's search window, left to right."""
+    window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]  # one read
+    return [occ for occ in (match_name(token, dictionary, lexicon) for token in window) if occ]
 
 
 def _compound_runs(doc: Document, occurrences: list[NameOccurrence]):
@@ -833,3 +856,91 @@ def load_dictionary(path) -> NameDictionary:
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return NameDictionary(entries=frozenset(names))
+
+
+# The weights and lexicon readers as they were when each read its own file
+# and skipped its own comments and blank lines: the references of
+# ``test_data_file_differential.py``.  The lexicon reference builds no
+# ``case_markers`` table, which the package no longer keeps; its loop is
+# the old one.
+
+
+def parse_weights(text: str) -> PreferenceWeights:
+    """Parse a weights file: eight ``name = value`` lines, any order."""
+    mapping: dict[str, float] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        name, sep, value = line.partition("=")
+        name = name.strip()
+        if not sep or not name:
+            raise ValueError(f"weights line {lineno}: expected 'name = value'")
+        if name in mapping:
+            raise ValueError(f"weights line {lineno}: duplicate name {name!r}")
+        try:
+            mapping[name] = float(value.strip())
+        except ValueError:
+            raise ValueError(f"weights line {lineno}: bad value {value.strip()!r}") from None
+        if not math.isfinite(mapping[name]):
+            raise ValueError(f"weights line {lineno}: {name} must be finite")
+    missing = [name for name in FEATURE_NAMES if name not in mapping]
+    if missing:
+        raise ValueError(f"missing weight names: {', '.join(missing)}")
+    extra = [name for name in mapping if name not in FEATURE_NAMES]
+    if extra:
+        raise ValueError(f"unknown weight names: {', '.join(extra)}")
+    return PreferenceWeights(tuple(mapping[name] for name in FEATURE_NAMES))
+
+
+_SECTION_RE = re.compile(r"\[(pronoun|suffix)\s+([^\]]+)\]\s*$")
+
+
+def lexicon_from_text(text: str) -> Lexicon:
+    """Parse the lexicon file format, as ``Lexicon.from_text`` did."""
+    forms: dict[str, PronounForm] = {}
+    tables: dict[str, set[str]] = {"case": set(), "plural": set(), "copula": set()}
+    current: PronounForm | str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        match = _SECTION_RE.match(line)
+        if match:
+            section_kind, payload = match.group(1), match.group(2).split()
+            if section_kind == "pronoun":
+                if len(payload) != 3:
+                    raise ValueError(f"lexicon line {lineno}: bad pronoun section header")
+                lemma, kind_value, number_value = payload
+                try:
+                    current = PronounForm(
+                        lemma=lemma,
+                        kind=PronounKind(kind_value),
+                        number=Number(number_value),
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"lexicon line {lineno}: {exc}") from None
+            else:
+                if len(payload) != 1 or payload[0] not in tables:
+                    raise ValueError(f"lexicon line {lineno}: bad suffix section header")
+                current = payload[0]
+            continue
+        if current is None:
+            raise ValueError(f"lexicon line {lineno}: entry outside any section")
+        if isinstance(current, PronounForm):
+            key = turkish_lower(line)
+            if key in forms:
+                raise ValueError(f"lexicon line {lineno}: duplicate pronoun form {line!r}")
+            forms[key] = current
+        else:
+            tables[current].add(turkish_lower(line))
+    if not forms:
+        raise ValueError("lexicon defines no pronoun forms")
+    for name, table in tables.items():
+        if not table:
+            raise ValueError(f"lexicon defines no [suffix {name}] entries")
+    return Lexicon(
+        pronoun_forms=dict(forms),
+        plural_prefixes=tuple(sorted(tables["plural"], key=len, reverse=True)),
+        copula_suffixes=tuple(sorted(tables["copula"], key=len, reverse=True)),
+    )

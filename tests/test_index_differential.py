@@ -2,7 +2,7 @@
 step of a walk, the window's name occurrences, their simple candidates, the
 counts of its pre-apostrophe bases that are gazetteer entries and each
 window sentence's first phrase token must equal
-``scan_name_occurrences``, a fresh ``Counter`` of the
+``seed_walk.scan_name_occurrences``, a fresh ``Counter`` of the
 window and a scan of each sentence as the seed's ``_first_phrase_token``
 made (for the pronoun's own sentence, of the tokens left of it), and the
 index keeps first phrase tokens of window sentences only.  The
@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from anafor import parse_document
 from anafor.candidates import (
     Candidate, CandidateKind, SearchScope, apply_constraints, constrained_candidates,
-    extract_candidates, generate_sets, scan_name_occurrences,
+    extract_candidates, generate_sets,
 )
 from anafor.corpus import NameDictionary
 from anafor.morphology import _split_apostrophe
@@ -82,7 +82,7 @@ def check_document(doc, names, scope) -> None:
         assert all(token.index == i for i, token in enumerate(work.tokens[:-1]))
         work.validate()
         assert work.sentences[-1].last == len(work.surfaces) - 1
-        occurrences = scan_name_occurrences(work, mention, names, scope)
+        occurrences = seed_walk.scan_name_occurrences(work, mention, names, scope)
         simple = [c for c in work.names.candidates if c.kind is CandidateKind.SIMPLE]
         assert [c.members[0] for c in simple] == occurrences
         assert simple == [

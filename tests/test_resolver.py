@@ -22,10 +22,11 @@ from anafor import (
     resolve_document,
     serialize_document,
 )
-from anafor.candidates import Candidate, SearchScope, scan_name_occurrences
+from anafor.candidates import Candidate, SearchScope
 from anafor.morphology import turkish_lower
 from anafor.resolver import walk_document
 from anafor.textmodel import Document, PronounMention, Sentence, Token
+import seed_walk
 from conftest import FIXTURE_FILES, fixture_text, replace_one
 from counting import (
     builds_token, chain_text, commas_text, compound_members, filler_text, gazetteer_lookups,
@@ -389,7 +390,7 @@ class TestReplacement:
 
         def choose(work, mention, survivors, history):
             with runs(Token.__new__) as checked, runs(Token._make, builds_token) as made:
-                occurrences = scan_name_occurrences(work, mention, DICT, SearchScope())
+                occurrences = seed_walk.scan_name_occurrences(work, mention, DICT, SearchScope())
             scans.append((len(occurrences), checked.n + made.n, len(work.surfaces)))
             return None
 
@@ -405,7 +406,7 @@ class TestReplacement:
         sizes = []
 
         def choose(work, mention, survivors, history):
-            start = anafor.candidates._window_start(work, mention, SearchScope())
+            start = seed_walk._window_start(work, mention, SearchScope())
             assert all(count > 0 for count in work.names.bases.values())
             sizes.append((len(work.names.bases), mention.position - start))
             return None

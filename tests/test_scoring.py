@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
@@ -170,13 +170,16 @@ class TestScore:
         assert score(vector, DEFAULT_WEIGHTS) == pytest.approx(5.40)
 
     def test_each_weight_getter_adds_what_score_adds_bit_for_bit(self):
-        # Big and small weights of both signs make the order of addition
-        # show in the bits; repr tells 0 from 0.0 and -0.0.
+        # score sums through the getters, so both are held to the flagged
+        # weights summed in feature order here.  Big and small weights of
+        # both signs make the order of addition show in the bits; repr
+        # tells 0 from 0.0 and -0.0.
         weights = PreferenceWeights((0.1, -0.2, 1e16, 0.3, -1e16, 2.5, -0.0, 7e-3))
         for flags in product((False, True), repeat=8):
             vector = PreferenceVector(*flags)
+            expected = repr(sum(compress(weights.values, vector)))
             summed = sum(weights_of[vector](list(weights.values)))
-            assert repr(summed) == repr(score(vector, weights)), flags
+            assert (repr(summed), repr(score(vector, weights))) == (expected, expected), flags
 
     def test_the_resolvers_score_table_holds_what_score_returns(self):
         # The table fills as a resolve meets each vector; it is no part of
