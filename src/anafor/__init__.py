@@ -15,7 +15,7 @@ _PUBLIC = {  # module -> its public names, each loaded on first access
     "morphology": "Lexicon NameOccurrence PronounForm classify_pronoun default_lexicon "
                   "match_name turkish_lower turkish_upper",
     "candidates": "Candidate CandidateKind SearchScope apply_constraints constrained_candidates "
-                  "extract_candidates generate_sets scan_name_occurrences",
+                  "extract_candidates generate_sets",
     "scoring": "DEFAULT_WEIGHTS FEATURE_NAMES PreferenceVector PreferenceWeights feature_vector "
                "feature_vectors load_weights parse_weights score",
     "resolver": "Resolution ResolvedDocument ScoredCandidate baseline_resolve_document "

@@ -9,14 +9,16 @@ generation builds one plural candidate per sentence out of its distinct
 names, and is meant to be invoked only when a plural pronoun finds no
 plural candidate.
 
-A :class:`NameIndex` is the one reader of a pronoun's window, for
-extraction and scoring alike: the walk's text carries one, or else each
-reads the window into a new one, of the gazetteer's or the survivors'
-names.  Both read the token columns, where a token's index is its offset.
-The index builds each candidate once and keeps each number's candidates
-apart, so the constraints take a slice of one list, never a filter.  Its
-window bookkeeping is plain dict and list operations; it reads enum members
-off module constants and a name's suffix flags off the lexicon's table.
+A :class:`NameIndex` is the package's one reader of a pronoun's window.
+The walk's text carries one, so on it ``extract_candidates``,
+``generate_sets``, ``constrained_candidates`` and ``feature_vectors``
+answer for the walk's dictionary, scope and lexicon and ignore the ones
+passed in; on other text each reads the window into a new index, of the
+gazetteer's or the survivors' names.  The index reads the token columns,
+builds each candidate once and keeps each number's candidates apart, so
+the constraints take a slice of one list, never a filter.  It keeps its
+window in plain dicts and lists, and reads enum members off module
+constants and a name's suffix flags off the lexicon's table.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from typing import NamedTuple, Sequence
 
 from .corpus import NameDictionary
 from .morphology import (
-    Lexicon, NameOccurrence, _split_apostrophe, default_lexicon, match_name, name_occurrence,
-    turkish_lower,
+    Lexicon, NameOccurrence, _split_apostrophe, default_lexicon, name_occurrence, turkish_lower,
 )
+# Unused here, but perfbench/tracing.py patches it as an attribute of this module.
+from .morphology import match_name  # noqa: F401
 from .textmodel import PUNCTUATION_TOKENS, Document, Number, PronounKind, PronounMention
 
 LINKER_SURFACES = frozenset({"ve", "ile"})
@@ -97,23 +100,6 @@ class SearchScope(NamedTuple("SearchScope", [("max_back_sentences", int)])):
         return SearchScope(*super()._replace(**changes))
 
 
-def _window_start(doc: Document, pronoun: PronounMention, scope: SearchScope) -> int:
-    first_sentence = max(0, doc.sentence_index_of(pronoun.position) - scope.max_back_sentences)
-    return bisect_left(doc.sentence_of, first_sentence, 0, pronoun.position)
-
-
-def scan_name_occurrences(
-    doc: Document,
-    pronoun: PronounMention,
-    dictionary: NameDictionary,
-    scope: SearchScope = SearchScope(),
-    lexicon: Lexicon | None = None,
-) -> list[NameOccurrence]:
-    """All gazetteer matches in the pronoun's search window, left to right."""
-    window = doc.tokens[_window_start(doc, pronoun, scope):pronoun.position]  # one read
-    return [occ for occ in (match_name(token, dictionary, lexicon) for token in window) if occ]
-
-
 class NameIndex:
     """A pronoun's window: its candidates of each number in ``(anchor,
     size)`` order, the counts of its gazetteer bases in a plain dict, and
@@ -143,11 +129,6 @@ class NameIndex:
         self._runs: list[list[NameOccurrence]] = [[], []]  # the open run of each parity
         self._hits, self._hit_bases = [], []  # the counted tokens and their bases, in token order
         self._start = self._end = 0  # the window start; tokens before _end are matched or skipped
-
-    @property
-    def candidates(self) -> list[Candidate]:
-        """Both numbers' candidates, merged in ``(anchor, size)`` order."""
-        return sorted(self.singular + self.plural, key=lambda c: (c.anchor, len(c.members)))
 
     def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
         first = doc.sentence_index_of(pronoun.position) - scope.max_back_sentences
@@ -241,7 +222,8 @@ def extract_candidates(
 ) -> list[Candidate]:
     """Simple and compound candidates for one pronoun, oldest anchor first
     and the simple before the compound at one anchor: the index's, merged."""
-    return window_index(doc, pronoun, scope, dictionary, lexicon).candidates
+    index = window_index(doc, pronoun, scope, dictionary, lexicon)
+    return sorted(index.singular + index.plural, key=lambda c: (c.anchor, len(c.members)))
 
 
 def generate_sets(
@@ -258,7 +240,7 @@ def generate_sets(
     """
     # The window's names come in token order, so sentences and first occurrences do.
     per_sentence: dict[int, dict[str, NameOccurrence]] = {}
-    for candidate in window_index(doc, pronoun, scope, dictionary, lexicon).candidates:
+    for candidate in extract_candidates(doc, pronoun, dictionary, scope, lexicon):
         if candidate.kind is _SIMPLE:
             (occ,) = candidate.members
             per_sentence.setdefault(candidate.sentence_index, {}).setdefault(occ.base, occ)

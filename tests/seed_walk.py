@@ -36,9 +36,9 @@ reader as it was when it checked every line on its own, the reference of
 readers as they were when each skipped its own comments and blank lines,
 the references of ``test_data_file_differential.py``, which also holds
 the package's ``_split_apostrophe`` to the one here.  ``_window_start`` and
-``scan_name_occurrences`` are the window scan, copied from the package so
-that the references own it; it matches each token with the package's
-``match_name``.  One line
+``scan_name_occurrences`` are the seed's window scan, the one copy left:
+the package reads every window through its name index; the scan matches
+each token with the package's ``match_name``.  One line
 differs from the seed: a pronoun's quote flag is ``mention_quoted``'s,
 which fixes the seed's reading of a zero before a closing quote mark as
 unquoted.
@@ -825,7 +825,7 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
 # reference of ``test_gazetteer_differential.py``.
 
 
-_RESERVED_RE = re.compile("['’\"<;]")  # never in a gazetteer name; ';' joins names
+_RESERVED_RE = re.compile("['’\"<>;]")  # never in a gazetteer name; ';' joins names
 
 
 def _checked_name(name: str) -> str:

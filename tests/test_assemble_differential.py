@@ -80,7 +80,7 @@ def seed_checked_name(name: str) -> str:
         raise ValueError("dictionary entry must be non-empty")
     if any(ch.isspace() for ch in name):
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
-    if any(ch in name for ch in ("'", "’", '"', "<", ";")):
+    if any(ch in name for ch in ("'", "’", '"', "<", ">", ";")):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:

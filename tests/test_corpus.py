@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, reject, strategies as st
 
 import anafor.corpus
 from anafor import (
@@ -332,6 +334,27 @@ class TestSerializeDocument:
             assert resolved.resolutions[0].antecedent is not None
             assert parse_document(serialize_document(paraphrased)) == paraphrased
             assert len(paraphrased.sentences) == len(doc.sentences)
+
+    @given(st.builds(
+        str.__add__, st.sampled_from("AÇİB"), st.text("açıbAB><\"'’;/=&", max_size=4)
+    ))
+    @example("A>b")
+    @example("A/b=c&d")
+    def test_a_gazetteer_name_round_trips_as_a_gold_link(self, name):
+        # A name the gazetteer accepts can be written as an ant and read back.
+        try:
+            NameDictionary.from_names([name])
+        except ValueError:
+            reject()
+        doc = parse_document(
+            'Ali <pro id="1">onu</pro> gördü . <zero id="2" kind="pers" num="sg"/> güldü .'
+        )
+        gold = frozenset({name})
+        doc = dataclasses.replace(doc, pronouns=tuple(
+            dataclasses.replace(mention, gold_antecedent=gold) for mention in doc.pronouns
+        ))
+        parsed = parse_document(serialize_document(doc))
+        assert [mention.gold_antecedent for mention in parsed.pronouns] == [gold, gold]
 
     def test_zero_tag_count_preserved(self):
         doc = parse_document(fixture_text("corpora/p2_recency.txt"))

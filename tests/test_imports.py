@@ -1,6 +1,8 @@
 """Every name a module of ``src/anafor`` imports is used in that module.
 
 ``__init__.py`` is exempt: its imports are the package's public names.
+The imports in ``TRACER_ONLY`` are unused, and each must be a site that
+``perfbench/tracing.py`` patches, so the list holds no stray import.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ TRACER_ONLY = {
     ("training.py", "constrained_candidates"),  # patched by perfbench/tracing.py
     ("training.py", "replace_mention"),  # patched by perfbench/tracing.py
     ("training.py", "feature_vector"),  # patched by perfbench/tracing.py
+    ("candidates.py", "match_name"),  # patched by perfbench/tracing.py
 }
+TRACING = SOURCE.parent.parent / "perfbench" / "tracing.py"
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -62,6 +66,21 @@ def unused_imports(source: str) -> set[str]:
 def test_every_import_is_used(module):
     unused = unused_imports((SOURCE / module).read_text(encoding="utf-8"))
     assert unused == {name for listed, name in TRACER_ONLY if listed == module}
+
+
+def tracer_targets(source: str) -> set[tuple[str, str]]:
+    """The ``(module, attribute)`` pairs that a tracer's ``TARGETS`` patch."""
+    (targets,) = (
+        node.value for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]
+    )
+    return {(ast.literal_eval(row.elts[0]), ast.literal_eval(row.elts[1])) for row in targets.elts}
+
+
+def test_each_tracer_only_import_is_a_site_the_tracer_patches():
+    patched = tracer_targets(TRACING.read_text(encoding="utf-8"))
+    for module, name in TRACER_ONLY:
+        assert (f"anafor.{module.removesuffix('.py')}", name) in patched
 
 
 @pytest.mark.parametrize(

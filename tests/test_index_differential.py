@@ -83,13 +83,13 @@ def check_document(doc, names, scope) -> None:
         work.validate()
         assert work.sentences[-1].last == len(work.surfaces) - 1
         occurrences = seed_walk.scan_name_occurrences(work, mention, names, scope)
-        simple = [c for c in work.names.candidates if c.kind is CandidateKind.SIMPLE]
+        extracted = extract_candidates(work, mention, names, scope)
+        simple = [c for c in extracted if c.kind is CandidateKind.SIMPLE]
         assert [c.members[0] for c in simple] == occurrences
         assert simple == [
             Candidate((occ,), CandidateKind.SIMPLE, work.sentence_index_of(occ.token_index))
             for occ in occurrences
         ]
-        extracted = extract_candidates(work, mention, names, scope)
         reference = seed_walk.extract_candidates(work, mention, names, scope)
         assert extracted == reference
         index = work.names

@@ -6,7 +6,6 @@ import re
 
 import pytest
 
-import anafor.candidates
 import anafor.morphology
 import anafor.scoring
 from anafor import (
@@ -15,6 +14,7 @@ from anafor import (
     NameDictionary,
     PreferenceWeights,
     baseline_resolve_document,
+    build_instances,
     format_trace,
     match_name,
     parse_document,
@@ -22,7 +22,7 @@ from anafor import (
     resolve_document,
     serialize_document,
 )
-from anafor.candidates import Candidate, SearchScope
+from anafor.candidates import Candidate, NameIndex, SearchScope
 from anafor.morphology import turkish_lower
 from anafor.resolver import walk_document
 from anafor.textmodel import Document, PronounMention, Sentence, Token
@@ -416,15 +416,20 @@ class TestReplacement:
         assert all(keys <= window for keys, window in sizes)
 
     def test_the_walk_keeps_its_window_without_a_bisect_from_zero_or_a_counter(self, names9):
-        # The walk reads each window's first sentence off the pronoun's
-        # sentence number and counts its bases in a plain dict.
+        # Each walk builds one name index, which every window reader of the
+        # walk's text reads, so no window is read from its start anew; the
+        # index counts its bases in a plain dict.
         doc = _tiled_minicorpus(2)
-        with (
-            runs(anafor.candidates._window_start) as starts,
-            runs(collections.Counter.update) as updates,
-        ):
-            resolve_document(doc, names9)
-        assert (starts.n, updates.n) == (0, 0)
+        with runs(collections.Counter.update) as updates:
+            for walk, corpus, walks in (
+                (resolve_document, doc, 1),
+                (baseline_resolve_document, doc, 1),
+                (build_instances, [doc, _tiled_minicorpus(1), doc], 3),
+            ):
+                with runs(NameIndex.__init__) as indexes:
+                    walk(corpus, names9)
+                assert indexes.n == walks, walk.__name__
+        assert updates.n == 0
 
     @staticmethod
     def _resolve_serialize_trace(doc, dictionary):
