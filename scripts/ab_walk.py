@@ -14,8 +14,9 @@ are those of two benchmark workloads, built as
 document, and ``dense_shorts`` the first ``DENSE_DOCUMENTS`` generated
 documents of ``random.Random(1)``, each its own document.
 
-First both copies resolve every input, and the script stops with an error
-unless they give the same paraphrase and trace.  Then in each round it
+First both copies resolve every input, with the resolver and with the
+baseline, and the script stops with an error unless they give the same
+paraphrase and trace.  Then in each round it
 times, for each workload, each copy's resolve op as the benchmark runs it
 (parse, resolve, serialize, trace): ``LONG_STORY_OPS`` ops on the
 long_story text, or one op on each dense_shorts document.  The two copies
@@ -62,20 +63,21 @@ def inputs() -> tuple[dict[str, list[str]], list[str]]:
 
 
 def load_copy(checkout: Path, package: str, into: Path, gazetteer: list[str]):
-    """The resolve op of ``checkout``'s package, loaded as ``package``."""
+    """The resolve op of ``checkout``'s package, loaded as ``package``, and
+    the same op run with the baseline."""
     shutil.copytree(checkout / "src" / "anafor", into / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     corpus = importlib.import_module(f"{package}.corpus")
     resolver = importlib.import_module(f"{package}.resolver")
     dictionary = corpus.NameDictionary.from_names(gazetteer)
 
-    def op(text: str) -> tuple[str, str]:
+    def op(text: str, resolve=resolver.resolve_document) -> tuple[str, str]:
         doc = corpus.parse_document(text)
-        resolved = resolver.resolve_document(doc, dictionary)
+        resolved = resolve(doc, dictionary)
         paraphrase = corpus.serialize_document(resolved.paraphrased)
         return paraphrase, resolver.format_trace(resolved.resolutions)
 
-    return op
+    return op, lambda text: op(text, resolver.baseline_resolve_document)
 
 
 def seconds(op, texts: list[str]) -> float:
@@ -98,13 +100,15 @@ def main() -> None:
     workloads, gazetteer = inputs()
     with tempfile.TemporaryDirectory() as scratch:
         sys.path.insert(0, scratch)
-        ops = {side: load_copy(checkout.resolve(), f"anafor_{side}", Path(scratch), gazetteer)
-               for side, checkout in zip(SIDES, (args.parent, args.change))}
+        copies = {side: load_copy(checkout.resolve(), f"anafor_{side}", Path(scratch), gazetteer)
+                  for side, checkout in zip(SIDES, (args.parent, args.change))}
         for workload, texts in workloads.items():
             for k, text in enumerate(dict.fromkeys(texts)):
-                outputs = {side: ops[side](text) for side in SIDES}
-                if outputs["parent"] != outputs["change"]:
-                    sys.exit(f"{workload} document {k}: the paraphrase or trace differs")
+                for walk, name in enumerate(("resolve", "baseline")):
+                    outputs = {side: copies[side][walk](text) for side in SIDES}
+                    if outputs["parent"] != outputs["change"]:
+                        sys.exit(f"{workload} document {k}: {name}'s paraphrase or trace differs")
+        ops = {side: copies[side][0] for side in SIDES}
         order, ratios = random.Random(args.seed), {workload: [] for workload in workloads}
         for _ in range(args.rounds):
             for workload, texts in workloads.items():

@@ -18,8 +18,8 @@ _PUBLIC = {  # module -> its public names, each loaded on first access
                   "extract_candidates generate_sets",
     "scoring": "DEFAULT_WEIGHTS FEATURE_NAMES PreferenceVector PreferenceWeights feature_vector "
                "feature_vectors load_weights parse_weights score",
-    "resolver": "Resolution ResolvedDocument ScoredCandidate baseline_resolve_document "
-                "format_trace parse_trace resolve_document",
+    "resolver": "Resolution ResolvedDocument baseline_resolve_document format_trace "
+                "parse_trace resolve_document",
     "training": "TrainConfig TrainingInstance TrainReport build_instances train",
     "evaluation": "Comparison Metrics evaluate",
 }

@@ -61,7 +61,7 @@ _PRO_CLOSE = "</pro>"
 # marks glue onto a token too, and never pair as '"' does.
 _INVISIBLE = "\u00ad\u200b\u2060\ufeff"
 _REJECTED = _INVISIBLE + "\u00ab\u00bb\u201c\u201d"
-_RESERVED = "'’\"<>;"  # never in a gazetteer name; ';' joins names
+_RESERVED = "'’\"<>;,.!?…"  # never in a name: ';' joins names, the tokenizer splits marks
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
 _KINDS = {kind.value: kind for kind in PronounKind}

@@ -115,7 +115,7 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        return cls.from_text(read_data_file(path))
+        return read_data_file(path, cls.from_text)
 
 
 @lru_cache(maxsize=1)

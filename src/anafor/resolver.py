@@ -14,18 +14,17 @@ text's name index reads each token once and slices out the survivors, so
 the cost per pronoun is flat across sentences and inside them.
 The resolver picks the highest-scoring survivor, reading each vector's
 :func:`score` off the weights' ``scores`` table, which sums it once; the
-baseline scores nothing, so the most recent survivor wins.  Scored
-entries are built as bare tuples, and the trace formats each vector and
-score pair once.  A zero pronoun is one whose ``surface`` is empty.
+baseline scores nothing, so the most recent survivor wins.  A :class:`Resolution`
+keeps its survivors, vectors and scores as three columns, which the trace
+zips, formatting each vector and score pair once.  A zero pronoun has an empty ``surface``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import copysign
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .candidates import Candidate, NameIndex, SearchScope, WalkText, constrained_candidates
 from .corpus import NameDictionary
@@ -46,20 +45,17 @@ from .scoring import feature_vector  # noqa: F401
 from .textmodel import assemble_document  # noqa: F401
 
 
-class ScoredCandidate(NamedTuple):
-    candidate: Candidate
-    vector: PreferenceVector | None  # None in baseline traces
-    score: float
-
-
 @dataclass(frozen=True)
 class Resolution:
-    """Outcome for one pronoun: an antecedent name set, or ambiguous."""
+    """One pronoun's outcome, an antecedent name set or ambiguous, and the survivors it
+    was chosen from, oldest anchor first, with their vectors and scores (baseline: None, 0.0)."""
 
     pronoun_id: int
     antecedent: frozenset[str] | None
     score: float | None
-    trace: tuple[ScoredCandidate, ...] = ()
+    survivors: tuple[Candidate, ...] = ()
+    vectors: tuple[PreferenceVector | None, ...] = ()
+    scores: tuple[float, ...] = ()
 
     @property
     def resolved(self) -> bool:
@@ -173,18 +169,15 @@ def _resolve_all(
             resolutions.append(Resolution(mention.id, None, None))
             return None
         if weights is None:
-            vectors, scores = [None] * len(survivors), [0.0] * len(survivors)
+            vectors, scores = (None,) * len(survivors), (0.0,) * len(survivors)
         else:
             vectors, known = feature_vectors(work, mention, survivors, history), weights.scores
             scores = [known[v] if v in known else known.setdefault(v, score(v, weights))
                       for v in vectors]
-        entries = zip(survivors, vectors, scores)
-        # A list first: tuple() over-allocates for an iterator and then
-        # shrinks, which grew peak RSS by 0.9 MB over 3000 dense_shorts ops.
-        scored = tuple(list(map(tuple.__new__, repeat(ScoredCandidate), entries)))
         best = most_recent_max(scores)
         winner = survivors[best]
-        resolutions.append(Resolution(mention.id, winner.base_names, scores[best], scored))
+        resolutions.append(Resolution(mention.id, winner.base_names, scores[best],
+                                      tuple(survivors), tuple(vectors), tuple(scores)))
         return list(map(_base, winner.members))
 
     paraphrased = walk_document(doc, dictionary, scope, lexicon, choose)
@@ -234,7 +227,8 @@ def format_trace(resolutions: Iterable[Resolution]) -> str:
         entries = "|".join([
             (m[0].base if len(m) == 1 else ";".join(map(_base, m)))
             + _scored_bits(vector, value, copysign(1, value))  # the sign keys -0.0 apart from 0.0
-            for (m, _, _), vector, value in resolution.trace
+            for (m, _, _), vector, value in zip(
+                resolution.survivors, resolution.vectors, resolution.scores)
         ])
         lines.append(f"{head}\t{resolution.score:.4f}\t{entries}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -132,7 +132,7 @@ def parse_weights(text: str) -> PreferenceWeights:
 
 
 def load_weights(path) -> PreferenceWeights:
-    return parse_weights(read_data_file(path))
+    return read_data_file(path, parse_weights)
 
 
 def feature_vectors(

@@ -205,10 +205,15 @@ def decode_utf8(data: bytes, name, bom: bool = False) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def read_data_file(path) -> str:
-    """The text of a data file: UTF-8, one leading byte order mark dropped."""
+def read_data_file(path, parse=str):
+    """``parse`` of a data file's text, UTF-8 with one leading byte order mark
+    dropped; a ValueError that ``parse`` raises gets ``path`` in front."""
     with open(path, "rb") as handle:
-        return decode_utf8(handle.read(), path, bom=True)
+        text = decode_utf8(handle.read(), path, bom=True)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -52,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, replace, replace as dc_replace
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from anafor.candidates import (
     LINKER_SURFACES,
@@ -66,7 +66,7 @@ from anafor.morphology import (
     APOSTROPHES, Lexicon, NameOccurrence, PronounForm, classify_pronoun, default_lexicon,
     match_name, turkish_lower, turkish_upper,
 )
-from anafor.resolver import AMBIGUOUS_FIELD, Resolution, ResolvedDocument, ScoredCandidate
+from anafor.resolver import AMBIGUOUS_FIELD, Resolution, ResolvedDocument
 from anafor.scoring import DEFAULT_WEIGHTS, FEATURE_NAMES, PreferenceVector, PreferenceWeights
 from anafor.textmodel import (
     PUNCTUATION_TOKENS,
@@ -315,6 +315,16 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
     return assemble_document(sentence_surfaces, remaining)
 
 
+class ScoredCandidate(NamedTuple):
+    """A survivor with its vector (None in the baseline) and score, the
+    entry the seed's walks choose from; ``_resolve_one`` turns a pronoun's
+    entries into the columns of the package's ``Resolution``."""
+
+    candidate: Candidate
+    vector: PreferenceVector | None
+    score: float
+
+
 _Chooser = Callable[
     [Document, PronounMention, list[Candidate], ResolutionHistory],
     list[ScoredCandidate],
@@ -345,11 +355,14 @@ def _resolve_one(
         return Resolution(pronoun.id, None, None, ()), None
     scored = chooser(doc, pronoun, survivors, history)
     best = _pick(scored)
+    candidates, vectors, scores = zip(*scored)
     resolution = Resolution(
         pronoun_id=pronoun.id,
         antecedent=best.candidate.base_names,
         score=best.score,
-        trace=tuple(scored),
+        survivors=candidates,
+        vectors=vectors,
+        scores=scores,
     )
     return resolution, best.candidate
 
@@ -531,7 +544,9 @@ def format_trace(resolutions: Iterable[Resolution]) -> str:
                 "resolved",
                 ";".join(sorted(resolution.antecedent)),
                 f"{resolution.score:.4f}",
-                "|".join(_format_candidate(entry) for entry in resolution.trace),
+                "|".join(_format_candidate(entry) for entry in map(
+                    ScoredCandidate, resolution.survivors, resolution.vectors, resolution.scores
+                )),
             ]
         else:
             fields = [
@@ -825,7 +840,7 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
 # reference of ``test_gazetteer_differential.py``.
 
 
-_RESERVED_RE = re.compile("['’\"<>;]")  # never in a gazetteer name; ';' joins names
+_RESERVED_RE = re.compile("['’\"<>;,.!?…]")  # never in a name: ';' joins names, marks split
 
 
 def _checked_name(name: str) -> str:

@@ -80,7 +80,7 @@ def seed_checked_name(name: str) -> str:
         raise ValueError("dictionary entry must be non-empty")
     if any(ch.isspace() for ch in name):
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
-    if any(ch in name for ch in ("'", "’", '"', "<", ">", ";")):
+    if any(ch in name for ch in ("'", "’", '"', "<", ">", ";", ",", ".", "!", "?", "…")):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:
@@ -168,7 +168,7 @@ def test_tokens_match_the_per_token_build(shared_draw):
 NAMES = [
     "", " ", "Ali Veli", "Ali\t", "Ali\n", "Ali\x1c", "Ali\xa0", "\u2003Ali",
     "Ali'", "Ali’", 'A"li', "<Ali", " a'", "a'", "ali", "ışık", "İsmail", "Irmak",
-    "Ali", "\u200bAli", "\ufeffAli", "1Ali", "Ali;Veli",
+    "Ali", "\u200bAli", "\ufeffAli", "1Ali", "Ali;Veli", "A,b", "Ali.", "A!b", "A?b", "Ali…",
 ]
 
 

@@ -226,6 +226,22 @@ class TestUndecodableInput:
         )
 
 
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        ("--weights", "weights line 1: expected 'name = value'"),
+        ("--lexicon", "lexicon line 1: entry outside any section"),
+    ],
+)
+def test_a_bad_data_file_line_names_the_file(capsys, tmp_path, flag, message):
+    # The gazetteer's errors named the file; these two named only the line.
+    bad = tmp_path / "bad.txt"
+    bad.write_text("x\n", encoding="utf-8")
+    corpus = str(FIXTURES / "minicorpus" / "minicorpus.txt")
+    argv = ["resolve", "--dict", str(NAMES), flag, str(bad), corpus]
+    assert _run(capsys, *argv) == (1, "", f"anafor: error: {bad}: {message}\n")
+
+
 def test_stdin_and_a_file_read_line_ends_alike(capsys, tmp_path, monkeypatch):
     # A file is read with its line ends translated; stdin used not to be,
     # so an error after a lone CR was reported on line 1.

@@ -356,6 +356,21 @@ class TestSerializeDocument:
         parsed = parse_document(serialize_document(doc))
         assert [mention.gold_antecedent for mention in parsed.pronouns] == [gold, gold]
 
+    @given(st.builds(
+        str.__add__, st.sampled_from("AÇİB"), st.text("açıbAB,.!?…/=&-", max_size=4)
+    ))
+    @example("A,b")
+    @example("Ali.")
+    def test_a_gazetteer_name_written_once_resolves_a_later_zero(self, name):
+        # A name the gazetteer accepts stays one token of the text, so it can be found.
+        try:
+            names = NameDictionary.from_names([name])
+        except ValueError:
+            reject()
+        doc = parse_document(f'{name} geldi . <zero id="1" kind="pers" num="sg"/> güldü .')
+        for resolved in resolve_document(doc, names), baseline_resolve_document(doc, names):
+            assert [r.antecedent for r in resolved.resolutions] == [frozenset({name})]
+
     def test_zero_tag_count_preserved(self):
         doc = parse_document(fixture_text("corpora/p2_recency.txt"))
         out = serialize_document(doc)

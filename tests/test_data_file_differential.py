@@ -8,7 +8,8 @@ comments after the values, joined by every separator that
 ``str.splitlines`` honours.  Both readers read every text.
 
 A file with a leading byte order mark and CRLF line ends reads as the same
-file without them, and the apostrophe cut that names and suffixes share
+file without them (an error names each file's own path, then reads the
+same), and the apostrophe cut that names and suffixes share
 cuts as the reference's ``str.find`` does."""
 
 from __future__ import annotations
@@ -95,21 +96,24 @@ def _with_and_without_mark(tmp_path, text):
 @pytest.mark.parametrize("faulty", [False, True])
 def test_weights_file_with_a_byte_order_mark_and_crlf_reads_as_without(tmp_path, faulty):
     lines = ["# weights", *WEIGHT_LINES] + (["extra = heavy"] if faulty else [])
-    plain, marked = _with_and_without_mark(tmp_path, "\n".join(lines) + "\n")
-    expected = ("ValueError", "weights line 10: bad value 'heavy'") if faulty else DEFAULT_WEIGHTS
-    assert _outcome(load_weights, marked) == _outcome(load_weights, plain) == expected
+    for path in _with_and_without_mark(tmp_path, "\n".join(lines) + "\n"):
+        expected = (
+            ("ValueError", f"{path}: weights line 10: bad value 'heavy'") if faulty
+            else DEFAULT_WEIGHTS
+        )
+        assert _outcome(load_weights, path) == expected
 
 
 @pytest.mark.parametrize("faulty", [False, True])
 def test_lexicon_file_with_a_byte_order_mark_and_crlf_reads_as_without(tmp_path, faulty):
     text = resources.files("anafor").joinpath("data/lexicon.txt").read_text("utf-8")
     count = len(text.splitlines())
-    plain, marked = _with_and_without_mark(tmp_path, text + ("[suffix cases]\n" if faulty else ""))
-    expected = (
-        ("ValueError", f"lexicon line {count + 1}: bad suffix section header") if faulty
-        else default_lexicon()
-    )
-    assert _outcome(Lexicon.from_file, marked) == _outcome(Lexicon.from_file, plain) == expected
+    for path in _with_and_without_mark(tmp_path, text + ("[suffix cases]\n" if faulty else "")):
+        expected = (
+            ("ValueError", f"{path}: lexicon line {count + 1}: bad suffix section header")
+            if faulty else default_lexicon()
+        )
+        assert _outcome(Lexicon.from_file, path) == expected
 
 
 @settings(max_examples=200, deadline=None)

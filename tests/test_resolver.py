@@ -25,9 +25,11 @@ from anafor import (
 from anafor.candidates import Candidate, NameIndex, SearchScope
 from anafor.morphology import turkish_lower
 from anafor.resolver import walk_document
+from anafor.scoring import most_recent_max
 from anafor.textmodel import Document, PronounMention, Sentence, Token
 import seed_walk
 from conftest import FIXTURE_FILES, fixture_text, replace_one
+from test_golden import _inputs
 from counting import (
     builds_token, chain_text, commas_text, compound_members, filler_text, gazetteer_lookups,
     punctuation_lookups, runs, surfaces_copied,
@@ -76,8 +78,8 @@ class TestResolveDocument:
         (resolution,) = resolve_document(doc, DICT).resolutions
         assert resolution.antecedent == frozenset({"Tekin"})
         by_name = {
-            ";".join(m.base for m in entry.candidate.members): entry.score
-            for entry in resolution.trace
+            ";".join(m.base for m in candidate.members): score
+            for candidate, score in zip(resolution.survivors, resolution.scores)
         }
         # Tekin leads Ali by recency+nominative+punctuation minus recency
         assert by_name["Tekin"] - by_name["Ali"] == pytest.approx(3.00)
@@ -122,8 +124,8 @@ class TestResolveDocument:
         assert [r.antecedent for r in resolutions] == [frozenset({"Ali"})] * 3
         chosen_flags = []
         for resolution in resolutions:
-            winner = max(resolution.trace, key=lambda e: e.score)
-            chosen_flags.append(winner.vector.zero_antecedent_history)
+            best = max(range(len(resolution.scores)), key=resolution.scores.__getitem__)
+            chosen_flags.append(resolution.vectors[best].zero_antecedent_history)
         assert chosen_flags == [False, True, True]
 
     def test_history_skips_zeros_of_the_same_sentence(self):
@@ -159,8 +161,8 @@ class TestResolveDocument:
         for resolution in resolved.resolutions:
             if not resolution.resolved:
                 continue
-            winner = max(resolution.trace, key=lambda e: e.score)
-            assert winner.candidate.number is by_id[resolution.pronoun_id].number
+            best = max(range(len(resolution.scores)), key=resolution.scores.__getitem__)
+            assert resolution.survivors[best].number is by_id[resolution.pronoun_id].number
 
     def test_replacement_never_loses_name_occurrences(self, names9):
         doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
@@ -186,7 +188,44 @@ class TestResolvePronoun:
         doc = parse_document('<pro id="1">O</pro> geldi.')
         (resolution,) = resolve_document(doc, DICT).resolutions
         assert not resolution.resolved
-        assert resolution.trace == ()
+        assert resolution.survivors == resolution.vectors == resolution.scores == ()
+
+    @staticmethod
+    def _walked_survivors(doc, names, records):
+        """The survivors the walk hands each pronoun, writing in each record's choice."""
+        by_id, walked = {record.pronoun_id: record for record in records}, []
+
+        def choose(work, mention, survivors, history):
+            walked.append(tuple(survivors))
+            record = by_id[mention.id]
+            if not record.resolved:
+                return None
+            return [m.base for m in record.survivors[most_recent_max(record.scores)].members]
+
+        walk_document(doc, names, SearchScope(), None, choose)
+        return walked
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["resolve", "baseline"])
+    def test_each_record_keeps_the_walks_survivors_as_its_columns(self, baseline):
+        # On the fixtures, the mini corpus and the 100 golden documents.
+        ambiguous = 0
+        for _, text, names in _inputs():
+            doc = parse_document(text)
+            run = baseline_resolve_document if baseline else resolve_document
+            records = run(doc, names).resolutions
+            assert [r.survivors for r in records] == self._walked_survivors(doc, names, records)
+            for record in records:
+                columns = (record.survivors, record.vectors, record.scores)
+                assert all(type(column) is tuple for column in columns)
+                assert len(record.survivors) == len(record.vectors) == len(record.scores)
+                if not record.resolved:
+                    ambiguous += 1
+                    assert columns == ((), (), ())
+                elif baseline:
+                    assert set(record.vectors) == {None} and set(record.scores) == {0.0}
+                else:
+                    assert None not in record.vectors and record.score == max(record.scores)
+        assert ambiguous > 0
 
 
 class TestBaseline:
@@ -277,8 +316,8 @@ class TestReplacement:
         ]
         later = resolved.resolutions[1]
         punctuation = {
-            (entry.candidate.sentence_index, entry.candidate.anchor): entry.vector.punctuation
-            for entry in later.trace
+            (candidate.sentence_index, candidate.anchor): vector.punctuation
+            for candidate, vector in zip(later.survivors, later.vectors)
         }
         assert punctuation == {(0, 0): False, (1, 3): False, (1, 4): True}
         last_entry = format_trace([later]).split("\t")[4].split("|")[-1]
@@ -574,7 +613,7 @@ class TestReplacement:
         doc = parse_document(filler_text(tokens))
         with runs(Candidate.number) as numbers, runs(Candidate.anchor) as anchors:
             resolved = resolve_document(doc, DICT)
-        survivors = sum(len(r.trace) for r in resolved.resolutions)
+        survivors = sum(len(r.survivors) for r in resolved.resolutions)
         assert all(r.resolved for r in resolved.resolutions)
         assert survivors == len(doc.pronouns)
         assert numbers.n == 0
@@ -609,7 +648,7 @@ class TestReplacement:
             )
             looked_up, gazetteer = gazetteer_lookups(DICT)
             (resolution,) = resolve_document(doc, gazetteer).resolutions
-            return len(resolution.trace), looked_up.n
+            return len(resolution.survivors), looked_up.n
 
         eight_survivors, eight_calls = lookups("Ali Ayşe Ahmet Fatma Zerrin Murat Zeynep Tekin")
         one_survivor, one_calls = lookups("Ali sonra sonra sonra sonra sonra sonra sonra")

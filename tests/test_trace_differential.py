@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import seed_walk
 from anafor.candidates import Candidate, CandidateKind
 from anafor.morphology import NameOccurrence
-from anafor.resolver import Resolution, ScoredCandidate, format_trace
+from anafor.resolver import Resolution, format_trace
 from anafor.scoring import PreferenceVector
 from test_acceptance import PROP_NAMES
 
@@ -34,24 +34,23 @@ def candidates(draw) -> Candidate:
 @st.composite
 def resolutions(draw) -> Resolution:
     pronoun_id = draw(st.integers(0, 10**6))
-    entries = draw(st.lists(st.builds(ScoredCandidate, candidates(), vectors, scores),
-                            min_size=1, max_size=4))
-    if draw(st.booleans()):  # ambiguous: the trace field is "-" whatever the entries
-        return Resolution(pronoun_id, None, None, draw(st.sampled_from([(), tuple(entries)])))
-    best = draw(st.sampled_from(entries))
-    return Resolution(pronoun_id, best.candidate.base_names, draw(scores), tuple(entries))
+    size = draw(st.integers(1, 4))
+    columns = tuple(tuple(draw(st.lists(column, min_size=size, max_size=size)))
+                    for column in (candidates(), vectors, scores))
+    if draw(st.booleans()):  # ambiguous: the trace field is "-" whatever the columns
+        return Resolution(pronoun_id, None, None, *draw(st.sampled_from([(), columns])))
+    best = draw(st.sampled_from(columns[0]))
+    return Resolution(pronoun_id, best.base_names, draw(scores), *columns)
 
 
-def _entry(score: float, vector=None) -> ScoredCandidate:
-    name = NameOccurrence("Ali", 0, True, False, False)
-    return ScoredCandidate(Candidate((name,), CandidateKind.SIMPLE, 0), vector, score)
+ALI = Candidate((NameOccurrence("Ali", 0, True, False, False),), CandidateKind.SIMPLE, 0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(records=st.lists(resolutions(), max_size=3))
-@example(records=[Resolution(7, frozenset({"Ali"}), -0.0, (_entry(0.00005), _entry(1e16)))])
-@example(records=[Resolution(8, frozenset({"Ali"}), 0.00005, (
-    _entry(-0.0, PreferenceVector(*[True] * 8)), _entry(1e16, PreferenceVector(*[False] * 8)),
-))])
+@example(records=[Resolution(7, frozenset({"Ali"}), -0.0, (ALI, ALI), (None, None),
+                             (0.00005, 1e16))])
+@example(records=[Resolution(8, frozenset({"Ali"}), 0.00005, (ALI, ALI), (
+    PreferenceVector(*[True] * 8), PreferenceVector(*[False] * 8)), (-0.0, 1e16))])
 def test_trace_matches_the_reference(records):
     assert format_trace(records) == seed_walk.format_trace(records)
