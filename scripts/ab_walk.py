@@ -9,14 +9,17 @@ Each copy is called as the benchmark calls the program, with no lexicon
 argument, so each reads the default lexicon of its own package: the
 lexicon file of its own ``data`` directory.  The inputs
 are those of two benchmark workloads, built as
-``scripts/sentence_probe.py`` builds them, with the benchmark's gazetteer:
+``scripts/sentence_probe.py`` builds them, with the benchmark's gazetteer,
+written once to a file in the temporary directory and loaded by each
+copy's ``load_dictionary``, as the benchmark loads it:
 ``long_story`` is the mini corpus tiled ``LONG_STORY_TILES`` times, one
 document, and ``dense_shorts`` the first ``DENSE_DOCUMENTS`` generated
 documents of ``random.Random(1)``, each its own document.
 
-First both copies resolve every input, with the resolver and with the
-baseline, and the script stops with an error unless they give the same
-paraphrase and trace.  Then in each round it
+First the script stops with an error unless both copies load the same
+entries from that file, and unless they give the same paraphrase and
+trace on every input, with the resolver and with the baseline.  Then in
+each round it
 times, for each workload, each copy's resolve op as the benchmark runs it
 (parse, resolve, serialize, trace): ``LONG_STORY_OPS`` ops on the
 long_story text, or one op on each dense_shorts document.  The two copies
@@ -62,14 +65,15 @@ def inputs() -> tuple[dict[str, list[str]], list[str]]:
     return {"long_story": [long_story] * LONG_STORY_OPS, "dense_shorts": dense}, gazetteer
 
 
-def load_copy(checkout: Path, package: str, into: Path, gazetteer: list[str]):
-    """The resolve op of ``checkout``'s package, loaded as ``package``, and
+def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
+    """The gazetteer entries that ``checkout``'s package, loaded as
+    ``package``, reads from ``gazetteer``, its resolve op with them, and
     the same op run with the baseline."""
     shutil.copytree(checkout / "src" / "anafor", into / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     corpus = importlib.import_module(f"{package}.corpus")
     resolver = importlib.import_module(f"{package}.resolver")
-    dictionary = corpus.NameDictionary.from_names(gazetteer)
+    dictionary = corpus.load_dictionary(gazetteer)
 
     def op(text: str, resolve=resolver.resolve_document) -> tuple[str, str]:
         doc = corpus.parse_document(text)
@@ -77,7 +81,7 @@ def load_copy(checkout: Path, package: str, into: Path, gazetteer: list[str]):
         paraphrase = corpus.serialize_document(resolved.paraphrased)
         return paraphrase, resolver.format_trace(resolved.resolutions)
 
-    return op, lambda text: op(text, resolver.baseline_resolve_document)
+    return dictionary.entries, (op, lambda text: op(text, resolver.baseline_resolve_document))
 
 
 def seconds(op, texts: list[str]) -> float:
@@ -100,8 +104,13 @@ def main() -> None:
     workloads, gazetteer = inputs()
     with tempfile.TemporaryDirectory() as scratch:
         sys.path.insert(0, scratch)
-        copies = {side: load_copy(checkout.resolve(), f"anafor_{side}", Path(scratch), gazetteer)
+        names_path = Path(scratch) / "names.txt"
+        names_path.write_text("\n".join(gazetteer) + "\n", encoding="utf-8")
+        loaded = {side: load_copy(checkout.resolve(), f"anafor_{side}", Path(scratch), names_path)
                   for side, checkout in zip(SIDES, (args.parent, args.change))}
+        if loaded["parent"][0] != loaded["change"][0]:
+            sys.exit("the gazetteer's entries differ")
+        copies = {side: walks for side, (_, walks) in loaded.items()}
         for workload, texts in workloads.items():
             for k, text in enumerate(dict.fromkeys(texts)):
                 for walk, name in enumerate(("resolve", "baseline")):

@@ -12,8 +12,8 @@ that is not a recognized pronoun form is a parse error.  A zero tag anchors
 to the next token in the stream, or to the first token of the next sentence
 when it stands inside the run of terminators and closing quote that ends a
 sentence (in ``Ali "Gel. <zero …/> " Gitti.`` and ``Gel. <zero …/> . Gitti.``
-the zero anchors to ``Gitti``).  Proper names are never annotated; they are
-found through the gazetteer (a file of bare names is checked whole).
+the zero anchors to ``Gitti``).  Proper names come from the gazetteer, and
+hold no mark that the tokenizer splits off nor a character the parser refuses.
 
 The literal ``<`` character is reserved for tags and may not appear in the
 running text.  A tag spelled as :func:`serialize_document` writes it is
@@ -61,7 +61,7 @@ _PRO_CLOSE = "</pro>"
 # marks glue onto a token too, and never pair as '"' does.
 _INVISIBLE = "\u00ad\u200b\u2060\ufeff"
 _REJECTED = _INVISIBLE + "\u00ab\u00bb\u201c\u201d"
-_RESERVED = "'’\"<>;,.!?…"  # never in a name: ';' joins names, the tokenizer splits marks
+_RESERVED = "'’<>;" + "".join(sorted(PUNCTUATION_TOKENS)) + _REJECTED  # never in a name
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
 _KINDS = {kind.value: kind for kind in PronounKind}

@@ -12,11 +12,11 @@ text, which holds lists grown and spliced in place; only the walk keeps it.
 ``doc.tokens`` and ``doc.sentences`` build :class:`Token` and
 :class:`Sentence` records on first read, for callers that want them;
 parse and the walk read only the columns.  Records are ``NamedTuple``s, as
-are names, candidates, scores, pronoun forms and search scopes: a tuple
+are names, candidates, vectors, pronoun forms and search scopes: a tuple
 costs a third of a frozen dataclass, and acts as one (``SearchScope(3) ==
 (3,)``).  ``Token``, ``SearchScope`` and ``_replace`` check fields; their
-``_make`` and ``tuple.__new__`` (which builds names, candidates, vectors
-and scored entries) do not.  A dataclass stays where one serves: callers
+``_make`` and ``tuple.__new__`` (which builds names, candidates and
+vectors) do not.  A dataclass stays where one serves: callers
 copy ``Document``, ``PronounMention``, ``Lexicon`` and the resolver's
 records by ``dataclasses.replace``, ``PreferenceWeights`` keeps ``scores``
 out of equality, and a tuple's pickling would read ``NameDictionary.__iter__``.
@@ -42,9 +42,9 @@ from itertools import compress
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-PUNCTUATION_TOKENS = frozenset({",", ".", "!", "?", "…", '"'})
-SENTENCE_TERMINATORS = frozenset({".", "!", "?", "…"})
 QUOTE = '"'
+SENTENCE_TERMINATORS = frozenset({".", "!", "?", "…"})
+PUNCTUATION_TOKENS = SENTENCE_TERMINATORS | {",", QUOTE}
 _BREAKS = SENTENCE_TERMINATORS | {QUOTE}
 _PADDED = [(mark, f" {mark} ") for mark in PUNCTUATION_TOKENS]
 

@@ -840,7 +840,9 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
 # reference of ``test_gazetteer_differential.py``.
 
 
-_RESERVED_RE = re.compile("['’\"<>;,.!?…]")  # never in a name: ';' joins names, marks split
+# Never in a name: ';' joins names, the tokenizer splits marks, the parser
+# refuses invisible format characters and typographic quote marks.
+_RESERVED_RE = re.compile("['’\"<>;,.!?…\u00ad\u200b\u2060\ufeff«»“”]")
 
 
 def _checked_name(name: str) -> str:

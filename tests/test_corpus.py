@@ -22,10 +22,22 @@ from anafor import (
     serialize_document,
     turkish_upper,
 )
+from anafor.textmodel import PUNCTUATION_TOKENS
 from conftest import EXAMPLE_NAMES, FIXTURES, assert_layer_passed, fixture_text
 from counting import runs
 from test_acceptance import PROP_DICT
 from test_golden import _generated
+
+# The characters other modules own: the tokenizer's marks and the parser's refused characters.
+OWNED = "".join(sorted(PUNCTUATION_TOKENS)) + anafor.corpus._REJECTED
+
+
+def gazetteer_names(symbols: str) -> st.SearchStrategy[str]:
+    """A capital, then up to four characters, each a letter or, as often, a
+    symbol: one of ``symbols`` or of ``OWNED``."""
+    tail = st.sampled_from("açıbAB") | st.sampled_from(symbols + OWNED)
+    return st.builds(str.__add__, st.sampled_from("AÇİB"), st.text(tail, max_size=4))
+
 
 CORPORA = sorted((FIXTURES / "corpora").glob("*.txt")) + [
     FIXTURES / "minicorpus" / "minicorpus.txt"
@@ -335,11 +347,11 @@ class TestSerializeDocument:
             assert parse_document(serialize_document(paraphrased)) == paraphrased
             assert len(paraphrased.sentences) == len(doc.sentences)
 
-    @given(st.builds(
-        str.__add__, st.sampled_from("AÇİB"), st.text("açıbAB><\"'’;/=&", max_size=4)
-    ))
+    @given(gazetteer_names("><'’;/=&"))
     @example("A>b")
     @example("A/b=c&d")
+    @example("A«b")
+    @example("Meh\u00admet")
     def test_a_gazetteer_name_round_trips_as_a_gold_link(self, name):
         # A name the gazetteer accepts can be written as an ant and read back.
         try:
@@ -356,11 +368,11 @@ class TestSerializeDocument:
         parsed = parse_document(serialize_document(doc))
         assert [mention.gold_antecedent for mention in parsed.pronouns] == [gold, gold]
 
-    @given(st.builds(
-        str.__add__, st.sampled_from("AÇİB"), st.text("açıbAB,.!?…/=&-", max_size=4)
-    ))
+    @given(gazetteer_names("/=&-"))
     @example("A,b")
     @example("Ali.")
+    @example("A«b")
+    @example("Meh\u00admet")
     def test_a_gazetteer_name_written_once_resolves_a_later_zero(self, name):
         # A name the gazetteer accepts stays one token of the text, so it can be found.
         try:
