@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .corpus import NameDictionary
-from .morphology import (
-    Lexicon, NameOccurrence, _split_apostrophe, default_lexicon, name_occurrence, turkish_lower,
-)
+from .morphology import Lexicon, NameOccurrence, _split_apostrophe, default_lexicon, turkish_lower
 # Unused here, but perfbench/tracing.py patches it as an attribute of this module.
 from .morphology import match_name  # noqa: F401
 from .textmodel import PUNCTUATION_TOKENS, Document, Number, PronounKind, PronounMention
@@ -116,56 +115,52 @@ class NameIndex:
     lexicon's table, analysing a surface only at its first hit, and tests
     punctuation only until its sentence has a first phrase token.  A
     window's first sentence is the pronoun's sentence number less the
-    scope; only when that passes the last one is the window start
-    bisected, from the last start, and whole sentences leave.  Only a token
-    whose base is a gazetteer entry is counted, a pronoun form spelled like
-    a name too; a base whose count falls to zero leaves the counts at once."""
+    scope; when that moves right, the sentences it passes leave whole,
+    with their first phrase tokens and counted bases.  Only a token whose
+    base is a gazetteer entry is counted, a pronoun form spelled like a
+    name too; a base whose count falls to zero leaves the counts at once."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
-        self.dictionary, self.lexicon = dictionary, lexicon or default_lexicon()
+        self.dictionary, self.analyses = dictionary, (lexicon or default_lexicon()).analyses
         self.singular, self.plural = [], []  # the candidates of each number
         self.bases: dict[str, int] = {}  # the positive counts
         self.first_phrase: dict[int, int] = {}  # window sentence -> token, in sentence order
         self._runs: list[list[NameOccurrence]] = [[], []]  # the open run of each parity
-        self._hits, self._hit_bases = [], []  # the counted tokens and their bases, in token order
-        self._start = self._end = 0  # the window start; tokens before _end are matched or skipped
+        self._named: defaultdict[int, list[str]] = defaultdict(list)  # sentence -> counted bases
+        self._first = self._end = 0  # the window's first sentence; tokens before _end are read
 
     def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
         first = doc.sentence_index_of(pronoun.position) - scope.max_back_sentences
         singular, plural, bases, runs = self.singular, self.plural, self.bases, self._runs
-        sentence_of, hits, hit_bases = doc.sentence_of, self._hits, self._hit_bases
-        if first > sentence_of[self._start]:  # the window moves right, past its last start
-            start = bisect_left(sentence_of, first, self._start, pronoun.position)
+        sentence_of, named = doc.sentence_of, self._named
+        if first > self._first:  # the window moves right
             for kept in singular, plural:
                 del kept[:bisect_left(kept, first, key=_sentence_index)]
-            for old in range(sentence_of[self._start], first):  # the sentences that leave
+            for old in range(self._first, first):  # the sentences that leave, with their names
                 self.first_phrase.pop(old, None)
-            gone = bisect_left(hits, start)
-            for base in hit_bases[:gone]:
-                bases[base] -= 1
-                if not bases[base]:
-                    del bases[base]
-            del hits[:gone], hit_bases[:gone]
-            self._start, self._end = start, max(start, self._end)
-        entries, lexicon, first_phrase = self.dictionary.entries, self.lexicon, self.first_phrase
+                for base in named.pop(old, ()):
+                    bases[base] -= 1
+                    if not bases[base]:
+                        del bases[base]
+            self._first = first
+            self._end = bisect_left(sentence_of, first, self._end, pronoun.position)
+        entries, analyses, first_phrase = self.dictionary.entries, self.analyses, self.first_phrase
         surfaces, pending = doc.surfaces, None  # pending: the run whose compound is not built yet
         for i in range(self._end, pronoun.position):
             surface, sentence = surfaces[i], sentence_of[i]
             if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
                 first_phrase[sentence] = i
-            base, _, suffix = surface.partition("'")  # cut in C, unless a ’ comes first
+            base = surface.partition("'")[0]  # cut in C, unless a ’ comes first
             if "’" in base:
-                base, suffix = _split_apostrophe(surface)
+                base = _split_apostrophe(surface)[0]
             if base not in entries:
                 continue
-            hits.append(i)
-            hit_bases.append(base)
+            named[sentence].append(base)
             bases[base] = bases.get(base, 0) + 1
-            flags = lexicon.analyses.get(surface, False)  # False: not analysed yet
-            occ = (flags and tuple.__new__(NameOccurrence, (base, i, *flags)) if flags is not False
-                   else name_occurrence(surface, i, base, suffix, lexicon))
-            if not (base and occ):  # a pronoun form
+            flags = analyses[surface]
+            if not (base and flags):  # a pronoun form
                 continue
+            occ = tuple.__new__(NameOccurrence, (base, i, *flags))
             run = runs[i % 2]
             if not (run and run[-1].token_index == i - 2 and sentence_of[i - 2] == sentence
                     and turkish_lower(surfaces[i - 1]) in LINKER_SURFACES):

@@ -31,7 +31,9 @@ from operator import add, itemgetter, ne
 from typing import Iterable, Iterator
 import re
 
-from .morphology import Lexicon, classify_pronoun, default_lexicon, turkish_lower, turkish_upper
+from .morphology import (
+    APOSTROPHES, Lexicon, classify_pronoun, default_lexicon, turkish_lower, turkish_upper,
+)
 from .textmodel import (
     Document,
     Number,
@@ -59,9 +61,9 @@ _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
 # Invisible format characters glue onto a token unseen; typographic quote
 # marks glue onto a token too, and never pair as '"' does.
-_INVISIBLE = "\u00ad\u200b\u2060\ufeff"
+_INVISIBLE = "\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
 _REJECTED = _INVISIBLE + "\u00ab\u00bb\u201c\u201d"
-_RESERVED = "'’<>;" + "".join(sorted(PUNCTUATION_TOKENS)) + _REJECTED  # never in a name
+_RESERVED = "".join((*APOSTROPHES, "<>;", *sorted(PUNCTUATION_TOKENS), _REJECTED))  # never in a name
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
 _KINDS = {kind.value: kind for kind in PronounKind}
@@ -225,9 +227,9 @@ def _read_tag(
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
-    byte-order mark is dropped, and any other U+FEFF, U+200B, U+2060 or
-    U+00AD, and each typographic quote mark U+201C, U+201D, U+00AB or
-    U+00BB, is a ParseError."""
+    byte-order mark is dropped, and any other U+FEFF, U+00AD, U+061C,
+    U+200B to U+200F or U+2060, and each typographic quote mark U+201C,
+    U+201D, U+00AB or U+00BB, is a ParseError."""
     text = text.removeprefix("\ufeff")
     lexicon = lexicon or default_lexicon()
     surfaces: list[str] = []

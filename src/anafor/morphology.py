@@ -50,6 +50,19 @@ class NameOccurrence(NamedTuple):
     copular_suffix: bool
 
 
+class _Analyses(dict):
+    """Suffix flags per name surface, None for a pronoun form, analysed at first read."""
+
+    def __init__(self, lexicon: Lexicon) -> None:
+        self.lexicon = lexicon
+
+    def __missing__(self, surface: str) -> tuple[bool, bool, bool] | None:
+        lexicon = self.lexicon
+        pronoun = turkish_lower(surface) in lexicon.pronoun_forms
+        self[surface] = None if pronoun else _analyze_suffix(_split_apostrophe(surface)[1], lexicon)
+        return self[surface]
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Closed pronoun inflection lexicon plus name-suffix tables."""
@@ -58,8 +71,11 @@ class Lexicon:
     # Longest first, so the first form that matches is the longest match.
     plural_prefixes: tuple[str, ...]
     copula_suffixes: tuple[str, ...]
-    # name_occurrence's suffix flags per name surface, None for a pronoun form.
-    analyses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # The one table of name analyses: the name index and match_name read it.
+    analyses: _Analyses = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "analyses", _Analyses(self))
 
     @classmethod
     def from_text(cls, text: str) -> "Lexicon":
@@ -179,23 +195,8 @@ def match_name(
     included.  Surfaces in the pronoun lexicon never match, even when a
     same-spelled dictionary entry exists.
     """
-    base, suffix = _split_apostrophe(token.surface)
+    base = _split_apostrophe(token.surface)[0]
     if not base or base not in dictionary:
         return None
-    return name_occurrence(token.surface, token.index, base, suffix, lexicon)
-
-
-def name_occurrence(
-    surface: str,
-    token_index: int,
-    base: str,
-    suffix: str,
-    lexicon: Lexicon | None = None,
-) -> NameOccurrence | None:
-    """:func:`match_name` for ``surface``, token ``token_index``, split at its
-    apostrophe into ``base``, a gazetteer entry, and ``suffix``.  Its
-    analysis is kept on the lexicon, where the name index reads later hits."""
-    lexicon = lexicon or default_lexicon()
-    pronoun = turkish_lower(surface) in lexicon.pronoun_forms
-    flags = lexicon.analyses[surface] = None if pronoun else _analyze_suffix(suffix, lexicon)
-    return None if flags is None else tuple.__new__(NameOccurrence, (base, token_index, *flags))
+    flags = (lexicon or default_lexicon()).analyses[token.surface]
+    return None if flags is None else tuple.__new__(NameOccurrence, (base, token.index, *flags))

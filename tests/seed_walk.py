@@ -675,7 +675,7 @@ _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
 # Invisible format characters glue onto a token unseen; typographic quote
 # marks glue onto a token too, and never pair as '"' does.
-_INVISIBLE = "\u00ad\u200b\u2060\ufeff"
+_INVISIBLE = "\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
 _REJECTED_RE = re.compile(f"[{_INVISIBLE}\u00ab\u00bb\u201c\u201d]")
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
@@ -842,7 +842,9 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
 
 # Never in a name: ';' joins names, the tokenizer splits marks, the parser
 # refuses invisible format characters and typographic quote marks.
-_RESERVED_RE = re.compile("['’\"<>;,.!?…\u00ad\u200b\u2060\ufeff«»“”]")
+_RESERVED_RE = re.compile(
+    "['’\"<>;,.!?…\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff«»“”]"
+)
 
 
 def _checked_name(name: str) -> str:

@@ -81,7 +81,8 @@ def seed_checked_name(name: str) -> str:
     if any(ch.isspace() for ch in name):
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
     if any(ch in name for ch in ("'", "’", '"', "<", ">", ";", ",", ".", "!", "?", "…",
-                                 "\u00ad", "\u200b", "\u2060", "\ufeff", "«", "»", "“", "”")):
+                                 "\u00ad", "\u061c", "\u200b", "\u200c", "\u200d", "\u200e",
+                                 "\u200f", "\u2060", "\ufeff", "«", "»", "“", "”")):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:
@@ -170,7 +171,7 @@ NAMES = [
     "", " ", "Ali Veli", "Ali\t", "Ali\n", "Ali\x1c", "Ali\xa0", "\u2003Ali",
     "Ali'", "Ali’", 'A"li', "<Ali", " a'", "a'", "ali", "ışık", "İsmail", "Irmak",
     "Ali", "\u200bAli", "\ufeffAli", "1Ali", "Ali;Veli", "A,b", "Ali.", "A!b", "A?b", "Ali…",
-    "A»b", "A“b", "Ali\u2060",
+    "A»b", "A“b", "Ali\u2060", "Ali\u200e",
 ]
 
 

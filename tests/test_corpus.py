@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -270,8 +271,17 @@ class TestParseDocument:
             ("Ali\u200b geldi.", 1, 4, "200B"),
             ("Ali geldi.\nAyşe\u2060 gitti.", 2, 5, "2060"),
             ('Ali <pro id="1">o\u00adnu</pro> gördü.', 1, 18, "00AD"),
+            ("Ali\u061c geldi.", 1, 4, "061C"),
+            ("Ali geldi.\nAy\u200cşe gitti.", 2, 3, "200C"),
+            ("Ali\u200d geldi.", 1, 4, "200D"),
+            ('Ali\u200e geldi. <zero id="1" kind="pers" num="sg"/> güldü.', 1, 4, "200E"),
+            ("\u200fAli geldi.", 1, 1, "200F"),
         ],
-        ids=["bom-inside", "zero-width-space", "word-joiner", "soft-hyphen"],
+        ids=[
+            "bom-inside", "zero-width-space", "word-joiner", "soft-hyphen", "arabic-letter-mark",
+            "zero-width-non-joiner", "zero-width-joiner", "left-to-right-mark",
+            "right-to-left-mark",
+        ],
     )
     def test_invisible_format_character_is_located(self, text, line, column, code):
         # Each would otherwise glue onto a token unseen (Ali\u200b is no name).
@@ -280,6 +290,9 @@ class TestParseDocument:
         assert str(info.value) == (
             f"line {line}, column {column}: invisible format character U+{code}"
         )
+
+    def test_each_invisible_character_is_a_format_character(self):
+        assert {unicodedata.category(char) for char in anafor.corpus._INVISIBLE} == {"Cf"}
 
     @pytest.mark.parametrize(
         "text,line,column,code",
@@ -303,6 +316,19 @@ def assert_round_trip(doc) -> None:
     # Generated documents and both walks' paraphrases of them round-trip in
     # the shared draw of test_walk_differential.py.
     assert parse_document(serialize_document(doc)) == doc
+
+
+@pytest.mark.xfail(strict=True, reason="a decomposed name is one token that no entry matches")
+def test_a_decomposed_name_is_found_or_refused():
+    # Some editors and file systems write Unicode NFD: "ş" as "s" and U+0327.
+    names = NameDictionary.from_names(["Ayşe"])
+    text = unicodedata.normalize("NFD", 'Ayşe geldi. <zero id="1" kind="pers" num="sg"/> güldü.')
+    try:
+        doc = parse_document(text)
+    except ParseError as exc:
+        assert exc.line == 1
+        return
+    assert [r.antecedent for r in resolve_document(doc, names).resolutions] == [frozenset({"Ayşe"})]
 
 
 class TestSerializeDocument:

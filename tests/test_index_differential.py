@@ -105,6 +105,11 @@ def check_document(doc, names, scope) -> None:
         assert work.names.bases == Counter(base for base in bases if base in names)
         window_sentences = range(max(0, sentence - scope.max_back_sentences), sentence + 1)
         assert set(work.names.first_phrase) <= set(window_sentences)
+        # The bases each window sentence counted; items() adds no key to the defaultdict.
+        named = work.names._named.items()
+        assert all(counted for _, counted in named)
+        assert {k for k, _ in named} <= set(window_sentences)
+        assert Counter(base for _, counted in named for base in counted) == work.names.bases
         for k in window_sentences:
             own = work.sentences[k]
             left = range(own.first, min(own.last + 1, mention.position))

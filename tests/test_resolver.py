@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import copy
 import re
+from importlib import resources
 
 import pytest
 
@@ -23,7 +24,7 @@ from anafor import (
     serialize_document,
 )
 from anafor.candidates import Candidate, NameIndex, SearchScope
-from anafor.morphology import turkish_lower
+from anafor.morphology import Lexicon, _split_apostrophe, turkish_lower
 from anafor.resolver import walk_document
 from anafor.scoring import most_recent_max
 from anafor.textmodel import Document, PronounMention, Sentence, Token
@@ -485,12 +486,28 @@ class TestReplacement:
 
     def test_the_name_index_reads_analysed_surfaces_off_the_lexicon(self, names9):
         # After one resolve every name surface of the text is analysed, so
-        # the index builds each occurrence without calling name_occurrence.
+        # the index reads each one's flags off the table and analyses none.
         doc = _tiled_minicorpus(2)
         resolve_document(doc, names9)
-        with runs(anafor.morphology.name_occurrence) as analysed:
+        with runs(anafor.morphology._Analyses.__missing__) as analysed:
             self._resolve_serialize_trace(doc, names9)
         assert analysed.n == 0
+
+    def test_each_hit_surface_is_analysed_once(self, names9):
+        # On a fresh lexicon the walk analyses a surface whose base is a
+        # gazetteer name at its first hit only, and keeps each one.
+        lexicon = Lexicon.from_text(
+            resources.files("anafor").joinpath("data/lexicon.txt").read_text("utf-8")
+        )
+        doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
+        with runs(anafor.morphology._Analyses.__missing__) as analysed:
+            paraphrased = resolve_document(doc, names9, lexicon=lexicon).paraphrased
+        hits = {
+            surface for surface in doc.surfaces + tuple(paraphrased.surfaces)
+            if _split_apostrophe(surface)[0] in names9
+        }
+        assert set(lexicon.analyses) == hits
+        assert analysed.n == len(hits) == 20
 
     def test_each_distinct_vector_is_scored_at_most_once(self, names9):
         # The resolver keeps each vector's score in the weights' table.
