@@ -18,7 +18,13 @@ documents of ``random.Random(1)``, each its own document.
 
 First the script stops with an error unless both copies load the same
 entries from that file, and unless they give the same paraphrase and
-trace on every input, with the resolver and with the baseline.  Then in
+trace on every input, with the resolver and with the baseline.  It also
+stops unless both copies train alike: each runs ``build_instances`` and
+``train`` on one gold collection, built as the ``train_compare`` workload
+builds one (the mini corpus ``TRAIN_TILES`` times and ``TRAIN_GENERATED``
+generated documents of ``random.Random(1)``), and the formatted weights,
+the instance and skip counts and the report must be equal.  The trainer is
+checked, not timed.  Then in
 each round it
 times, for each workload, each copy's resolve op as the benchmark runs it
 (parse, resolve, serialize, trace): ``LONG_STORY_OPS`` ops on the
@@ -35,6 +41,7 @@ moves on this host when nothing changed.  The inputs come from the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import json
@@ -49,30 +56,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # perfbench.workloads loads this checkout's anafor
 from perfbench import corpora  # noqa: E402
-from perfbench.workloads import DENSE_DOCUMENTS, LONG_STORY_TILES  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    DENSE_DOCUMENTS, LONG_STORY_TILES, TRAIN_GENERATED, TRAIN_TILES,
+)
 
 LONG_STORY_OPS = 20  # about as long as one pass over the dense_shorts documents
 SIDES = ("parent", "change")
 
 
-def inputs() -> tuple[dict[str, list[str]], list[str]]:
-    """Each workload's texts, and the benchmark's gazetteer."""
+def inputs() -> tuple[dict[str, list[str]], list[str], list[str]]:
+    """Each workload's texts, the benchmark's gazetteer, and the gold
+    collection that the trainers are checked on."""
     minicorpus, oracle = corpora.read_minicorpus(ROOT)
     gazetteer, names = corpora.build_gazetteer(ROOT, minicorpus)
     rng = random.Random(1)
     dense = [corpora.generate_document(rng, names) for _ in range(DENSE_DOCUMENTS)]
     long_story = corpora.tile_minicorpus(minicorpus, LONG_STORY_TILES, oracle.stride)
-    return {"long_story": [long_story] * LONG_STORY_OPS, "dense_shorts": dense}, gazetteer
+    rng = random.Random(1)
+    gold = [minicorpus] * TRAIN_TILES + [
+        corpora.generate_document(rng, names) for _ in range(TRAIN_GENERATED)
+    ]
+    return {"long_story": [long_story] * LONG_STORY_OPS, "dense_shorts": dense}, gazetteer, gold
 
 
 def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
     """The gazetteer entries that ``checkout``'s package, loaded as
-    ``package``, reads from ``gazetteer``, its resolve op with them, and
-    the same op run with the baseline."""
+    ``package``, reads from ``gazetteer``, its resolve op with them, the
+    same op run with the baseline, and its training run with them."""
     shutil.copytree(checkout / "src" / "anafor", into / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     corpus = importlib.import_module(f"{package}.corpus")
     resolver = importlib.import_module(f"{package}.resolver")
+    scoring = importlib.import_module(f"{package}.scoring")
+    training = importlib.import_module(f"{package}.training")
     dictionary = corpus.load_dictionary(gazetteer)
 
     def op(text: str, resolve=resolver.resolve_document) -> tuple[str, str]:
@@ -81,7 +97,14 @@ def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
         paraphrase = corpus.serialize_document(resolved.paraphrased)
         return paraphrase, resolver.format_trace(resolved.resolutions)
 
-    return dictionary.entries, (op, lambda text: op(text, resolver.baseline_resolve_document))
+    def trained(texts: list[str]) -> tuple[str, int, int, tuple]:
+        docs = [corpus.parse_document(text) for text in texts]
+        instances, skipped = training.build_instances(docs, dictionary)
+        weights, report = training.train(instances)
+        return scoring.format_weights(weights), len(instances), skipped, dataclasses.astuple(report)
+
+    walks = (op, lambda text: op(text, resolver.baseline_resolve_document))
+    return dictionary.entries, walks, trained
 
 
 def seconds(op, texts: list[str]) -> float:
@@ -101,7 +124,7 @@ def main() -> None:
     args = parser.parse_args()
     if args.rounds < 2:
         parser.error("--rounds must be at least 2: the quartiles need two rounds")
-    workloads, gazetteer = inputs()
+    workloads, gazetteer, gold = inputs()
     with tempfile.TemporaryDirectory() as scratch:
         sys.path.insert(0, scratch)
         names_path = Path(scratch) / "names.txt"
@@ -110,13 +133,15 @@ def main() -> None:
                   for side, checkout in zip(SIDES, (args.parent, args.change))}
         if loaded["parent"][0] != loaded["change"][0]:
             sys.exit("the gazetteer's entries differ")
-        copies = {side: walks for side, (_, walks) in loaded.items()}
+        copies = {side: walks for side, (_, walks, _) in loaded.items()}
         for workload, texts in workloads.items():
             for k, text in enumerate(dict.fromkeys(texts)):
                 for walk, name in enumerate(("resolve", "baseline")):
                     outputs = {side: copies[side][walk](text) for side in SIDES}
                     if outputs["parent"] != outputs["change"]:
                         sys.exit(f"{workload} document {k}: {name}'s paraphrase or trace differs")
+        if loaded["parent"][2](gold) != loaded["change"][2](gold):
+            sys.exit("the trained weights, instance or skip counts or training report differ")
         ops = {side: copies[side][0] for side in SIDES}
         order, ratios = random.Random(args.seed), {workload: [] for workload in workloads}
         for _ in range(args.rounds):

@@ -14,8 +14,8 @@ _PUBLIC = {  # module -> its public names, each loaded on first access
     "corpus": "NameDictionary ParseError load_dictionary parse_document serialize_document",
     "morphology": "Lexicon NameOccurrence PronounForm classify_pronoun default_lexicon "
                   "match_name turkish_lower turkish_upper",
-    "candidates": "Candidate CandidateKind SearchScope apply_constraints constrained_candidates "
-                  "extract_candidates generate_sets",
+    "candidates": "Candidate CandidateKind NameIndex SearchScope apply_constraints "
+                  "constrained_candidates extract_candidates generate_sets",
     "scoring": "DEFAULT_WEIGHTS FEATURE_NAMES PreferenceVector PreferenceWeights feature_vector "
                "feature_vectors load_weights parse_weights score",
     "resolver": "Resolution ResolvedDocument baseline_resolve_document format_trace "

@@ -10,11 +10,10 @@ names, and is meant to be invoked only when a plural pronoun finds no
 plural candidate.
 
 A :class:`NameIndex` is the package's one reader of a pronoun's window.
-The walk's text carries one, so on it ``extract_candidates``,
-``generate_sets``, ``constrained_candidates`` and ``feature_vectors``
-answer for the walk's dictionary, scope and lexicon and ignore the ones
-passed in; on other text each reads the window into a new index, of the
-gazetteer's or the survivors' names.  The index reads the token columns,
+``constrained_candidates`` and ``feature_vectors`` take the window, an
+index advanced to the pronoun: the walk hands them its own.
+``extract_candidates`` and ``generate_sets`` read a new index of their
+own gazetteer, scope and lexicon, on any text.  The index reads the token columns,
 builds each candidate once and keeps each number's candidates apart, so
 the constraints take a slice of one list, never a filter.  It keeps its
 window in plain dicts and lists, and reads enum members off module
@@ -28,7 +27,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import NameDictionary
 from .morphology import Lexicon, NameOccurrence, _split_apostrophe, default_lexicon, turkish_lower
@@ -118,7 +117,9 @@ class NameIndex:
     scope; when that moves right, the sentences it passes leave whole,
     with their first phrase tokens and counted bases.  Only a token whose
     base is a gazetteer entry is counted, a pronoun form spelled like a
-    name too; a base whose count falls to zero leaves the counts at once."""
+    name too; a base whose count falls to zero leaves the counts at once.
+    ``end`` is the token :meth:`advance` last stopped at, the pronoun's;
+    advancing to a token left of it is a ValueError."""
 
     def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
         self.dictionary, self.analyses = dictionary, (lexicon or default_lexicon()).analyses
@@ -127,10 +128,13 @@ class NameIndex:
         self.first_phrase: dict[int, int] = {}  # window sentence -> token, in sentence order
         self._runs: list[list[NameOccurrence]] = [[], []]  # the open run of each parity
         self._named: defaultdict[int, list[str]] = defaultdict(list)  # sentence -> counted bases
-        self._first = self._end = 0  # the window's first sentence; tokens before _end are read
+        self._first = self.end = 0  # the window's first sentence; tokens before end are read
 
     def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
         first = doc.sentence_index_of(pronoun.position) - scope.max_back_sentences
+        if pronoun.position < self.end:
+            raise ValueError(f"the index is at token {self.end}, right of the pronoun's "
+                             f"token {pronoun.position}")
         singular, plural, bases, runs = self.singular, self.plural, self.bases, self._runs
         sentence_of, named = doc.sentence_of, self._named
         if first > self._first:  # the window moves right
@@ -143,10 +147,10 @@ class NameIndex:
                     if not bases[base]:
                         del bases[base]
             self._first = first
-            self._end = bisect_left(sentence_of, first, self._end, pronoun.position)
+            self.end = bisect_left(sentence_of, first, self.end, pronoun.position)
         entries, analyses, first_phrase = self.dictionary.entries, self.analyses, self.first_phrase
         surfaces, pending = doc.surfaces, None  # pending: the run whose compound is not built yet
-        for i in range(self._end, pronoun.position):
+        for i in range(self.end, pronoun.position):
             surface, sentence = surfaces[i], sentence_of[i]
             if sentence not in first_phrase and surface not in PUNCTUATION_TOKENS:
                 first_phrase[sentence] = i
@@ -177,7 +181,7 @@ class NameIndex:
             (plural if occ.plural_suffix else singular).append(simple)
         if pending:
             plural.append(_compound(pending, sentence_of))
-        self._end = pronoun.position
+        self.end = pronoun.position
         return self
 
 
@@ -188,24 +192,11 @@ def _compound(run: list[NameOccurrence], sentence_of: Sequence[int]) -> Candidat
 
 @dataclass(frozen=True)
 class WalkText(Document):
-    """The working text of a document walk, with the index of its names."""
+    """The working text of a document walk, with the index of its names:
+    the window of the pronoun the walk visits."""
     names: NameIndex
     tokens = property(Document.tokens.func)  # built on each read: the text grows
     sentences = property(Document.sentences.func)
-
-
-def window_index(
-    doc: Document,
-    pronoun: PronounMention,
-    scope: SearchScope,
-    dictionary: NameDictionary,
-    lexicon: Lexicon | None,
-) -> NameIndex:
-    """The walk's own index, advanced to the pronoun at the walk's scope,
-    or else a new one of the window at ``scope`` with ``dictionary``'s names."""
-    if isinstance(doc, WalkText):
-        return doc.names
-    return NameIndex(dictionary, lexicon).advance(doc, pronoun, scope)
 
 
 def extract_candidates(
@@ -216,8 +207,8 @@ def extract_candidates(
     lexicon: Lexicon | None = None,
 ) -> list[Candidate]:
     """Simple and compound candidates for one pronoun, oldest anchor first
-    and the simple before the compound at one anchor: the index's, merged."""
-    index = window_index(doc, pronoun, scope, dictionary, lexicon)
+    and the simple before the compound at one anchor: a new index's, merged."""
+    index = NameIndex(dictionary, lexicon).advance(doc, pronoun, scope)
     return sorted(index.singular + index.plural, key=lambda c: (c.anchor, len(c.members)))
 
 
@@ -233,12 +224,15 @@ def generate_sets(
     Each distinct base contributes its first occurrence in the sentence;
     all of them join into a single set (no subset enumeration).
     """
-    # The window's names come in token order, so sentences and first occurrences do.
+    candidates = extract_candidates(doc, pronoun, dictionary, scope, lexicon)
+    return _sets(c for c in candidates if c.kind is _SIMPLE)
+
+
+def _sets(simple: Iterable[Candidate]) -> list[Candidate]:
+    # Simple candidates in token order give sentences and first occurrences in order.
     per_sentence: dict[int, dict[str, NameOccurrence]] = {}
-    for candidate in extract_candidates(doc, pronoun, dictionary, scope, lexicon):
-        if candidate.kind is _SIMPLE:
-            (occ,) = candidate.members
-            per_sentence.setdefault(candidate.sentence_index, {}).setdefault(occ.base, occ)
+    for (occ,), _, sentence in simple:
+        per_sentence.setdefault(sentence, {}).setdefault(occ.base, occ)
     return [
         Candidate(tuple(members.values()), CandidateKind.GENERATED_SET, sentence)
         for sentence, members in per_sentence.items()
@@ -269,21 +263,21 @@ def apply_constraints(
 
 
 def constrained_candidates(
-    doc: Document,
-    pronoun: PronounMention,
-    dictionary: NameDictionary,
-    scope: SearchScope = SearchScope(),
-    lexicon: Lexicon | None = None,
+    doc: Document, pronoun: PronounMention, window: NameIndex
 ) -> list[Candidate]:
-    """Full candidate pipeline, read off the window's index: the
-    candidates of the pronoun's number, or the sets when a plural pronoun
-    finds none; of these a reflexive keeps the last, the nearest, and a
-    personal pronoun the prefix before its own sentence.  So the survivors
-    come in ``(anchor, size)`` order, or the sets' sentence order."""
-    index = window_index(doc, pronoun, scope, dictionary, lexicon)
-    kept = index.plural if pronoun.number is _PLURAL else index.singular
-    if not kept and pronoun.number is _PLURAL:
-        kept = generate_sets(doc, pronoun, dictionary, scope, lexicon)
+    """Full candidate pipeline, read off ``window``, the index advanced to
+    the pronoun: the candidates of the pronoun's number, or the sets of
+    its singular names when a plural pronoun finds none; of these a
+    reflexive keeps the last, the nearest, and a personal pronoun the
+    prefix before its own sentence.  So the survivors come in ``(anchor,
+    size)`` order, or the sets' sentence order.  A window at another token
+    is a ValueError."""
+    if window.end != pronoun.position:
+        raise ValueError(f"the window is at token {window.end}, not at the pronoun's "
+                         f"token {pronoun.position}")
+    kept = window.plural if pronoun.number is _PLURAL else window.singular
+    if not kept and pronoun.number is _PLURAL:  # every name in the window is singular
+        kept = _sets(window.singular)
     if pronoun.kind is _REFLEXIVE:
         return kept[-1:]
     own = doc.sentence_of[pronoun.position]

@@ -14,6 +14,7 @@ when it stands inside the run of terminators and closing quote that ends a
 sentence (in ``Ali "Gel. <zero …/> " Gitti.`` and ``Gel. <zero …/> . Gitti.``
 the zero anchors to ``Gitti``).  Proper names come from the gazetteer, and
 hold no mark that the tokenizer splits off nor a character the parser refuses.
+Text is read in Unicode NFC, so a name is refused unless it is in NFC too.
 
 The literal ``<`` character is reserved for tags and may not appear in the
 running text.  A tag spelled as :func:`serialize_document` writes it is
@@ -30,6 +31,7 @@ from itertools import compress
 from operator import add, itemgetter, ne
 from typing import Iterable, Iterator
 import re
+import unicodedata
 
 from .morphology import (
     APOSTROPHES, Lexicon, classify_pronoun, default_lexicon, turkish_lower, turkish_upper,
@@ -89,6 +91,8 @@ def _checked_name(name: str) -> str:
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     if not _starts_uppercase(name):
         raise ValueError(f"dictionary entry must start uppercase: {name!r}")
+    if not unicodedata.is_normalized("NFC", name):
+        raise ValueError(f"dictionary entry is not in Unicode NFC: {name!r}")
     return name
 
 
@@ -126,6 +130,7 @@ def load_dictionary(path) -> NameDictionary:
         not any(map(raw.__contains__, _RESERVED + "#"))
         and all(map(_starts_uppercase, set(map(itemgetter(0), names))))
         and "\n".join(names) == raw.strip()
+        and unicodedata.is_normalized("NFC", raw)
     ):
         return NameDictionary(entries=frozenset(names))
     names = []
@@ -227,10 +232,13 @@ def _read_tag(
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
-    byte-order mark is dropped, and any other U+FEFF, U+00AD, U+061C,
-    U+200B to U+200F or U+2060, and each typographic quote mark U+201C,
-    U+201D, U+00AB or U+00BB, is a ParseError."""
+    byte-order mark is dropped, the rest is read in Unicode NFC, and any
+    other U+FEFF, U+00AD, U+061C, U+200B to U+200F or U+2060, and each
+    typographic quote mark U+201C, U+201D, U+00AB or U+00BB, is a
+    ParseError, whose line and column count in the NFC text."""
     text = text.removeprefix("\ufeff")
+    if not unicodedata.is_normalized("NFC", text):
+        text = unicodedata.normalize("NFC", text)
     lexicon = lexicon or default_lexicon()
     surfaces: list[str] = []
     mentions: list[PronounMention] = []

@@ -10,8 +10,11 @@ the replacement is visible to later candidate extraction and scoring.
 Ambiguous pronouns stay in the text untouched.  The walk streams the
 text's token columns in up to each pronoun, :func:`replace_mention`
 splices each replacement into those columns alone, in place, and the
-text's name index reads each token once and slices out the survivors, so
-the cost per pronoun is flat across sentences and inside them.
+text's name index reads each token once; the walk hands it, as the
+pronoun's window, to :func:`~anafor.candidates.constrained_candidates`,
+which slices out the survivors, and the resolver and trainer hand it to
+:func:`~anafor.scoring.feature_vectors`, so the cost per pronoun is flat
+across sentences and inside them.
 The resolver picks the highest-scoring survivor, reading each vector's
 :func:`score` off the weights' ``scores`` table, which sums it once; the
 baseline scores nothing, so the most recent survivor wins.  A :class:`Resolution`
@@ -109,7 +112,8 @@ def walk_document(
     has a tail of at most one token, no token left of the pronoun moves, and
     its :class:`NameIndex` matches each token once and keeps the window's
     candidates of each number, base counts (a plain dict) and first phrase
-    tokens at ``scope``.  For each pronoun in document order ``choose`` sees
+    tokens at ``scope``: advanced to each pronoun, it is that pronoun's
+    window, the text's ``names``.  For each pronoun in document order ``choose`` sees
     that text, which it must not keep, the mention, its survivors, sliced off the
     index, and the zero-pronoun history, and returns the names to write in,
     or None to leave the pronoun.  The text's mention list gets only the
@@ -138,7 +142,7 @@ def walk_document(
             mention.surface, mention.gold_antecedent,
         )
         work.names.advance(work, visited, scope)
-        survivors = constrained_candidates(work, visited, dictionary, scope, lexicon)
+        survivors = constrained_candidates(work, visited, work.names)
         names = choose(work, visited, survivors, history)
         if names is None:
             work.pronouns.append(visited)
@@ -171,7 +175,8 @@ def _resolve_all(
         if weights is None:
             vectors, scores = (None,) * len(survivors), (0.0,) * len(survivors)
         else:
-            vectors, known = feature_vectors(work, mention, survivors, history), weights.scores
+            vectors = feature_vectors(work, mention, survivors, history, work.names)
+            known = weights.scores
             scores = [known[v] if v in known else known.setdefault(v, score(v, weights))
                       for v in vectors]
         best = most_recent_max(scores)

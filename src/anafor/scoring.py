@@ -1,9 +1,9 @@
 """The eight binary salience preferences and their weighted aggregate score.
 
 :func:`feature_vectors` computes the flags of all of a pronoun's survivors
-at once, reading the window's base counts and first phrase tokens off a
-name index, never the window itself: the walk's own, or else a new one
-that counts the survivors' bases.  A base missing from the counts, one
+at once, reading the window's base counts and first phrase tokens off the
+name index it is given, advanced to the pronoun, never the window's tokens:
+the walk hands it its own.  A base missing from the counts, one
 outside the window, counts 0.  It builds each vector as a bare tuple,
 takes a one-member candidate's flags straight off its name and tells a
 zero pronoun by its empty ``surface``.  The zero-pronoun history is the
@@ -27,8 +27,7 @@ from itertools import compress, repeat
 from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
-from .candidates import Candidate, NameIndex, SearchScope, WalkText, _base, _sentence_index
-from .corpus import NameDictionary
+from .candidates import Candidate, NameIndex, _base, _sentence_index
 from .textmodel import Document, PronounMention, data_lines, mention_quoted, read_data_file
 
 
@@ -140,7 +139,7 @@ def feature_vectors(
     pronoun: PronounMention,
     survivors: Sequence[Candidate],
     history: AbstractSet[frozenset[str]],
-    scope: SearchScope = SearchScope(),
+    window: NameIndex,
 ) -> list[PreferenceVector]:
     """Compute the eight preference flags for each post-constraint
     candidate, in the order of ``survivors``.
@@ -153,20 +152,18 @@ def feature_vectors(
     at least twice in the search window, replacement tokens included;
     punctuation asks whether the token after the candidate's anchor is a
     comma; zero_antecedent_history asks whether a zero pronoun's candidate
-    names are in ``history``.  On the walk's working text the window is
-    the walk's index, which carries the walk's scope, not ``scope``; on
-    any other document a survivor outside the window at ``scope`` gets
-    first_np False and base counts of 0.
+    names are in ``history``.  The window counts and first phrase tokens
+    are ``window``'s, the index advanced to the pronoun, so a survivor
+    outside it gets first_np False and base counts of 0.  A window at
+    another token is a ValueError.
     """
+    if window.end != pronoun.position:
+        raise ValueError(f"the window is at token {window.end}, not at the pronoun's "
+                         f"token {pronoun.position}")
     if not survivors:
         return []
     surfaces, quoted, pronoun_quoted = doc.surfaces, doc.quoted, mention_quoted(doc, pronoun)
     nearest_sentence = max(map(_sentence_index, survivors))
-    if isinstance(doc, WalkText):
-        window = doc.names
-    else:  # a new index, which counts the survivors' bases
-        names = NameDictionary(frozenset(m.base for c in survivors for m in c.members))
-        window = NameIndex(names, None).advance(doc, pronoun, scope)
     bases, first_phrase = window.bases, window.first_phrase
     zero = not pronoun.surface
     followed = len(surfaces) - 1  # an anchor left of this has a token after it
@@ -201,9 +198,9 @@ def feature_vector(
     candidate: Candidate,
     survivors: Iterable[Candidate],
     history: AbstractSet[frozenset[str]],
-    scope: SearchScope = SearchScope(),
+    window: NameIndex,
 ) -> PreferenceVector:
     """The :func:`feature_vectors` entry of one candidate, which must be
     one of ``survivors``."""
     survivors = list(survivors)
-    return feature_vectors(doc, pronoun, survivors, history, scope)[survivors.index(candidate)]
+    return feature_vectors(doc, pronoun, survivors, history, window)[survivors.index(candidate)]

@@ -97,7 +97,7 @@ def build_instances(
         if gold_index is None:
             skipped += 1
         else:
-            vectors = tuple(feature_vectors(work, mention, survivors, history))
+            vectors = tuple(feature_vectors(work, mention, survivors, history, work.names))
             instances.append(TrainingInstance(mention.id, vectors, gold_index))
         return sorted(gold)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from anafor import NameDictionary, load_dictionary
-from anafor.candidates import SearchScope
+from anafor.candidates import NameIndex, SearchScope
 from anafor.resolver import walk_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,6 +36,12 @@ EXAMPLE_NAMES = (
 
 def fixture_text(relative: str) -> str:
     return (FIXTURES / relative).read_text(encoding="utf-8")
+
+
+def window(doc, pronoun, names, scope=SearchScope()):
+    """The window of ``pronoun`` at ``scope``: a new index of the gazetteer
+    ``names``, advanced to the pronoun."""
+    return NameIndex(names, None).advance(doc, pronoun, scope)
 
 
 def replace_one(doc, mention, names):

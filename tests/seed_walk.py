@@ -31,7 +31,8 @@ it was when every tag went through the attribute reader, the reference of
 ``test_parse_differential.py``.  ``load_dictionary`` is the gazetteer
 reader as it was when it checked every line on its own, the reference of
 ``test_gazetteer_differential.py``; it and the parser check names with
-``_checked_name``, the gazetteer's name rule as it was then.
+``_checked_name``, the gazetteer's name rule as it was then, with the
+rule since added that a name is in Unicode NFC.
 ``parse_weights`` and ``lexicon_from_text`` are the weights and lexicon
 readers as they were when each skipped its own comments and blank lines,
 the references of ``test_data_file_differential.py``, which also holds
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import re
 import math
+import unicodedata
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, replace, replace as dc_replace
@@ -858,6 +860,8 @@ def _checked_name(name: str) -> str:
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:
         raise ValueError(f"dictionary entry must start uppercase: {name!r}")
+    if unicodedata.normalize("NFC", name) != name:
+        raise ValueError(f"dictionary entry is not in Unicode NFC: {name!r}")
     return name
 
 

@@ -12,6 +12,8 @@ documents in ``test_walk_differential.py``.
 
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -75,7 +77,8 @@ def seed_assemble_document(sentence_surfaces, pronouns=()):
 
 
 def seed_checked_name(name: str) -> str:
-    # corpus._checked_name as it was before it tested with split and a regex.
+    # corpus._checked_name as it was before it tested with split and a regex,
+    # with the rule since added that a name is in Unicode NFC.
     if not name:
         raise ValueError("dictionary entry must be non-empty")
     if any(ch.isspace() for ch in name):
@@ -87,6 +90,8 @@ def seed_checked_name(name: str) -> str:
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:
         raise ValueError(f"dictionary entry must start uppercase: {name!r}")
+    if unicodedata.normalize("NFC", name) != name:
+        raise ValueError(f"dictionary entry is not in Unicode NFC: {name!r}")
     return name
 
 

@@ -8,6 +8,7 @@ from anafor import (
     Candidate,
     CandidateKind,
     NameDictionary,
+    NameIndex,
     NameOccurrence,
     Number,
     PronounKind,
@@ -22,6 +23,7 @@ from anafor import (
     parse_document,
 )
 from anafor.resolver import walk_document
+from conftest import window
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zeynep", "Murat", "Can"]
@@ -254,12 +256,57 @@ def test_a_pronoun_outside_the_document_is_an_index_error(position):
     # The window starts at the pronoun's sentence number, so a position
     # read off the columns unchecked would give -1 the last sentence.
     doc, pronoun = _doc_and_pronoun('Ali geldi. Murat <pro id="1">onu</pro> gördü.')
-    (survivor,) = constrained_candidates(doc, pronoun, DICT)
+    at = window(doc, pronoun, DICT)
+    (survivor,) = constrained_candidates(doc, pronoun, at)
     position = len(doc.surfaces) if position == "end" else position
     outside = dataclasses.replace(pronoun, position=position)
     message = f"token index out of range: {position}"
-    for reader in extract_candidates, generate_sets, constrained_candidates:
+    for reader in extract_candidates, generate_sets, window:
         with pytest.raises(IndexError, match=message):
             reader(doc, outside, DICT)
-    with pytest.raises(IndexError):
-        feature_vectors(doc, outside, [survivor], frozenset())
+    # The pronoun's window, asked about another token.
+    message = f"the window is at token {pronoun.position}, not at the pronoun's token {position}"
+    with pytest.raises(ValueError, match=message):
+        constrained_candidates(doc, outside, at)
+    with pytest.raises(ValueError, match=message):
+        feature_vectors(doc, outside, [survivor], frozenset(), at)
+
+
+def test_a_name_index_refuses_to_move_left():
+    # Advanced to the second zero and then asked about the first, an index
+    # would keep Ayşe, a name right of the first zero.
+    doc = parse_document(
+        'Ali geldi. <zero id="1" kind="pers" num="sg"/> Eve Ayşe geldi. '
+        '<zero id="2" kind="pers" num="sg"/> Sustu.'
+    )
+    first, second = doc.pronouns
+    index = NameIndex(DICT, None).advance(doc, second, SearchScope())
+    assert index.end == second.position
+    with pytest.raises(ValueError, match=f"the index is at token {second.position}, right of "
+                                         f"the pronoun's token {first.position}"):
+        index.advance(doc, first, SearchScope())
+    # The same token again is allowed, and reads nothing twice.
+    assert index.advance(doc, second, SearchScope()) is index
+    assert [c.base_names for c in index.singular] == [{"Ali"}, {"Ayşe"}]
+    assert [c.base_names for c in window(doc, first, DICT).singular] == [{"Ali"}]
+
+
+def test_on_the_walk_text_each_reader_answers_for_its_own_arguments():
+    # The walk's index holds Ali and Ayşe; a reader given another
+    # gazetteer or scope reads its own window.
+    doc = parse_document('Ali Ayşe\'yi gördü. <zero id="1" kind="pers" num="pl"/> Güldüler.')
+    empty, seen = NameDictionary.from_names([]), []
+
+    def choose(work, mention, survivors, history):
+        assert [c.base_names for c in extract_candidates(work, mention, DICT)] == [
+            {"Ali"}, {"Ayşe"}
+        ]
+        assert generate_sets(work, mention, DICT) == survivors
+        assert [c.base_names for c in survivors] == [{"Ali", "Ayşe"}]
+        for names, back in (empty, 3), (empty, 0), (DICT, 0):
+            assert extract_candidates(work, mention, names, SearchScope(back)) == []
+            assert generate_sets(work, mention, names, SearchScope(back)) == []
+        seen.append(mention.id)
+
+    walk_document(doc, DICT, SearchScope(), None, choose)
+    assert seen == [1]

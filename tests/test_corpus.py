@@ -318,7 +318,6 @@ def assert_round_trip(doc) -> None:
     assert parse_document(serialize_document(doc)) == doc
 
 
-@pytest.mark.xfail(strict=True, reason="a decomposed name is one token that no entry matches")
 def test_a_decomposed_name_is_found_or_refused():
     # Some editors and file systems write Unicode NFD: "ş" as "s" and U+0327.
     names = NameDictionary.from_names(["Ayşe"])

@@ -6,8 +6,8 @@ The files are drawn line by line out of names, comments, blank and
 space-only lines, joined by every separator that ``str.splitlines``
 honours, with or without a byte order mark and a last separator.  The
 names include each way a name is refused: a lowercase, digit, ``ı`` or
-stray U+FEFF head, a reserved character, and whitespace inside that only
-``str.split`` cuts on."""
+stray U+FEFF head, a reserved character, whitespace inside that only
+``str.split`` cuts on, and a name not in Unicode NFC."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ BAD = [
     "ali", "ayşe", "1Ali", "ıtır", "itır", "\ufeffAli", "_Ali", "Ali'", "Ali’nin", 'A"b', "A<b",
     "A>b", "A;b", "Ali Veli", "Ali\tVeli", "Ali\x1fVeli", "Ali\u00a0Veli", "Ali\u3000Veli", "ß",
     "A,b", "Ali.", "A!b", "A?b", "Ali…", "A«b", "Ali”", "Meh\u00admet", "Ali\u200b",
-    "Ay\u200dşe",
+    "Ay\u200dşe", "Ays\u0327e",
 ]
 SPACES = ["", " ", "\t", "\x1f", "\u00a0", "\u3000"]
 COMMENTS = ["#", "# header", "#it's <a>; \"b\" ’c", "# Ali Veli", "##"]

@@ -40,7 +40,7 @@ from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.textmodel import PUNCTUATION_TOKENS, Number, PronounKind
 import seed_walk
-from conftest import FIXTURE_FILES, SCOPES, TEXTS, assert_layer_passed, fixture_text
+from conftest import FIXTURE_FILES, SCOPES, TEXTS, assert_layer_passed, fixture_text, window
 from test_acceptance import FILLERS, NAME_SUFFIXES, OVERT_FORMS, PROP_DICT, PROP_NAMES
 
 
@@ -234,7 +234,8 @@ def test_sets_are_the_only_plural_survivors():
         "Ali eve geldi , Ayşe'yi gördü . Murat Zeynep'le oyun . "
         '<zero id="1" kind="pers" num="pl"/> güldü .'
     )
-    survivors = constrained_candidates(doc, doc.pronouns[0], PROP_DICT, SearchScope(2))
+    pronoun = doc.pronouns[0]
+    survivors = constrained_candidates(doc, pronoun, window(doc, pronoun, PROP_DICT, SearchScope(2)))
     assert [(c.kind, sorted(c.base_names)) for c in survivors] == [
         (CandidateKind.GENERATED_SET, ["Ali", "Ayşe"]),
         (CandidateKind.GENERATED_SET, ["Murat", "Zeynep"]),

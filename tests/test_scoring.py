@@ -22,6 +22,7 @@ from anafor import (
 )
 from anafor.candidates import SearchScope
 from anafor.scoring import format_weights, most_recent_max, weights_of
+from conftest import window
 
 DICT = NameDictionary.from_names(
     ["Ayşe", "Ahmet", "Fatma", "Ali", "Zerrin", "Murat", "Zeynep", "Tekin"]
@@ -31,10 +32,11 @@ DICT = NameDictionary.from_names(
 def _vectors(text, dictionary=DICT, pronoun_index=0, history=frozenset()):
     doc = parse_document(text)
     pronoun = doc.pronouns[pronoun_index]
-    survivors = constrained_candidates(doc, pronoun, dictionary)
+    at = window(doc, pronoun, dictionary)
+    survivors = constrained_candidates(doc, pronoun, at)
     return doc, pronoun, {
         ";".join(m.base for m in c.members): feature_vector(
-            doc, pronoun, c, survivors, history
+            doc, pronoun, c, survivors, history, at
         )
         for c in survivors
     }
@@ -93,10 +95,12 @@ class TestFeatureVector:
             'Ali Ali geldi. Murat geldi. <zero id="1" kind="pers" num="sg"/> Sustu.'
         )
         (pronoun,) = doc.pronouns
-        survivors = constrained_candidates(doc, pronoun, DICT)
+        survivors = constrained_candidates(doc, pronoun, window(doc, pronoun, DICT))
         assert [c.members[0].base for c in survivors] == ["Ali", "Ali", "Murat"]
-        wide = feature_vectors(doc, pronoun, survivors, frozenset())
-        narrow = feature_vectors(doc, pronoun, survivors, frozenset(), SearchScope(0))
+        wide = feature_vectors(doc, pronoun, survivors, frozenset(),
+                               window(doc, pronoun, DICT, SearchScope(3)))
+        narrow = feature_vectors(doc, pronoun, survivors, frozenset(),
+                                 window(doc, pronoun, DICT, SearchScope(0)))
         assert [(v.first_np, v.repetition) for v in wide] == [
             (True, True), (False, True), (True, False)
         ]
@@ -107,10 +111,12 @@ class TestFeatureVector:
             '<zero id="1" kind="pers" num="pl"/> Sustular.'
         )
         (pronoun,) = doc.pronouns
-        survivors = constrained_candidates(doc, pronoun, DICT)
+        survivors = constrained_candidates(doc, pronoun, window(doc, pronoun, DICT))
         assert [c.base_names for c in survivors] == [frozenset({"Ali", "Murat"})] * 2
-        wide = feature_vectors(doc, pronoun, survivors, frozenset())
-        narrow = feature_vectors(doc, pronoun, survivors, frozenset(), SearchScope(0))
+        wide = feature_vectors(doc, pronoun, survivors, frozenset(),
+                               window(doc, pronoun, DICT, SearchScope(3)))
+        narrow = feature_vectors(doc, pronoun, survivors, frozenset(),
+                                 window(doc, pronoun, DICT, SearchScope(0)))
         assert [(v.first_np, v.repetition) for v in wide] == [(True, True)] * 2
         assert [(v.first_np, v.repetition) for v in narrow] == [(False, False)] * 2
 
