@@ -9,11 +9,12 @@ generation builds one plural candidate per sentence out of its distinct
 names, and is meant to be invoked only when a plural pronoun finds no
 plural candidate.
 
-A :class:`NameIndex` is the package's one reader of a pronoun's window.
+A :class:`NameIndex` is the package's one reader of a pronoun's window:
+it is built over one text at one scope, and reads only those.
 ``constrained_candidates`` and ``feature_vectors`` take the window, an
-index advanced to the pronoun: the walk hands them its own.
+index advanced to the pronoun, and read the text off it.
 ``extract_candidates`` and ``generate_sets`` read a new index of their
-own gazetteer, scope and lexicon, on any text.  The index reads the token columns,
+own text, gazetteer, scope and lexicon.  The index reads the token columns,
 builds each candidate once and keeps each number's candidates apart, so
 the constraints take a slice of one list, never a filter.  It keeps its
 window in plain dicts and lists, and reads enum members off module
@@ -25,7 +26,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -118,10 +118,13 @@ class NameIndex:
     with their first phrase tokens and counted bases.  Only a token whose
     base is a gazetteer entry is counted, a pronoun form spelled like a
     name too; a base whose count falls to zero leaves the counts at once.
+    The index reads one ``text`` at one scope, both fixed when it is built;
     ``end`` is the token :meth:`advance` last stopped at, the pronoun's;
     advancing to a token left of it is a ValueError."""
 
-    def __init__(self, dictionary: NameDictionary, lexicon: Lexicon | None) -> None:
+    def __init__(self, text: Document, dictionary: NameDictionary, scope: SearchScope,
+                 lexicon: Lexicon | None) -> None:
+        self.text, self.max_back_sentences = text, scope.max_back_sentences
         self.dictionary, self.analyses = dictionary, (lexicon or default_lexicon()).analyses
         self.singular, self.plural = [], []  # the candidates of each number
         self.bases: dict[str, int] = {}  # the positive counts
@@ -130,8 +133,9 @@ class NameIndex:
         self._named: defaultdict[int, list[str]] = defaultdict(list)  # sentence -> counted bases
         self._first = self.end = 0  # the window's first sentence; tokens before end are read
 
-    def advance(self, doc: Document, pronoun: PronounMention, scope: SearchScope) -> NameIndex:
-        first = doc.sentence_index_of(pronoun.position) - scope.max_back_sentences
+    def advance(self, pronoun: PronounMention) -> NameIndex:
+        doc = self.text
+        first = doc.sentence_index_of(pronoun.position) - self.max_back_sentences
         if pronoun.position < self.end:
             raise ValueError(f"the index is at token {self.end}, right of the pronoun's "
                              f"token {pronoun.position}")
@@ -190,15 +194,6 @@ def _compound(run: list[NameOccurrence], sentence_of: Sequence[int]) -> Candidat
     return tuple.__new__(Candidate, (tuple(run), _COMPOUND, sentence_of[run[0].token_index]))
 
 
-@dataclass(frozen=True)
-class WalkText(Document):
-    """The working text of a document walk, with the index of its names:
-    the window of the pronoun the walk visits."""
-    names: NameIndex
-    tokens = property(Document.tokens.func)  # built on each read: the text grows
-    sentences = property(Document.sentences.func)
-
-
 def extract_candidates(
     doc: Document,
     pronoun: PronounMention,
@@ -208,7 +203,7 @@ def extract_candidates(
 ) -> list[Candidate]:
     """Simple and compound candidates for one pronoun, oldest anchor first
     and the simple before the compound at one anchor: a new index's, merged."""
-    index = NameIndex(dictionary, lexicon).advance(doc, pronoun, scope)
+    index = NameIndex(doc, dictionary, scope, lexicon).advance(pronoun)
     return sorted(index.singular + index.plural, key=lambda c: (c.anchor, len(c.members)))
 
 
@@ -262,16 +257,14 @@ def apply_constraints(
     return survivors
 
 
-def constrained_candidates(
-    doc: Document, pronoun: PronounMention, window: NameIndex
-) -> list[Candidate]:
+def constrained_candidates(pronoun: PronounMention, window: NameIndex) -> list[Candidate]:
     """Full candidate pipeline, read off ``window``, the index advanced to
-    the pronoun: the candidates of the pronoun's number, or the sets of
-    its singular names when a plural pronoun finds none; of these a
-    reflexive keeps the last, the nearest, and a personal pronoun the
-    prefix before its own sentence.  So the survivors come in ``(anchor,
-    size)`` order, or the sets' sentence order.  A window at another token
-    is a ValueError."""
+    the pronoun, and its text: the candidates of the pronoun's number, or
+    the sets of its singular names when a plural pronoun finds none; of
+    these a reflexive keeps the last, the nearest, and a personal pronoun
+    the prefix before its own sentence.  So the survivors come in
+    ``(anchor, size)`` order, or the sets' sentence order.  A window at
+    another token is a ValueError."""
     if window.end != pronoun.position:
         raise ValueError(f"the window is at token {window.end}, not at the pronoun's "
                          f"token {pronoun.position}")
@@ -280,5 +273,5 @@ def constrained_candidates(
         kept = _sets(window.singular)
     if pronoun.kind is _REFLEXIVE:
         return kept[-1:]
-    own = doc.sentence_of[pronoun.position]
+    own = window.text.sentence_of[pronoun.position]
     return kept[:bisect_left(kept, own, key=_sentence_index)]

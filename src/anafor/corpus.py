@@ -61,9 +61,10 @@ _PRO_OPEN_RE = re.compile(r"<pro\b([^<>]*)>")
 _ZERO_RE = re.compile(r"<zero\b([^<>]*?)/>")
 _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
-# Invisible format characters glue onto a token unseen; typographic quote
-# marks glue onto a token too, and never pair as '"' does.
-_INVISIBLE = "\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
+# Invisible format characters, bidi controls among them, glue onto a token
+# unseen; typographic quote marks glue on too, and never pair as '"' does.
+_INVISIBLE = ("\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
+              "\u202a\u202b\u202c\u202d\u202e\u2061\u2062\u2063\u2064\u2066\u2067\u2068\u2069")
 _REJECTED = _INVISIBLE + "\u00ab\u00bb\u201c\u201d"
 _RESERVED = "".join((*APOSTROPHES, "<>;", *sorted(PUNCTUATION_TOKENS), _REJECTED))  # never in a name
 _PRO_KEYS = frozenset({"id", "ant"})
@@ -233,9 +234,10 @@ def _read_tag(
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
     byte-order mark is dropped, the rest is read in Unicode NFC, and any
-    other U+FEFF, U+00AD, U+061C, U+200B to U+200F or U+2060, and each
-    typographic quote mark U+201C, U+201D, U+00AB or U+00BB, is a
-    ParseError, whose line and column count in the NFC text."""
+    other U+FEFF, U+00AD, U+061C, U+200B to U+200F, U+202A to U+202E,
+    U+2060 to U+2064 or U+2066 to U+2069, and each typographic quote mark
+    U+201C, U+201D, U+00AB or U+00BB, is a ParseError, whose line and
+    column count in the NFC text."""
     text = text.removeprefix("\ufeff")
     if not unicodedata.is_normalized("NFC", text):
         text = unicodedata.normalize("NFC", text)

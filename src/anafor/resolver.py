@@ -9,10 +9,10 @@ joined with ``ve`` and quoted as the pronoun is (``mention_quoted``), so
 the replacement is visible to later candidate extraction and scoring.
 Ambiguous pronouns stay in the text untouched.  The walk streams the
 text's token columns in up to each pronoun, :func:`replace_mention`
-splices each replacement into those columns alone, in place, and the
-text's name index reads each token once; the walk hands it, as the
-pronoun's window, to :func:`~anafor.candidates.constrained_candidates`,
-which slices out the survivors, and the resolver and trainer hand it to
+splices each replacement into those columns alone, in place, and one name
+index of the text reads each token once: advanced to a pronoun, it is the
+window the walk hands to :func:`~anafor.candidates.constrained_candidates`,
+which slices out the survivors, and the resolver and trainer hand to
 :func:`~anafor.scoring.feature_vectors`, so the cost per pronoun is flat
 across sentences and inside them.
 The resolver picks the highest-scoring survivor, reading each vector's
@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import copysign
 from typing import AbstractSet, Callable, Iterable, Sequence
 
-from .candidates import Candidate, NameIndex, SearchScope, WalkText, constrained_candidates
+from .candidates import Candidate, NameIndex, SearchScope, constrained_candidates
 from .corpus import NameDictionary
 from .morphology import Lexicon
 from .scoring import (
@@ -71,7 +71,7 @@ class ResolvedDocument:
     paraphrased: Document
 
 
-def replace_mention(work: WalkText, mention: PronounMention, names: Sequence[str]) -> None:
+def replace_mention(work: Document, mention: PronounMention, names: Sequence[str]) -> None:
     """Write the walk's pronoun as its antecedent names, in place.
 
     The pronoun is the last mention visited: its token is the working
@@ -100,22 +100,23 @@ def walk_document(
     scope: SearchScope,
     lexicon: Lexicon | None,
     choose: Callable[
-        [WalkText, PronounMention, list[Candidate], AbstractSet[frozenset[str]]],
+        [NameIndex, PronounMention, list[Candidate], AbstractSet[frozenset[str]]],
         Sequence[str] | None,
     ],
 ) -> Document:
     """The left-to-right pass shared by resolve, baseline and training.
 
-    The working text is the only Document over lists.  Candidates never lie
-    right of a pronoun, so its columns are streamed in from ``doc`` only at
-    each pronoun, through its token, and after the last pronoun.  So a splice
-    has a tail of at most one token, no token left of the pronoun moves, and
-    its :class:`NameIndex` matches each token once and keeps the window's
-    candidates of each number, base counts (a plain dict) and first phrase
-    tokens at ``scope``: advanced to each pronoun, it is that pronoun's
-    window, the text's ``names``.  For each pronoun in document order ``choose`` sees
-    that text, which it must not keep, the mention, its survivors, sliced off the
-    index, and the zero-pronoun history, and returns the names to write in,
+    The working text is the only Document over lists, read by its columns
+    only.  Candidates never lie right of a pronoun, so its columns are
+    streamed in from ``doc`` only at each pronoun, through its token, and
+    after the last pronoun.  So a splice has a tail of at most one token,
+    no token left of the pronoun moves, and one :class:`NameIndex` of it
+    at ``scope`` matches each token once and keeps the window's candidates
+    of each number, base counts (a plain dict) and first phrase tokens:
+    advanced to each pronoun, it is that pronoun's window.  For each
+    pronoun in document order ``choose`` sees that window, which it must
+    not keep, the mention, its survivors, sliced off the window, and the
+    zero-pronoun history, and returns the names to write in,
     or None to leave the pronoun.  The text's mention list gets only the
     pronouns left in place; nothing reads it before the walk ends.  The
     history is the set of name sets written in for zero pronouns of earlier
@@ -123,7 +124,8 @@ def walk_document(
     first pronoun of a later sentence.  Returns the document with every
     chosen replacement made.
     """
-    work = WalkText([], [], [], [], NameIndex(dictionary, lexicon))
+    work = Document([], [], [], [])
+    window = NameIndex(work, dictionary, scope, lexicon)
     columns = [(work.surfaces, doc.surfaces), (work.sentence_of, doc.sentence_of),
                (work.quoted, doc.quoted)]
     history: set[frozenset[str]] = set()
@@ -141,9 +143,8 @@ def walk_document(
             mention.id, mention.kind, mention.number, len(work.surfaces) - 1,
             mention.surface, mention.gold_antecedent,
         )
-        work.names.advance(work, visited, scope)
-        survivors = constrained_candidates(work, visited, work.names)
-        names = choose(work, visited, survivors, history)
+        survivors = constrained_candidates(visited, window.advance(visited))
+        names = choose(window, visited, survivors, history)
         if names is None:
             work.pronouns.append(visited)
         else:
@@ -166,7 +167,7 @@ def _resolve_all(
 ) -> ResolvedDocument:
     resolutions = []
 
-    def choose(work, mention, survivors, history):
+    def choose(window, mention, survivors, history):
         # weights=None is the baseline: nothing is scored, so every survivor
         # ties at 0.0 and the most recent one wins.
         if not survivors:
@@ -175,7 +176,7 @@ def _resolve_all(
         if weights is None:
             vectors, scores = (None,) * len(survivors), (0.0,) * len(survivors)
         else:
-            vectors = feature_vectors(work, mention, survivors, history, work.names)
+            vectors = feature_vectors(mention, survivors, history, window)
             known = weights.scores
             scores = [known[v] if v in known else known.setdefault(v, score(v, weights))
                       for v in vectors]

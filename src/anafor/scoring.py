@@ -1,14 +1,14 @@
 """The eight binary salience preferences and their weighted aggregate score.
 
 :func:`feature_vectors` computes the flags of all of a pronoun's survivors
-at once, reading the window's base counts and first phrase tokens off the
-name index it is given, advanced to the pronoun, never the window's tokens:
-the walk hands it its own.  A base missing from the counts, one
-outside the window, counts 0.  It builds each vector as a bare tuple,
-takes a one-member candidate's flags straight off its name and tells a
-zero pronoun by its empty ``surface``.  The zero-pronoun history is the
-caller's: a set of the name sets already written in for zero pronouns of
-earlier sentences, which the document walk keeps.
+at once, reading the text, the window's base counts and its first phrase
+tokens off the name index it is given, advanced to the pronoun, never the
+window's tokens.  A base missing from the counts, one outside the window,
+counts 0.  It builds each vector as a bare tuple, takes a one-member
+candidate's flags straight off its name and tells a zero pronoun by its
+empty ``surface``.  The zero-pronoun history is the caller's: a set of
+the name sets already written in for zero pronouns of earlier sentences,
+which the document walk keeps.
 
 :func:`score` and the trainer sum a vector's set weights through its getter in
 :data:`weights_of`, so the resolver, which keeps each vector's score in the weights'
@@ -28,7 +28,7 @@ from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .candidates import Candidate, NameIndex, _base, _sentence_index
-from .textmodel import Document, PronounMention, data_lines, mention_quoted, read_data_file
+from .textmodel import PronounMention, data_lines, mention_quoted, read_data_file
 
 
 class PreferenceVector(NamedTuple):
@@ -135,7 +135,6 @@ def load_weights(path) -> PreferenceWeights:
 
 
 def feature_vectors(
-    doc: Document,
     pronoun: PronounMention,
     survivors: Sequence[Candidate],
     history: AbstractSet[frozenset[str]],
@@ -152,8 +151,8 @@ def feature_vectors(
     at least twice in the search window, replacement tokens included;
     punctuation asks whether the token after the candidate's anchor is a
     comma; zero_antecedent_history asks whether a zero pronoun's candidate
-    names are in ``history``.  The window counts and first phrase tokens
-    are ``window``'s, the index advanced to the pronoun, so a survivor
+    names are in ``history``.  The text, window counts and first phrase
+    tokens are ``window``'s, the index advanced to the pronoun, so a survivor
     outside it gets first_np False and base counts of 0.  A window at
     another token is a ValueError.
     """
@@ -162,6 +161,7 @@ def feature_vectors(
                          f"token {pronoun.position}")
     if not survivors:
         return []
+    doc = window.text
     surfaces, quoted, pronoun_quoted = doc.surfaces, doc.quoted, mention_quoted(doc, pronoun)
     nearest_sentence = max(map(_sentence_index, survivors))
     bases, first_phrase = window.bases, window.first_phrase
@@ -193,7 +193,6 @@ def feature_vectors(
 
 
 def feature_vector(
-    doc: Document,
     pronoun: PronounMention,
     candidate: Candidate,
     survivors: Iterable[Candidate],
@@ -203,4 +202,4 @@ def feature_vector(
     """The :func:`feature_vectors` entry of one candidate, which must be
     one of ``survivors``."""
     survivors = list(survivors)
-    return feature_vectors(doc, pronoun, survivors, history, window)[survivors.index(candidate)]
+    return feature_vectors(pronoun, survivors, history, window)[survivors.index(candidate)]

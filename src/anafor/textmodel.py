@@ -10,8 +10,9 @@ Document holds tuples and is immutable, save the resolver walk's working
 text, which holds lists grown and spliced in place; only the walk keeps it.
 
 ``doc.tokens`` and ``doc.sentences`` build :class:`Token` and
-:class:`Sentence` records on first read, for callers that want them;
-parse and the walk read only the columns.  Records are ``NamedTuple``s, as
+:class:`Sentence` records on first read and keep them, for callers that
+want them; parse reads only the columns, and so does the walk, whose
+working text grows.  Records are ``NamedTuple``s, as
 are names, candidates, vectors, pronoun forms and search scopes: a tuple
 costs a third of a frozen dataclass, and acts as one (``SearchScope(3) ==
 (3,)``).  ``Token``, ``SearchScope`` and ``_replace`` check fields; their

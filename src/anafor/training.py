@@ -85,7 +85,7 @@ def build_instances(
     instances: list[TrainingInstance] = []
     skipped = 0
 
-    def choose(work, mention, survivors, history):
+    def choose(window, mention, survivors, history):
         nonlocal skipped
         gold = mention.gold_antecedent
         if gold is None:
@@ -97,7 +97,7 @@ def build_instances(
         if gold_index is None:
             skipped += 1
         else:
-            vectors = tuple(feature_vectors(work, mention, survivors, history, work.names))
+            vectors = tuple(feature_vectors(mention, survivors, history, window))
             instances.append(TrainingInstance(mention.id, vectors, gold_index))
         return sorted(gold)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from anafor import NameDictionary, load_dictionary
 from anafor.candidates import NameIndex, SearchScope
 from anafor.resolver import walk_document
+from anafor.textmodel import Document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,16 +40,24 @@ def fixture_text(relative: str) -> str:
 
 
 def window(doc, pronoun, names, scope=SearchScope()):
-    """The window of ``pronoun`` at ``scope``: a new index of the gazetteer
-    ``names``, advanced to the pronoun."""
-    return NameIndex(names, None).advance(doc, pronoun, scope)
+    """The window of ``pronoun`` at ``scope``: a new index of ``doc`` and
+    the gazetteer ``names``, advanced to the pronoun."""
+    return NameIndex(doc, names, scope, None).advance(pronoun)
+
+
+def snapshot(text):
+    """A copy of the walk's working ``text`` over tuples.  A Document keeps
+    its ``tokens`` and ``sentences`` from their first read, so the working
+    text's own would go stale as the walk grows it; the copy's are read off
+    the columns as they stand."""
+    return Document(*map(tuple, (text.surfaces, text.sentence_of, text.quoted, text.pronouns)))
 
 
 def replace_one(doc, mention, names):
     """``doc`` with ``names`` written in for ``mention`` alone: a walk
     that leaves every other pronoun in place.  An empty gazetteer finds
     no candidates, and scope 0 keeps each window to its own sentence."""
-    def choose(work, visited, survivors, history):
+    def choose(window, visited, survivors, history):
         return names if visited.id == mention.id else None
 
     return walk_document(doc, NameDictionary.from_names([]), SearchScope(0), None, choose)

@@ -112,8 +112,9 @@ def surfaces_copied(doc: Document) -> Iterator[tuple[Count, Document]]:
     and one to ``slices``.  The walk slices its three token columns
     together, so ``n`` is the tokens it copies.  A slice of a tuple or
     list runs no frame for ``runs`` to count, so the columns are
-    subclasses, and ``anafor.resolver.WalkText`` builds the working text
-    out of one for the block."""
+    subclasses: for the block, ``anafor.resolver.Document`` builds the
+    working text, the one Document over lists, out of one, and the
+    paraphrase over its tuples unchanged."""
     count = Count()
 
     def counted(column: type) -> type:
@@ -126,17 +127,16 @@ def surfaces_copied(doc: Document) -> Iterator[tuple[Count, Document]]:
                 return item
         return Counting
 
-    source, working, walk_text = counted(tuple), counted(list), anafor.resolver.WalkText
+    source, working, document = counted(tuple), counted(list), anafor.resolver.Document
 
-    class CountingWalkText(walk_text):
-        def __init__(self, surfaces, *columns):
-            super().__init__(working(surfaces), *columns)
+    def counting_document(surfaces, *columns):
+        return document(working(surfaces) if type(surfaces) is list else surfaces, *columns)
 
-    anafor.resolver.WalkText = CountingWalkText
+    anafor.resolver.Document = counting_document
     try:
         yield count, dataclasses.replace(doc, surfaces=source(doc.surfaces))
     finally:
-        anafor.resolver.WalkText = walk_text
+        anafor.resolver.Document = document
 
 
 @contextmanager

@@ -677,7 +677,10 @@ _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
 # Invisible format characters glue onto a token unseen; typographic quote
 # marks glue onto a token too, and never pair as '"' does.
-_INVISIBLE = "\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
+_INVISIBLE = (
+    "\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
+    "\u202a\u202b\u202c\u202d\u202e\u2061\u2062\u2063\u2064\u2066\u2067\u2068\u2069"
+)
 _REJECTED_RE = re.compile(f"[{_INVISIBLE}\u00ab\u00bb\u201c\u201d]")
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
@@ -784,9 +787,9 @@ def _read_tag(
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
-    byte-order mark is dropped, and any other U+FEFF, U+200B, U+2060 or
-    U+00AD, and each typographic quote mark U+201C, U+201D, U+00AB or
-    U+00BB, is a ParseError."""
+    byte-order mark is dropped, and any other character of ``_INVISIBLE``,
+    and each typographic quote mark U+201C, U+201D, U+00AB or U+00BB, is a
+    ParseError."""
     text = text.removeprefix("\ufeff")
     lexicon = lexicon or default_lexicon()
     surfaces: list[str] = []
@@ -845,7 +848,8 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
 # Never in a name: ';' joins names, the tokenizer splits marks, the parser
 # refuses invisible format characters and typographic quote marks.
 _RESERVED_RE = re.compile(
-    "['’\"<>;,.!?…\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff«»“”]"
+    "['’\"<>;,.!?…\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
+    "\u202a-\u202e\u2061-\u2064\u2066-\u2069«»“”]"
 )
 
 

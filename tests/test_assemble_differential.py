@@ -85,7 +85,9 @@ def seed_checked_name(name: str) -> str:
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
     if any(ch in name for ch in ("'", "’", '"', "<", ">", ";", ",", ".", "!", "?", "…",
                                  "\u00ad", "\u061c", "\u200b", "\u200c", "\u200d", "\u200e",
-                                 "\u200f", "\u2060", "\ufeff", "«", "»", "“", "”")):
+                                 "\u200f", "\u2060", "\ufeff", "\u202a", "\u202b", "\u202c",
+                                 "\u202d", "\u202e", "\u2061", "\u2062", "\u2063", "\u2064",
+                                 "\u2066", "\u2067", "\u2068", "\u2069", "«", "»", "“", "”")):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:
@@ -176,7 +178,7 @@ NAMES = [
     "", " ", "Ali Veli", "Ali\t", "Ali\n", "Ali\x1c", "Ali\xa0", "\u2003Ali",
     "Ali'", "Ali’", 'A"li', "<Ali", " a'", "a'", "ali", "ışık", "İsmail", "Irmak",
     "Ali", "\u200bAli", "\ufeffAli", "1Ali", "Ali;Veli", "A,b", "Ali.", "A!b", "A?b", "Ali…",
-    "A»b", "A“b", "Ali\u2060", "Ali\u200e",
+    "A»b", "A“b", "Ali\u2060", "Ali\u200e", "Ali\u202a", "A\u202eb", "\u2066Ali", "A\u2062b",
 ]
 
 

@@ -120,9 +120,10 @@ class TestExtractCandidates:
         )
         compounds = []
 
-        def choose(work, mention, survivors, history):
+        def choose(index, mention, survivors, history):
             compounds.append([
-                _shape(c)[0] for c in extract_candidates(work, mention, DICT, SearchScope(back))
+                _shape(c)[0]
+                for c in extract_candidates(index.text, mention, DICT, SearchScope(back))
                 if c.kind is CandidateKind.COMPOUND
             ])
 
@@ -257,7 +258,7 @@ def test_a_pronoun_outside_the_document_is_an_index_error(position):
     # read off the columns unchecked would give -1 the last sentence.
     doc, pronoun = _doc_and_pronoun('Ali geldi. Murat <pro id="1">onu</pro> gördü.')
     at = window(doc, pronoun, DICT)
-    (survivor,) = constrained_candidates(doc, pronoun, at)
+    (survivor,) = constrained_candidates(pronoun, at)
     position = len(doc.surfaces) if position == "end" else position
     outside = dataclasses.replace(pronoun, position=position)
     message = f"token index out of range: {position}"
@@ -267,9 +268,9 @@ def test_a_pronoun_outside_the_document_is_an_index_error(position):
     # The pronoun's window, asked about another token.
     message = f"the window is at token {pronoun.position}, not at the pronoun's token {position}"
     with pytest.raises(ValueError, match=message):
-        constrained_candidates(doc, outside, at)
+        constrained_candidates(outside, at)
     with pytest.raises(ValueError, match=message):
-        feature_vectors(doc, outside, [survivor], frozenset(), at)
+        feature_vectors(outside, [survivor], frozenset(), at)
 
 
 def test_a_name_index_refuses_to_move_left():
@@ -280,15 +281,35 @@ def test_a_name_index_refuses_to_move_left():
         '<zero id="2" kind="pers" num="sg"/> Sustu.'
     )
     first, second = doc.pronouns
-    index = NameIndex(DICT, None).advance(doc, second, SearchScope())
+    index = NameIndex(doc, DICT, SearchScope(), None).advance(second)
     assert index.end == second.position
     with pytest.raises(ValueError, match=f"the index is at token {second.position}, right of "
                                          f"the pronoun's token {first.position}"):
-        index.advance(doc, first, SearchScope())
+        index.advance(first)
     # The same token again is allowed, and reads nothing twice.
-    assert index.advance(doc, second, SearchScope()) is index
+    assert index.advance(second) is index
     assert [c.base_names for c in index.singular] == [{"Ali"}, {"Ayşe"}]
     assert [c.base_names for c in window(doc, first, DICT).singular] == [{"Ali"}]
+
+
+def test_a_name_index_reads_one_text_at_one_scope():
+    # An index keeps its text and scope, so each window it reaches is the
+    # one a new index of that text and scope reads: the sentences that a
+    # narrower window left behind would never come back.
+    names = NameDictionary.from_names(["Ali", "Ayşe", "Fatma"])
+    doc = parse_document(
+        'Ali geldi . Ayşe gitti . Fatma <zero id="1" kind="refl" num="sg"/> güldü . '
+        '<zero id="2" kind="pers" num="sg"/> sustu .'
+    )
+    first, second = doc.pronouns
+    index = NameIndex(doc, names, SearchScope(3), None)
+    assert (index.text, index.max_back_sentences) == (doc, 3)
+    assert [c.base_names for c in constrained_candidates(first, index.advance(first))] == [
+        {"Fatma"}
+    ]
+    survivors = constrained_candidates(second, index.advance(second))
+    assert [c.base_names for c in survivors] == [{"Ali"}, {"Ayşe"}, {"Fatma"}]
+    assert survivors == constrained_candidates(second, window(doc, second, names))
 
 
 def test_on_the_walk_text_each_reader_answers_for_its_own_arguments():
@@ -297,7 +318,8 @@ def test_on_the_walk_text_each_reader_answers_for_its_own_arguments():
     doc = parse_document('Ali Ayşe\'yi gördü. <zero id="1" kind="pers" num="pl"/> Güldüler.')
     empty, seen = NameDictionary.from_names([]), []
 
-    def choose(work, mention, survivors, history):
+    def choose(index, mention, survivors, history):
+        work = index.text
         assert [c.base_names for c in extract_candidates(work, mention, DICT)] == [
             {"Ali"}, {"Ayşe"}
         ]

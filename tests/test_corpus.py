@@ -276,11 +276,28 @@ class TestParseDocument:
             ("Ali\u200d geldi.", 1, 4, "200D"),
             ('Ali\u200e geldi. <zero id="1" kind="pers" num="sg"/> güldü.', 1, 4, "200E"),
             ("\u200fAli geldi.", 1, 1, "200F"),
+            ('Ali\u202a geldi. <zero id="1" kind="pers" num="sg"/> güldü.', 1, 4, "202A"),
+            ("Ali geldi.\n\u202bAyşe gitti\u202c.", 2, 1, "202B"),
+            ("Ali\u202c geldi.", 1, 4, "202C"),
+            ("Ali geldi.\nAy\u202dşe gitti.", 2, 3, "202D"),
+            ("\u202eAli geldi.", 1, 1, "202E"),
+            ("Ali\u2061 geldi.", 1, 4, "2061"),
+            ('Ali\u2062 geldi. <zero id="1" kind="pers" num="sg"/> güldü.', 1, 4, "2062"),
+            ("Ali geldi.\nAyşe\u2063 gitti.", 2, 5, "2063"),
+            ("Ali\u2064 geldi.", 1, 4, "2064"),
+            ('\u2066Ali geldi. <zero id="1" kind="pers" num="sg"/> güldü.', 1, 1, "2066"),
+            ("Ali\u2067 geldi.", 1, 4, "2067"),
+            ("Ali geldi.\n\u2068Ayşe gitti.", 2, 1, "2068"),
+            ("Ali\u2069 geldi.", 1, 4, "2069"),
         ],
         ids=[
             "bom-inside", "zero-width-space", "word-joiner", "soft-hyphen", "arabic-letter-mark",
             "zero-width-non-joiner", "zero-width-joiner", "left-to-right-mark",
-            "right-to-left-mark",
+            "right-to-left-mark", "left-to-right-embedding", "right-to-left-embedding",
+            "pop-directional-formatting", "left-to-right-override", "right-to-left-override",
+            "function-application", "invisible-times", "invisible-separator", "invisible-plus",
+            "left-to-right-isolate", "right-to-left-isolate", "first-strong-isolate",
+            "pop-directional-isolate",
         ],
     )
     def test_invisible_format_character_is_located(self, text, line, column, code):

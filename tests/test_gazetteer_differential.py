@@ -23,7 +23,8 @@ BAD = [
     "ali", "ayşe", "1Ali", "ıtır", "itır", "\ufeffAli", "_Ali", "Ali'", "Ali’nin", 'A"b', "A<b",
     "A>b", "A;b", "Ali Veli", "Ali\tVeli", "Ali\x1fVeli", "Ali\u00a0Veli", "Ali\u3000Veli", "ß",
     "A,b", "Ali.", "A!b", "A?b", "Ali…", "A«b", "Ali”", "Meh\u00admet", "Ali\u200b",
-    "Ay\u200dşe", "Ays\u0327e",
+    "Ay\u200dşe", "Ays\u0327e", "Ali\u202a", "Ay\u202eşe", "\u2066Ali", "Ali\u2069",
+    "Mu\u2062rat", "Ali\u2064",
 ]
 SPACES = ["", " ", "\t", "\x1f", "\u00a0", "\u3000"]
 COMMENTS = ["#", "# header", "#it's <a>; \"b\" ’c", "# Ali Veli", "##"]

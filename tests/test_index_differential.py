@@ -40,7 +40,9 @@ from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.textmodel import PUNCTUATION_TOKENS, Number, PronounKind
 import seed_walk
-from conftest import FIXTURE_FILES, SCOPES, TEXTS, assert_layer_passed, fixture_text, window
+from conftest import (
+    FIXTURE_FILES, SCOPES, TEXTS, assert_layer_passed, fixture_text, snapshot, window,
+)
 from test_acceptance import FILLERS, NAME_SUFFIXES, OVERT_FORMS, PROP_DICT, PROP_NAMES
 
 
@@ -75,9 +77,10 @@ def check_document(doc, names, scope) -> None:
     visited = []
     rng = random.Random(len(doc.surfaces))
 
-    def choose(work, mention, survivors, history):
+    def choose(index, mention, survivors, history):
         # The text ends at the pronoun's token, its last sentence with it;
         # every token left of it is numbered for good.
+        work = snapshot(index.text)
         assert len(work.tokens) == mention.position + 1
         assert all(token.index == i for i, token in enumerate(work.tokens[:-1]))
         work.validate()
@@ -92,7 +95,6 @@ def check_document(doc, names, scope) -> None:
         ]
         reference = seed_walk.extract_candidates(work, mention, names, scope)
         assert extracted == reference
-        index = work.names
         for kept, number in ((index.singular, Number.SINGULAR), (index.plural, Number.PLURAL)):
             assert kept == [c for c in reference if c.number is number]
             assert extracted is not kept
@@ -102,19 +104,19 @@ def check_document(doc, names, scope) -> None:
         start = work.sentences[max(0, sentence - scope.max_back_sentences)].first
         window = work.tokens[start:mention.position]
         bases = (_split_apostrophe(token.surface)[0] for token in window)
-        assert work.names.bases == Counter(base for base in bases if base in names)
+        assert index.bases == Counter(base for base in bases if base in names)
         window_sentences = range(max(0, sentence - scope.max_back_sentences), sentence + 1)
-        assert set(work.names.first_phrase) <= set(window_sentences)
+        assert set(index.first_phrase) <= set(window_sentences)
         # The bases each window sentence counted; items() adds no key to the defaultdict.
-        named = work.names._named.items()
+        named = index._named.items()
         assert all(counted for _, counted in named)
         assert {k for k, _ in named} <= set(window_sentences)
-        assert Counter(base for _, counted in named for base in counted) == work.names.bases
+        assert Counter(base for _, counted in named for base in counted) == index.bases
         for k in window_sentences:
             own = work.sentences[k]
             left = range(own.first, min(own.last + 1, mention.position))
             words = [i for i in left if work.tokens[i].surface not in PUNCTUATION_TOKENS]
-            assert work.names.first_phrase.get(k) == (words[0] if words else None)
+            assert index.first_phrase.get(k) == (words[0] if words else None)
         visited.append(mention.id)
         if mention.id % 3 == 0 or not survivors:
             return None
@@ -235,7 +237,7 @@ def test_sets_are_the_only_plural_survivors():
         '<zero id="1" kind="pers" num="pl"/> güldü .'
     )
     pronoun = doc.pronouns[0]
-    survivors = constrained_candidates(doc, pronoun, window(doc, pronoun, PROP_DICT, SearchScope(2)))
+    survivors = constrained_candidates(pronoun, window(doc, pronoun, PROP_DICT, SearchScope(2)))
     assert [(c.kind, sorted(c.base_names)) for c in survivors] == [
         (CandidateKind.GENERATED_SET, ["Ali", "Ayşe"]),
         (CandidateKind.GENERATED_SET, ["Murat", "Zeynep"]),

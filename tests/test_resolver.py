@@ -29,7 +29,7 @@ from anafor.resolver import walk_document
 from anafor.scoring import most_recent_max
 from anafor.textmodel import Document, PronounMention, Sentence, Token
 import seed_walk
-from conftest import FIXTURE_FILES, fixture_text, replace_one
+from conftest import FIXTURE_FILES, fixture_text, replace_one, snapshot
 from test_golden import _inputs
 from counting import (
     builds_token, chain_text, commas_text, compound_members, filler_text, gazetteer_lookups,
@@ -196,7 +196,7 @@ class TestResolvePronoun:
         """The survivors the walk hands each pronoun, writing in each record's choice."""
         by_id, walked = {record.pronoun_id: record for record in records}, []
 
-        def choose(work, mention, survivors, history):
+        def choose(window, mention, survivors, history):
             walked.append(tuple(survivors))
             record = by_id[mention.id]
             if not record.resolved:
@@ -422,13 +422,13 @@ class TestReplacement:
             assert "sentences" not in vars(document)
 
     def test_window_scan_of_the_walk_text_builds_its_tokens_once(self):
-        # The walk's text builds its tokens on each read of work.tokens, so
-        # a scan that read it once per window token would build the text
-        # once per window token.
+        # A scan of a copy of the walk's text builds the copy's tokens at
+        # most once, however many window tokens it reads.
         doc = parse_document("Ali geldi. " * 50 + f"{ZERO.format(1)} güldü.")
         scans = []
 
-        def choose(work, mention, survivors, history):
+        def choose(index, mention, survivors, history):
+            work = snapshot(index.text)
             with runs(Token.__new__) as checked, runs(Token._make, builds_token) as made:
                 occurrences = seed_walk.scan_name_occurrences(work, mention, DICT, SearchScope())
             scans.append((len(occurrences), checked.n + made.n, len(work.surfaces)))
@@ -445,10 +445,10 @@ class TestReplacement:
         doc = _tiled_minicorpus(20)
         sizes = []
 
-        def choose(work, mention, survivors, history):
-            start = seed_walk._window_start(work, mention, SearchScope())
-            assert all(count > 0 for count in work.names.bases.values())
-            sizes.append((len(work.names.bases), mention.position - start))
+        def choose(index, mention, survivors, history):
+            start = seed_walk._window_start(snapshot(index.text), mention, SearchScope())
+            assert all(count > 0 for count in index.bases.values())
+            sizes.append((len(index.bases), mention.position - start))
             return None
 
         walk_document(doc, names9, SearchScope(), None, choose)

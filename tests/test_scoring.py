@@ -33,10 +33,10 @@ def _vectors(text, dictionary=DICT, pronoun_index=0, history=frozenset()):
     doc = parse_document(text)
     pronoun = doc.pronouns[pronoun_index]
     at = window(doc, pronoun, dictionary)
-    survivors = constrained_candidates(doc, pronoun, at)
+    survivors = constrained_candidates(pronoun, at)
     return doc, pronoun, {
         ";".join(m.base for m in c.members): feature_vector(
-            doc, pronoun, c, survivors, history, at
+            pronoun, c, survivors, history, at
         )
         for c in survivors
     }
@@ -95,11 +95,11 @@ class TestFeatureVector:
             'Ali Ali geldi. Murat geldi. <zero id="1" kind="pers" num="sg"/> Sustu.'
         )
         (pronoun,) = doc.pronouns
-        survivors = constrained_candidates(doc, pronoun, window(doc, pronoun, DICT))
+        survivors = constrained_candidates(pronoun, window(doc, pronoun, DICT))
         assert [c.members[0].base for c in survivors] == ["Ali", "Ali", "Murat"]
-        wide = feature_vectors(doc, pronoun, survivors, frozenset(),
+        wide = feature_vectors(pronoun, survivors, frozenset(),
                                window(doc, pronoun, DICT, SearchScope(3)))
-        narrow = feature_vectors(doc, pronoun, survivors, frozenset(),
+        narrow = feature_vectors(pronoun, survivors, frozenset(),
                                  window(doc, pronoun, DICT, SearchScope(0)))
         assert [(v.first_np, v.repetition) for v in wide] == [
             (True, True), (False, True), (True, False)
@@ -111,11 +111,11 @@ class TestFeatureVector:
             '<zero id="1" kind="pers" num="pl"/> Sustular.'
         )
         (pronoun,) = doc.pronouns
-        survivors = constrained_candidates(doc, pronoun, window(doc, pronoun, DICT))
+        survivors = constrained_candidates(pronoun, window(doc, pronoun, DICT))
         assert [c.base_names for c in survivors] == [frozenset({"Ali", "Murat"})] * 2
-        wide = feature_vectors(doc, pronoun, survivors, frozenset(),
+        wide = feature_vectors(pronoun, survivors, frozenset(),
                                window(doc, pronoun, DICT, SearchScope(3)))
-        narrow = feature_vectors(doc, pronoun, survivors, frozenset(),
+        narrow = feature_vectors(pronoun, survivors, frozenset(),
                                  window(doc, pronoun, DICT, SearchScope(0)))
         assert [(v.first_np, v.repetition) for v in wide] == [(True, True)] * 2
         assert [(v.first_np, v.repetition) for v in narrow] == [(False, False)] * 2

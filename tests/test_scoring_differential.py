@@ -17,11 +17,13 @@ from anafor.corpus import NameDictionary
 from anafor.morphology import _split_apostrophe
 from anafor.resolver import walk_document
 from anafor.scoring import feature_vectors
-from conftest import FIXTURE_FILES, SCOPES, TEXTS, assert_layer_passed, fixture_text, window
+from conftest import (
+    FIXTURE_FILES, SCOPES, TEXTS, assert_layer_passed, fixture_text, snapshot, window,
+)
 
 
 def assert_same_vectors(doc, pronoun, survivors, history, seed_history, scope, at) -> None:
-    vectors = feature_vectors(doc, pronoun, survivors, history, at)
+    vectors = feature_vectors(pronoun, survivors, history, at)
     assert vectors == [
         seed_walk.feature_vector(doc, pronoun, candidate, survivors, seed_history, scope)
         for candidate in survivors
@@ -52,17 +54,18 @@ def check_document(doc, names, scope) -> None:
     and whose history and window counts are the walk's own."""
     for pronoun in doc.pronouns:
         at = window(doc, pronoun, names, scope)
-        survivors = constrained_candidates(doc, pronoun, at)
+        survivors = constrained_candidates(pronoun, at)
         sentence = doc.sentence_index_of(pronoun.position)
         records = _records(survivors, sentence)
         history = {bases for bases, recorded in records if recorded < sentence}
         assert_same_vectors(doc, pronoun, survivors, history, _seed_history(records), scope, at)
 
-    def choose(work, mention, survivors, history):
+    def choose(index, mention, survivors, history):
         # The walk's set holds earlier sentences' names only, so the seed
         # gets them as recorded before the first sentence.
         seed_history = _seed_history((written, -1) for written in history)
-        assert_same_vectors(work, mention, survivors, history, seed_history, scope, work.names)
+        work = snapshot(index.text)
+        assert_same_vectors(work, mention, survivors, history, seed_history, scope, index)
         return [member.base for member in survivors[-1].members] if survivors else None
 
     walk_document(doc, names, scope, None, choose)
@@ -91,9 +94,9 @@ def test_a_pronoun_form_spelled_as_a_name_counts_towards_repetition():
     doc = parse_document("O geldi . Ahmet O'nu gördü . <pro id=\"1\">o</pro> güldü .")
     (pronoun,) = doc.pronouns
     at = window(doc, pronoun, names)
-    survivors = constrained_candidates(doc, pronoun, at)
+    survivors = constrained_candidates(pronoun, at)
     assert [candidate.base_names for candidate in survivors] == [{"Ahmet"}, {"O"}]
-    vectors = feature_vectors(doc, pronoun, survivors, set(), at)
+    vectors = feature_vectors(pronoun, survivors, set(), at)
     assert [vector.repetition for vector in vectors] == [False, True]
     check_document(doc, names, SearchScope())
 
