@@ -17,8 +17,11 @@ document, and ``dense_shorts`` the first ``DENSE_DOCUMENTS`` generated
 documents of ``random.Random(1)``, each its own document.
 
 First the script stops with an error unless both copies load the same
-entries from that file, and unless they give the same paraphrase and
-trace on every input, with the resolver and with the baseline.  It also
+entries from that file, unless they parse every input to the same token
+columns and the same mention fields (read by ``dataclasses.astuple``, each
+enum member by its value, since the two copies' classes differ), and
+unless they give the same paraphrase and trace on every input, with the
+resolver and with the baseline.  It also
 stops unless both copies train alike: each runs ``build_instances`` and
 ``train`` on one gold collection, built as the ``train_compare`` workload
 builds one (the mini corpus ``TRAIN_TILES`` times and ``TRAIN_GENERATED``
@@ -62,6 +65,8 @@ from perfbench.workloads import (  # noqa: E402
 
 LONG_STORY_OPS = 20  # about as long as one pass over the dense_shorts documents
 SIDES = ("parent", "change")
+CHECKED = (("parse", "columns or mention fields"), ("resolve", "paraphrase or trace"),
+           ("baseline", "paraphrase or trace"))
 
 
 def inputs() -> tuple[dict[str, list[str]], list[str], list[str]]:
@@ -81,8 +86,9 @@ def inputs() -> tuple[dict[str, list[str]], list[str], list[str]]:
 
 def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
     """The gazetteer entries that ``checkout``'s package, loaded as
-    ``package``, reads from ``gazetteer``, its resolve op with them, the
-    same op run with the baseline, and its training run with them."""
+    ``package``, reads from ``gazetteer``, its parse as plain values, its
+    resolve op with them, the same op run with the baseline, and its
+    training run with them."""
     shutil.copytree(checkout / "src" / "anafor", into / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     corpus = importlib.import_module(f"{package}.corpus")
@@ -103,8 +109,14 @@ def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
         weights, report = training.train(instances)
         return scoring.format_weights(weights), len(instances), skipped, dataclasses.astuple(report)
 
-    walks = (op, lambda text: op(text, resolver.baseline_resolve_document))
-    return dictionary.entries, walks, trained
+    def parsed(text: str) -> tuple:
+        doc = corpus.parse_document(text)
+        mentions = [tuple(getattr(field, "value", field) for field in dataclasses.astuple(mention))
+                    for mention in doc.pronouns]
+        return doc.surfaces, doc.sentence_of, doc.quoted, mentions
+
+    calls = (parsed, op, lambda text: op(text, resolver.baseline_resolve_document))
+    return dictionary.entries, calls, trained
 
 
 def seconds(op, texts: list[str]) -> float:
@@ -133,16 +145,16 @@ def main() -> None:
                   for side, checkout in zip(SIDES, (args.parent, args.change))}
         if loaded["parent"][0] != loaded["change"][0]:
             sys.exit("the gazetteer's entries differ")
-        copies = {side: walks for side, (_, walks, _) in loaded.items()}
+        copies = {side: calls for side, (_, calls, _) in loaded.items()}
         for workload, texts in workloads.items():
             for k, text in enumerate(dict.fromkeys(texts)):
-                for walk, name in enumerate(("resolve", "baseline")):
-                    outputs = {side: copies[side][walk](text) for side in SIDES}
+                for call, (name, what) in enumerate(CHECKED):
+                    outputs = {side: copies[side][call](text) for side in SIDES}
                     if outputs["parent"] != outputs["change"]:
-                        sys.exit(f"{workload} document {k}: {name}'s paraphrase or trace differs")
+                        sys.exit(f"{workload} document {k}: {name}'s {what} differ")
         if loaded["parent"][2](gold) != loaded["change"][2](gold):
             sys.exit("the trained weights, instance or skip counts or training report differ")
-        ops = {side: copies[side][0] for side in SIDES}
+        ops = {side: copies[side][1] for side in SIDES}
         order, ratios = random.Random(args.seed), {workload: [] for workload in workloads}
         for _ in range(args.rounds):
             for workload, texts in workloads.items():

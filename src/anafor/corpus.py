@@ -61,12 +61,10 @@ _PRO_OPEN_RE = re.compile(r"<pro\b([^<>]*)>")
 _ZERO_RE = re.compile(r"<zero\b([^<>]*?)/>")
 _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
-# Invisible format characters, bidi controls among them, glue onto a token
-# unseen; typographic quote marks glue on too, and never pair as '"' does.
-_INVISIBLE = ("\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
-              "\u202a\u202b\u202c\u202d\u202e\u2061\u2062\u2063\u2064\u2066\u2067\u2068\u2069")
-_REJECTED = _INVISIBLE + "\u00ab\u00bb\u201c\u201d"
-_RESERVED = "".join((*APOSTROPHES, "<>;", *sorted(PUNCTUATION_TOKENS), _REJECTED))  # never in a name
+# Unprintable characters (str.isprintable) glue onto a token unseen and are
+# refused; typographic quote marks glue on too, and never pair as '"' does.
+_QUOTES = "\u00ab\u00bb\u201c\u201d"
+_RESERVED = "".join((*APOSTROPHES, "<>;", *sorted(PUNCTUATION_TOKENS), _QUOTES))  # never in a name
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
 _KINDS = {kind.value: kind for kind in PronounKind}
@@ -88,7 +86,7 @@ def _checked_name(name: str) -> str:
         raise ValueError("dictionary entry must be non-empty")
     if name.split() != [name]:
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
-    if any(map(name.__contains__, _RESERVED)):
+    if not name.isprintable() or any(map(name.__contains__, _RESERVED)):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     if not _starts_uppercase(name):
         raise ValueError(f"dictionary entry must start uppercase: {name!r}")
@@ -131,6 +129,7 @@ def load_dictionary(path) -> NameDictionary:
         not any(map(raw.__contains__, _RESERVED + "#"))
         and all(map(_starts_uppercase, set(map(itemgetter(0), names))))
         and "\n".join(names) == raw.strip()
+        and "".join(names).isprintable()
         and unicodedata.is_normalized("NFC", raw)
     ):
         return NameDictionary(entries=frozenset(names))
@@ -222,22 +221,25 @@ def _read_tag(
         raw_surface, end = text[end:close], close + len(_PRO_CLOSE)
         if "<" in raw_surface:
             raise ValueError("nested tag inside <pro>")
-    tokens = split_tokens(raw_surface)
-    if len(tokens) != 1:
-        raise ValueError(f"pronoun tag must contain exactly one token, got {raw_surface!r}")
-    form = classify_pronoun(tokens[0], lexicon)
-    if form is None:
-        raise ValueError(f"not a recognized pronoun form: {tokens[0]!r}")
-    return PronounMention(mention_id, form.kind, form.number, position, tokens[0], gold), end
+    if (tag := lexicon.pronoun_tags.get(body := raw_surface.strip())) is None:
+        tokens = split_tokens(raw_surface)
+        if len(tokens) != 1:
+            raise ValueError(f"pronoun tag must contain exactly one token, got {raw_surface!r}")
+        if (form := classify_pronoun(tokens[0], lexicon)) is None:
+            raise ValueError(f"not a recognized pronoun form: {tokens[0]!r}")
+        tag = lexicon.pronoun_tags[body] = tokens[0], form
+    surface, form = tag
+    return PronounMention(mention_id, form.kind, form.number, position, surface, gold), end
 
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
-    byte-order mark is dropped, the rest is read in Unicode NFC, and any
-    other U+FEFF, U+00AD, U+061C, U+200B to U+200F, U+202A to U+202E,
-    U+2060 to U+2064 or U+2066 to U+2069, and each typographic quote mark
-    U+201C, U+201D, U+00AB or U+00BB, is a ParseError, whose line and
-    column count in the NFC text."""
+    byte-order mark is dropped, the rest is read in Unicode NFC.  Any other
+    character that is neither whitespace nor printable (``str.isprintable``:
+    control, format, surrogate, private-use and, by this interpreter's
+    Unicode tables, unassigned characters), and each typographic quote mark
+    U+201C, U+201D, U+00AB or U+00BB, is a ParseError after the tags'
+    errors, whose line and column count in the NFC text."""
     text = text.removeprefix("\ufeff")
     if not unicodedata.is_normalized("NFC", text):
         text = unicodedata.normalize("NFC", text)
@@ -248,11 +250,6 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     zero_at: dict[int, int] = {}  # token position -> offset of its first zero tag
     i = 0
     try:
-        if found := [at for at in map(text.find, _REJECTED) if at >= 0]:
-            offset = min(found)
-            char = text[offset]
-            what = "invisible format character" if char in _INVISIBLE else "typographic quote mark"
-            raise ValueError(f"{what} U+{ord(char):04X}")
         while (offset := text.find("<", i)) >= 0:
             surfaces += split_tokens(text[i:offset])
             mention, i = _read_tag(text, offset, len(surfaces), seen_ids, lexicon)
@@ -262,6 +259,13 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
                 zero_at.setdefault(mention.position, offset)
             mentions.append(mention)
         surfaces += split_tokens(text[i:])
+        joined = "".join(surfaces)
+        if not joined.isprintable() or any(map(joined.__contains__, _QUOTES)):
+            offset, char = next((at, char) for at, char in enumerate(text)
+                                if char in _QUOTES or not (char.isprintable() or char.isspace()))
+            code, category = f"U+{ord(char):04X}", unicodedata.category(char)
+            raise ValueError(f"typographic quote mark {code}" if char in _QUOTES
+                             else f"unprintable character {code} ({category})")
         spans = sentence_spans(surfaces)
         # A zero inside the run of terminators, and closing quote, that
         # ends a sentence anchors to the first token of the next sentence.

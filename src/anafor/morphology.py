@@ -73,6 +73,9 @@ class Lexicon:
     copula_suffixes: tuple[str, ...]
     # The one table of name analyses: the name index and match_name read it.
     analyses: _Analyses = field(init=False, compare=False, repr=False)
+    # Each stripped <pro> tag body that the parser has read as a pronoun: its token and form.
+    pronoun_tags: dict[str, tuple[str, PronounForm]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "analyses", _Analyses(self))

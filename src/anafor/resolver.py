@@ -60,6 +60,14 @@ class Resolution:
     vectors: tuple[PreferenceVector | None, ...] = ()
     scores: tuple[float, ...] = ()
 
+    def __init__(
+        self, pronoun_id: int, antecedent: frozenset[str] | None, score: float | None,
+        survivors: tuple[Candidate, ...] = (), vectors: tuple[PreferenceVector | None, ...] = (),
+        scores: tuple[float, ...] = (),
+    ) -> None:
+        self.__dict__.update(pronoun_id=pronoun_id, antecedent=antecedent, score=score,
+                             survivors=survivors, vectors=vectors, scores=scores)
+
     @property
     def resolved(self) -> bool:
         return self.antecedent is not None

@@ -5,14 +5,15 @@ the sentence of each token and whether it stands between quote marks.  A
 token's index is its offset, a sentence is a run of one sentence number,
 and anything else, such as a comma after a token, is read off neighbours.
 ``assemble_document`` builds and validates a Document from token surfaces,
-as the corpus parser does: one split of their join checks them all.  A
+as the corpus parser does: one join and one split check them all.  A
 Document holds tuples and is immutable, save the resolver walk's working
 text, which holds lists grown and spliced in place; only the walk keeps it.
 
 ``doc.tokens`` and ``doc.sentences`` build :class:`Token` and
-:class:`Sentence` records on first read and keep them, for callers that
-want them; parse reads only the columns, and so does the walk, whose
-working text grows.  Records are ``NamedTuple``s, as
+:class:`Sentence` records for callers that want them, on first read for a
+Document over tuples, which keeps them, and on each read for the walk's
+working text, which grows; parse and the walk read only the columns.
+Records are ``NamedTuple``s, as
 are names, candidates, vectors, pronoun forms and search scopes: a tuple
 costs a third of a frozen dataclass, and acts as one (``SearchScope(3) ==
 (3,)``).  ``Token``, ``SearchScope`` and ``_replace`` check fields; their
@@ -21,6 +22,8 @@ vectors) do not.  A dataclass stays where one serves: callers
 copy ``Document``, ``PronounMention``, ``Lexicon`` and the resolver's
 records by ``dataclasses.replace``, ``PreferenceWeights`` keeps ``scores``
 out of equality, and a tuple's pickling would read ``NameDictionary.__iter__``.
+``PronounMention`` and ``Resolution``, built per pronoun, fill their fields in
+one ``__dict__`` update, twice as fast as one ``object.__setattr__`` each.
 
 Tokenization is deliberately shallow: text splits on whitespace, the
 punctuation marks ``, . ! ? … "`` (``PUNCTUATION_TOKENS``) become tokens of
@@ -74,8 +77,8 @@ class _TokenFields(NamedTuple):
 
 def check_surfaces(surfaces: list[str]) -> None:
     """Raise a ValueError naming the first surface that is empty or holds
-    whitespace; the split of the join gives the surfaces back exactly when none is."""
-    if " ".join(surfaces).split() != surfaces:
+    whitespace; none is exactly when none is empty and their join holds none."""
+    if surfaces and (not all(surfaces) or (joined := "".join(surfaces)).split() != [joined]):
         bad = next(surface for surface in surfaces if surface.split() != [surface])
         raise ValueError(f"token surface must be non-empty and whitespace-free: {bad!r}")
 
@@ -117,13 +120,27 @@ class PronounMention:
     surface: str = ""
     gold_antecedent: frozenset[str] | None = None
 
-    def __post_init__(self) -> None:
-        if self.gold_antecedent is not None and not self.gold_antecedent:
+    def __init__(
+        self, id: int, kind: PronounKind, number: Number, position: int,
+        surface: str = "", gold_antecedent: frozenset[str] | None = None,
+    ) -> None:
+        if gold_antecedent is not None and not gold_antecedent:
             raise ValueError("gold antecedent, when present, must be non-empty")
+        self.__dict__.update(id=id, kind=kind, number=number, position=position,
+                             surface=surface, gold_antecedent=gold_antecedent)
 
     @property
     def overtness(self) -> Overtness:
         return Overtness.OVERT if self.surface else Overtness.ZERO
+
+
+class _kept_if_fixed(cached_property):
+    """A ``cached_property`` that a Document over lists, which grows, builds on each read."""
+
+    def __get__(self, doc, owner=None):
+        if doc is not None and isinstance(doc.surfaces, list):
+            return self.func(doc)
+        return super().__get__(doc, owner)
 
 
 @dataclass(frozen=True)
@@ -136,13 +153,13 @@ class Document:
     quoted: tuple[bool, ...]
     pronouns: tuple[PronounMention, ...]
 
-    @cached_property
+    @_kept_if_fixed
     def tokens(self) -> tuple[Token, ...]:
         """The columns as :class:`Token` records, built on first read."""
         columns = self.surfaces, range(len(self.surfaces)), self.sentence_of, self.quoted
         return tuple(map(Token._make, zip(*columns)))
 
-    @cached_property
+    @_kept_if_fixed
     def sentences(self) -> tuple[Sentence, ...]:
         """Each sentence's first and last token, read off ``sentence_of`` on first read."""
         column = self.sentence_of

@@ -46,10 +46,9 @@ def window(doc, pronoun, names, scope=SearchScope()):
 
 
 def snapshot(text):
-    """A copy of the walk's working ``text`` over tuples.  A Document keeps
-    its ``tokens`` and ``sentences`` from their first read, so the working
-    text's own would go stale as the walk grows it; the copy's are read off
-    the columns as they stand."""
+    """A copy of the walk's working ``text`` over tuples, which keeps its
+    ``tokens`` and ``sentences`` from their first read; the working text,
+    which grows, builds them anew on each read."""
     return Document(*map(tuple, (text.surfaces, text.sentence_of, text.quoted, text.pronouns)))
 
 

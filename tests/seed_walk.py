@@ -665,23 +665,20 @@ def serialize_document(doc: Document) -> str:
 
 # ---------------------------------------------------------------------------
 # The parser as it was before it read canonically spelled tags by one
-# match, split tokens with ``str.split`` and tested for rejected characters
-# by substring tests: every tag goes through the attribute reader, and
-# tokens come from one regex.  The reference of
-# ``test_parse_differential.py``.
+# match, split tokens with ``str.split`` and tested its tokens' join for
+# refused characters: every tag goes through the attribute reader, tokens
+# come from one regex, and the text is scanned character by character.
+# The reference of ``test_parse_differential.py``.
 
 
 _PRO_OPEN_RE = re.compile(r"<pro\b([^<>]*)>")
 _ZERO_RE = re.compile(r"<zero\b([^<>]*?)/>")
 _ATTR_RE = re.compile(r'\s*([A-Za-z_]\w*)\s*=\s*"([^"]*)"')
 _PRO_CLOSE = "</pro>"
-# Invisible format characters glue onto a token unseen; typographic quote
-# marks glue onto a token too, and never pair as '"' does.
-_INVISIBLE = (
-    "\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
-    "\u202a\u202b\u202c\u202d\u202e\u2061\u2062\u2063\u2064\u2066\u2067\u2068\u2069"
-)
-_REJECTED_RE = re.compile(f"[{_INVISIBLE}\u00ab\u00bb\u201c\u201d]")
+# Characters that are neither printable nor whitespace glue onto a token
+# unseen; typographic quote marks glue onto a token too, and never pair as
+# '"' does.
+_QUOTE_MARKS = ("\u00ab", "\u00bb", "\u201c", "\u201d")
 _PRO_KEYS = frozenset({"id", "ant"})
 _ZERO_KEYS = frozenset({"id", "kind", "num", "ant"})
 _KINDS = {kind.value: kind for kind in PronounKind}
@@ -787,9 +784,9 @@ def _read_tag(
 
 def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     """Parse an annotated corpus file into a Document; one leading UTF-8
-    byte-order mark is dropped, and any other character of ``_INVISIBLE``,
-    and each typographic quote mark U+201C, U+201D, U+00AB or U+00BB, is a
-    ParseError."""
+    byte-order mark is dropped, and after the tags' errors any other
+    character that is neither printable nor whitespace, and each typographic
+    quote mark U+201C, U+201D, U+00AB or U+00BB, is a ParseError."""
     text = text.removeprefix("\ufeff")
     lexicon = lexicon or default_lexicon()
     surfaces: list[str] = []
@@ -798,11 +795,6 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
     zero_at: dict[int, int] = {}  # token position -> offset of its first zero tag
     i = 0
     try:
-        if rejected := _REJECTED_RE.search(text):
-            offset = rejected.start()
-            char = rejected[0]
-            what = "invisible format character" if char in _INVISIBLE else "typographic quote mark"
-            raise ValueError(f"{what} U+{ord(char):04X}")
         while (offset := text.find("<", i)) >= 0:
             surfaces += split_tokens(text[i:offset])
             mention, i = _read_tag(text, offset, len(surfaces), seen_ids, lexicon)
@@ -812,6 +804,12 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
                 zero_at.setdefault(mention.position, offset)
             mentions.append(mention)
         surfaces += split_tokens(text[i:])
+        for offset, char in enumerate(text):
+            if char in _QUOTE_MARKS:
+                raise ValueError(f"typographic quote mark U+{ord(char):04X}")
+            if not char.isprintable() and not char.isspace():
+                category = unicodedata.category(char)
+                raise ValueError(f"unprintable character U+{ord(char):04X} ({category})")
         spans = sentence_spans(surfaces)
         # A zero inside the run of terminators, and closing quote, that
         # ends a sentence anchors to the first token of the next sentence.
@@ -846,11 +844,8 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
 
 
 # Never in a name: ';' joins names, the tokenizer splits marks, the parser
-# refuses invisible format characters and typographic quote marks.
-_RESERVED_RE = re.compile(
-    "['’\"<>;,.!?…\u00ad\u061c\u200b\u200c\u200d\u200e\u200f\u2060\ufeff"
-    "\u202a-\u202e\u2061-\u2064\u2066-\u2069«»“”]"
-)
+# refuses unprintable characters and typographic quote marks.
+_RESERVED_RE = re.compile("['’\"<>;,.!?…«»“”]")
 
 
 def _checked_name(name: str) -> str:
@@ -859,7 +854,7 @@ def _checked_name(name: str) -> str:
         raise ValueError("dictionary entry must be non-empty")
     if name.split() != [name]:
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
-    if _RESERVED_RE.search(name):
+    if _RESERVED_RE.search(name) or not all(char.isprintable() for char in name):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:

@@ -78,16 +78,14 @@ def seed_assemble_document(sentence_surfaces, pronouns=()):
 
 def seed_checked_name(name: str) -> str:
     # corpus._checked_name as it was before it tested with split and a regex,
-    # with the rule since added that a name is in Unicode NFC.
+    # with the rules since added that a name is in Unicode NFC and that each
+    # of its characters is printable.
     if not name:
         raise ValueError("dictionary entry must be non-empty")
     if any(ch.isspace() for ch in name):
         raise ValueError(f"dictionary entry contains whitespace: {name!r}")
-    if any(ch in name for ch in ("'", "’", '"', "<", ">", ";", ",", ".", "!", "?", "…",
-                                 "\u00ad", "\u061c", "\u200b", "\u200c", "\u200d", "\u200e",
-                                 "\u200f", "\u2060", "\ufeff", "\u202a", "\u202b", "\u202c",
-                                 "\u202d", "\u202e", "\u2061", "\u2062", "\u2063", "\u2064",
-                                 "\u2066", "\u2067", "\u2068", "\u2069", "«", "»", "“", "”")):
+    if any(not ch.isprintable() or ch in ("'", "’", '"', "<", ">", ";", ",", ".", "!", "?",
+                                          "…", "«", "»", "“", "”") for ch in name):
         raise ValueError(f"dictionary entry contains a reserved character: {name!r}")
     head = name[0]
     if turkish_upper(head) != head or turkish_lower(head) == head:
@@ -179,6 +177,7 @@ NAMES = [
     "Ali'", "Ali’", 'A"li', "<Ali", " a'", "a'", "ali", "ışık", "İsmail", "Irmak",
     "Ali", "\u200bAli", "\ufeffAli", "1Ali", "Ali;Veli", "A,b", "Ali.", "A!b", "A?b", "Ali…",
     "A»b", "A“b", "Ali\u2060", "Ali\u200e", "Ali\u202a", "A\u202eb", "\u2066Ali", "A\u2062b",
+    "Ali\u180e", "A\ufff9b", "Ali\U000e0001", "Ali\ue000", "Ali\x07", "Ali\u0378", "Ali\uffff",
 ]
 
 

@@ -23,14 +23,18 @@ from anafor import (
     serialize_document,
     turkish_upper,
 )
-from anafor.textmodel import PUNCTUATION_TOKENS
+from anafor.morphology import classify_pronoun, default_lexicon
+from anafor.textmodel import PUNCTUATION_TOKENS, split_tokens
 from conftest import EXAMPLE_NAMES, FIXTURES, assert_layer_passed, fixture_text
 from counting import runs
 from test_acceptance import PROP_DICT
 from test_golden import _generated
 
+# Unprintable characters of each category the parser refuses: format (bidi
+# controls among them), control, private-use and unassigned.
+UNPRINTABLE = "\u00ad\u061c\u200b\u202e\u2066\ufeff\u180e\ufff9\U000e0001\x07\ue000\u0378"
 # The characters other modules own: the tokenizer's marks and the parser's refused characters.
-OWNED = "".join(sorted(PUNCTUATION_TOKENS)) + anafor.corpus._REJECTED
+OWNED = "".join(sorted(PUNCTUATION_TOKENS)) + anafor.corpus._QUOTES + UNPRINTABLE
 
 
 def gazetteer_names(symbols: str) -> st.SearchStrategy[str]:
@@ -85,6 +89,28 @@ class TestParseDocument:
         with runs(anafor.corpus._attributes) as read:
             doc = parse_document('Ali <pro  id="1">onu</pro> <zero id="2" kind="pers" num="sg"/> .')
         assert read.n == 1 and len(doc.pronouns) == 2
+
+    def test_each_overt_spelling_is_classified_once_per_lexicon(self):
+        # A <pro> tag's body is split and classified at its first sight by a
+        # lexicon, which keeps what passes, stripped; a body that fails is not kept.
+        text = fixture_text("minicorpus/minicorpus.txt")
+        bodies = [body.strip() for body in re.findall(r"<pro\b[^<>]*>([^<]*)</pro>", text)]
+        lexicon = dataclasses.replace(default_lexicon())  # its tables start empty
+        with runs(classify_pronoun) as first, runs(split_tokens) as split:
+            doc = parse_document(text, lexicon)
+        with runs(classify_pronoun) as second:
+            assert parse_document(text, lexicon) == doc
+        assert doc == parse_document(text)
+        assert first.n == len(set(bodies)) < len(bodies) and second.n == 0
+        assert split.n == len(set(bodies)) + text.count("<") - text.count("</pro>") + 1
+        for _ in range(2):
+            with pytest.raises(ParseError, match="not a recognized pronoun form"):
+                parse_document('Ali <pro id="1">kitap</pro> aldı.', lexicon)
+        with runs(classify_pronoun) as padded:
+            doc = parse_document(" ".join(f'<pro id="{i}">{" " * i}onu\n</pro> .' for i in range(9)),
+                                 lexicon)
+        assert padded.n == 0 and {mention.surface for mention in doc.pronouns} == {"onu"}
+        assert "kitap" not in lexicon.pronoun_tags and len(lexicon.pronoun_tags) == first.n
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -270,7 +296,7 @@ class TestParseDocument:
             ("\n\ufeffAli geldi.", 2, 1, "FEFF"),
             ("Ali\u200b geldi.", 1, 4, "200B"),
             ("Ali geldi.\nAyşe\u2060 gitti.", 2, 5, "2060"),
-            ('Ali <pro id="1">o\u00adnu</pro> gördü.', 1, 18, "00AD"),
+            ('Ali <pro id="1">onu</pro> gör\u00addü.', 1, 30, "00AD"),
             ("Ali\u061c geldi.", 1, 4, "061C"),
             ("Ali geldi.\nAy\u200cşe gitti.", 2, 3, "200C"),
             ("Ali\u200d geldi.", 1, 4, "200D"),
@@ -305,11 +331,58 @@ class TestParseDocument:
         with pytest.raises(ParseError) as info:
             parse_document(text)
         assert str(info.value) == (
-            f"line {line}, column {column}: invisible format character U+{code}"
+            f"line {line}, column {column}: unprintable character U+{code} (Cf)"
         )
 
-    def test_each_invisible_character_is_a_format_character(self):
-        assert {unicodedata.category(char) for char in anafor.corpus._INVISIBLE} == {"Cf"}
+    @pytest.mark.parametrize(
+        "text,line,column,code,category",
+        [
+            ('Ali\u180e geldi. <zero id="1" kind="pers" num="sg"/> güldü.', 1, 4, "180E", "Cf"),
+            ("Ali geldi.\nAy\ufff9şe gitti.", 2, 3, "FFF9", "Cf"),
+            ("Ali\U000e0001 geldi.", 1, 4, "E0001", "Cf"),
+            ("Ali\ue000 geldi.", 1, 4, "E000", "Co"),
+            ("Ali\x07 geldi.", 1, 4, "0007", "Cc"),
+            ("Ali\u0378 geldi.", 1, 4, "0378", "Cn"),
+            ("Ali geldi\uffff.", 1, 10, "FFFF", "Cn"),
+            ("Ali\ud800 geldi.", 1, 4, "D800", "Cs"),
+        ],
+        ids=["mongolian-vowel-separator", "interlinear-annotation-anchor", "language-tag",
+             "private-use", "bell", "unassigned", "noncharacter", "lone-surrogate"],
+    )
+    def test_unprintable_character_is_located(self, text, line, column, code, category):
+        # A class, not a list: every character that is neither printable nor
+        # whitespace glues onto a token unseen, so each is refused, an
+        # unassigned one (Cn, by this interpreter's Unicode tables) too.
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == (
+            f"line {line}, column {column}: unprintable character U+{code} ({category})"
+        )
+
+    def test_the_refused_class_is_the_other_categories(self):
+        # The parser refuses what is neither printable nor whitespace: of the
+        # characters str.split keeps, exactly categories Cc, Cf, Cs, Co and Cn.
+        kept = (chr(code) for code in range(0x110000) if not chr(code).isspace())
+        assert all(char.isprintable() != (unicodedata.category(char)[0] == "C") for char in kept)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('Ali <pro id="1">o\u00adnu</pro> gördü.',
+             "line 1, column 5: not a recognized pronoun form: 'o\\xadnu'"),
+            ('Ali\u200b <pro id="x">onu</pro> gördü.',
+             "line 1, column 6: id is not an integer: 'x'"),
+            ('Ali <zero id="1" kind="pers" num="sg" ant="Ali\u180e"/> geldi.',
+             "line 1, column 5: bad name in ant attribute: dictionary entry contains a reserved "
+             "character: 'Ali\\u180e'"),
+        ],
+        ids=["in-a-pronoun", "before-a-bad-tag", "in-an-antecedent"],
+    )
+    def test_a_tag_error_comes_before_a_refused_character(self, text, message):
+        # Refused characters are looked for in the tokens once the tags are read.
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "text,line,column,code",
@@ -517,6 +590,20 @@ class TestLoadDictionary:
         with pytest.raises(ValueError) as caught:
             load_dictionary(path)
         assert str(caught.value) == f"{path}, line 3: dictionary entry must start uppercase: 'ali'"
+
+    @pytest.mark.parametrize("char", UNPRINTABLE)
+    def test_an_unprintable_character_is_refused_in_a_name(self, char, tmp_path):
+        # No text can hold such a name as one token, so no name may hold one,
+        # in a file of bare names, which is checked whole, or in a list.
+        path = tmp_path / "names.txt"
+        path.write_text(f"Ali\nAy{char}şe\n", encoding="utf-8")
+        message = f"dictionary entry contains a reserved character: {'Ay' + char + 'şe'!r}"
+        with pytest.raises(ValueError) as caught:
+            load_dictionary(path)
+        assert str(caught.value) == f"{path}, line 2: {message}"
+        with pytest.raises(ValueError) as caught:
+            NameDictionary.from_names([f"Ay{char}şe"])
+        assert str(caught.value) == message
 
     def test_a_clean_file_is_checked_whole(self, tmp_path):
         # A file that passes is checked whole: no entry on its own, and the

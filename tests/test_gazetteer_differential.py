@@ -6,7 +6,7 @@ The files are drawn line by line out of names, comments, blank and
 space-only lines, joined by every separator that ``str.splitlines``
 honours, with or without a byte order mark and a last separator.  The
 names include each way a name is refused: a lowercase, digit, ``ı`` or
-stray U+FEFF head, a reserved character, whitespace inside that only
+stray U+FEFF head, a reserved or unprintable character, whitespace inside that only
 ``str.split`` cuts on, and a name not in Unicode NFC."""
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ BAD = [
     "A>b", "A;b", "Ali Veli", "Ali\tVeli", "Ali\x1fVeli", "Ali\u00a0Veli", "Ali\u3000Veli", "ß",
     "A,b", "Ali.", "A!b", "A?b", "Ali…", "A«b", "Ali”", "Meh\u00admet", "Ali\u200b",
     "Ay\u200dşe", "Ays\u0327e", "Ali\u202a", "Ay\u202eşe", "\u2066Ali", "Ali\u2069",
-    "Mu\u2062rat", "Ali\u2064",
+    "Mu\u2062rat", "Ali\u2064", "Ali\u180e", "A\ufff9b", "Ali\U000e0001", "Ali\ue000", "Ali\x07",
+    "Ali\u0378",
 ]
 SPACES = ["", " ", "\t", "\x1f", "\u00a0", "\u3000"]
 COMMENTS = ["#", "# header", "#it's <a>; \"b\" ’c", "# Ali Veli", "##"]

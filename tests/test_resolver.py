@@ -421,6 +421,22 @@ class TestReplacement:
         for document in (doc, resolved, baseline):
             assert "sentences" not in vars(document)
 
+    def test_the_walk_text_reads_its_records_off_its_columns_as_they_stand(self):
+        # The working text grows, so it keeps no records from an earlier read;
+        # a Document over tuples keeps them from the first.
+        doc = parse_document(f"Ali geldi . {ZERO.format(1)} güldü . {ZERO.format(2)} sustu .")
+        seen = []
+
+        def choose(index, mention, survivors, history):
+            text = index.text
+            seen.append((len(text.tokens), len(text.sentences), len(text.surfaces)))
+            assert [token.surface for token in text.tokens] == text.surfaces
+            return None
+
+        walk_document(doc, DICT, SearchScope(), None, choose)
+        assert seen == [(4, 2, 4), (6, 3, 6)]
+        assert doc.tokens is doc.tokens and doc.sentences is doc.sentences
+
     def test_window_scan_of_the_walk_text_builds_its_tokens_once(self):
         # A scan of a copy of the walk's text builds the copy's tokens at
         # most once, however many window tokens it reads.

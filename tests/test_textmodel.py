@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import io
+import pickle
 import re
 
 import pytest
@@ -11,11 +13,20 @@ from anafor import (
     Number,
     PronounKind,
     PronounMention,
+    Resolution,
     Token,
     assemble_document,
     parse_document,
 )
-from anafor.textmodel import decode_utf8, mention_quoted, sentence_spans, split_tokens
+from anafor.candidates import Candidate, CandidateKind
+from anafor.morphology import NameOccurrence
+from anafor.textmodel import (
+    check_surfaces, decode_utf8, mention_quoted, sentence_spans, split_tokens,
+)
+
+# Every character that str.split, and the regex class \s, split on.
+SPLIT_ON = (" \t\n\r\x0b\x0c\xa0\x1c\x1d\x1e\x1f\x85\u1680\u2028\u2029\u202f\u205f\u3000"
+            + "".join(map(chr, range(0x2000, 0x200B))))
 
 
 class TestSplitTokens:
@@ -43,14 +54,103 @@ class TestSplitTokens:
     # marks out did.  The alphabet holds every character that str.split
     # and the regex class \s both split on, and U+200B, which neither does.
     @settings(max_examples=1000, deadline=None)
-    @given(st.text(alphabet=list(
-        ',.!?…"\'’-]^\\ \t\n\r\x0b\x0c\xa0aŞ“”«»\x1c\x1d\x1e\x1f\x85\u1680\u2028\u2029\u202f\u205f'
-        '\u3000\u200b' + "".join(map(chr, range(0x2000, 0x200B)))
-    ), max_size=12))
+    @given(st.text(alphabet=list(',.!?…"\'’-]^\\aŞ“”«»\u200b' + SPLIT_ON), max_size=12))
     @example(',.!?…"')
     @example("a\x1cb\u200bc\u3000,")
     def test_split_matches_the_spelled_out_pattern(self, text):
         assert split_tokens(text) == re.findall(r'[,.!?…"]|[^,.!?…"\s]+', text)
+
+
+def test_split_on_is_every_whitespace_character():
+    assert set(SPLIT_ON) == {char for char in map(chr, range(0x110000)) if char.isspace()}
+    assert all(re.fullmatch(r"\s", char) for char in SPLIT_ON)
+
+
+def spelled_out_check(surfaces: list[str]) -> None:
+    # check_surfaces as it was spelled out: each surface on its own.
+    for surface in surfaces:
+        if surface.split() != [surface]:
+            raise ValueError(f"token surface must be non-empty and whitespace-free: {surface!r}")
+
+
+def _outcome(check, surfaces):
+    try:
+        return check(surfaces)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# Lists of letters, empty strings and whitespace runs: the one split of the
+# join must raise exactly when a surface fails on its own, naming the first.
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.text(alphabet=list("aş\u200b" + SPLIT_ON), max_size=3), max_size=5))
+@example([])
+@example([""])
+@example(["a", "", "b"])
+@example(["a", "b\x1fc", " "])
+@example(["a", "\u200b"])
+def test_check_surfaces_raises_as_the_per_surface_rule(surfaces):
+    assert _outcome(check_surfaces, surfaces) == _outcome(spelled_out_check, surfaces)
+
+
+def _generated_twin(record) -> object:
+    """An instance of a dataclass with ``record``'s name and fields, built by
+    the ``__init__`` that ``dataclass`` generates, with the same values."""
+    fields = dataclasses.fields(record)
+    twin = dataclasses.make_dataclass(
+        type(record).__name__, [(f.name, f.type, dataclasses.field(default=f.default))
+                                for f in fields], frozen=True)
+    return twin(**{f.name: getattr(record, f.name) for f in fields})
+
+
+ALI = tuple.__new__(NameOccurrence, ("Ali", 0, True, False, False))
+RECORDS = [
+    PronounMention(3, PronounKind.PERSONAL, Number.SINGULAR, 5, "onu", frozenset({"Ali"})),
+    PronounMention(4, PronounKind.REFLEXIVE, Number.PLURAL, 0),
+    Resolution(3, frozenset({"Ali"}), 1.5, (Candidate((ALI,), CandidateKind.SIMPLE, 0),),
+               (None,), (1.5,)),
+    Resolution(4, None, None),
+]
+
+
+class TestRecords:
+    # PronounMention and Resolution fill their fields by one update of the
+    # instance dict in a hand-written __init__; they must act as the
+    # generated one did.
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_same_fields_equality_hash_repr_and_pickling(self, record):
+        twin = _generated_twin(record)
+        assert vars(record) == vars(twin)
+        assert repr(record) == repr(twin)
+        assert hash(record) == hash(twin)
+        assert dataclasses.astuple(record) == dataclasses.astuple(twin)
+        copied = pickle.loads(pickle.dumps(record))
+        assert copied == record and hash(copied) == hash(record) and copied is not record
+        assert dataclasses.replace(record) == record
+        changed = dataclasses.replace(record, **{dataclasses.fields(record)[0].name: 99})
+        assert changed != record and type(changed) is type(record)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_fields_are_frozen(self, record):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, None)
+
+    def test_the_gold_check_holds_also_through_replace(self):
+        message = "gold antecedent, when present, must be non-empty"
+        with pytest.raises(ValueError, match=message):
+            PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 0, "", frozenset())
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(RECORDS[0], gold_antecedent=frozenset())
+        assert dataclasses.replace(RECORDS[0], gold_antecedent=None).gold_antecedent is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(PronounMention), st.builds(Resolution))
+    def test_hypothesis_infers_the_arguments(self, mention, resolution):
+        assert isinstance(mention.kind, PronounKind) and isinstance(mention.number, Number)
+        assert type(mention.id) is int and type(mention.position) is int
+        assert resolution.antecedent is None or isinstance(resolution.antecedent, frozenset)
+        assert resolution.score is None or isinstance(resolution.score, float)
 
 
 class TestDecodeUtf8:
