@@ -23,6 +23,7 @@ from anafor.morphology import NameOccurrence
 from anafor.textmodel import (
     check_surfaces, decode_utf8, mention_quoted, sentence_spans, split_tokens,
 )
+from test_assemble_differential import _outcome
 
 # Every character that str.split, and the regex class \s, split on.
 SPLIT_ON = (" \t\n\r\x0b\x0c\xa0\x1c\x1d\x1e\x1f\x85\u1680\u2028\u2029\u202f\u205f\u3000"
@@ -71,13 +72,6 @@ def spelled_out_check(surfaces: list[str]) -> None:
     for surface in surfaces:
         if surface.split() != [surface]:
             raise ValueError(f"token surface must be non-empty and whitespace-free: {surface!r}")
-
-
-def _outcome(check, surfaces):
-    try:
-        return check(surfaces)
-    except ValueError as exc:
-        return "ValueError", str(exc)
 
 
 # Lists of letters, empty strings and whitespace runs: the one split of the
