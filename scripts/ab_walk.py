@@ -31,11 +31,14 @@ checked, not timed.  Then in
 each round it
 times, for each workload, each copy's resolve op as the benchmark runs it
 (parse, resolve, serialize, trace): ``LONG_STORY_OPS`` ops on the
-long_story text, or one op on each dense_shorts document.  The two copies
-run in an order shuffled anew in every round.  The round's ratio is the
-parent's time over the change's, the change's throughput relative to the
-parent's.  The script prints per workload the median and quartiles of
-that ratio over the rounds, then one JSON line with the same figures.
+long_story text, or one op on each dense_shorts document; then, apart,
+each copy's parse alone (``parse_document``) on the same texts, since a
+change to the parse can be smaller than the op's spread.  For each step
+the two copies run in an order shuffled anew in every round.  The round's
+ratio is the parent's time over the change's, the change's throughput
+relative to the parent's.  The script prints per workload the median and
+quartiles of that ratio over the rounds, for the op and for the parse,
+then one JSON line with the same figures.
 Given one checkout twice, it prints the A/A spread: how far the ratio
 moves on this host when nothing changed.  The inputs come from the
 ``perfbench`` and fixtures of the checkout that holds this script.
@@ -87,8 +90,8 @@ def inputs() -> tuple[dict[str, list[str]], list[str], list[str]]:
 def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
     """The gazetteer entries that ``checkout``'s package, loaded as
     ``package``, reads from ``gazetteer``, its parse as plain values, its
-    resolve op with them, the same op run with the baseline, and its
-    training run with them."""
+    resolve op with them, the same op run with the baseline, its training
+    run with them, and its ``parse_document``."""
     shutil.copytree(checkout / "src" / "anafor", into / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     corpus = importlib.import_module(f"{package}.corpus")
@@ -116,7 +119,7 @@ def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
         return doc.surfaces, doc.sentence_of, doc.quoted, mentions
 
     calls = (parsed, op, lambda text: op(text, resolver.baseline_resolve_document))
-    return dictionary.entries, calls, trained
+    return dictionary.entries, calls, trained, corpus.parse_document
 
 
 def seconds(op, texts: list[str]) -> float:
@@ -145,7 +148,7 @@ def main() -> None:
                   for side, checkout in zip(SIDES, (args.parent, args.change))}
         if loaded["parent"][0] != loaded["change"][0]:
             sys.exit("the gazetteer's entries differ")
-        copies = {side: calls for side, (_, calls, _) in loaded.items()}
+        copies = {side: calls for side, (_, calls, _, _) in loaded.items()}
         for workload, texts in workloads.items():
             for k, text in enumerate(dict.fromkeys(texts)):
                 for call, (name, what) in enumerate(CHECKED):
@@ -154,21 +157,26 @@ def main() -> None:
                         sys.exit(f"{workload} document {k}: {name}'s {what} differ")
         if loaded["parent"][2](gold) != loaded["change"][2](gold):
             sys.exit("the trained weights, instance or skip counts or training report differ")
-        ops = {side: copies[side][1] for side in SIDES}
-        order, ratios = random.Random(args.seed), {workload: [] for workload in workloads}
+        timed = {"op": {side: copies[side][1] for side in SIDES},
+                 "parse": {side: loaded[side][3] for side in SIDES}}
+        order = random.Random(args.seed)
+        ratios = {workload: {step: [] for step in timed} for workload in workloads}
         for _ in range(args.rounds):
             for workload, texts in workloads.items():
-                sides = list(SIDES)
-                order.shuffle(sides)
-                spent = {side: seconds(ops[side], texts) for side in sides}
-                ratios[workload].append(spent["parent"] / spent["change"])
+                for step, calls in timed.items():
+                    sides = list(SIDES)
+                    order.shuffle(sides)
+                    spent = {side: seconds(calls[side], texts) for side in sides}
+                    ratios[workload][step].append(spent["parent"] / spent["change"])
     report = {}
-    for workload, values in ratios.items():
-        low, median, high = statistics.quantiles(values, n=4)
-        report[workload] = {"median": round(median, 4), "q1": round(low, 4),
-                            "q3": round(high, 4), "rounds": len(values)}
-        print(f"{workload}: change/parent throughput {median:.3f} "
-              f"(quartiles {low:.3f}-{high:.3f}, {len(values)} rounds)")
+    for workload, steps in ratios.items():
+        report[workload], printed = {"rounds": args.rounds}, []
+        for step, values in steps.items():
+            low, median, high = statistics.quantiles(values, n=4)
+            report[workload][step] = {"median": round(median, 4), "q1": round(low, 4),
+                                      "q3": round(high, 4)}
+            printed.append(f"{step} {median:.3f} (quartiles {low:.3f}-{high:.3f})")
+        print(f"{workload}: change/parent throughput {', '.join(printed)}, {args.rounds} rounds")
     print(json.dumps(report, sort_keys=True))
 
 

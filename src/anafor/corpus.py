@@ -19,7 +19,8 @@ Text is read in Unicode NFC, so a name is refused unless it is in NFC too.
 The literal ``<`` character is reserved for tags and may not appear in the
 running text.  A tag spelled as :func:`serialize_document` writes it is
 read by one regex match; any other spelling goes through the attribute
-reader, and the same checks follow both, in the same order.
+reader, and the same checks follow both, in the same order.  Sentences are
+numbered once, and that column and the surfaces build the Document.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .textmodel import (
     PUNCTUATION_TOKENS,
     QUOTE,
     SENTENCE_TERMINATORS,
-    sentence_spans,
+    sentence_numbers,
     split_tokens,
     assemble_document,
     data_lines,
@@ -266,17 +267,13 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
             code, category = f"U+{ord(char):04X}", unicodedata.category(char)
             raise ValueError(f"typographic quote mark {code}" if char in _QUOTES
                              else f"unprintable character {code} ({category})")
-        spans = sentence_spans(surfaces)
+        sentence_of = sentence_numbers(surfaces)
         # A zero inside the run of terminators, and closing quote, that
         # ends a sentence anchors to the first token of the next sentence.
         n = len(surfaces)
-        ends = [end for _, end in spans]
-        anchor = {}
-        for p in zero_at:
-            if 0 < p < n and surfaces[p - 1] in SENTENCE_TERMINATORS:
-                start, end = spans[bisect_right(ends, p)]
-                if start < p:
-                    anchor[p] = end
+        anchor = {p: bisect_right(sentence_of, sentence_of[p], p) for p in zero_at
+                  if 0 < p < n and surfaces[p - 1] in SENTENCE_TERMINATORS
+                  and sentence_of[p - 1] == sentence_of[p]}
         if anchor:
             mentions = [
                 replace(m, position=anchor[m.position])
@@ -290,7 +287,7 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
         line = text.count("\n", 0, offset) + 1
         column = offset - text.rfind("\n", 0, offset)
         raise ParseError(str(exc), line, column) from None
-    return assemble_document([surfaces[start:end] for start, end in spans], mentions)
+    return assemble_document(surfaces, sentence_of, mentions)
 
 
 def _render_mention_attrs(mention: PronounMention) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import copysign
+from math import copysign, isnan
 from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .candidates import Candidate, NameIndex, SearchScope, constrained_candidates
@@ -249,9 +249,9 @@ def format_trace(resolutions: Iterable[Resolution]) -> str:
 
 
 def parse_trace(text: str) -> list[Resolution]:
-    """Read a trace back as resolutions without candidate entries; the
-    score is None where the trace has ``-``.  One leading byte-order mark
-    is dropped."""
+    """Read a trace back as resolutions without candidate entries.  An ambiguous
+    line has ``-`` in its last three fields and score None, and a resolved line
+    a number, not NaN, for its score.  One leading byte-order mark is dropped."""
     records = []
     for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if not raw.strip():
@@ -264,16 +264,20 @@ def parse_trace(text: str) -> list[Resolution]:
         except ValueError:
             raise ValueError(f"trace line {lineno}: bad pronoun id {fields[0]!r}") from None
         outcome = fields[1]
-        if outcome == "resolved":
-            names = frozenset(fields[2].split(";"))
-            if not names or "" in names:
-                raise ValueError(f"trace line {lineno}: bad antecedent field")
-        elif outcome == "ambiguous":
-            names = None
-        else:
+        if outcome == "ambiguous":
+            if fields[2:] != [AMBIGUOUS_FIELD] * 3:
+                raise ValueError(f"trace line {lineno}: an ambiguous line has "
+                                 f"{AMBIGUOUS_FIELD!r} in its last three fields")
+            records.append(Resolution(pronoun_id, None, None))
+            continue
+        if outcome != "resolved":
             raise ValueError(f"trace line {lineno}: unknown outcome {outcome!r}")
+        names = frozenset(fields[2].split(";"))
+        if "" in names:
+            raise ValueError(f"trace line {lineno}: bad antecedent field")
         try:
-            trace_score = None if fields[3] == AMBIGUOUS_FIELD else float(fields[3])
+            if isnan(trace_score := float(fields[3])):  # no sum of finite weights; inf is one
+                raise ValueError
         except ValueError:
             raise ValueError(f"trace line {lineno}: bad score {fields[3]!r}") from None
         records.append(Resolution(pronoun_id, names, trace_score))

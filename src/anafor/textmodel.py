@@ -4,10 +4,11 @@ A :class:`Document` holds its tokens as parallel columns: the surfaces,
 the sentence of each token and whether it stands between quote marks.  A
 token's index is its offset, a sentence is a run of one sentence number,
 and anything else, such as a comma after a token, is read off neighbours.
-``assemble_document`` builds and validates a Document from token surfaces,
-as the corpus parser does: one join and one split check them all.  A
-Document holds tuples and is immutable, save the resolver walk's working
-text, which holds lists grown and spliced in place; only the walk keeps it.
+``assemble_document`` builds and validates a Document from its surfaces
+and their ``sentence_numbers``, as the corpus parser does: one join and one
+split check the surfaces, and ``validate`` the numbering.  A Document holds
+tuples and is immutable, save the resolver walk's working text, which
+holds lists grown and spliced in place; only the walk keeps it.
 
 ``doc.tokens`` and ``doc.sentences`` build :class:`Token` and
 :class:`Sentence` records for callers that want them, on first read for a
@@ -75,7 +76,7 @@ class _TokenFields(NamedTuple):
     quoted: bool = False
 
 
-def check_surfaces(surfaces: list[str]) -> None:
+def check_surfaces(surfaces: Sequence[str]) -> None:
     """Raise a ValueError naming the first surface that is empty or holds
     whitespace; none is exactly when none is empty and their join holds none."""
     if surfaces and (not all(surfaces) or (joined := "".join(surfaces)).split() != [joined]):
@@ -248,17 +249,17 @@ def split_tokens(text: str) -> list[str]:
     return text.split()
 
 
-def sentence_spans(surfaces: Sequence[str]) -> list[tuple[int, int]]:
-    """Half-open [start, end) spans of the sentences in a token stream.
+def sentence_numbers(surfaces: Sequence[str]) -> list[int]:
+    """The sentence number of each token in a token stream, from 0.
 
     A sentence ends after a run of terminator tokens; a closing double
     quote immediately after the run belongs to the ending sentence.  Only
     the terminators and quote marks are visited.
     """
-    spans: list[tuple[int, int]] = []
-    n, start, quotes_seen = len(surfaces), 0, 0
+    column: list[int] = []
+    n, sentence, quotes_seen = len(surfaces), 0, 0
     for i in compress(range(n), map(_BREAKS.__contains__, surfaces)):
-        if i < start:  # inside the run and closing quote that ended a sentence
+        if i < len(column):  # inside the run and closing quote that ended a sentence
             continue
         if surfaces[i] == QUOTE:
             quotes_seen += 1
@@ -269,11 +270,9 @@ def sentence_spans(surfaces: Sequence[str]) -> list[tuple[int, int]]:
         if end < n and surfaces[end] == QUOTE and quotes_seen % 2 == 1:
             quotes_seen += 1
             end += 1
-        spans.append((start, end))
-        start = end
-    if start < n:
-        spans.append((start, n))
-    return spans
+        column += [sentence] * (end - len(column))
+        sentence += 1
+    return column + [sentence] * (n - len(column))
 
 
 def _quoted_flags(surfaces: Sequence[str], sentence_of: Sequence[int]) -> list[bool]:
@@ -293,21 +292,12 @@ def _quoted_flags(surfaces: Sequence[str], sentence_of: Sequence[int]) -> list[b
 
 
 def assemble_document(
-    sentence_surfaces: Sequence[Sequence[str]],
-    pronouns: Iterable[PronounMention] = (),
+    surfaces: Sequence[str], sentence_of: Sequence[int], pronouns: Iterable[PronounMention] = (),
 ) -> Document:
-    """Build a Document from per-sentence token surfaces and pronoun mentions.
-
-    Mentions are re-sorted by position (stable, so same-position mentions
-    keep their given order).  All structural invariants are verified.
-    """
-    surfaces: list[str] = []
-    sentence_of: list[int] = []
-    for k, sent_surfaces in enumerate(sentence_surfaces):
-        if not sent_surfaces:
-            raise ValueError(f"sentence {k} has no tokens")
-        surfaces += sent_surfaces
-        sentence_of += [k] * len(sent_surfaces)
+    """Build a Document from its surface and sentence columns and its pronoun
+    mentions, sorted by position (stably); ``validate`` checks the result."""
+    if len(sentence_of) != len(surfaces):
+        raise ValueError("token columns differ in length")
     check_surfaces(surfaces)
     quoted = _quoted_flags(surfaces, sentence_of)
     ordered = tuple(sorted(pronouns, key=lambda m: m.position))

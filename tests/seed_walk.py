@@ -20,7 +20,12 @@ to; the walks here take their candidates from it.  ``format_trace`` and
 vector's bit string, the reference of ``test_trace_differential.py``.
 ``serialize_document``, ``sentence_spans`` and ``_quoted_flags`` are the
 text layer as it was when each visited every token, the reference of the
-text-layer checks in ``test_walk_differential.py``.
+text-layer checks in ``test_walk_differential.py``; ``sentence_column``
+reads the spans as the package's ``sentence_numbers`` column.
+``seed_assemble_document`` is the build from per-sentence surfaces as it
+was before tokens were built in bulk, the reference of
+``test_assemble_differential.py``; the parser and ``replace_mention`` here
+build their Documents with it.
 ``ResolutionHistory`` is the seed's zero-pronoun history, which the walk
 now keeps as a plain set of name sets.  The resolver sums each vector's
 weights left to right itself, as the trainer's ``_predict`` does, so the
@@ -79,7 +84,8 @@ from anafor.textmodel import (
     Overtness,
     PronounKind,
     PronounMention,
-    assemble_document,
+    Sentence,
+    Token,
     decode_utf8,
     mention_quoted,
 )
@@ -314,7 +320,7 @@ def replace_mention(doc: Document, mention: PronounMention, names: Sequence[str]
         if shifts and delta:
             other = dc_replace(other, position=other.position + delta)
         remaining.append(other)
-    return assemble_document(sentence_surfaces, remaining)
+    return seed_assemble_document(sentence_surfaces, remaining)[0]
 
 
 class ScoredCandidate(NamedTuple):
@@ -565,7 +571,8 @@ def format_trace(resolutions: Iterable[Resolution]) -> str:
 # ---------------------------------------------------------------------------
 # The text layer as it was when serialize, the sentence split and the quote
 # flags each visited every token, the reference of the text-layer checks
-# in ``test_walk_differential.py``.
+# in ``test_walk_differential.py``, and the build from per-sentence
+# surfaces, the reference of ``test_assemble_differential.py``.
 
 
 def sentence_spans(surfaces: Sequence[str]) -> list[tuple[int, int]]:
@@ -597,6 +604,11 @@ def sentence_spans(surfaces: Sequence[str]) -> list[tuple[int, int]]:
     return spans
 
 
+def sentence_column(surfaces: Sequence[str]) -> list[int]:
+    """The sentence number of each token, read off ``sentence_spans``."""
+    return [k for k, (start, end) in enumerate(sentence_spans(surfaces)) for _ in range(start, end)]
+
+
 def _quoted_flags(surfaces: Sequence[str], sentence_of: Sequence[int]) -> list[bool]:
     # Quote characters pair up left to right; tokens strictly between an
     # opening quote and its partner are quoted.  An unpaired trailing quote
@@ -614,6 +626,43 @@ def _quoted_flags(surfaces: Sequence[str], sentence_of: Sequence[int]) -> list[b
             if sentence_of[i] != limit:
                 flags[i] = False
     return flags
+
+
+def seed_assemble_document(sentence_surfaces, pronouns=()):
+    # The per-token build, as it was before tokens were built in bulk; the
+    # Document holds the columns of its tokens, and the build returns it
+    # with its own list of sentences.
+    surfaces: list[str] = []
+    sentence_of: list[int] = []
+    sentences: list[Sentence] = []
+    for k, sent_surfaces in enumerate(sentence_surfaces):
+        if not sent_surfaces:
+            raise ValueError(f"sentence {k} has no tokens")
+        first = len(surfaces)
+        for surface in sent_surfaces:
+            surfaces.append(surface)
+            sentence_of.append(k)
+        sentences.append(Sentence(first, len(surfaces) - 1))
+
+    quoted = _quoted_flags(surfaces, sentence_of)
+    tokens = tuple(
+        Token(
+            surface=surface,
+            index=i,
+            sentence_index=sentence_of[i],
+            quoted=quoted[i],
+        )
+        for i, surface in enumerate(surfaces)
+    )
+    ordered = tuple(sorted(pronouns, key=lambda m: m.position))
+    doc = Document(
+        tuple(token.surface for token in tokens),
+        tuple(token.sentence_index for token in tokens),
+        tuple(token.quoted for token in tokens),
+        ordered,
+    )
+    doc.validate()
+    return doc, tuple(sentences)
 
 
 def serialize_document(doc: Document) -> str:
@@ -834,7 +883,7 @@ def parse_document(text: str, lexicon: Lexicon | None = None) -> Document:
         line = text.count("\n", 0, offset) + 1
         column = offset - text.rfind("\n", 0, offset)
         raise ParseError(str(exc), line, column) from None
-    return assemble_document([surfaces[start:end] for start, end in spans], mentions)
+    return seed_assemble_document([surfaces[start:end] for start, end in spans], mentions)[0]
 
 
 # ---------------------------------------------------------------------------

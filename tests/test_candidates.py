@@ -114,7 +114,7 @@ class TestExtractCandidates:
         # behind "ve", extends no run, whether or not the window still
         # holds that run.
         doc = assemble_document(
-            [["Ali", "ve", "Ayşe", "ve"], ["Fatma", "onları"]],
+            ["Ali", "ve", "Ayşe", "ve", "Fatma", "onları"], [0, 0, 0, 0, 1, 1],
             [PronounMention(1, PronounKind.REFLEXIVE, Number.SINGULAR, 3),
              PronounMention(2, PronounKind.PERSONAL, Number.PLURAL, 5, "onları")],
         )

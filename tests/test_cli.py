@@ -528,6 +528,18 @@ class TestEvalCommand:
         assert (status, out) == (1, "")
         assert err == "anafor: error: pronoun 7 is not in the gold document\n"
 
+    def test_a_trace_line_that_contradicts_its_outcome_is_an_error(self, capsys, tmp_path):
+        # Such a line used to read as an ambiguous record with score 0.5.
+        gold = tmp_path / "gold.txt"
+        gold.write_text(
+            'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.', encoding="utf-8"
+        )
+        trace = tmp_path / "trace.tsv"
+        trace.write_text("1\tambiguous\tAli\t0.5\tjunk\n", encoding="utf-8")
+        status, out, err = _run(capsys, "eval", "--gold", str(gold), "--trace", str(trace))
+        assert (status, out) == (1, "")
+        assert err == "anafor: error: trace line 1: an ambiguous line has '-' in its last three fields\n"
+
     def test_gold_and_trace_both_from_stdin_is_an_error(self, capsys, monkeypatch):
         _stdin(monkeypatch, 'Ali geldi. Zerrin <pro id="1" ant="Ali">onu</pro> gördü.')
         status, out, err = _run(capsys, "eval", "--gold", "-", "--trace", "-")

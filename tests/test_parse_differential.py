@@ -115,3 +115,32 @@ def tags(draw) -> str:
 @example(pieces=['<pro id="1" ant="">onu</pro>', '<pro id="2">onu gördü</pro>'])
 def test_respelled_tags_parse_as_the_reference(pieces):
     assert_same_parse(" ".join(pieces))
+
+
+STREAM_PIECES = ["Ali", "geldi", ".", "!", "?", "…", ",", '"', "ve", "<zero>", "<pro>"]
+
+
+@st.composite
+def sentence_streams(draw) -> str:
+    """0 to 14 pieces of words, marks, quotes, ``ve``, zero tags and overt
+    tags, each tag with an id of its own, joined by a space, a newline or
+    nothing, so zeros fall inside terminator runs, after closing quotes
+    and at the end of the text."""
+    text = ""
+    for k, piece in enumerate(draw(st.lists(st.sampled_from(STREAM_PIECES), max_size=14))):
+        if piece == "<zero>":
+            piece = f'<zero id="{k}" kind="pers" num="sg"/>'
+        elif piece == "<pro>":
+            piece = f'<pro id="{k}">onu</pro>'
+        text += draw(st.sampled_from([" ", "\n", ""])) + piece
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=sentence_streams())
+@example(text='Ali geldi . <zero id="1" kind="pers" num="sg"/> ! geldi')
+@example(text='Ali " geldi . <zero id="1" kind="pers" num="sg"/> " geldi')
+@example(text='Ali " geldi . " <zero id="1" kind="pers" num="sg"/>')
+@example(text='Ali . ! <zero id="1" kind="pers" num="sg"/>')
+def test_sentence_streams_parse_as_the_reference(text):
+    assert_same_parse(text)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import copy
+import math
 import re
 from importlib import resources
 
@@ -701,6 +702,9 @@ class TestReplacement:
         assert 0 < lookups.n <= len(doc.tokens)
 
 
+AMBIGUOUS_LINE = "trace line 2: an ambiguous line has '-' in its last three fields"
+
+
 class TestTraceIO:
     def test_round_trip(self, names9):
         doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
@@ -733,6 +737,29 @@ class TestTraceIO:
             parse_trace("1\tambiguous\t-\t-\t-\nx\tambiguous\t-\t-\t-\n")
         with pytest.raises(ValueError, match="bad antecedent field"):
             parse_trace("1\tresolved\tAli;\t1.0000\t-\n")
+
+    # A line whose fields contradict its outcome; format_trace writes none.
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("1\tambiguous\tAli\t0.5\tjunk", AMBIGUOUS_LINE),
+            ("1\tambiguous\tAli\t-\t-", AMBIGUOUS_LINE),
+            ("1\tambiguous\t-\t0.5\t-", AMBIGUOUS_LINE),
+            ("1\tambiguous\t-\t-\tAli:0000=0.0000", AMBIGUOUS_LINE),
+            ("1\tresolved\tAli\t-\t-", "trace line 2: bad score '-'"),
+            ("1\tresolved\tAli\tnan\t-", "trace line 2: bad score 'nan'"),
+            ("1\tresolved\tAli\t-NaN\tAli:0000=0.0000", "trace line 2: bad score '-NaN'"),
+        ],
+    )
+    def test_fields_that_contradict_the_outcome_are_rejected(self, line, message):
+        with pytest.raises(ValueError) as caught:
+            parse_trace(f"2\tambiguous\t-\t-\t-\n{line}\n")
+        assert str(caught.value) == message
+
+    def test_an_infinite_score_is_a_score(self):
+        # Large finite weights can sum to inf; they cannot sum to NaN.
+        records = parse_trace("1\tresolved\tAli\tinf\t-\n2\tresolved\tAli\t-inf\t-\n")
+        assert [record.score for record in records] == [math.inf, -math.inf]
 
     def test_one_leading_byte_order_mark_is_dropped(self):
         line = "1\tresolved\tAli\t1.0000\t-\n"

@@ -21,8 +21,9 @@ from anafor import (
 from anafor.candidates import Candidate, CandidateKind
 from anafor.morphology import NameOccurrence
 from anafor.textmodel import (
-    check_surfaces, decode_utf8, mention_quoted, sentence_spans, split_tokens,
+    check_surfaces, decode_utf8, mention_quoted, sentence_numbers, split_tokens,
 )
+import seed_walk
 from test_assemble_differential import _outcome
 
 # Every character that str.split, and the regex class \s, split on.
@@ -168,27 +169,30 @@ class TestDecodeUtf8:
         )
 
 
-class TestSentenceSpans:
+class TestSentenceNumbers:
+    @staticmethod
+    def numbers(text: str) -> list[int]:
+        """``sentence_numbers`` of the text's tokens, checked against the
+        seed's sentence spans read as a column."""
+        surfaces = split_tokens(text)
+        assert sentence_numbers(surfaces) == seed_walk.sentence_column(surfaces)
+        return sentence_numbers(surfaces)
+
     def test_plain_sentences(self):
-        surfaces = split_tokens("Ali geldi. Murat gitti.")
-        assert sentence_spans(surfaces) == [(0, 3), (3, 6)]
+        assert self.numbers("Ali geldi. Murat gitti.") == [0, 0, 0, 1, 1, 1]
 
     def test_trailing_text_without_terminator(self):
-        surfaces = split_tokens("Ali geldi. Murat")
-        assert sentence_spans(surfaces) == [(0, 3), (3, 4)]
+        assert self.numbers("Ali geldi. Murat") == [0, 0, 0, 1]
 
     def test_terminator_run_stays_in_one_sentence(self):
-        surfaces = split_tokens("Geldin mi?! Evet.")
-        assert sentence_spans(surfaces) == [(0, 4), (4, 6)]
+        assert self.numbers("Geldin mi?! Evet.") == [0, 0, 0, 0, 1, 1]
 
     def test_closing_quote_after_terminator_belongs_to_sentence(self):
-        surfaces = split_tokens('Ali "Gel!" dedi.')
         # close quote absorbed after '!', so 'dedi .' starts a new sentence
-        assert sentence_spans(surfaces) == [(0, 5), (5, 7)]
+        assert self.numbers('Ali "Gel!" dedi.') == [0, 0, 0, 0, 0, 1, 1]
 
     def test_opening_quote_after_terminator_starts_new_sentence(self):
-        surfaces = split_tokens('dedi Zerrin. "Ben de')
-        assert sentence_spans(surfaces) == [(0, 3), (3, 6)]
+        assert self.numbers('dedi Zerrin. "Ben de') == [0, 0, 0, 1, 1, 1]
 
 
 class TestQuotedFlags:
@@ -330,16 +334,29 @@ class TestDocumentInvariants:
             PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 1),
         ]
         with pytest.raises(ValueError):
-            assemble_document([["onu", "gördü", "."]], mentions)
+            assemble_document(["onu", "gördü", "."], [0, 0, 0], mentions)
 
     def test_assemble_rejects_out_of_range_position(self):
         mention = PronounMention(1, PronounKind.PERSONAL, Number.SINGULAR, 9)
         with pytest.raises(ValueError):
-            assemble_document([["Ali", "geldi", "."]], [mention])
+            assemble_document(["Ali", "geldi", "."], [0, 0, 0], [mention])
 
-    def test_assemble_rejects_an_empty_sentence(self):
-        with pytest.raises(ValueError, match="sentence 1 has no tokens"):
-            assemble_document([["Ali", "geldi", "."], []])
+    @pytest.mark.parametrize(
+        "surfaces,sentence_of,message",
+        [
+            pytest.param(["Ali", "geldi", ".", "Gitti", "."], [0, 0, 0, 2, 2],
+                         "token 3 is in sentence 2, after 0", id="gap"),
+            pytest.param(['"', "Ali", "."], [1, 1, 1],
+                         "token 0 is in sentence 1, not sentence 0", id="start"),
+            pytest.param(["Ali", '"'], [0], "token columns differ in length", id="short"),
+            pytest.param(["Ali"], [0, 0], "token columns differ in length", id="long"),
+            pytest.param(["Ali", "a b"], [0, 2],  # the surfaces are checked first
+                         "token surface must be non-empty and whitespace-free: 'a b'",
+                         id="surface-then-gap"),
+        ],
+    )
+    def test_assemble_refuses_a_bad_numbering(self, surfaces, sentence_of, message):
+        assert _outcome(assemble_document, surfaces, sentence_of) == ("ValueError", message)
 
     def test_empty_gold_antecedent_rejected(self):
         with pytest.raises(ValueError, match="must be non-empty"):

@@ -2,7 +2,7 @@
 paraphrases, traces, training instances and trained weights must match
 byte for byte.  The text layer is held to its per-token reference on every
 document met: the parsed input and both paraphrases serialize to the same
-bytes, and their sentence spans and quote flags are the same, here and on
+bytes, and their sentence numbers and quote flags are the same, here and on
 token streams built to hit every rule of the marks.
 
 Generated documents are drawn here once for every layer:
@@ -43,7 +43,7 @@ from anafor.candidates import SearchScope
 from anafor.scoring import format_weights
 from anafor.textmodel import (
     PUNCTUATION_TOKENS, QUOTE, SENTENCE_TERMINATORS, Number, PronounKind, PronounMention,
-    _quoted_flags, assemble_document, sentence_spans,
+    _quoted_flags, assemble_document, sentence_numbers,
 )
 from conftest import FIXTURE_FILES, TEXTS, assert_layer_passed, fixture_text, quoted_texts
 from test_acceptance import PROP_DICT, PROP_NAMES, annotated_texts
@@ -67,10 +67,11 @@ def _outcome(run):
 
 
 def assert_same_text(doc) -> None:
-    """``doc`` serializes to the reference's bytes, and its sentence spans
-    and quote flags are the reference's."""
+    """``doc`` serializes to the reference's bytes, and its sentence numbers
+    are the reference's spans read as a column and its quote flags the
+    reference's."""
     assert serialize_document(doc) == seed_walk.serialize_document(doc)
-    assert sentence_spans(doc.surfaces) == seed_walk.sentence_spans(doc.surfaces)
+    assert sentence_numbers(doc.surfaces) == seed_walk.sentence_column(doc.surfaces)
     flags = _quoted_flags(doc.surfaces, doc.sentence_of)
     assert flags == seed_walk._quoted_flags(doc.surfaces, doc.sentence_of)
 
@@ -248,8 +249,7 @@ def mark_documents(draw):
             surfaces[position] = surface
             overt.add(position)
         pronouns.append(PronounMention(len(pronouns), kind, number, position, surface, gold))
-    spans = seed_walk.sentence_spans(surfaces)
-    return assemble_document([surfaces[start:end] for start, end in spans], pronouns)
+    return assemble_document(surfaces, seed_walk.sentence_column(surfaces), pronouns)
 
 
 def _zero(position, id_=0):
@@ -258,9 +258,12 @@ def _zero(position, id_=0):
 
 @settings(max_examples=300, deadline=None)
 @given(doc=mark_documents())
-@example(doc=assemble_document([[",", "Ali", "."], ['"', "geldi"]], [_zero(0), _zero(3, 1)]))
-@example(doc=assemble_document([['"', "Ali", '"', "."], ["geldi", '"']], [_zero(2), _zero(2, 1)]))
-@example(doc=assemble_document([["Ali", '"', "geldi", ".", '"'], ['"', '"', "!", "!"]]))
-@example(doc=assemble_document([]))
+@example(doc=assemble_document([",", "Ali", ".", '"', "geldi"], [0, 0, 0, 1, 1],
+                               [_zero(0), _zero(3, 1)]))
+@example(doc=assemble_document(['"', "Ali", '"', ".", "geldi", '"'], [0, 0, 0, 0, 1, 1],
+                               [_zero(2), _zero(2, 1)]))
+@example(doc=assemble_document(["Ali", '"', "geldi", ".", '"', '"', '"', "!", "!"],
+                               [0, 0, 0, 0, 0, 1, 1, 1, 1]))
+@example(doc=assemble_document([], []))
 def test_mark_streams_match_the_reference(doc):
     assert_same_text(doc)
