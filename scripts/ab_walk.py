@@ -20,8 +20,9 @@ First the script stops with an error unless both copies load the same
 entries from that file, unless they parse every input to the same token
 columns and the same mention fields (read by ``dataclasses.astuple``, each
 enum member by its value, since the two copies' classes differ), and
-unless they give the same paraphrase and trace on every input, with the
-resolver and with the baseline.  It also
+unless they give the same paraphrase, compared by those columns and
+fields and as serialized text, and the same trace on every input, with
+the resolver and with the baseline.  It also
 stops unless both copies train alike: each runs ``build_instances`` and
 ``train`` on one gold collection, built as the ``train_compare`` workload
 builds one (the mini corpus ``TRAIN_TILES`` times and ``TRAIN_GENERATED``
@@ -68,8 +69,8 @@ from perfbench.workloads import (  # noqa: E402
 
 LONG_STORY_OPS = 20  # about as long as one pass over the dense_shorts documents
 SIDES = ("parent", "change")
-CHECKED = (("parse", "columns or mention fields"), ("resolve", "paraphrase or trace"),
-           ("baseline", "paraphrase or trace"))
+WALKED = "paraphrase columns, mention fields or text, or trace"
+CHECKED = (("parse", "columns or mention fields"), ("resolve", WALKED), ("baseline", WALKED))
 
 
 def inputs() -> tuple[dict[str, list[str]], list[str], list[str]]:
@@ -89,9 +90,9 @@ def inputs() -> tuple[dict[str, list[str]], list[str], list[str]]:
 
 def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
     """The gazetteer entries that ``checkout``'s package, loaded as
-    ``package``, reads from ``gazetteer``, its parse as plain values, its
-    resolve op with them, the same op run with the baseline, its training
-    run with them, and its ``parse_document``."""
+    ``package``, reads from ``gazetteer``, its parse, resolve and baseline
+    as plain values, its resolve op with them, its training run with them,
+    and its ``parse_document``."""
     shutil.copytree(checkout / "src" / "anafor", into / package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     corpus = importlib.import_module(f"{package}.corpus")
@@ -100,9 +101,9 @@ def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
     training = importlib.import_module(f"{package}.training")
     dictionary = corpus.load_dictionary(gazetteer)
 
-    def op(text: str, resolve=resolver.resolve_document) -> tuple[str, str]:
+    def op(text: str) -> tuple[str, str]:
         doc = corpus.parse_document(text)
-        resolved = resolve(doc, dictionary)
+        resolved = resolver.resolve_document(doc, dictionary)
         paraphrase = corpus.serialize_document(resolved.paraphrased)
         return paraphrase, resolver.format_trace(resolved.resolutions)
 
@@ -112,14 +113,20 @@ def load_copy(checkout: Path, package: str, into: Path, gazetteer: Path):
         weights, report = training.train(instances)
         return scoring.format_weights(weights), len(instances), skipped, dataclasses.astuple(report)
 
-    def parsed(text: str) -> tuple:
-        doc = corpus.parse_document(text)
+    def columns(doc) -> tuple:
         mentions = [tuple(getattr(field, "value", field) for field in dataclasses.astuple(mention))
                     for mention in doc.pronouns]
         return doc.surfaces, doc.sentence_of, doc.quoted, mentions
 
-    calls = (parsed, op, lambda text: op(text, resolver.baseline_resolve_document))
-    return dictionary.entries, calls, trained, corpus.parse_document
+    def walked(text: str, resolve) -> tuple:
+        resolved = resolve(corpus.parse_document(text), dictionary)
+        paraphrase = corpus.serialize_document(resolved.paraphrased)
+        return columns(resolved.paraphrased), paraphrase, resolver.format_trace(resolved.resolutions)
+
+    checks = (lambda text: columns(corpus.parse_document(text)),
+              lambda text: walked(text, resolver.resolve_document),
+              lambda text: walked(text, resolver.baseline_resolve_document))
+    return dictionary.entries, checks, op, trained, corpus.parse_document
 
 
 def seconds(op, texts: list[str]) -> float:
@@ -148,17 +155,17 @@ def main() -> None:
                   for side, checkout in zip(SIDES, (args.parent, args.change))}
         if loaded["parent"][0] != loaded["change"][0]:
             sys.exit("the gazetteer's entries differ")
-        copies = {side: calls for side, (_, calls, _, _) in loaded.items()}
+        copies = {side: checks for side, (_, checks, _, _, _) in loaded.items()}
         for workload, texts in workloads.items():
             for k, text in enumerate(dict.fromkeys(texts)):
                 for call, (name, what) in enumerate(CHECKED):
                     outputs = {side: copies[side][call](text) for side in SIDES}
                     if outputs["parent"] != outputs["change"]:
                         sys.exit(f"{workload} document {k}: {name}'s {what} differ")
-        if loaded["parent"][2](gold) != loaded["change"][2](gold):
+        if loaded["parent"][3](gold) != loaded["change"][3](gold):
             sys.exit("the trained weights, instance or skip counts or training report differ")
-        timed = {"op": {side: copies[side][1] for side in SIDES},
-                 "parse": {side: loaded[side][3] for side in SIDES}}
+        timed = {"op": {side: loaded[side][2] for side in SIDES},
+                 "parse": {side: loaded[side][4] for side in SIDES}}
         order = random.Random(args.seed)
         ratios = {workload: {step: [] for step in timed} for workload in workloads}
         for _ in range(args.rounds):

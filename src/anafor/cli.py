@@ -134,6 +134,14 @@ def _load_lexicon(args: argparse.Namespace) -> Lexicon | None:
     return Lexicon.from_file(args.lexicon) if args.lexicon else None
 
 
+def _check_outputs(inputs: list[str], *outputs: tuple[str, str | None]) -> None:
+    """Refuse an output path that names an input file; '-' names no file."""
+    read = {Path(path).resolve() for path in inputs if path != "-"}
+    for option, path in outputs:
+        if path not in (None, "-") and Path(path).resolve() in read:
+            raise ValueError(f"{option} names an input file: {path}")
+
+
 def _check_gold_names(doc: Document, dictionary: NameDictionary) -> None:
     for mention in doc.pronouns:
         for name in sorted(mention.gold_antecedent or ()):
@@ -149,6 +157,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     paths = [Path(path).resolve() for path in (args.trace, args.output) if path not in (None, "-")]
     if len(paths) == 2 and paths[0] == paths[1]:
         raise ValueError("--trace and -o name the same file")
+    _check_outputs([args.input], ("--trace", args.trace), ("-o", args.output))
     dictionary = _load_dictionary(args)
     lexicon = _load_lexicon(args)
     doc = parse_document(_read_input(args.input), lexicon)
@@ -165,6 +174,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from .training import TrainConfig, build_instances, train
+    _check_outputs(args.inputs, ("-o", args.output))
     dictionary = _load_dictionary(args)
     lexicon = _load_lexicon(args)
     corpus = [parse_document(_read_input(path), lexicon) for path in args.inputs]

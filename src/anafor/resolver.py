@@ -14,7 +14,8 @@ index of the text reads each token once: advanced to a pronoun, it is the
 window the walk hands to :func:`~anafor.candidates.constrained_candidates`,
 which slices out the survivors, and the resolver and trainer hand to
 :func:`~anafor.scoring.feature_vectors`, so the cost per pronoun is flat
-across sentences and inside them.
+across sentences and inside them.  The walk returns its paraphrase through
+:func:`~anafor.textmodel.assemble_document`, which checks every surface.
 The resolver picks the highest-scoring survivor, reading each vector's
 :func:`score` off the weights' ``scores`` table, which sums it once; the
 baseline scores nothing, so the most recent survivor wins.  A :class:`Resolution`
@@ -41,11 +42,10 @@ from .scoring import (
     most_recent_max,
     score,
 )
-from .textmodel import QUOTE, Document, PronounMention, check_surfaces, mention_quoted
+from .textmodel import QUOTE, Document, PronounMention, assemble_document, mention_quoted
 
-# Unused here, but perfbench/tracing.py patches them as attributes of this module.
+# Unused here, but perfbench/tracing.py patches it as an attribute of this module.
 from .scoring import feature_vector  # noqa: F401
-from .textmodel import assemble_document  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ def replace_mention(work: Document, mention: PronounMention, names: Sequence[str
         raise ValueError("replacement needs at least one name")
     if QUOTE in names:
         raise ValueError("a replacement name cannot be a quote mark")
-    check_surfaces(list(names))
     position = mention.position
     at = slice(position, position + 1 if mention.surface else position)
     inserted = [surface for name in names for surface in ("ve", name)][1:]
@@ -129,8 +128,8 @@ def walk_document(
     pronouns left in place; nothing reads it before the walk ends.  The
     history is the set of name sets written in for zero pronouns of earlier
     sentences: the zeros of a sentence join it when the walk reaches the
-    first pronoun of a later sentence.  Returns the document with every
-    chosen replacement made.
+    first pronoun of a later sentence.  Returns the paraphrase, assembled
+    from the working text's columns by :func:`~anafor.textmodel.assemble_document`.
     """
     work = Document([], [], [], [])
     window = NameIndex(work, dictionary, scope, lexicon)
@@ -161,9 +160,7 @@ def walk_document(
                 zeros.append(frozenset(names))
     for column, source in columns:
         column += source[streamed:]
-    paraphrased = Document(*(tuple(column) for column, _ in columns), tuple(work.pronouns))
-    paraphrased.validate()
-    return paraphrased
+    return assemble_document(work.surfaces, work.sentence_of, work.pronouns)
 
 
 def _resolve_all(
@@ -272,8 +269,9 @@ def parse_trace(text: str) -> list[Resolution]:
             continue
         if outcome != "resolved":
             raise ValueError(f"trace line {lineno}: unknown outcome {outcome!r}")
-        names = frozenset(fields[2].split(";"))
-        if "" in names:
+        listed = fields[2].split(";")
+        names = frozenset(listed)  # distinct names, none empty or holding whitespace
+        if len(names) < len(listed) or any(name.split() != [name] for name in listed):
             raise ValueError(f"trace line {lineno}: bad antecedent field")
         try:
             if isnan(trace_score := float(fields[3])):  # no sum of finite weights; inf is one

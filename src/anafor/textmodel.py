@@ -4,11 +4,11 @@ A :class:`Document` holds its tokens as parallel columns: the surfaces,
 the sentence of each token and whether it stands between quote marks.  A
 token's index is its offset, a sentence is a run of one sentence number,
 and anything else, such as a comma after a token, is read off neighbours.
-``assemble_document`` builds and validates a Document from its surfaces
-and their ``sentence_numbers``, as the corpus parser does: one join and one
-split check the surfaces, and ``validate`` the numbering.  A Document holds
-tuples and is immutable, save the resolver walk's working text, which
-holds lists grown and spliced in place; only the walk keeps it.
+``assemble_document`` builds every Document the package returns, parsed or
+paraphrased, from its surfaces and sentence numbers: one join and one split
+check the surfaces, the quote marks' pairing gives the flags and ``validate``
+checks the rest.  A Document holds tuples and is immutable, save the resolver
+walk's working text, which holds lists grown and spliced in place.
 
 ``doc.tokens`` and ``doc.sentences`` build :class:`Token` and
 :class:`Sentence` records for callers that want them, on first read for a

@@ -194,6 +194,41 @@ class TestOutputDashIsStdout:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestAnOutputThatNamesAnInputIsAnError:
+    # Each of these used to exit 0 and write over the corpus it read.
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["resolve", "doc.txt", "--trace", "doc.txt", "-o", "out.txt"], "--trace"),
+            (["resolve", "doc.txt", "-o", "doc.txt"], "-o"),
+            (["baseline", "doc.txt", "-o", "../{}/doc.txt"], "-o"),
+            (["baseline", "doc.txt", "--trace", "{}/doc.txt"], "--trace"),
+            (["train", "doc.txt", "-o", "doc.txt"], "-o"),
+            (["train", "other.txt", "doc.txt", "-o", "./doc.txt"], "-o"),
+        ],
+    )
+    def test_the_input_is_left_as_it_was(self, capsys, tmp_path, monkeypatch, argv, option):
+        monkeypatch.chdir(tmp_path)
+        corpus = fixture_text("corpora/p7_punctuation.txt").encode("utf-8")
+        for name in ("doc.txt", "other.txt"):
+            (tmp_path / name).write_bytes(corpus)
+        argv = [arg.format(tmp_path.name if arg.startswith("..") else tmp_path) for arg in argv]
+        named = argv[argv.index(option) + 1]
+        status, out, err = _run(capsys, *argv, "--dict", str(NAMES))
+        assert (status, out) == (1, "")
+        assert err == f"anafor: error: {option} names an input file: {named}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.txt", "other.txt"]
+        assert (tmp_path / "doc.txt").read_bytes() == corpus
+
+    def test_stdin_is_no_input_file(self, capsys, tmp_path, monkeypatch):
+        # '-' reads stdin, so a file of that name in the working directory is no input.
+        monkeypatch.chdir(tmp_path)
+        _stdin(monkeypatch, fixture_text("corpora/p7_punctuation.txt"))
+        status, _out, err = _run(capsys, "resolve", "-", "--dict", str(NAMES), "-o", "./-")
+        assert (status, err) == (0, "")
+        assert "Çok yorgundu." in (tmp_path / "-").read_text(encoding="utf-8")
+
+
 NOT_UTF8 = (
     "not valid UTF-8 ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
 )

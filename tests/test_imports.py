@@ -17,7 +17,6 @@ MODULES = sorted(path.name for path in SOURCE.glob("*.py") if path.name != "__in
 
 # Imported but unused: exactly these, and only while the tracer needs them.
 TRACER_ONLY = {
-    ("resolver.py", "assemble_document"),  # patched by perfbench/tracing.py
     ("resolver.py", "feature_vector"),  # patched by perfbench/tracing.py
     ("training.py", "constrained_candidates"),  # patched by perfbench/tracing.py
     ("training.py", "replace_mention"),  # patched by perfbench/tracing.py

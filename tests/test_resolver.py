@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import copy
+import dataclasses
 import math
 import re
 from importlib import resources
@@ -28,7 +29,9 @@ from anafor.candidates import Candidate, NameIndex, SearchScope
 from anafor.morphology import Lexicon, _split_apostrophe, turkish_lower
 from anafor.resolver import walk_document
 from anafor.scoring import most_recent_max
-from anafor.textmodel import Document, PronounMention, Sentence, Token
+from anafor.textmodel import (
+    Document, PronounMention, Sentence, Token, _quoted_flags, assemble_document,
+)
 import seed_walk
 from conftest import FIXTURE_FILES, fixture_text, replace_one, snapshot
 from test_golden import _inputs
@@ -228,6 +231,42 @@ class TestResolvePronoun:
                 else:
                     assert None not in record.vectors and record.score == max(record.scores)
         assert ambiguous > 0
+
+
+class TestTheWalkAssemblesItsParaphrase:
+    # The walk ends in assemble_document, as the parse does, so the builder
+    # checks, flags and validates every Document the package returns.
+    def test_a_hand_built_documents_quote_flags_give_way_to_the_quote_marks(self):
+        doc = parse_document(f'Ali geldi. " Ayşe {ZERO.format(1)} güldü. " Murat sustu.')
+        flipped = Document(doc.surfaces, doc.sentence_of, tuple(not q for q in doc.quoted),
+                           doc.pronouns)
+        for run in (resolve_document, baseline_resolve_document):
+            paraphrased = run(flipped, DICT).paraphrased
+            paired = _quoted_flags(paraphrased.surfaces, paraphrased.sentence_of)
+            assert paraphrased.quoted == tuple(paired)
+            assert paraphrased.quoted == run(doc, DICT).paraphrased.quoted
+
+    def test_a_gold_name_that_is_not_one_surface_is_refused_as_the_walk_ends(self):
+        doc = parse_document(f"Ali geldi. {ZERO.format(1)} güldü.")
+        (mention,) = doc.pronouns
+        gold = dataclasses.replace(mention, gold_antecedent=frozenset({"Ali Veli"}))
+        with pytest.raises(ValueError) as caught:
+            build_instances([dataclasses.replace(doc, pronouns=(gold,))], DICT)
+        assert str(caught.value) == (
+            "token surface must be non-empty and whitespace-free: 'Ali Veli'"
+        )
+
+    def test_each_walk_assembles_its_paraphrase_once(self, names9):
+        doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
+        walks = [
+            (lambda: resolve_document(doc, names9), 1),
+            (lambda: baseline_resolve_document(doc, names9), 1),
+            (lambda: build_instances([doc, doc, doc], names9), 3),
+        ]
+        for walk, documents in walks:
+            with runs(assemble_document) as assembled:
+                walk()
+            assert assembled.n == documents
 
 
 class TestBaseline:
@@ -737,6 +776,27 @@ class TestTraceIO:
             parse_trace("1\tambiguous\t-\t-\t-\nx\tambiguous\t-\t-\t-\n")
         with pytest.raises(ValueError, match="bad antecedent field"):
             parse_trace("1\tresolved\tAli;\t1.0000\t-\n")
+
+    # A name with whitespace, or one listed twice, used to read as a name
+    # set that no gold equals, or as the set without the repeat.
+    @pytest.mark.parametrize(
+        "field", ["Ali; Veli", "Ali ;Veli", " Ali", "Ali Veli", "Ali\u00a0Veli", "Ali;Ali",
+                  "Ali;Veli;Ali", ";", "Ali;;Veli"],
+    )
+    def test_an_antecedent_field_of_names_that_are_not_distinct_surfaces_is_rejected(
+        self, field
+    ):
+        with pytest.raises(ValueError) as caught:
+            parse_trace(f"1\tambiguous\t-\t-\t-\n2\tresolved\t{field}\t1.0000\t-\n")
+        assert str(caught.value) == "trace line 2: bad antecedent field"
+
+    def test_blank_and_whitespace_only_lines_are_skipped(self):
+        lines = ["1\tresolved\tAli;Veli\t1.0000\t-", "2\tambiguous\t-\t-\t-"]
+        assert parse_trace(f"\n  \n{lines[0]}\n\t\n{lines[1]}\n \n") == parse_trace(
+            "\n".join(lines)
+        )
+        with pytest.raises(ValueError, match="trace line 3: unknown outcome"):
+            parse_trace("\n \n1\tmaybe\t-\t-\t-\n")
 
     # A line whose fields contradict its outcome; format_trace writes none.
     @pytest.mark.parametrize(
