@@ -33,7 +33,9 @@ from .corpus import NameDictionary
 from .morphology import Lexicon, NameOccurrence, _split_apostrophe, default_lexicon, turkish_lower
 # Unused here, but perfbench/tracing.py patches it as an attribute of this module.
 from .morphology import match_name  # noqa: F401
-from .textmodel import PUNCTUATION_TOKENS, Document, Number, PronounKind, PronounMention
+from .textmodel import (
+    PUNCTUATION_TOKENS, Document, Number, PronounKind, PronounMention, WorkingText,
+)
 
 LINKER_SURFACES = frozenset({"ve", "ile"})
 _base, _sentence_index = map(attrgetter, ("base", "sentence_index"))
@@ -122,8 +124,8 @@ class NameIndex:
     ``end`` is the token :meth:`advance` last stopped at, the pronoun's;
     advancing to a token left of it is a ValueError."""
 
-    def __init__(self, text: Document, dictionary: NameDictionary, scope: SearchScope,
-                 lexicon: Lexicon | None) -> None:
+    def __init__(self, text: Document | WorkingText, dictionary: NameDictionary,
+                 scope: SearchScope, lexicon: Lexicon | None) -> None:
         self.text, self.max_back_sentences = text, scope.max_back_sentences
         self.dictionary, self.analyses = dictionary, (lexicon or default_lexicon()).analyses
         self.singular, self.plural = [], []  # the candidates of each number
@@ -135,7 +137,9 @@ class NameIndex:
 
     def advance(self, pronoun: PronounMention) -> NameIndex:
         doc = self.text
-        first = doc.sentence_index_of(pronoun.position) - self.max_back_sentences
+        if not 0 <= pronoun.position < len(doc.sentence_of):
+            raise IndexError(f"token index out of range: {pronoun.position}")
+        first = doc.sentence_of[pronoun.position] - self.max_back_sentences
         if pronoun.position < self.end:
             raise ValueError(f"the index is at token {self.end}, right of the pronoun's "
                              f"token {pronoun.position}")

@@ -8,8 +8,8 @@ zero-marker position) is rewritten to the antecedent's bare base names
 joined with ``ve`` and quoted as the pronoun is (``mention_quoted``), so
 the replacement is visible to later candidate extraction and scoring.
 Ambiguous pronouns stay in the text untouched.  The walk streams the
-text's token columns in up to each pronoun, :func:`replace_mention`
-splices each replacement into those columns alone, in place, and one name
+text's columns into working lists up to each pronoun, :func:`replace_mention`
+splices each replacement into those lists alone, in place, and one name
 index of the text reads each token once: advanced to a pronoun, it is the
 window the walk hands to :func:`~anafor.candidates.constrained_candidates`,
 which slices out the survivors, and the resolver and trainer hand to
@@ -42,7 +42,9 @@ from .scoring import (
     most_recent_max,
     score,
 )
-from .textmodel import QUOTE, Document, PronounMention, assemble_document, mention_quoted
+from .textmodel import (
+    QUOTE, Document, PronounMention, WorkingText, assemble_document, mention_quoted,
+)
 
 # Unused here, but perfbench/tracing.py patches it as an attribute of this module.
 from .scoring import feature_vector  # noqa: F401
@@ -79,7 +81,7 @@ class ResolvedDocument:
     paraphrased: Document
 
 
-def replace_mention(work: Document, mention: PronounMention, names: Sequence[str]) -> None:
+def replace_mention(work: WorkingText, mention: PronounMention, names: Sequence[str]) -> None:
     """Write the walk's pronoun as its antecedent names, in place.
 
     The pronoun is the last mention visited: its token is the working
@@ -113,8 +115,8 @@ def walk_document(
 ) -> Document:
     """The left-to-right pass shared by resolve, baseline and training.
 
-    The working text is the only Document over lists, read by its columns
-    only.  Candidates never lie right of a pronoun, so its columns are
+    The working text is a :class:`~anafor.textmodel.WorkingText` of lists.
+    Candidates never lie right of a pronoun, so its columns are
     streamed in from ``doc`` only at each pronoun, through its token, and
     after the last pronoun.  So a splice has a tail of at most one token,
     no token left of the pronoun moves, and one :class:`NameIndex` of it
@@ -131,7 +133,7 @@ def walk_document(
     first pronoun of a later sentence.  Returns the paraphrase, assembled
     from the working text's columns by :func:`~anafor.textmodel.assemble_document`.
     """
-    work = Document([], [], [], [])
+    work = WorkingText([], [], [], [])
     window = NameIndex(work, dictionary, scope, lexicon)
     columns = [(work.surfaces, doc.surfaces), (work.sentence_of, doc.sentence_of),
                (work.quoted, doc.quoted)]

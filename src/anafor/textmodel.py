@@ -1,28 +1,23 @@
 """Core document model: tokens, sentences and pronoun mentions.
 
-A :class:`Document` holds its tokens as parallel columns: the surfaces,
-the sentence of each token and whether it stands between quote marks.  A
-token's index is its offset, a sentence is a run of one sentence number,
-and anything else, such as a comma after a token, is read off neighbours.
-``assemble_document`` builds every Document the package returns, parsed or
-paraphrased, from its surfaces and sentence numbers: one join and one split
-check the surfaces, the quote marks' pairing gives the flags and ``validate``
-checks the rest.  A Document holds tuples and is immutable, save the resolver
-walk's working text, which holds lists grown and spliced in place.
-
-``doc.tokens`` and ``doc.sentences`` build :class:`Token` and
-:class:`Sentence` records for callers that want them, on first read for a
-Document over tuples, which keeps them, and on each read for the walk's
-working text, which grows; parse and the walk read only the columns.
-Records are ``NamedTuple``s, as
-are names, candidates, vectors, pronoun forms and search scopes: a tuple
-costs a third of a frozen dataclass, and acts as one (``SearchScope(3) ==
-(3,)``).  ``Token``, ``SearchScope`` and ``_replace`` check fields; their
-``_make`` and ``tuple.__new__`` (which builds names, candidates and
-vectors) do not.  A dataclass stays where one serves: callers
-copy ``Document``, ``PronounMention``, ``Lexicon`` and the resolver's
-records by ``dataclasses.replace``, ``PreferenceWeights`` keeps ``scores``
-out of equality, and a tuple's pickling would read ``NameDictionary.__iter__``.
+A :class:`Document` is a finished text and immutable: its tokens are two tuple
+columns, the surfaces and the sentence of each token.  A token's index is its
+offset, a sentence is a run of one sentence number, and anything else, such as
+a comma after a token, is read off neighbours, the quote flags off the marks'
+pairing: ``doc.quoted`` is built on first read, as are ``doc.tokens`` and
+``doc.sentences``, the :class:`Token` and :class:`Sentence` records for
+callers that want them; parse builds none of them.  ``assemble_document``
+builds every Document the package returns, parsed or paraphrased, and
+``validate`` checks it, the surfaces with one join and one split.  The
+resolver's walk grows its text in a :class:`WorkingText`.  Records are
+``NamedTuple``s, as are names, candidates, vectors, pronoun forms and search
+scopes: a tuple costs a third of a frozen dataclass, and acts as one
+(``SearchScope(3) == (3,)``).  ``Token``, ``SearchScope`` and ``_replace``
+check fields; their ``_make`` and ``tuple.__new__`` (which builds names,
+candidates and vectors) do not.  A dataclass stays where one serves: callers
+copy ``Document``, ``PronounMention``, ``Lexicon`` and the resolver's records
+by ``dataclasses.replace``, ``PreferenceWeights`` keeps ``scores`` out of
+equality, and a tuple's pickling would read ``NameDictionary.__iter__``.
 ``PronounMention`` and ``Resolution``, built per pronoun, fill their fields in
 one ``__dict__`` update, twice as fast as one ``object.__setattr__`` each.
 
@@ -135,32 +130,27 @@ class PronounMention:
         return Overtness.OVERT if self.surface else Overtness.ZERO
 
 
-class _kept_if_fixed(cached_property):
-    """A ``cached_property`` that a Document over lists, which grows, builds on each read."""
-
-    def __get__(self, doc, owner=None):
-        if doc is not None and isinstance(doc.surfaces, list):
-            return self.func(doc)
-        return super().__get__(doc, owner)
-
-
 @dataclass(frozen=True)
 class Document:
-    """Token ``i`` is ``surfaces[i]``, in sentence ``sentence_of[i]``, quoted if
-    ``quoted[i]``.  Sentence numbers start at 0 and step by 0 or 1 per token."""
+    """Token ``i`` is ``surfaces[i]``, in sentence ``sentence_of[i]``.  Sentence
+    numbers start at 0 and step by 0 or 1 per token."""
 
     surfaces: tuple[str, ...]
     sentence_of: tuple[int, ...]
-    quoted: tuple[bool, ...]
     pronouns: tuple[PronounMention, ...]
 
-    @_kept_if_fixed
+    @cached_property
+    def quoted(self) -> tuple[bool, ...]:
+        """Whether each token stands between paired quote marks, on first read."""
+        return tuple(_quoted_flags(self.surfaces, self.sentence_of))
+
+    @cached_property
     def tokens(self) -> tuple[Token, ...]:
         """The columns as :class:`Token` records, built on first read."""
         columns = self.surfaces, range(len(self.surfaces)), self.sentence_of, self.quoted
         return tuple(map(Token._make, zip(*columns)))
 
-    @_kept_if_fixed
+    @cached_property
     def sentences(self) -> tuple[Sentence, ...]:
         """Each sentence's first and last token, read off ``sentence_of`` on first read."""
         column = self.sentence_of
@@ -175,8 +165,9 @@ class Document:
     def validate(self) -> None:
         """Check the structural invariants; raise ValueError on violation."""
         n, column = len(self.surfaces), self.sentence_of
-        if len(column) != n or len(self.quoted) != n:
+        if len(column) != n:
             raise ValueError("token columns differ in length")
+        check_surfaces(self.surfaces)
         if n and column[0] != 0:
             raise ValueError(f"token 0 is in sentence {column[0]}, not sentence 0")
         if not set(map(sub, column[1:], column)) <= {0, 1}:
@@ -196,7 +187,13 @@ class Document:
                 raise ValueError(f"pronoun {mention.id} surface does not match its token")
 
 
-def mention_quoted(doc: Document, mention: PronounMention) -> bool:
+# The resolver walk's text, grown in place: a Document's columns and its input's flags.
+WorkingText = NamedTuple("WorkingText", [
+    ("surfaces", list[str]), ("sentence_of", list[int]),
+    ("quoted", list[bool]), ("pronouns", list[PronounMention])])
+
+
+def mention_quoted(doc: Document | WorkingText, mention: PronounMention) -> bool:
     """Whether ``mention`` stands between quote marks: its token's flag,
     save for a zero before a quote mark, whose flag is always False.  Such
     a zero is quoted when a quote is open left of the mark: the flag of the
@@ -296,11 +293,7 @@ def assemble_document(
 ) -> Document:
     """Build a Document from its surface and sentence columns and its pronoun
     mentions, sorted by position (stably); ``validate`` checks the result."""
-    if len(sentence_of) != len(surfaces):
-        raise ValueError("token columns differ in length")
-    check_surfaces(surfaces)
-    quoted = _quoted_flags(surfaces, sentence_of)
-    ordered = tuple(sorted(pronouns, key=lambda m: m.position))
-    doc = Document(tuple(surfaces), tuple(sentence_of), tuple(quoted), ordered)
+    doc = Document(tuple(surfaces), tuple(sentence_of),
+                   tuple(sorted(pronouns, key=lambda m: m.position)))
     doc.validate()
     return doc

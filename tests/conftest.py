@@ -20,14 +20,16 @@ FIXTURE_FILES = sorted(
 SCOPES = [0, 1, 3]
 
 # Inputs that the generators need not draw: zeros before a closing quote
-# mark, which are quoted though the mark's own flag is not, and sentences
-# led by punctuation, whose first phrase token comes later.
+# mark, which are quoted though the mark's own flag is not, sentences
+# led by punctuation, whose first phrase token comes later, and a quote
+# that spans two sentences, which the walk's prefix would leave unpaired.
 TEXTS = [
     '" Ali geldi . " Ayşe gitti . " Eve <zero id="1" kind="pers" num="sg"/> " dedi .',
     'Ali " eve <zero id="1" kind="refl" num="sg"/> " gitti . Ayşe " <zero id="2" '
     'kind="pers" num="sg"/> " güldü .',
     ', , Ali geldi . , " Ayşe <zero id="1" kind="refl" num="sg"/> gitti " . , ! '
     '<zero id="2" kind="pers" num="sg"/> güldü , Fatma <zero id="3" kind="pers" num="pl"/> .',
+    '" Ali geldi . Ayşe <pro id="1">onu</pro> gördü . "',
 ]
 
 EXAMPLE_NAMES = (
@@ -46,10 +48,15 @@ def window(doc, pronoun, names, scope=SearchScope()):
 
 
 def snapshot(text):
-    """A copy of the walk's working ``text`` over tuples, which keeps its
-    ``tokens`` and ``sentences`` from their first read; the working text,
-    which grows, builds them anew on each read."""
-    return Document(*map(tuple, (text.surfaces, text.sentence_of, text.quoted, text.pronouns)))
+    """A Document of the walk's working ``text`` as it stands, which keeps
+    its ``tokens`` and ``sentences`` from their first read; the working
+    text has neither, only columns."""
+    doc = Document(*map(tuple, (text.surfaces, text.sentence_of, text.pronouns)))
+    # The working flags pair the quote marks of the whole input, a Document's
+    # those of its own tokens, and the two differ where a quote opened in
+    # the prefix closes past it: the walk's flags are the ones it scores by.
+    vars(doc)["quoted"] = tuple(text.quoted)
+    return doc
 
 
 def replace_one(doc, mention, names):

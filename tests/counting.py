@@ -112,9 +112,8 @@ def surfaces_copied(doc: Document) -> Iterator[tuple[Count, Document]]:
     and one to ``slices``.  The walk slices its three token columns
     together, so ``n`` is the tokens it copies.  A slice of a tuple or
     list runs no frame for ``runs`` to count, so the columns are
-    subclasses: for the block, ``anafor.resolver.Document`` builds the
-    working text, the one Document over lists, out of one, and the
-    paraphrase over its tuples unchanged."""
+    subclasses: for the block, ``anafor.resolver.WorkingText`` builds the
+    working text's surface column out of one."""
     count = Count()
 
     def counted(column: type) -> type:
@@ -127,16 +126,16 @@ def surfaces_copied(doc: Document) -> Iterator[tuple[Count, Document]]:
                 return item
         return Counting
 
-    source, working, document = counted(tuple), counted(list), anafor.resolver.Document
+    source, working, text = counted(tuple), counted(list), anafor.resolver.WorkingText
 
-    def counting_document(surfaces, *columns):
-        return document(working(surfaces) if type(surfaces) is list else surfaces, *columns)
+    def counting_text(surfaces, *columns):
+        return text(working(surfaces), *columns)
 
-    anafor.resolver.Document = counting_document
+    anafor.resolver.WorkingText = counting_text
     try:
         yield count, dataclasses.replace(doc, surfaces=source(doc.surfaces))
     finally:
-        anafor.resolver.Document = document
+        anafor.resolver.WorkingText = text
 
 
 @contextmanager

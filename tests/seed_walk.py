@@ -631,7 +631,8 @@ def _quoted_flags(surfaces: Sequence[str], sentence_of: Sequence[int]) -> list[b
 def seed_assemble_document(sentence_surfaces, pronouns=()):
     # The per-token build, as it was before tokens were built in bulk; the
     # Document holds the columns of its tokens, and the build returns it
-    # with its own list of sentences.
+    # with its own list of sentences.  A Document derives its quote flags;
+    # this one holds the per-token flags, so the seed's walks read them.
     surfaces: list[str] = []
     sentence_of: list[int] = []
     sentences: list[Sentence] = []
@@ -658,9 +659,9 @@ def seed_assemble_document(sentence_surfaces, pronouns=()):
     doc = Document(
         tuple(token.surface for token in tokens),
         tuple(token.sentence_index for token in tokens),
-        tuple(token.quoted for token in tokens),
         ordered,
     )
+    vars(doc)["quoted"] = tuple(token.quoted for token in tokens)
     doc.validate()
     return doc, tuple(sentences)
 

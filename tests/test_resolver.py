@@ -30,7 +30,7 @@ from anafor.morphology import Lexicon, _split_apostrophe, turkish_lower
 from anafor.resolver import walk_document
 from anafor.scoring import most_recent_max
 from anafor.textmodel import (
-    Document, PronounMention, Sentence, Token, _quoted_flags, assemble_document,
+    Document, PronounMention, Sentence, Token, assemble_document,
 )
 import seed_walk
 from conftest import FIXTURE_FILES, fixture_text, replace_one, snapshot
@@ -235,16 +235,24 @@ class TestResolvePronoun:
 
 class TestTheWalkAssemblesItsParaphrase:
     # The walk ends in assemble_document, as the parse does, so the builder
-    # checks, flags and validates every Document the package returns.
-    def test_a_hand_built_documents_quote_flags_give_way_to_the_quote_marks(self):
-        doc = parse_document(f'Ali geldi. " Ayşe {ZERO.format(1)} güldü. " Murat sustu.')
-        flipped = Document(doc.surfaces, doc.sentence_of, tuple(not q for q in doc.quoted),
-                           doc.pronouns)
-        for run in (resolve_document, baseline_resolve_document):
-            paraphrased = run(flipped, DICT).paraphrased
-            paired = _quoted_flags(paraphrased.surfaces, paraphrased.sentence_of)
-            assert paraphrased.quoted == tuple(paired)
-            assert paraphrased.quoted == run(doc, DICT).paraphrased.quoted
+    # checks and validates every Document the package returns.
+    def test_a_hand_built_document_is_resolved_by_the_flags_it_returns(self):
+        # A Document holds no quote flags of its own: its quote marks give
+        # them, so the walk scores by the flags of the Document it returns.
+        names = NameDictionary.from_names(["Ali", "Ayşe", "Murat"])
+        parsed = parse_document(f'" Ayşe geldi. " Ali sustu. " {ZERO.format(1)} güldü. "')
+        doc = Document(parsed.surfaces, parsed.sentence_of, parsed.pronouns)
+        resolved = resolve_document(doc, names)
+        (resolution,) = resolved.resolutions
+        (ayse,) = [c for c in resolution.survivors if c.base_names == {"Ayşe"}]
+        assert resolution.antecedent == {"Ayşe"}
+        assert resolution.vectors[resolution.survivors.index(ayse)].quoted_match
+        (traced,) = parse_trace(format_trace(resolved.resolutions))
+        paraphrased, written = resolved.paraphrased, parsed.pronouns[0].position
+        assert paraphrased.surfaces[written] == "Ayşe" and traced.antecedent == {"Ayşe"}
+        assert paraphrased.quoted[written] == paraphrased.quoted[ayse.anchor] is True
+        with pytest.raises(TypeError):
+            Document(parsed.surfaces, parsed.sentence_of, parsed.quoted, parsed.pronouns)
 
     def test_a_gold_name_that_is_not_one_surface_is_refused_as_the_walk_ends(self):
         doc = parse_document(f"Ali geldi. {ZERO.format(1)} güldü.")
@@ -461,16 +469,29 @@ class TestReplacement:
         for document in (doc, resolved, baseline):
             assert "sentences" not in vars(document)
 
+    def test_only_the_walk_reads_quote_flags_and_only_its_inputs(self, names9):
+        # A Document's flags are read off its quote marks on first read:
+        # parse and serialize never read them, and the walk reads its input's.
+        doc = parse_document(fixture_text("minicorpus/minicorpus.txt"))
+        serialize_document(doc)
+        assert "quoted" not in vars(doc)
+        resolved = resolve_document(doc, names9)
+        serialize_document(resolved.paraphrased)
+        format_trace(resolved.resolutions)
+        assert "quoted" in vars(doc) and "quoted" not in vars(resolved.paraphrased)
+
     def test_the_walk_text_reads_its_records_off_its_columns_as_they_stand(self):
-        # The working text grows, so it keeps no records from an earlier read;
-        # a Document over tuples keeps them from the first.
+        # The working text grows, so it has no records that could go stale;
+        # a Document of its columns reads them as they stand.
         doc = parse_document(f"Ali geldi . {ZERO.format(1)} güldü . {ZERO.format(2)} sustu .")
         seen = []
 
         def choose(index, mention, survivors, history):
             text = index.text
-            seen.append((len(text.tokens), len(text.sentences), len(text.surfaces)))
-            assert [token.surface for token in text.tokens] == text.surfaces
+            assert not hasattr(text, "tokens") and not hasattr(text, "sentences")
+            work = snapshot(text)
+            seen.append((len(work.tokens), len(work.sentences), len(text.surfaces)))
+            assert [token.surface for token in work.tokens] == text.surfaces
             return None
 
         walk_document(doc, DICT, SearchScope(), None, choose)

@@ -397,7 +397,6 @@ class TestDocumentInvariants:
         doc = Document(
             tuple(surfaces),
             tuple(sentence_of),
-            (False,) * len(surfaces),
             tuple(
                 PronounMention(i, PronounKind.PERSONAL, Number.SINGULAR, position, surface)
                 for i, position, surface in pronouns
